@@ -76,15 +76,12 @@ from .generators import (
     brier_curve,
     curve_from_descriptor,
     generator_from_descriptor,
-    normalize_curve,
 )
 from .two_asset import (
     PiecewiseLinearMarket,
     UniswapV2Market,
     UniswapV3Market,
-    bucket_curve,
     cost2,
     liability2,
     price2,
-    soft_bucket_curve,
 )

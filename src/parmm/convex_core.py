@@ -6,10 +6,12 @@ q = grad Gbar(p) is what the maker owes.  Trade bundles r are oriented toward
 the trader and valid net trades keep the aggregate cost C(q + r) = C(q).
 
 Conjugate solves: two-outcome makers reduce to a monotone scalar equation
-g'(p) = q_1 - q_2 solved by bisection (leftmost solution across flats and
-kinks); larger markets use exponentiated-gradient ascent on
-p |-> <p, q> - G(p), which is invariant to the c * 1 gauge freedom of q,
-followed by a Newton polish on the tangent space once the iterate is close.
+G.slope(p) = q_1 - q_2 solved by bisection (leftmost solution across flats
+and kinks).  This is the package's only bisection: the scalar views
+`two_asset.price2` and `cost2` are calls into `conjugate_value`.  Larger
+markets use exponentiated-gradient ascent on p |-> <p, q> - G(p), which is
+invariant to the c * 1 gauge freedom of q, followed by a Newton polish on the
+tangent space once the iterate is close.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     VertexUnbounded,
 )
 from .generators import (
-    CurveGenerator,
     Generator,
     ShiftedGenerator,
     SumGenerator,
@@ -79,27 +80,19 @@ class ConjugateResult:
     at_boundary: bool
 
 
-def _scalar_slope(G: Generator, t: float) -> float:
-    """g'(t) for a two-outcome generator, via the gradient map."""
-    if isinstance(G, CurveGenerator):
-        return G.curve.dg(t)
-    gr = G.grad(np.array([t, 1.0 - t]))
-    return float(gr[0] - gr[1])
-
-
 def _conjugate_two(G: Generator, q, _p0) -> ConjugateResult:
     t = float(q[0] - q[1])
     lo, hi = EPS, 1.0 - EPS
     slack = 1e-13 * max(1.0, abs(t))
-    if _scalar_slope(G, hi) < t - slack:
+    if G.slope(hi) < t - slack:
         # maximizer at p = 1: the conjugate continues affinely
         return ConjugateResult(float(q[0] - G.value(np.array([1.0, 0.0]))), np.array([hi, 1.0 - hi]), True)
-    if _scalar_slope(G, lo) >= t:
+    if G.slope(lo) >= t:
         return ConjugateResult(float(q[1] - G.value(np.array([0.0, 1.0]))), np.array([lo, 1.0 - lo]), True)
     # leftmost p with g'(p) >= t (ties broken left across flats and kinks)
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if _scalar_slope(G, mid) >= t:
+        if G.slope(mid) >= t:
             hi = mid
         else:
             lo = mid
@@ -249,11 +242,18 @@ def infimal_convolution_split(generators, q, p0=None):
     if res.at_boundary:
         raise BoundaryPrice("aggregate maximizer reached the boundary clamp")
     p = res.price
-    parts = [liability_of(Gi, p) for Gi in gens]
-    residual = q - np.sum(parts, axis=0)  # equals cost * 1 in exact arithmetic
-    k = len(gens)
-    parts = [part + residual / k for part in parts]
+    # the residual equals cost * 1 in exact arithmetic
+    parts = spread_residual([liability_of(Gi, p) for Gi in gens], q)
     return float(res.cost), parts, p
+
+
+def spread_residual(parts, total) -> list:
+    """Add (total - sum(parts)) / k to each of the k parts so they sum to total."""
+    acc = np.zeros_like(total)
+    for part in parts:
+        acc += part
+    share = (total - acc) / len(parts)
+    return [part + share for part in parts]
 
 
 def _fd_hessian(G: Generator, p, h=None):

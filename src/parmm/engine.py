@@ -19,8 +19,10 @@ from .convex_core import (
     conjugate_value,
     liability_of,
     price_of,
+    spread_residual,
 )
 from .errors import (
+    InvariantViolated,
     LiabilityMismatch,
     NotLevelSet,
     NotPseudobarrier,
@@ -165,7 +167,8 @@ class MarketState:
         for rec in self._nontrivial():
             dev = np.max(np.abs(rec.liability - liability_of(rec.generator, self.price)))
             worst = max(worst, float(dev))
-        assert worst <= tol, f"incoherent state: liability deviation {worst:.3e}"
+        if not worst <= tol:
+            raise InvariantViolated(f"incoherent state: liability deviation {worst:.3e}")
         return worst
 
     # -- operations -------------------------------------------------------
@@ -231,16 +234,8 @@ class MarketState:
                 raise NotLevelSet(f"trade moves the aggregate cost by {res.cost - c0:.3e}")
             p_new = price_of(agg, q + bundle, self.price)
         nontrivial = self._nontrivial()
-        parts = {}
-        fills = []
-        total = np.zeros(self.n)
-        for rec in nontrivial:
-            fill = liability_of(rec.generator, p_new) - rec.liability
-            parts[rec.lp_id] = fill
-            total += fill
-        residual = bundle - total
-        for rec in nontrivial:
-            parts[rec.lp_id] = parts[rec.lp_id] + residual / len(nontrivial)
+        fills = spread_residual([liability_of(rec.generator, p_new) - rec.liability for rec in nontrivial], bundle)
+        parts = {rec.lp_id: fill for rec, fill in zip(nontrivial, fills)}
         for rec in self.records:
             if rec.lp_id not in parts:
                 parts[rec.lp_id] = np.zeros(self.n)

@@ -34,7 +34,7 @@ class OutOfRange(ParmmError):
 
 
 class InvariantViolated(ParmmError):
-    """A reserve-space trade breaks the pool invariant."""
+    """A pool invariant or the per-LP coherence of the market state does not hold."""
 
 
 class InsufficientReserves(ParmmError):

@@ -540,42 +540,6 @@ class SumCurve(Curve1D):
         return {"family": "sum", "terms": [c.descriptor() for c in self.terms]}
 
 
-class ShiftedCurve(Curve1D):
-    """inner minus its chord, so g(0) = g(1) = 0."""
-
-    def __init__(self, inner: Curve1D):
-        self.inner = inner
-        self._g0 = inner.g(0.0)
-        self._g1 = inner.g(1.0)
-        if not (math.isfinite(self._g0) and math.isfinite(self._g1)):
-            raise VertexUnbounded("curve endpoint values are not finite")
-
-    @property
-    def pseudobarrier(self):
-        return self.inner.pseudobarrier
-
-    def g(self, p):
-        return self.inner.g(p) - (1.0 - p) * self._g0 - p * self._g1
-
-    def dg(self, p):
-        return self.inner.dg(p) - (self._g1 - self._g0)
-
-    def d2g(self, p):
-        return self.inner.d2g(p)
-
-    def descriptor(self):
-        return {"family": "shifted", "inner": self.inner.descriptor()}
-
-
-def normalize_curve(curve: Curve1D) -> Curve1D:
-    g0, g1 = curve.g(0.0), curve.g(1.0)
-    if not (math.isfinite(g0) and math.isfinite(g1)):
-        raise VertexUnbounded("curve endpoint values are not finite")
-    if abs(g0) <= _TINY and abs(g1) <= _TINY:
-        return curve
-    return ShiftedCurve(curve)
-
-
 # ---------------------------------------------------------------------------
 # n-asset generators
 # ---------------------------------------------------------------------------
@@ -600,6 +564,11 @@ class Generator:
 
     def hessian(self, p):
         return None
+
+    def slope(self, t: float) -> float:
+        """g'(t) of a two-outcome generator: the gradient difference at (t, 1 - t)."""
+        gr = self.grad(np.array([t, 1.0 - t]))
+        return float(gr[0] - gr[1])
 
     def conjugate(self, q):
         """Closed-form (cost, maximizer) if the family has one, else None."""
@@ -645,6 +614,9 @@ class CurveGenerator(Generator):
         t = p[0] / s
         v = np.array([1.0 - t, -t])
         return self.curve.d2g(t) / s * np.outer(v, v)
+
+    def slope(self, t):
+        return self.curve.dg(t)
 
     def conjugate(self, q):
         try:
@@ -807,6 +779,9 @@ class SumGenerator(Generator):
     def grad(self, x):
         return np.sum([t.grad(x) for t in self.terms], axis=0)
 
+    def slope(self, t):
+        return sum(term.slope(t) for term in self.terms)
+
     def hessian(self, p):
         hs = [t.hessian(p) for t in self.terms]
         if any(h is None for h in hs):
@@ -861,6 +836,9 @@ class ShiftedGenerator(Generator):
     def grad(self, x):
         return self.inner.grad(x) - self.shift
 
+    def slope(self, t):
+        return self.inner.slope(t) - float(self.shift[0] - self.shift[1])
+
     def hessian(self, p):
         return self.inner.hessian(p)
 
@@ -908,15 +886,13 @@ def curve_from_descriptor(d: dict) -> Curve1D:
         return TabulatedLiquidityCurve(d["grid"], d["values"])
     if fam == "sum":
         return SumCurve([curve_from_descriptor(t) for t in d["terms"]])
-    if fam == "shifted":
-        return ShiftedCurve(curve_from_descriptor(d["inner"]))
     raise UnknownKind(f"unknown curve family {fam!r}")
 
 
 _CURVE_FAMILIES = {
     "uniswap_v2", "brier", "piecewise_poly", "piecewise_liquidity",
     "v3_bucket", "lmsr_bucket", "brier_bucket", "bucket", "soft_bucket",
-    "piecewise_linear", "tabulated_liquidity", "shifted_curve",
+    "piecewise_linear", "tabulated_liquidity",
 }
 
 

@@ -3,8 +3,10 @@
 A two-outcome maker is fully described by its curve g on [0, 1]: the maker's
 liability at price p is (g(p) + g'(p)(1 - p), g(p) - p g'(p)) and its state
 collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
-The constant-product and concentrated-liquidity pools below are thin adapters
-over the general engine; their reserve bookkeeping is x = -q.
+`price2` and `cost2` are scalar views of `conjugate_value` on the curve's
+generator; they run no solver of their own.  The constant-product and
+concentrated-liquidity pools below are thin adapters over the general engine;
+their reserve bookkeeping is x = -q.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .convex_core import EPS
+from .convex_core import EPS, conjugate_value
 from .engine import MarketState, PositivePartFee, initialize
 from .errors import (
     EmptyBucket,
@@ -26,18 +28,15 @@ from .generators import (
     Curve1D,
     CurveGenerator,
     PiecewiseLinearCurve,
-    SoftBucketCurve,
     SumCurve,
+    TrivialGenerator,
     UniswapV2Curve,
-    UnsupportedFamily,
 )
 
 __all__ = [
     "liability2",
     "price2",
     "cost2",
-    "bucket_curve",
-    "soft_bucket_curve",
     "UniswapV2Market",
     "UniswapV3Market",
     "PiecewiseLinearMarket",
@@ -56,39 +55,16 @@ def liability2(curve: Curve1D, p: float) -> np.ndarray:
 def price2(curve: Curve1D, q) -> float:
     """Leftmost price consistent with liability q (scalar t = q1 - q2 also
     accepted).  Flat stretches and kinks of g' resolve to their left end."""
-    t = float(q if np.ndim(q) == 0 else q[0] - q[1])
-    lo, hi = EPS, 1.0 - EPS
-    slack = 1e-12 * max(1.0, abs(t))
-    if curve.dg(hi) < t - slack:
-        raise OutOfRange(f"slope {t} above the reachable range")
-    if curve.dg(lo) > t + slack:
-        raise OutOfRange(f"slope {t} below the reachable range")
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if curve.dg(mid) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    q = [float(q), 0.0] if np.ndim(q) == 0 else q
+    res = conjugate_value(CurveGenerator(curve), q)
+    if res.at_boundary:
+        raise OutOfRange(f"slope {q[0] - q[1]} outside the reachable range")
+    return float(res.price[0])
 
 
 def cost2(curve: Curve1D, q) -> float:
     """Cost of liability q = (q1, q2) for the curve maker."""
-    q = np.asarray(q, dtype=float)
-    try:
-        conj = curve.conjugate()
-    except UnsupportedFamily:
-        p = price2(curve, q)
-        return float(p * q[0] + (1.0 - p) * q[1] - curve.g(p))
-    return float(conj.c(q[0] - q[1]) + q[1])
-
-
-def bucket_curve(base: Curve1D, a: float, b: float, weight: float = 1.0) -> BucketCurve:
-    return BucketCurve(base, a, b, weight)
-
-
-def soft_bucket_curve(knots, weights) -> SoftBucketCurve:
-    return SoftBucketCurve(knots, weights)
+    return conjugate_value(CurveGenerator(curve), q).cost
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +180,28 @@ class UniswapV3Market:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _lp_curve(self, lp_id: int) -> Curve1D:
-        w = self.weights[lp_id]
+    def _bucket_sum(self, w) -> Curve1D | None:
+        """Sum of the constant-product buckets carrying weight w; None if empty."""
         terms = [
             BucketCurve(UniswapV2Curve(1.0), a, b, wj)
             for (a, b), wj in zip(self.buckets, w)
             if wj > 0
         ]
         if not terms:
-            from .generators import TrivialGenerator
-
-            return TrivialGenerator(2)
+            return None
         return terms[0] if len(terms) == 1 else SumCurve(terms)
+
+    def _lp_curve(self, lp_id: int):
+        curve = self._bucket_sum(self.weights[lp_id])
+        return TrivialGenerator(2) if curve is None else curve
 
     def aggregate_weight(self) -> np.ndarray:
         return np.sum([w for w in self.weights.values()], axis=0)
 
     def aggregate_curve(self) -> Curve1D:
-        w = self.aggregate_weight()
-        terms = [
-            BucketCurve(UniswapV2Curve(1.0), a, b, wj)
-            for (a, b), wj in zip(self.buckets, w)
-            if wj > 0
-        ]
-        assert terms, "pool holds no liquidity"
-        return terms[0] if len(terms) == 1 else SumCurve(terms)
+        curve = self._bucket_sum(self.aggregate_weight())
+        assert curve is not None, "pool holds no liquidity"
+        return curve
 
     def locate(self, p: float):
         for j, (a, b) in enumerate(self.buckets):
@@ -256,9 +229,7 @@ class UniswapV3Market:
         old = self.weights[lp_id][j]
         self.weights[lp_id][j] = weight
         try:
-            curve = self._lp_curve(lp_id)
-            gen = curve if isinstance(curve, Curve1D) else curve
-            deposit = self.state.modify_liquidity(lp_id, gen)
+            deposit = self.state.modify_liquidity(lp_id, self._lp_curve(lp_id))
         except Exception:
             self.weights[lp_id][j] = old
             raise

@@ -1,10 +1,16 @@
 """Engine behavior: the two-LP walkthrough, fees, audits, guard rails."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parmm
 from parmm import (
     CurveGenerator,
     LmsrCurve,
@@ -63,6 +69,32 @@ def test_two_lp_walkthrough():
     assert st.audit_no_liability(0) <= 1e-9
     assert st.audit_no_liability(1) <= 1e-9
     assert np.max(np.abs(audit_budget_balance(st.fee, r2))) < 1e-12
+
+
+def test_check_coherent_raises_under_python_O():
+    # the check must not rely on `assert`, which `python -O` strips
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from parmm import LmsrCurve, UniswapV2Curve, initialize
+        from parmm.errors import InvariantViolated
+
+        assert False  # stripped under -O
+        st = initialize(LmsrCurve(1.0), price=[0.3, 0.7])
+        st.modify_liquidity(st.register_lp(), UniswapV2Curve(1.0))
+        st.execute_trade(target_price=[0.6, 0.4])
+        if st.check_coherent(np.inf) == 0.0:
+            sys.exit("trade left no rounding residual to detect")
+        try:
+            st.check_coherent(0.0)
+        except InvariantViolated:
+            print("InvariantViolated")
+    """)
+    src = str(Path(parmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "InvariantViolated"
 
 
 def test_intermediate_book_after_first_trade():

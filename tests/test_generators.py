@@ -16,14 +16,18 @@ from parmm import (
     PairConstantProductGenerator,
     PiecewiseLinearCurve,
     PiecewisePolyCurve,
+    ShiftedGenerator,
     SoftBucketCurve,
     SumCurve,
+    SumGenerator,
     TabulatedLiquidityCurve,
+    TrivialGenerator,
     UniswapV2Curve,
+    UniswapV3Market,
     brier_curve,
     curve_from_descriptor,
     generator_from_descriptor,
-    normalize_curve,
+    normalize_generator,
 )
 from parmm.errors import DivergentIntegral
 
@@ -246,13 +250,75 @@ def test_descriptor_round_trip(desc):
     assert np.allclose(G.grad(x), G2.grad(x), atol=1e-14)
 
 
+def _v3_lp_generator():
+    """An LP's generator in a V3 pool: a SumCurve of weighted buckets."""
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
+    m.mint(0, 0, 1.0)
+    m.mint(0, 2, 0.5)
+    return m.state.records[0].generator
+
+
+RAW = PiecewisePolyCurve([0.0, 1.0], [[1.0, -0.5, 1.0]])  # g(0)=1, g(1)=1.5, not normalized
+
+FAMILIES = {
+    "lmsr-n2": lambda: LmsrGenerator(1.5, 2),
+    "lmsr-n3": lambda: LmsrGenerator(0.8, 3),
+    "lmsr-curve": lambda: CurveGenerator(LmsrCurve(1.5)),
+    "uniswap_v2": lambda: CurveGenerator(UniswapV2Curve(2.0)),
+    "brier": lambda: CurveGenerator(brier_curve(1.5)),
+    "piecewise_poly": lambda: CurveGenerator(RAW),
+    "piecewise_liquidity": lambda: CurveGenerator(
+        PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[5.0], [1.0, 2.0], [0.5]])
+    ),
+    "bucket": lambda: CurveGenerator(BucketCurve(UniswapV2Curve(2.0), 0.2, 0.7, 0.4)),
+    "v3_bucket": lambda: CurveGenerator(BucketCurve(UniswapV2Curve(1.0), 0.2, 0.7, 1.3)),
+    "lmsr_bucket": lambda: CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.1, 0.5, 0.7)),
+    "brier_bucket": lambda: CurveGenerator(BucketCurve(brier_curve(1.0), 0.3, 0.8, 2.0)),
+    "soft_bucket": lambda: CurveGenerator(SoftBucketCurve([0.0, 0.4, 1.0], [0.0, 1.0, 0.0])),
+    "piecewise_linear": lambda: CurveGenerator(PiecewiseLinearCurve([0.2, 0.6], [1.0, 2.0])),
+    "tabulated_liquidity": lambda: CurveGenerator(
+        TabulatedLiquidityCurve(np.linspace(0.0, 1.0, 41), 1.0 + np.linspace(0.0, 1.0, 41))
+    ),
+    "constant_product-n2": lambda: ConstantProductGenerator(2, 1.7),
+    "constant_product-n3": lambda: ConstantProductGenerator(3, 1.2),
+    "pair_constant_product": lambda: PairConstantProductGenerator(3, 0, 2, 1.1),
+    "trivial": lambda: TrivialGenerator(2),
+    "sum-v3-lp": _v3_lp_generator,
+    "sum-n2": lambda: SumGenerator([LmsrGenerator(1.0, 2), CurveGenerator(UniswapV2Curve(1.0))]),
+    "sum-n3": lambda: SumGenerator([LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 2.0)]),
+    "shifted-curve": lambda: normalize_generator(CurveGenerator(RAW)),
+    "shifted-n3": lambda: ShiftedGenerator(LmsrGenerator(1.0, 3), [0.1, -0.2, 0.3]),
+}
+TWO_OUTCOME = sorted(k for k in FAMILIES if FAMILIES[k]().n == 2)
+INTERIOR = {2: [[0.3, 0.7], [0.55, 0.45], [0.9, 0.1]], 3: [[0.2, 0.3, 0.5], [0.6, 0.25, 0.15]]}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_descriptor_round_trip_every_family(family):
+    G = FAMILIES[family]()
+    G2 = generator_from_descriptor(G.descriptor(), G.n)
+    for p in INTERIOR[G.n]:
+        assert G2.value(p) == pytest.approx(G.value(p), rel=1e-12, abs=1e-12)
+        assert np.allclose(G2.grad(p), G.grad(p), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", TWO_OUTCOME)
+@given(t=st.floats(0.01, 0.99))
+@settings(max_examples=40, deadline=None)
+def test_slope_is_gradient_difference(family, t):
+    G = FAMILIES[family]()
+    gr = G.grad(np.array([t, 1.0 - t]))
+    scale = max(1.0, float(np.max(np.abs(gr))))
+    assert abs(G.slope(t) - (gr[0] - gr[1])) <= 1e-12 * scale
+
+
 def test_normalize_curve_removes_chord():
-    raw = PiecewisePolyCurve([0.0, 1.0], [[1.0, -0.5, 1.0]])  # g(0)=1, g(1)=1.5
-    norm = normalize_curve(raw)
-    assert norm.g(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert norm.g(1.0) == pytest.approx(0.0, abs=1e-15)
-    for p in GRID[::20]:
-        assert norm.d2g(p) == raw.d2g(p)
+    norm = normalize_generator(CurveGenerator(RAW))
+    assert norm.value(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert norm.value(np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+    for p1 in GRID[::20]:
+        p = np.array([p1, 1.0 - p1])
+        assert np.array_equal(norm.hessian(p), CurveGenerator(RAW).hessian(p))
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.3, 3.0))

@@ -8,13 +8,14 @@ import pytest
 from parmm import (
     BucketCurve,
     CurveGenerator,
+    SumGenerator,
     LmsrCurve,
     PiecewiseLinearMarket,
     UniswapV2Curve,
     UniswapV2Market,
     UniswapV3Market,
     brier_curve,
-    bucket_curve,
+    conjugate_value,
     cost2,
     initialize,
     liability2,
@@ -68,6 +69,28 @@ def test_cost2_zero_on_level_set():
     for crv in [LmsrCurve(1.0), UniswapV2Curve(1.0), brier_curve(1.0)]:
         for p in [0.1, 0.5, 0.9]:
             assert cost2(crv, liability2(crv, p)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_price2_cost2_are_views_of_the_engine_solve():
+    # a V3 aggregate curve has no closed-form conjugate, so both sides bisect
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
+    m.mint(0, 0, 1.0)
+    m.mint(0, 2, 0.5)
+    agg = m.aggregate_curve()
+    G = SumGenerator([CurveGenerator(c) for c in agg.terms])
+    for p in [0.15, 0.45, 0.7]:
+        q = liability2(agg, p)
+        res = conjugate_value(G, q)
+        assert price2(agg, q) == pytest.approx(res.price[0], abs=1e-12)
+        assert cost2(agg, q) == pytest.approx(res.cost, abs=1e-12)
+
+
+def test_cost2_continues_affinely_past_the_range():
+    crv = BucketCurve(LmsrCurve(1.0), 0.3, 0.7, 1.0)  # no closed-form conjugate
+    q = np.array([5.0, 1.0])  # t = 4 lies above every slope of the curve
+    assert cost2(crv, q) == pytest.approx(q[0] - crv.g(1.0), abs=1e-12)
+    with pytest.raises(OutOfRange):
+        price2(crv, q)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +356,3 @@ def test_book_boundary_state_opens_higher_bucket():
     j, y = book.active
     assert j == 1 and y == 0.0
     assert book.price == pytest.approx(0.7)
-
-
-def test_bucket_curve_helper_matches_class():
-    crv = bucket_curve(LmsrCurve(1.0), 0.2, 0.8, 1.5)
-    assert isinstance(crv, BucketCurve)
-    assert crv.weight == 1.5
