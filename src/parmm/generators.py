@@ -133,6 +133,8 @@ class PiecewisePolyCurve(Curve1D):
         return float(self.polys[self._piece(p)].deriv(2)(p))
 
     def conjugate(self) -> "PiecewisePolyConjugate":
+        if any(P.trim().degree() > 2 for P in self.polys):
+            raise UnsupportedFamily("closed-form conjugate needs piecewise-quadratic curves")
         qs: list[float] = []
         pieces: list[Polynomial] = []
         g0 = self.g(0.0)
@@ -140,7 +142,6 @@ class PiecewisePolyCurve(Curve1D):
         pieces.append(Polynomial([-g0]))  # q <= g'(0+): maximizer p = 0
         prev_slope = None
         for k, P in enumerate(self.polys):
-            assert P.degree() <= 2, "conjugate needs piecewise-quadratic curves"
             d = P.deriv()
             sl, sr = float(d(self.xs[k])), float(d(self.xs[k + 1]))
             assert sr >= sl - 1e-9, "curve must be convex"

@@ -11,6 +11,7 @@ from parmm import (
     SumGenerator,
     LmsrCurve,
     PiecewiseLinearMarket,
+    PiecewisePolyCurve,
     UniswapV2Curve,
     UniswapV2Market,
     UniswapV3Market,
@@ -55,6 +56,23 @@ def test_price2_leftmost_on_flat():
     crv = BucketCurve(LmsrCurve(1.0), 0.3, 0.7, 1.0)
     q = liability2(crv, 0.85)  # same liability for every p in [0.7, 1)
     assert price2(crv, q) == pytest.approx(0.7, abs=1e-9)
+
+
+def test_price2_left_flat_is_a_boundary_result():
+    # a flat stretch of g' that starts at the clamp resolves to the clamp itself
+    crv = BucketCurve(LmsrCurve(1.0), 0.3, 0.7, 1.0)
+    q = liability2(crv, 0.15)  # same liability for every p in (0, 0.3]
+    with pytest.raises(OutOfRange):
+        price2(crv, q)
+
+
+def test_price2_inverts_liability_on_cubic_pieces():
+    # a linear liquidity piece integrates to a cubic: no closed-form conjugate
+    crv = PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[5.0], [1.0, 2.0], [0.5]])
+    for p in np.linspace(0.05, 0.95, 19):
+        q = liability2(crv, p)
+        assert price2(crv, q) == pytest.approx(p, abs=1e-9)
+        assert cost2(crv, q) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_price2_out_of_range():
