@@ -30,7 +30,6 @@ from .equivalence import equivalence_suite
 from .errors import ParmmError, UnknownKind
 from .generators import (
     BucketCurve,
-    CurveGenerator,
     LmsrCurve,
     UniswapV2Curve,
     brier_curve,

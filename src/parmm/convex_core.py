@@ -6,12 +6,18 @@ q = grad Gbar(p) is what the maker owes.  Trade bundles r are oriented toward
 the trader and valid net trades keep the aggregate cost C(q + r) = C(q).
 
 Conjugate solves: two-outcome makers reduce to a monotone scalar equation
-G.slope(p) = q_1 - q_2 solved by bisection (leftmost solution across flats
-and kinks).  This is the package's only bisection: the scalar views
-`two_asset.price2` and `cost2` are calls into `conjugate_value`.  Larger
-markets use exponentiated-gradient ascent on p |-> <p, q> - G(p), which is
-invariant to the c * 1 gauge freedom of q, followed by a Newton polish on the
-tangent space once the iterate is close.
+G.slope(p) = q_1 - q_2, solved by safeguarded Newton on the slope with
+G.curvature, warm-started at the caller's price hint; a bisection step is the
+fallback whenever Newton would leave the bracket or stops halving its step, so
+the answer keeps the bisection's definition (the leftmost solution across
+flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
+in floating point as `Curve1D.dg` promises.
+This is the package's only scalar solver: the views `two_asset.price2` and
+`cost2` are calls into `conjugate_value`.  Larger markets use
+exponentiated-gradient ascent on p |-> <p, q> - G(p), which is invariant to
+the c * 1 gauge freedom of q, and hand off to Newton on the tangent-space KKT
+system as soon as the projected gradient is below 1e-3; a hand-off that does
+not reach the tolerance is discarded and the ascent goes on.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import numpy as np
 from .errors import (
     BoundaryPrice,
     NoGradient,
-    OutOfRange,
     SolverDiverged,
     VertexUnbounded,
 )
@@ -37,6 +42,9 @@ from .generators import (
 EPS = 1e-9  # boundary clamp for simplex prices
 _GTOL = 1e-10  # projected-gradient tolerance for the simplex solver
 _MAXIT = 10_000
+_XTOL = 1e-15  # bracket width at which a two-outcome solve stops
+_NUDGE = 4e-16  # two-outcome iterates stay this far inside the bracket
+_HANDOFF = 1e-3  # projected gradient below which EG tries the Newton polish
 
 
 def simplex_price(values, n: int | None = None) -> np.ndarray:
@@ -80,7 +88,7 @@ class ConjugateResult:
     at_boundary: bool
 
 
-def _conjugate_two(G: Generator, q, _p0) -> ConjugateResult:
+def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
     t = float(q[0] - q[1])
     lo, hi = EPS, 1.0 - EPS
     slack = 1e-13 * max(1.0, abs(t))
@@ -89,13 +97,28 @@ def _conjugate_two(G: Generator, q, _p0) -> ConjugateResult:
         return ConjugateResult(float(q[0] - G.value(np.array([1.0, 0.0]))), np.array([hi, 1.0 - hi]), True)
     if G.slope(lo) >= t:
         return ConjugateResult(float(q[1] - G.value(np.array([0.0, 1.0]))), np.array([lo, 1.0 - lo]), True)
-    # leftmost p with g'(p) >= t (ties broken left across flats and kinks)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if G.slope(mid) >= t:
-            hi = mid
+    # leftmost p with g'(p) >= t (ties broken left across flats and kinks),
+    # keeping the bracket g'(lo) < t <= g'(hi).  The next point is the Newton
+    # point when g'' > 0, it lies in the bracket and its step is under half the
+    # step before (rtsafe), else the midpoint.  Points keep _NUDGE inside the
+    # bracket: a Newton point that rounds onto the end just evaluated moves
+    # off it, so one more evaluation closes the bracket after convergence.
+    x = float(p0[0]) if p0 is not None and lo <= p0[0] <= hi else 0.5 * (lo + hi)
+    x = min(max(x, lo + _NUDGE), hi - _NUDGE)
+    step = hi - lo
+    while True:
+        f = G.slope(x) - t
+        if f >= 0.0:
+            hi = x
         else:
-            lo = mid
+            lo = x
+        if hi - lo <= _XTOL:
+            break
+        d = G.curvature(x)
+        newton = d is not None and d > 0.0 and lo <= x - f / d <= hi and abs(f / d) < 0.5 * step
+        xn = x - f / d if newton else 0.5 * (lo + hi)
+        xn = min(max(xn, lo + _NUDGE), hi - _NUDGE)
+        x, step = xn, abs(xn - x)
     p1 = hi
     p = np.array([p1, 1.0 - p1])
     cost = float(p @ q - G.value(p))
@@ -157,18 +180,21 @@ def _conjugate_eg(G: Generator, q, p0) -> ConjugateResult:
     eta = 1.0
     f = fval(p)
     converged = False
+    handoff = _HANDOFF
     for it in range(_MAXIT):
         grad = q - G.grad(p)
         resid = _project_simplex_step(p, grad)
         if resid < _GTOL:
             converged = True
             break
-        if resid < 1e-6:
-            # close enough for Newton to finish the job
-            p = _newton_polish(G, q, p)
-            resid = _project_simplex_step(p, q - G.grad(p))
-            converged = resid < _GTOL
-            break
+        if resid < handoff:
+            # Newton finishes the job when it reaches the tolerance; otherwise
+            # keep ascending and try again after the residual drops tenfold
+            pn = _newton_polish(G, q, p)
+            if _project_simplex_step(pn, q - G.grad(pn)) < _GTOL:
+                p, converged = pn, True
+                break
+            handoff = 0.1 * resid
         accepted = False
         for _ in range(60):
             z = p * np.exp(eta * (grad - grad.max()))

@@ -18,7 +18,7 @@ from .convex_core import (
     liability_of,
     price_of,
 )
-from .engine import MarketState, initialize
+from .engine import initialize
 from .errors import ParmmError
 from .generators import (
     BucketCurve,
@@ -28,7 +28,6 @@ from .generators import (
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
-    SumGenerator,
     UniswapV2Curve,
     brier_curve,
 )

@@ -13,7 +13,6 @@ conjugate.  All curve families here are normalized so g(0) = g(1) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -43,7 +42,12 @@ class Curve1D:
         raise NotImplementedError
 
     def dg(self, p):
-        """Derivative; midpoint of the two one-sided slopes at a kink."""
+        """Derivative; midpoint of the two one-sided slopes at a kink.
+
+        Nondecreasing in floating point too, also where pieces join: the
+        two-outcome price solve takes the leftmost p with dg(p) >= t, and a
+        join that rounds below a flat it borders would cut the flat off.
+        """
         raise NotImplementedError
 
     def d2g(self, p):
@@ -83,6 +87,19 @@ class PiecewisePolyCurve(Curve1D):
         assert np.all(np.diff(xs) > 0)
         self.xs = xs
         self.polys = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in polys]
+        # derivatives are built once: dg and d2g run inside every price solve
+        self._d1 = [P.deriv() for P in self.polys]
+        self._d2 = [P.deriv(2) for P in self.polys]
+        # slope bounds per piece, nondecreasing across the breakpoints, so a
+        # piece whose end value rounds below its neighbour's is clamped to it
+        self._dlo, self._dhi = [], []
+        top = -math.inf
+        for k, d in enumerate(self._d1):
+            lo_k = max(float(d(xs[k])), top)
+            top = max(float(d(xs[k + 1])), lo_k)
+            self._dlo.append(lo_k)
+            self._dhi.append(top)
+        self._quadratic = all(P.trim().degree() <= 2 for P in self.polys)
 
     @classmethod
     def from_liquidity(cls, xs, liq_polys) -> "PiecewisePolyCurve":
@@ -119,21 +136,24 @@ class PiecewisePolyCurve(Curve1D):
     def g(self, p):
         return float(self.polys[self._piece(p)](p))
 
+    def _slope(self, k, p):
+        return min(max(float(self._d1[k](p)), self._dlo[k]), self._dhi[k])
+
     def dg(self, p):
         k = self._piece(p)
-        d = self.polys[k].deriv()(p)
+        d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
         if 0 < k and abs(p - self.xs[k]) < _TINY:
-            d = 0.5 * (d + self.polys[k - 1].deriv()(p))
+            d = 0.5 * (d + self._slope(k - 1, p))
         elif k + 1 < len(self.polys) and abs(p - self.xs[k + 1]) < _TINY:
-            d = 0.5 * (d + self.polys[k + 1].deriv()(p))
+            d = 0.5 * (d + self._slope(k + 1, p))
         return float(d)
 
     def d2g(self, p):
-        return float(self.polys[self._piece(p)].deriv(2)(p))
+        return float(self._d2[self._piece(p)](p))
 
     def conjugate(self) -> "PiecewisePolyConjugate":
-        if any(P.trim().degree() > 2 for P in self.polys):
+        if not self._quadratic:
             raise UnsupportedFamily("closed-form conjugate needs piecewise-quadratic curves")
         qs: list[float] = []
         pieces: list[Polynomial] = []
@@ -142,7 +162,7 @@ class PiecewisePolyCurve(Curve1D):
         pieces.append(Polynomial([-g0]))  # q <= g'(0+): maximizer p = 0
         prev_slope = None
         for k, P in enumerate(self.polys):
-            d = P.deriv()
+            d = self._d1[k]
             sl, sr = float(d(self.xs[k])), float(d(self.xs[k + 1]))
             assert sr >= sl - 1e-9, "curve must be convex"
             if prev_slope is None:
@@ -317,6 +337,8 @@ class BucketCurve(Curve1D):
             val = self._hi
         else:
             val = self.base.dg(p) + self._ga - self._gb - a * self._da + self._db * (b - 1.0)
+            # at the edges the in-bucket sum can round past the tail slopes
+            val = min(max(val, self._lo), self._hi)
         return float(w * val)
 
     def d2g(self, p):
@@ -571,6 +593,14 @@ class Generator:
         gr = self.grad(np.array([t, 1.0 - t]))
         return float(gr[0] - gr[1])
 
+    def curvature(self, t: float):
+        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t);
+        None when the family has no analytic Hessian."""
+        H = self.hessian(np.array([t, 1.0 - t]))
+        if H is None:
+            return None
+        return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
+
     def conjugate(self, q):
         """Closed-form (cost, maximizer) if the family has one, else None."""
         return None
@@ -618,6 +648,9 @@ class CurveGenerator(Generator):
 
     def slope(self, t):
         return self.curve.dg(t)
+
+    def curvature(self, t):
+        return self.curve.d2g(t)
 
     def conjugate(self, q):
         try:
@@ -783,6 +816,10 @@ class SumGenerator(Generator):
     def slope(self, t):
         return sum(term.slope(t) for term in self.terms)
 
+    def curvature(self, t):
+        cs = [term.curvature(t) for term in self.terms]
+        return None if None in cs else sum(cs)
+
     def hessian(self, p):
         hs = [t.hessian(p) for t in self.terms]
         if any(h is None for h in hs):
@@ -839,6 +876,9 @@ class ShiftedGenerator(Generator):
 
     def slope(self, t):
         return self.inner.slope(t) - float(self.shift[0] - self.shift[1])
+
+    def curvature(self, t):
+        return self.inner.curvature(t)
 
     def hessian(self, p):
         return self.inner.hessian(p)

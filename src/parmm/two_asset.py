@@ -174,6 +174,7 @@ class UniswapV3Market:
         if j is None:
             raise OutOfRange(f"opening price {price} not inside any bucket")
         self.weights[0][j] = 1.0
+        self._aggregate_cache = (None, None)  # (aggregate weight, its bucket sum)
         self.state = MarketState(
             self._lp_curve(0), liability2(self._lp_curve(0), price), fee=None, strict=False
         )
@@ -199,7 +200,13 @@ class UniswapV3Market:
         return np.sum([w for w in self.weights.values()], axis=0)
 
     def aggregate_curve(self) -> Curve1D:
-        curve = self._bucket_sum(self.aggregate_weight())
+        # rebuilt whenever the summed weights differ from the cached ones, so
+        # mints, rolled-back mints and direct edits of `weights` all show
+        W = self.aggregate_weight()
+        cached_W, curve = self._aggregate_cache
+        if cached_W is None or not np.array_equal(W, cached_W):
+            curve = self._bucket_sum(W)
+            self._aggregate_cache = (W, curve)
         assert curve is not None, "pool holds no liquidity"
         return curve
 

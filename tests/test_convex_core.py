@@ -1,6 +1,8 @@
 """Duality, liquidity matrices, and infimal convolution."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,23 +16,26 @@ from parmm import (
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
+    PiecewiseLinearCurve,
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
     SumGenerator,
     TrivialGenerator,
     UniswapV2Curve,
+    UniswapV3Market,
     brier_curve,
     conjugate_value,
     directional_liquidity,
+    generator_from_descriptor,
     infimal_convolution_split,
     liability_of,
     liquidity_matrix,
     normalize_generator,
     price_of,
 )
-from parmm.convex_core import _fd_hessian
-from parmm.errors import BoundaryPrice, VertexUnbounded
+from parmm.convex_core import EPS, _conjugate_two, _fd_hessian
+from parmm.errors import BoundaryPrice, SolverDiverged, VertexUnbounded
 
 
 def families_n2():
@@ -313,3 +318,130 @@ def test_conjugate_is_convex_and_monotone_lmsr(p, qa, qb):
     cb = conjugate_value(G, qb_vec).cost
     mid = conjugate_value(G, 0.5 * (qa_vec + qb_vec)).cost
     assert mid <= 0.5 * (ca + cb) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the two-outcome Newton solve and the n >= 3 hand-off
+# ---------------------------------------------------------------------------
+
+
+def two_bucket_gap():
+    # g' is flat on the gap [0.4, 0.6] between two constant-product buckets
+    return SumGenerator(
+        [CurveGenerator(BucketCurve(UniswapV2Curve(1.0), a, b, 1.0)) for a, b in ((0.1, 0.4), (0.6, 0.9))]
+    )
+
+
+def v3_pool_with_empty_bucket():
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7), (0.7, 0.9)], price=0.2)
+    lp = m.register_lp()
+    m.mint(lp, 2, 1.3)
+    m.mint(lp, 3, 0.7)
+    return CurveGenerator(m.aggregate_curve())
+
+
+def leftmost_families():
+    # families_n2 holds bucket curves, whose g' is flat outside the bucket
+    return families_n2() + [
+        # g' is a step function: kinks at the grid, flat in between
+        CurveGenerator(PiecewiseLinearCurve([0.2, 0.5, 0.7], [1.0, 2.0, 0.5])),
+        SumGenerator([LmsrGenerator(0.5, 2), CurveGenerator(PiecewiseLinearCurve([0.3, 0.6], [1.0, 1.0]))]),
+        # interior flats with curvature on both sides
+        two_bucket_gap(),
+        v3_pool_with_empty_bucket(),
+        SumGenerator(
+            [
+                CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.15, 0.35, 0.7)),
+                CurveGenerator(BucketCurve(brier_curve(1.0), 0.55, 0.85, 1.9)),
+            ]
+        ),
+        CurveGenerator(PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]])),
+        CurveGenerator(PiecewisePolyCurve.from_liquidity([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]])),
+    ]
+
+
+LEFTMOST = leftmost_families()
+
+
+@pytest.mark.parametrize("G", LEFTMOST, ids=[f"{type(G).__name__}-{i}" for i, G in enumerate(LEFTMOST)])
+@given(s=st.floats(0.02, 0.98), h=st.floats(0.02, 0.98))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_two_returns_the_leftmost_point_whatever_the_hint(G, s, h):
+    t = G.slope(s)
+    q = np.array([t, 0.0])
+    res = _conjugate_two(G, q, None)
+    p = float(res.price[0])
+    if not res.at_boundary:
+        assert G.slope(p) >= t
+        assert G.slope(p - 2e-15) < t
+    for hint in ([h, 1.0 - h], [EPS, 1.0 - EPS], [1.0 - EPS, EPS]):
+        other = _conjugate_two(G, q, np.array(hint))
+        assert abs(float(other.price[0]) - p) <= 1e-12
+        assert other.at_boundary == res.at_boundary
+
+
+def test_conjugate_two_keeps_the_flat_when_newton_lands_on_its_right_end():
+    # Newton from the right converges onto 0.6, the right end of the flat;
+    # the bucket's slope there must not round below the flat's level
+    G = two_bucket_gap()
+    q = np.array([G.slope(0.5), 0.0])
+    for hint in (None, [0.75, 0.25], [0.3, 0.7]):
+        res = _conjugate_two(G, q, None if hint is None else np.array(hint))
+        assert res.price[0] == pytest.approx(0.4, abs=1e-15)
+
+
+def test_conjugate_two_on_a_flat_reached_by_a_double_root():
+    # liquidity falls linearly to 0 at 0.4, so g' - t has a double root at the
+    # flat's left end: g' sits within rounding of t over ~1e-8 left of 0.4 and
+    # no evaluation order can resolve the point more finely than that
+    G = CurveGenerator(SoftBucketCurve([0, 0.3, 0.4, 0.6, 0.7, 1], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
+    q = np.array([G.slope(0.5), 0.0])
+    for hint in (None, [0.1, 0.9], [0.39, 0.61], [0.5, 0.5], [0.65, 0.35], [0.9, 0.1]):
+        p = float(_conjugate_two(G, q, None if hint is None else np.array(hint)).price[0])
+        assert G.slope(p) >= q[0]
+        assert abs(p - 0.4) < 1e-7
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_warm_started_two_outcome_solve_needs_few_slope_calls():
+    # the k = 16 mixed-family aggregate of the bundle-n2 benchmark workload;
+    # each solve starts from the price before, as the engine's trades do
+    inputs = _bench_inputs()
+    spec = inputs.n2_market(1)
+    agg = SumGenerator([normalize_generator(generator_from_descriptor(d, 2)) for d in spec["lps"]])
+    calls = []
+    slope = agg.slope
+    agg.slope = lambda t: calls.append(t) or slope(t)
+    price = np.array([spec["price"], 1.0 - spec["price"]])
+    for _, p1 in zip(range(30), inputs.n2_targets(1, spec["price"])):
+        target = np.array([p1, 1.0 - p1])
+        calls.clear()
+        res = conjugate_value(agg, agg.grad(target), price)
+        assert len(calls) <= 16
+        assert np.max(np.abs(res.price - target)) < 1e-12
+        price = res.price
+
+
+def test_simplex_solver_does_not_stall_on_mixed_constant_product_sum():
+    # exponentiated-gradient ascent alone used to stall just above its Newton
+    # hand-off and raise SolverDiverged after 10 000 iterations
+    G = SumGenerator([LmsrGenerator(1.0, 5)] + [ConstantProductGenerator(5, float(a)) for a in range(2, 17)])
+    rng = np.random.default_rng(0)
+    diverged = 0
+    for _ in range(60):
+        p = np.clip(rng.dirichlet(np.ones(5)), 0.02, None)
+        p /= p.sum()
+        try:
+            res = conjugate_value(G, G.grad(p))
+        except SolverDiverged:
+            diverged += 1
+            continue
+        assert np.max(np.abs(res.price - p)) < 1e-9
+    assert diverged == 0

@@ -1,8 +1,6 @@
 """Four views of a parallel market must agree: aggregate cost function,
 per-LP fills at the shared price, scoring-rule differences, greedy routing."""
 
-import math
-
 import numpy as np
 import pytest
 

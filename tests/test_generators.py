@@ -25,11 +25,10 @@ from parmm import (
     UniswapV2Curve,
     UniswapV3Market,
     brier_curve,
-    curve_from_descriptor,
     generator_from_descriptor,
     normalize_generator,
 )
-from parmm.errors import DivergentIntegral
+from parmm.errors import DivergentIntegral, UnsupportedFamily
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -292,6 +291,57 @@ def test_slope_is_gradient_difference(family, t):
     gr = G.grad(np.array([t, 1.0 - t]))
     scale = max(1.0, float(np.max(np.abs(gr))))
     assert abs(G.slope(t) - (gr[0] - gr[1])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family", TWO_OUTCOME)
+@given(t=st.floats(0.01, 0.99))
+@settings(max_examples=40, deadline=None)
+def test_curvature_is_hessian_quadratic_form(family, t):
+    G = FAMILIES[family]()
+    v = np.array([1.0, -1.0])
+    want = float(v @ G.hessian(np.array([t, 1.0 - t])) @ v)
+    assert abs(G.curvature(t) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _joined_curves():
+    """Curves whose g' is pieced together, with the prices where pieces join."""
+    v3 = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
+    v3.mint(v3.register_lp(), 2, 1.7)
+    cases = [(v3.aggregate_curve(), [0.1, 0.3, 0.5, 0.7])]
+    for base in (UniswapV2Curve(1.0), LmsrCurve(0.7), brier_curve(1.3)):
+        for a, b in ((0.1, 0.4), (0.6, 0.9), (0.25, 0.75)):
+            cases.append((BucketCurve(base, a, b, 1.3), [a, b]))
+    for xs, liq in (
+        ([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]]),
+        ([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]]),
+        ([0, 0.1, 0.35, 0.8, 1], [[0.0], [3.0], [0.0], [0.25]]),
+    ):
+        cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs[1:-1]))
+    return cases
+
+
+JOINED = _joined_curves()
+
+
+@pytest.mark.parametrize("curve,joins", JOINED, ids=[f"{type(c).__name__}-{i}" for i, (c, _) in enumerate(JOINED)])
+def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
+    # the two-outcome price solve relies on it; the flats the joins border
+    # would otherwise be cut off by a slope that rounds below their level
+    for x in joins:
+        ps = [x]
+        for _ in range(40):
+            ps = [np.nextafter(ps[0], 0.0)] + ps + [np.nextafter(ps[-1], 1.0)]
+        ps = ps + [x + h for h in (1e-13, 1e-12, 2e-12, 1e-9)]
+        ps = sorted([x - h for h in (1e-13, 1e-12, 2e-12, 1e-9)] + ps)
+        slopes = [curve.dg(p) for p in ps]
+        assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
+
+
+def test_piecewise_poly_conjugate_rejects_cubic_pieces():
+    cubic = PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0, 2.0], [0.5]])
+    for _ in range(2):
+        with pytest.raises(UnsupportedFamily):
+            cubic.conjugate()
 
 
 def test_normalize_curve_removes_chord():

@@ -26,6 +26,7 @@ from parmm.errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
+    NotLevelSet,
     OutOfRange,
 )
 
@@ -90,7 +91,8 @@ def test_cost2_zero_on_level_set():
 
 
 def test_price2_cost2_are_views_of_the_engine_solve():
-    # a V3 aggregate curve has no closed-form conjugate, so both sides bisect
+    # a V3 aggregate curve has no closed-form conjugate, so both sides run
+    # the iterative two-outcome solve
     m = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
     m.mint(0, 0, 1.0)
     m.mint(0, 2, 0.5)
@@ -295,6 +297,33 @@ def test_v3_cross_bucket_trade_and_fees():
     assert np.allclose(rec.lp_fees[lp], 2.0 * rec.trader_fee / 3.0, atol=1e-12)
 
 
+def test_v3_aggregate_curve_is_reused_until_the_weights_change():
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
+    lp = m.register_lp()
+
+    def assert_current(curve):
+        fresh = m._bucket_sum(m.aggregate_weight())
+        for p in (0.15, 0.3, 0.45, 0.6, 0.8):
+            assert curve.dg(p) == fresh.dg(p)
+
+    first = m.aggregate_curve()
+    assert m.aggregate_curve() is first
+    with pytest.raises(NotLevelSet):
+        m.mint(0, 0, 0.0)  # would empty the pool: rolled back
+    assert m.aggregate_curve() is first
+    assert_current(first)
+    m.mint(lp, 2, 1.0)
+    minted = m.aggregate_curve()
+    assert minted is not first
+    assert_current(minted)
+    m.mint(lp, 2, 1.0)  # same weights: the cached curve stays valid
+    assert m.aggregate_curve() is minted
+    m.weights[lp][1] = 0.5  # a direct edit is seen too
+    edited = m.aggregate_curve()
+    assert edited is not minted
+    assert_current(edited)
+
+
 def test_v3_empty_bucket_rejected():
     m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
     lp = m.register_lp()
@@ -302,6 +331,27 @@ def test_v3_empty_bucket_rejected():
     r = liability2(m.aggregate_curve(), 0.6) - m.state.total_liability()
     with pytest.raises(EmptyBucket):
         m.trade(r)
+
+
+def test_v3_trade_onto_the_empty_bucket_level_stops_at_its_left_edge():
+    # the aggregate slope is flat across the empty middle bucket; a state on
+    # that level is priced at the flat's left end, inside the bucket below,
+    # by price2 (no hint) and by the engine's trade (hinted at the old price)
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
+    lp = m.register_lp()
+    m.mint(lp, 2, 1.0)
+    agg = m.aggregate_curve()
+    q_gap = liability2(agg, 0.4)
+    assert price2(agg, q_gap) == pytest.approx(0.3, abs=1e-12)
+    assert price2(agg, q_gap) == price2(agg, liability2(agg, 0.45))
+    m.trade(q_gap - m.state.total_liability())
+    assert m.price == pytest.approx(0.3, abs=1e-12)
+    # the mirror pool opens above the gap: the same level crosses the empty
+    # bucket on its way down to the flat's left end
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.6)
+    m.mint(m.register_lp(), 0, 1.0)
+    with pytest.raises(EmptyBucket, match="bucket 1"):
+        m.trade(q_gap - m.state.total_liability())
 
 
 # ---------------------------------------------------------------------------
