@@ -59,7 +59,6 @@ from .generators import (
     BucketCurve,
     ConstantProductGenerator,
     Curve1D,
-    CurveGenerator,
     Generator,
     LmsrCurve,
     LmsrGenerator,

@@ -67,7 +67,8 @@ def _fee_scheme(name: str | None, beta: float):
 
 def _as_price(value, n):
     if np.ndim(value) == 0:
-        assert n == 2, "scalar prices only make sense for two outcomes"
+        if n != 2:
+            raise UnknownKind("scalar prices only make sense for two outcomes")
         return np.array([float(value), 1.0 - float(value)])
     return np.asarray(value, dtype=float)
 
@@ -89,6 +90,8 @@ def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
     last_receipt = None
     for idx, ev in enumerate(scenario["events"]):
         op = ev["op"]
+        if state is None and op != "initialize":
+            raise UnknownKind(f"event {idx} ({op}): the market is not initialized yet")
         result: dict = {}
         if op == "initialize":
             gen = generator_from_descriptor(ev["generator"], n)
@@ -148,7 +151,8 @@ def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
                     }
                 }
             elif what == "budget_imbalance":
-                assert last_receipt is not None, "no trade executed yet"
+                if last_receipt is None:
+                    raise UnknownKind("budget_imbalance queried before any trade")
                 result = {"imbalance": audit_budget_balance(state.fee, last_receipt)}
             else:
                 raise UnknownKind(f"unknown query {what!r}")

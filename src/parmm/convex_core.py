@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BoundaryPrice,
     NoGradient,
+    NotLevelSet,
     SolverDiverged,
     VertexUnbounded,
 )
@@ -261,7 +262,8 @@ def infimal_convolution_split(generators, q, p0=None):
     set C_i = cost / k up to solver tolerance.
     """
     gens = list(generators)
-    assert gens
+    if not gens:
+        raise NotLevelSet("no makers to split the liability across")
     q = np.asarray(q, dtype=float)
     agg = gens[0] if len(gens) == 1 else SumGenerator(gens)
     res = conjugate_value(agg, q, p0)

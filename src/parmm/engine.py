@@ -26,7 +26,9 @@ from .errors import (
     LiabilityMismatch,
     NotLevelSet,
     NotPseudobarrier,
+    OutOfRange,
     UnknownKind,
+    UnsupportedFamily,
 )
 from .generators import Generator, SumGenerator, TrivialGenerator
 
@@ -38,6 +40,11 @@ _LEVEL_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def _check_rate(beta):
+    if not beta >= 0:
+        raise OutOfRange(f"fee rate {beta} is negative")
+
+
 @dataclass(frozen=True)
 class NormFee:
     """Trader pays the cash amount beta * ||r||; LPs share it pro rata by the
@@ -47,7 +54,9 @@ class NormFee:
     norm: str = "l1"  # "l1" or "l2"
 
     def __post_init__(self):
-        assert self.beta >= 0 and self.norm in ("l1", "l2")
+        if self.norm not in ("l1", "l2"):
+            raise UnknownKind(f"unknown fee norm {self.norm!r}")
+        _check_rate(self.beta)
 
     def _norm(self, r):
         return float(np.linalg.norm(r, 1 if self.norm == "l1" else 2))
@@ -62,7 +71,7 @@ class PositivePartFee:
     beta: float
 
     def __post_init__(self):
-        assert self.beta >= 0
+        _check_rate(self.beta)
 
 
 def compute_fees(scheme, r, parts):
@@ -134,7 +143,6 @@ class MarketState:
     """
 
     def __init__(self, generator: Generator, liability, fee=None, strict: bool = True, price_hint=None):
-        generator = _as_generator(generator)
         n = generator.n
         q0 = np.zeros(n) if liability is None else np.asarray(liability, dtype=float)
         if strict and not generator.is_pseudobarrier:
@@ -183,9 +191,9 @@ class MarketState:
         (negative components are withdrawals)."""
         from .convex_core import normalize_generator
 
+        if generator.n != self.n:
+            raise UnsupportedFamily(f"{generator.n}-outcome generator on a {self.n}-outcome market")
         rec = self.records[lp_id]
-        generator = _as_generator(generator)
-        assert generator.n == self.n
         if not isinstance(generator, TrivialGenerator):
             generator = normalize_generator(generator)
         old_gen = rec.generator
@@ -222,7 +230,8 @@ class MarketState:
         agg = self._aggregate()
         q = self.total_liability()
         if bundle is None:
-            assert target_price is not None
+            if target_price is None:
+                raise TypeError("execute_trade needs a bundle or a target_price")
             p_new = np.asarray(target_price, dtype=float)
             p_new = p_new / p_new.sum()
             bundle = liability_of(agg, p_new) - q
@@ -290,16 +299,6 @@ class MarketState:
         }
 
 
-def _as_generator(g) -> Generator:
-    if isinstance(g, Generator):
-        return g
-    from .generators import Curve1D, CurveGenerator
-
-    if isinstance(g, Curve1D):
-        return CurveGenerator(g)
-    raise UnknownKind(f"not a generator: {g!r}")
-
-
 def _simplex_grid(n: int, m: int):
     """Deterministic m^(n-1)-point grid of the relative interior, by stick
     breaking over an interior grid of (0, 1)^(n-1)."""
@@ -318,10 +317,10 @@ def _simplex_grid(n: int, m: int):
 def initialize(generator, liability=None, price=None, fee=None, strict=True) -> MarketState:
     """Open a market with one LP.  Supply either the opening liability q0
     (checked against the zero level set) or an opening price."""
-    generator = _as_generator(generator)
     hint = None
     if liability is None:
-        assert price is not None
+        if price is None:
+            raise TypeError("initialize needs a liability or a price")
         hint = np.asarray(price, dtype=float)
         hint = hint / hint.sum()
         liability = liability_of(generator, hint)

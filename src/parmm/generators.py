@@ -4,10 +4,13 @@ A generator is a convex, nonpositive function G on the probability simplex,
 extended 1-homogeneously to the positive orthant via Gbar(x) = |x| * G(x/|x|).
 Its gradient map p -> grad Gbar(p) is the liability a maker holds when quoting
 price p, and its convex conjugate is the maker's cost function.
+`conjugate(q)` gives that cost in closed form as (C(q), maximizing price), or
+None when the family has none and the solvers in `convex_core` take over.
 
-Two-outcome makers are built from scalar curves g on [0, 1] with
-G(p) = g(p_1); the curve carries g, g', g'' and (when available) a closed-form
-conjugate.  All curve families here are normalized so g(0) = g(1) = 0.
+A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
+curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
+does; it adds g, g' and g'' as `g`, `dg` and `d2g`, which give its slope and
+curvature.  All curve families here are normalized so g(0) = g(1) = 0.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from scipy.special import expit, xlogy
 from .errors import (
     DivergentIntegral,
     UnknownKind,
-    UnsupportedFamily,
     VertexUnbounded,
 )
 
@@ -29,14 +31,66 @@ _TINY = 1e-12
 
 
 # ---------------------------------------------------------------------------
+# generator base
+# ---------------------------------------------------------------------------
+
+
+class Generator:
+    """Convex nonpositive generator on the n-simplex, 1-homogeneously extended.
+
+    value/grad accept any strictly positive vector x (grad is 0-homogeneous, so
+    finite differencing off the simplex is legitimate); hessian returns the
+    analytic Hessian of the extension at a simplex point, or None.
+    """
+
+    n: int
+    is_pseudobarrier = False
+
+    def value(self, x) -> float:
+        raise NotImplementedError
+
+    def grad(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def hessian(self, p):
+        return None
+
+    def slope(self, t: float) -> float:
+        """g'(t) of a two-outcome generator: the gradient difference at (t, 1 - t)."""
+        gr = self.grad(np.array([t, 1.0 - t]))
+        return float(gr[0] - gr[1])
+
+    def curvature(self, t: float):
+        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t);
+        None when the family has no analytic Hessian."""
+        H = self.hessian(np.array([t, 1.0 - t]))
+        if H is None:
+            return None
+        return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
+
+    def conjugate(self, q):
+        """Closed form of the cost C(q) = sup_p <p, q> - G(p): the pair
+        (C(q), maximizing p), or None if the family has none."""
+        return None
+
+    def vertex_values(self) -> np.ndarray:
+        """G at the simplex vertices; raises VertexUnbounded if infinite."""
+        raise NotImplementedError
+
+    def descriptor(self) -> dict:
+        raise NotImplementedError
+
+
+# ---------------------------------------------------------------------------
 # scalar curves (two-outcome makers)
 # ---------------------------------------------------------------------------
 
 
-class Curve1D:
-    """Convex curve g on [0, 1]; g(0) and g(1) finite for every family here."""
+class Curve1D(Generator):
+    """Two-outcome generator G(p) = g(p_1) of a convex curve g on [0, 1];
+    g(0) and g(1) are finite for every family here."""
 
-    pseudobarrier = False
+    n = 2
 
     def g(self, p):
         raise NotImplementedError
@@ -54,22 +108,38 @@ class Curve1D:
         """Second derivative where defined (0 across kinks / flat pieces)."""
         raise NotImplementedError
 
-    def conjugate(self):
-        """Closed-form conjugate c(q) = sup_p pq - g(p), if the family has one."""
-        raise UnsupportedFamily(f"{type(self).__name__} has no closed-form conjugate")
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        s = x.sum()
+        return float(s * self.g(x[0] / s))
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        s = x.sum()
+        p = x[0] / s
+        gp = self.g(p)
+        dp = self.dg(p)
+        base = gp - p * dp
+        return np.array([dp + base, base])
 
+    def hessian(self, p):
+        p = np.asarray(p, dtype=float)
+        s = p.sum()
+        t = p[0] / s
+        v = np.array([1.0 - t, -t])
+        return self.d2g(t) / s * np.outer(v, v)
 
-class Conjugate1D:
-    """Convex conjugate c of a curve: c(q), and the maximizing p as dc(q)."""
+    def slope(self, t):
+        return self.dg(t)
 
-    def c(self, q):
-        raise NotImplementedError
+    def curvature(self, t):
+        return self.d2g(t)
 
-    def dc(self, q):
-        raise NotImplementedError
+    def vertex_values(self):
+        g0, g1 = self.g(0.0), self.g(1.0)
+        if not (math.isfinite(g0) and math.isfinite(g1)):
+            raise VertexUnbounded("curve endpoint values are not finite")
+        return np.array([g1, g0])
 
 
 class PiecewisePolyCurve(Curve1D):
@@ -152,9 +222,11 @@ class PiecewisePolyCurve(Curve1D):
     def d2g(self, p):
         return float(self._d2[self._piece(p)](p))
 
-    def conjugate(self) -> "PiecewisePolyConjugate":
+    def conjugate(self, q):
+        """Closed form for piecewise-quadratic curves: the conjugate of g is
+        piecewise quadratic in t = q_1 - q_2.  None if a piece is cubic or more."""
         if not self._quadratic:
-            raise UnsupportedFamily("closed-form conjugate needs piecewise-quadratic curves")
+            return None
         qs: list[float] = []
         pieces: list[Polynomial] = []
         g0 = self.g(0.0)
@@ -182,7 +254,12 @@ class PiecewisePolyCurve(Curve1D):
                 qs.append(sr)
             prev_slope = sr
         pieces.append(Polynomial([-g1, 1.0]))  # q >= g'(1-): maximizer p = 1
-        return PiecewisePolyConjugate(np.asarray(qs), pieces, self)
+        t = q[0] - q[1]
+        # side="left" resolves kinks of c to the left piece, matching the
+        # leftmost-maximizer convention used by the price solvers
+        piece = pieces[int(np.searchsorted(np.asarray(qs), t, side="left"))]
+        p1 = float(min(max(piece.deriv()(t), 0.0), 1.0))
+        return float(piece(t)) + q[1], np.array([p1, 1.0 - p1])
 
     def descriptor(self) -> dict:
         return {
@@ -190,24 +267,6 @@ class PiecewisePolyCurve(Curve1D):
             "breakpoints": list(self.xs),
             "coefficients": [list(P.coef) for P in self.polys],
         }
-
-
-class PiecewisePolyConjugate(Conjugate1D):
-    def __init__(self, qs, pieces, curve):
-        self.qs = qs
-        self.pieces = pieces  # len(qs) + 1 pieces, outer two affine
-        self.curve = curve
-
-    def _piece(self, q):
-        # side="left" resolves kinks of c to the left piece, matching the
-        # leftmost-maximizer convention used by the price solvers
-        return int(np.searchsorted(self.qs, q, side="left"))
-
-    def c(self, q):
-        return float(self.pieces[self._piece(q)](q))
-
-    def dc(self, q):
-        return float(min(max(self.pieces[self._piece(q)].deriv()(q), 0.0), 1.0))
 
 
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
@@ -219,9 +278,13 @@ def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
 
 
 class LmsrCurve(Curve1D):
-    """Two-outcome LMSR shape g(p) = b (p log p + (1-p) log(1-p))."""
+    """Two-outcome LMSR shape g(p) = b (p log p + (1-p) log(1-p)).
 
-    pseudobarrier = True
+    `LmsrGenerator(b, 2)` is the same maker; this curve stays as the scalar
+    base a `BucketCurve` needs.  An "lmsr" descriptor loads as the generator.
+    """
+
+    is_pseudobarrier = True
 
     def __init__(self, b: float):
         assert b > 0, "b must be positive"
@@ -236,22 +299,23 @@ class LmsrCurve(Curve1D):
     def d2g(self, p):
         return float(self.b / (p * (1.0 - p)))
 
-    def conjugate(self):
-        return _LmsrConjugate(self.b)
+    def conjugate(self, q):
+        t = q[0] - q[1]
+        cost = float(self.b * np.logaddexp(0.0, t / self.b)) + q[1]
+        p1 = float(expit(t / self.b))
+        return cost, np.array([p1, 1.0 - p1])
 
     def descriptor(self):
         return {"family": "lmsr", "b": self.b}
 
 
-class _LmsrConjugate(Conjugate1D):
-    def __init__(self, b):
-        self.b = b
-
-    def c(self, q):
-        return float(self.b * np.logaddexp(0.0, q / self.b))
-
-    def dc(self, q):
-        return float(expit(q / self.b))
+def _constant_product_conjugate(q, width):
+    """(cost, price) of the two-outcome maker g(p) = -width sqrt(p (1 - p))."""
+    q = np.asarray(q, dtype=float)
+    t = q[0] - q[1]
+    r = math.hypot(width, t)
+    p1 = 0.5 * (1.0 + t / r)
+    return 0.5 * (t + r) + q[1], np.array([p1, 1.0 - p1])
 
 
 class UniswapV2Curve(Curve1D):
@@ -262,7 +326,7 @@ class UniswapV2Curve(Curve1D):
         self.alpha = alpha
 
     @property
-    def pseudobarrier(self):
+    def is_pseudobarrier(self):
         return self.alpha > 0
 
     def g(self, p):
@@ -276,22 +340,11 @@ class UniswapV2Curve(Curve1D):
         w = p * (1.0 - p)
         return float(self.alpha / (2.0 * w ** 1.5))
 
-    def conjugate(self):
-        return _V2Conjugate(self.alpha)
+    def conjugate(self, q):
+        return _constant_product_conjugate(q, 2.0 * self.alpha)
 
     def descriptor(self):
         return {"family": "uniswap_v2", "alpha": self.alpha}
-
-
-class _V2Conjugate(Conjugate1D):
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def c(self, q):
-        return float(0.5 * (q + math.hypot(2.0 * self.alpha, q)))
-
-    def dc(self, q):
-        return float(0.5 * (1.0 + q / math.hypot(2.0 * self.alpha, q)))
 
 
 class BucketCurve(Curve1D):
@@ -301,8 +354,6 @@ class BucketCurve(Curve1D):
     resulting curve renormalized to g(0) = g(1) = 0, giving a maker whose
     slope is affine outside the bucket and matches the base inside.
     """
-
-    pseudobarrier = False
 
     def __init__(self, base: Curve1D, a: float, b: float, weight: float = 1.0):
         assert 0.0 < a < b < 1.0 and weight >= 0
@@ -372,8 +423,6 @@ class SoftBucketCurve(Curve1D):
         int^2 p lb dp    = -4 w + 2 asin(2p - 1)
     so no quadrature is needed.
     """
-
-    pseudobarrier = False
 
     def __init__(self, knots, weights):
         knots = np.asarray(knots, dtype=float)
@@ -466,8 +515,6 @@ class PiecewiseLinearCurve(Curve1D):
     the right; its maker quotes price a_j for every state inside its capacity.
     """
 
-    pseudobarrier = False
-
     def __init__(self, grid, weights):
         grid = np.asarray(grid, dtype=float)
         weights = np.asarray(weights, dtype=float)
@@ -504,8 +551,6 @@ class TabulatedLiquidityCurve(Curve1D):
     the grid resolution.
     """
 
-    pseudobarrier = False
-
     def __init__(self, grid, values):
         from scipy.integrate import cumulative_simpson
 
@@ -539,6 +584,13 @@ class TabulatedLiquidityCurve(Curve1D):
 
 
 class SumCurve(Curve1D):
+    """Sum of curves, evaluated as scalars.
+
+    A V3 LP's buckets are summed here rather than in a `SumGenerator`: with
+    about 50 bucket terms per LP, a `SumGenerator` nearly doubled the time to
+    build the v3-pool benchmark's pool.
+    """
+
     def __init__(self, curves):
         terms = []
         for c in curves:
@@ -547,8 +599,8 @@ class SumCurve(Curve1D):
         self.terms = terms
 
     @property
-    def pseudobarrier(self):
-        return any(c.pseudobarrier for c in self.terms)
+    def is_pseudobarrier(self):
+        return any(c.is_pseudobarrier for c in self.terms)
 
     def g(self, p):
         return sum(c.g(p) for c in self.terms)
@@ -566,110 +618,6 @@ class SumCurve(Curve1D):
 # ---------------------------------------------------------------------------
 # n-asset generators
 # ---------------------------------------------------------------------------
-
-
-class Generator:
-    """Convex nonpositive generator on the n-simplex, 1-homogeneously extended.
-
-    value/grad accept any strictly positive vector x (grad is 0-homogeneous, so
-    finite differencing off the simplex is legitimate); hessian returns the
-    analytic Hessian of the extension at a simplex point, or None.
-    """
-
-    n: int
-    is_pseudobarrier = False
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, p):
-        return None
-
-    def slope(self, t: float) -> float:
-        """g'(t) of a two-outcome generator: the gradient difference at (t, 1 - t)."""
-        gr = self.grad(np.array([t, 1.0 - t]))
-        return float(gr[0] - gr[1])
-
-    def curvature(self, t: float):
-        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t);
-        None when the family has no analytic Hessian."""
-        H = self.hessian(np.array([t, 1.0 - t]))
-        if H is None:
-            return None
-        return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
-
-    def conjugate(self, q):
-        """Closed-form (cost, maximizer) if the family has one, else None."""
-        return None
-
-    def vertex_values(self) -> np.ndarray:
-        """G at the simplex vertices; raises VertexUnbounded if infinite."""
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
-
-class CurveGenerator(Generator):
-    """Two-outcome generator G(p) = g(p_1) built from a scalar curve."""
-
-    n = 2
-
-    def __init__(self, curve: Curve1D):
-        self.curve = curve
-
-    @property
-    def is_pseudobarrier(self):
-        return self.curve.pseudobarrier
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = x.sum()
-        return float(s * self.curve.g(x[0] / s))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        s = x.sum()
-        p = x[0] / s
-        gp = self.curve.g(p)
-        dp = self.curve.dg(p)
-        base = gp - p * dp
-        return np.array([dp + base, base])
-
-    def hessian(self, p):
-        p = np.asarray(p, dtype=float)
-        s = p.sum()
-        t = p[0] / s
-        v = np.array([1.0 - t, -t])
-        return self.curve.d2g(t) / s * np.outer(v, v)
-
-    def slope(self, t):
-        return self.curve.dg(t)
-
-    def curvature(self, t):
-        return self.curve.d2g(t)
-
-    def conjugate(self, q):
-        try:
-            conj = self.curve.conjugate()
-        except UnsupportedFamily:
-            return None
-        t = q[0] - q[1]
-        cost = conj.c(t) + q[1]
-        p1 = conj.dc(t)
-        return cost, np.array([p1, 1.0 - p1])
-
-    def vertex_values(self):
-        g0, g1 = self.curve.g(0.0), self.curve.g(1.0)
-        if not (math.isfinite(g0) and math.isfinite(g1)):
-            raise VertexUnbounded("curve endpoint values are not finite")
-        return np.array([g1, g0])
-
-    def descriptor(self):
-        return self.curve.descriptor()
 
 
 class LmsrGenerator(Generator):
@@ -738,12 +686,7 @@ class ConstantProductGenerator(Generator):
     def conjugate(self, q):
         if self.n != 2:
             return None
-        q = np.asarray(q, dtype=float)
-        t = q[0] - q[1]
-        r = math.hypot(2.0 * math.sqrt(self.alpha), t)
-        cost = 0.5 * (t + r) + q[1]
-        p1 = 0.5 * (1.0 + t / r)
-        return cost, np.array([p1, 1.0 - p1])
+        return _constant_product_conjugate(q, 2.0 * math.sqrt(self.alpha))
 
     def vertex_values(self):
         return np.zeros(self.n)
@@ -927,14 +870,7 @@ def curve_from_descriptor(d: dict) -> Curve1D:
         return TabulatedLiquidityCurve(d["grid"], d["values"])
     if fam == "sum":
         return SumCurve([curve_from_descriptor(t) for t in d["terms"]])
-    raise UnknownKind(f"unknown curve family {fam!r}")
-
-
-_CURVE_FAMILIES = {
-    "uniswap_v2", "brier", "piecewise_poly", "piecewise_liquidity",
-    "v3_bucket", "lmsr_bucket", "brier_bucket", "bucket", "soft_bucket",
-    "piecewise_linear", "tabulated_liquidity",
-}
+    raise UnknownKind(f"unknown family {fam!r}")
 
 
 def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
@@ -952,8 +888,8 @@ def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
         return SumGenerator(terms)
     if fam == "shifted":
         return ShiftedGenerator(generator_from_descriptor(d["inner"], n), d["shift"])
-    if fam in _CURVE_FAMILIES:
-        if n not in (None, 2):
-            raise UnknownKind(f"curve family {fam!r} only supports two outcomes")
-        return CurveGenerator(curve_from_descriptor(d))
-    raise UnknownKind(f"unknown generator family {fam!r}")
+    # every other family is a two-outcome curve
+    curve = curve_from_descriptor(d)
+    if n not in (None, 2):
+        raise UnknownKind(f"curve family {fam!r} only supports two outcomes")
+    return curve

@@ -3,10 +3,10 @@
 A two-outcome maker is fully described by its curve g on [0, 1]: the maker's
 liability at price p is (g(p) + g'(p)(1 - p), g(p) - p g'(p)) and its state
 collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
-`price2` and `cost2` are scalar views of `conjugate_value` on the curve's
-generator; they run no solver of their own.  The constant-product and
-concentrated-liquidity pools below are thin adapters over the general engine;
-their reserve bookkeeping is x = -q.
+The curve is itself the maker's generator: `price2` and `cost2` are scalar
+views of `conjugate_value` on it and run no solver of their own.  The
+constant-product and concentrated-liquidity pools below are thin adapters
+over the general engine; their reserve bookkeeping is x = -q.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
 from .generators import (
     BucketCurve,
     Curve1D,
-    CurveGenerator,
     PiecewiseLinearCurve,
     SumCurve,
     TrivialGenerator,
@@ -56,7 +55,7 @@ def price2(curve: Curve1D, q) -> float:
     """Leftmost price consistent with liability q (scalar t = q1 - q2 also
     accepted).  Flat stretches and kinks of g' resolve to their left end."""
     q = [float(q), 0.0] if np.ndim(q) == 0 else q
-    res = conjugate_value(CurveGenerator(curve), q)
+    res = conjugate_value(curve, q)
     if res.at_boundary:
         raise OutOfRange(f"slope {q[0] - q[1]} outside the reachable range")
     return float(res.price[0])
@@ -64,7 +63,7 @@ def price2(curve: Curve1D, q) -> float:
 
 def cost2(curve: Curve1D, q) -> float:
     """Cost of liability q = (q1, q2) for the curve maker."""
-    return conjugate_value(CurveGenerator(curve), q).cost
+    return conjugate_value(curve, q).cost
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +84,7 @@ class UniswapV2Market:
         assert x.shape == (2,) and np.all(x > 0)
         self.alphas = {0: math.sqrt(x[0] * x[1])}
         fee = PositivePartFee(beta) if beta > 0 else None
-        self.state = initialize(
-            CurveGenerator(UniswapV2Curve(self.alphas[0])), liability=-x, fee=fee
-        )
+        self.state = initialize(UniswapV2Curve(self.alphas[0]), liability=-x, fee=fee)
 
     @property
     def reserves(self) -> np.ndarray:
@@ -114,9 +111,7 @@ class UniswapV2Market:
         """Set an LP's liquidity share; returns the reserve bundle the LP must
         deposit (proportional to current reserves)."""
         assert alpha_new >= 0
-        deposit = self.state.modify_liquidity(
-            lp_id, CurveGenerator(UniswapV2Curve(alpha_new))
-        )
+        deposit = self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
         self.alphas[lp_id] = alpha_new
         return deposit
 

@@ -16,7 +16,6 @@ import pytest
 from parmm import (
     BucketCurve,
     ConstantProductGenerator,
-    CurveGenerator,
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
@@ -129,11 +128,11 @@ def test_equivalence_suite_three_outcomes():
 
 def _duality_families() -> list[Generator]:
     return [
-        CurveGenerator(LmsrCurve(1.0)),
-        CurveGenerator(UniswapV2Curve(1.0)),
-        CurveGenerator(brier_curve(2.0)),
-        CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.01, 0.99, 1.0)),
-        CurveGenerator(SoftBucketCurve([0.0, 0.4, 0.6, 1.0], [0.0, 1.0, 1.0, 0.0])),
+        LmsrCurve(1.0),
+        UniswapV2Curve(1.0),
+        brier_curve(2.0),
+        BucketCurve(LmsrCurve(1.0), 0.01, 0.99, 1.0),
+        SoftBucketCurve([0.0, 0.4, 0.6, 1.0], [0.0, 1.0, 1.0, 0.0]),
         LmsrGenerator(1.0, 3),
         ConstantProductGenerator(3, 1.0),
         PairConstantProductGenerator(3, 0, 2, 1.0),
@@ -166,7 +165,7 @@ def test_split_value_matches_sum_conjugate():
         gens = [cands[int(rng.integers(0, len(cands)))] for _ in range(k)]
         if not any(G.is_pseudobarrier for G in gens):
             # keep the optimum interior under the random liability perturbation
-            gens[0] = CurveGenerator(LmsrCurve(1.0)) if n == 2 else LmsrGenerator(1.0, 3)
+            gens[0] = LmsrCurve(1.0) if n == 2 else LmsrGenerator(1.0, 3)
         p = rng.dirichlet(np.ones(n))
         p = np.clip(p, 0.05, None)
         p /= p.sum()
@@ -209,9 +208,7 @@ def test_parallel_lmsrs_aggregate_to_pooled_lmsr():
 def test_constant_product_thousand_operations():
     rng = np.random.default_rng(23)
     m = UniswapV2Market([3.0, 2.0])
-    mirror = initialize(
-        CurveGenerator(UniswapV2Curve(m.alpha)), liability=-m.reserves
-    )
+    mirror = initialize(UniswapV2Curve(m.alpha), liability=-m.reserves)
     lp = m.register_lp()
     for _ in range(1000):
         if rng.uniform() < 0.9:
@@ -222,9 +219,7 @@ def test_constant_product_thousand_operations():
             assert abs(float(mirror.price[0]) - m.price) < 1e-9
         else:
             m.mint(lp, float(rng.uniform(0.0, 0.8)))
-            mirror = initialize(
-                CurveGenerator(UniswapV2Curve(m.alpha)), liability=-m.reserves
-            )
+            mirror = initialize(UniswapV2Curve(m.alpha), liability=-m.reserves)
         target = m.alpha ** 2
         assert abs(m.invariant() - target) < 1e-9 * max(1.0, target)
 

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from parmm.cli import main
+from parmm.cli import main, run_scenario
+from parmm.errors import UnknownKind
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 WALK = os.path.join(SCEN, "two_lp_walkthrough.json")
@@ -148,3 +149,32 @@ def test_exit_code_1_on_failing_market_operation(tmp_path, capsys):
     f.write_text(json.dumps(scen))
     code, _, err = run_cli(["run", str(f)], capsys)
     assert code == 1 and err
+
+
+def test_event_before_initialize_names_event_and_op(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"n": 2, "events": [{"op": "register_lp"}]}))
+    code, _, err = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("error: event 0 (register_lp)")
+
+
+def test_scalar_price_needs_two_outcomes():
+    scen = {
+        "n": 3,
+        "events": [{"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": 0.5}],
+    }
+    with pytest.raises(UnknownKind):
+        run_scenario(scen)
+
+
+def test_budget_imbalance_needs_a_trade():
+    scen = {
+        "n": 2,
+        "events": [
+            {"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": [0.5, 0.5]},
+            {"op": "query", "what": "budget_imbalance"},
+        ],
+    }
+    with pytest.raises(UnknownKind):
+        run_scenario(scen)

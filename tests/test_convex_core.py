@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from parmm import (
     BucketCurve,
     ConstantProductGenerator,
-    CurveGenerator,
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
@@ -35,19 +34,19 @@ from parmm import (
     price_of,
 )
 from parmm.convex_core import EPS, _conjugate_two, _fd_hessian
-from parmm.errors import BoundaryPrice, SolverDiverged, VertexUnbounded
+from parmm.errors import BoundaryPrice, NotLevelSet, SolverDiverged, VertexUnbounded
 
 
 def families_n2():
     return [
-        CurveGenerator(LmsrCurve(1.0)),
-        CurveGenerator(LmsrCurve(0.4)),
-        CurveGenerator(UniswapV2Curve(1.5)),
-        CurveGenerator(brier_curve(2.0)),
-        CurveGenerator(BucketCurve(UniswapV2Curve(1.0), 0.3, 0.7, 1.2)),
-        CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.2, 0.8, 0.9)),
-        CurveGenerator(SoftBucketCurve([0.0, 0.4, 0.7, 1.0], [0.0, 1.5, 0.5, 0.0])),
-        CurveGenerator(PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [0.0]])),
+        LmsrCurve(1.0),
+        LmsrCurve(0.4),
+        UniswapV2Curve(1.5),
+        brier_curve(2.0),
+        BucketCurve(UniswapV2Curve(1.0), 0.3, 0.7, 1.2),
+        BucketCurve(LmsrCurve(1.0), 0.2, 0.8, 0.9),
+        SoftBucketCurve([0.0, 0.4, 0.7, 1.0], [0.0, 1.5, 0.5, 0.0]),
+        PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [0.0]]),
         ConstantProductGenerator(2, 1.0),
     ]
 
@@ -87,7 +86,7 @@ def test_duality_round_trip(G):
 
 def test_price_round_trip_strictly_convex():
     rng = np.random.default_rng(9)
-    for G in [CurveGenerator(LmsrCurve(1.0)), CurveGenerator(UniswapV2Curve(1.0)), LmsrGenerator(1.3, 3), ConstantProductGenerator(3, 1.0)]:
+    for G in [LmsrCurve(1.0), UniswapV2Curve(1.0), LmsrGenerator(1.3, 3), ConstantProductGenerator(3, 1.0)]:
         for p in random_prices(rng, G.n, 200):
             q = liability_of(G, p)
             assert np.max(np.abs(price_of(G, q) - p)) < 1e-6
@@ -113,7 +112,7 @@ def test_one_homogeneous_extension():
 def test_cash_invariance_of_cost():
     # C(q + c 1) = C(q) + c: adding cash to every outcome is just cash
     rng = np.random.default_rng(4)
-    for G in [CurveGenerator(LmsrCurve(1.0)), LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 1.0)]:
+    for G in [LmsrCurve(1.0), LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 1.0)]:
         q = liability_of(G, random_prices(rng, G.n, 1)[0])
         base = conjugate_value(G, q).cost
         for c in (-0.7, 0.3, 2.0):
@@ -140,7 +139,7 @@ def test_solver_matches_closed_form_lmsr():
 
 
 def test_boundary_liability_raises():
-    G = CurveGenerator(LmsrCurve(1.0))
+    G = LmsrCurve(1.0)
     with pytest.raises(BoundaryPrice):
         liability_of(G, np.array([1e-12, 1.0 - 1e-12]))
 
@@ -164,7 +163,7 @@ def test_hessian_analytic_vs_finite_difference(G):
 
 def test_liquidity_matrix_properties():
     rng = np.random.default_rng(12)
-    for G in [LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 1.0), CurveGenerator(UniswapV2Curve(1.0))]:
+    for G in [LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 1.0), UniswapV2Curve(1.0)]:
         for p in random_prices(rng, G.n, 10):
             L = liquidity_matrix(G, p)
             assert np.allclose(L, L.T, atol=1e-12)
@@ -176,11 +175,10 @@ def test_liquidity_matrix_properties():
 def test_inverse_duality_two_outcomes():
     # curvature of cost and curve are reciprocal: c''(g'(p)) = 1 / g''(p)
     crv = LmsrCurve(1.0)
-    conj = crv.conjugate()
     h = 1e-5
     for p in [0.2, 0.5, 0.8]:
         q = crv.dg(p)
-        c2 = (conj.dc(q + h) - conj.dc(q - h)) / (2 * h)
+        c2 = (crv.conjugate([q + h, 0.0])[1][0] - crv.conjugate([q - h, 0.0])[1][0]) / (2 * h)
         assert c2 == pytest.approx(1.0 / crv.d2g(p), rel=1e-6)
 
 
@@ -277,6 +275,12 @@ def test_two_lmsr_split_closed_form():
         assert np.allclose(parts[0], b1 / (b1 + b2) * q, atol=1e-8)
 
 
+def test_split_across_no_makers_raises():
+    # the same error an empty market raises
+    with pytest.raises(NotLevelSet):
+        infimal_convolution_split([], np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def test_normalize_rejects_unbounded_vertices():
 @given(st.floats(0.05, 0.95), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @settings(max_examples=50, deadline=None)
 def test_conjugate_is_convex_and_monotone_lmsr(p, qa, qb):
-    G = CurveGenerator(LmsrCurve(1.0))
+    G = LmsrCurve(1.0)
     qa_vec = np.array([qa, -qa])
     qb_vec = np.array([qb, -qb])
     ca = conjugate_value(G, qa_vec).cost
@@ -328,7 +332,7 @@ def test_conjugate_is_convex_and_monotone_lmsr(p, qa, qb):
 def two_bucket_gap():
     # g' is flat on the gap [0.4, 0.6] between two constant-product buckets
     return SumGenerator(
-        [CurveGenerator(BucketCurve(UniswapV2Curve(1.0), a, b, 1.0)) for a, b in ((0.1, 0.4), (0.6, 0.9))]
+        [BucketCurve(UniswapV2Curve(1.0), a, b, 1.0) for a, b in ((0.1, 0.4), (0.6, 0.9))]
     )
 
 
@@ -337,26 +341,26 @@ def v3_pool_with_empty_bucket():
     lp = m.register_lp()
     m.mint(lp, 2, 1.3)
     m.mint(lp, 3, 0.7)
-    return CurveGenerator(m.aggregate_curve())
+    return m.aggregate_curve()
 
 
 def leftmost_families():
     # families_n2 holds bucket curves, whose g' is flat outside the bucket
     return families_n2() + [
         # g' is a step function: kinks at the grid, flat in between
-        CurveGenerator(PiecewiseLinearCurve([0.2, 0.5, 0.7], [1.0, 2.0, 0.5])),
-        SumGenerator([LmsrGenerator(0.5, 2), CurveGenerator(PiecewiseLinearCurve([0.3, 0.6], [1.0, 1.0]))]),
+        PiecewiseLinearCurve([0.2, 0.5, 0.7], [1.0, 2.0, 0.5]),
+        SumGenerator([LmsrGenerator(0.5, 2), PiecewiseLinearCurve([0.3, 0.6], [1.0, 1.0])]),
         # interior flats with curvature on both sides
         two_bucket_gap(),
         v3_pool_with_empty_bucket(),
         SumGenerator(
             [
-                CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.15, 0.35, 0.7)),
-                CurveGenerator(BucketCurve(brier_curve(1.0), 0.55, 0.85, 1.9)),
+                BucketCurve(LmsrCurve(1.0), 0.15, 0.35, 0.7),
+                BucketCurve(brier_curve(1.0), 0.55, 0.85, 1.9),
             ]
         ),
-        CurveGenerator(PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]])),
-        CurveGenerator(PiecewisePolyCurve.from_liquidity([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]])),
+        PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]]),
+        PiecewisePolyCurve.from_liquidity([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]]),
     ]
 
 
@@ -394,7 +398,7 @@ def test_conjugate_two_on_a_flat_reached_by_a_double_root():
     # liquidity falls linearly to 0 at 0.4, so g' - t has a double root at the
     # flat's left end: g' sits within rounding of t over ~1e-8 left of 0.4 and
     # no evaluation order can resolve the point more finely than that
-    G = CurveGenerator(SoftBucketCurve([0, 0.3, 0.4, 0.6, 0.7, 1], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]))
+    G = SoftBucketCurve([0, 0.3, 0.4, 0.6, 0.7, 1], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     q = np.array([G.slope(0.5), 0.0])
     for hint in (None, [0.1, 0.9], [0.39, 0.61], [0.5, 0.5], [0.65, 0.35], [0.9, 0.1]):
         p = float(_conjugate_two(G, q, None if hint is None else np.array(hint)).price[0])

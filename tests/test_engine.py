@@ -12,7 +12,6 @@ import pytest
 
 import parmm
 from parmm import (
-    CurveGenerator,
     LmsrCurve,
     LmsrGenerator,
     NormFee,
@@ -28,6 +27,8 @@ from parmm.errors import (
     LiabilityMismatch,
     NotLevelSet,
     NotPseudobarrier,
+    OutOfRange,
+    UnknownKind,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -71,9 +72,16 @@ def test_two_lp_walkthrough():
     assert np.max(np.abs(audit_budget_balance(st.fee, r2))) < 1e-12
 
 
+def run_under_python_O(script):
+    """Run a script with `python -O`, which strips `assert`, on this parmm."""
+    src = str(Path(parmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env)
+
+
 def test_check_coherent_raises_under_python_O():
     # the check must not rely on `assert`, which `python -O` strips
-    script = textwrap.dedent("""
+    out = run_under_python_O("""
         import sys
         import numpy as np
         from parmm import LmsrCurve, UniswapV2Curve, initialize
@@ -90,11 +98,49 @@ def test_check_coherent_raises_under_python_O():
         except InvariantViolated:
             print("InvariantViolated")
     """)
-    src = str(Path(parmm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "InvariantViolated"
+
+
+def test_modify_liquidity_rejects_outcome_count_under_python_O():
+    # a two-outcome curve offered to a three-outcome market is refused
+    # before the LP's record changes, also with asserts stripped
+    out = run_under_python_O("""
+        import numpy as np
+        from parmm import LmsrCurve, LmsrGenerator, initialize
+        from parmm.errors import UnsupportedFamily
+
+        assert False  # stripped under -O
+        st = initialize(LmsrGenerator(1.0, 3), price=np.ones(3) / 3)
+        lp = st.register_lp()
+        rec = st.records[lp]
+        before, owed = rec.generator, rec.liability.copy()
+        try:
+            st.modify_liquidity(lp, LmsrCurve(1.0))
+        except UnsupportedFamily:
+            print("UnsupportedFamily", rec.generator is before, np.array_equal(rec.liability, owed))
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "UnsupportedFamily True True"
+
+
+def test_fee_schemes_reject_bad_parameters():
+    with pytest.raises(UnknownKind):
+        NormFee(-1.0, "l9")
+    with pytest.raises(UnknownKind):
+        NormFee(0.1, "l9")
+    with pytest.raises(OutOfRange):
+        NormFee(-0.1, "l2")
+    with pytest.raises(OutOfRange):
+        PositivePartFee(-0.1)
+
+
+def test_trade_and_opening_need_their_arguments():
+    with pytest.raises(TypeError):
+        initialize(LmsrCurve(1.0))
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    with pytest.raises(TypeError):
+        st.execute_trade()
 
 
 def test_intermediate_book_after_first_trade():
@@ -176,7 +222,7 @@ def test_positive_part_balanced_for_two_outcomes():
     # trade, so positive-part fees balance exactly
     st = initialize(LmsrCurve(1.0), price=[0.4, 0.6], fee=PositivePartFee(0.05))
     lp = st.register_lp()
-    st.modify_liquidity(lp, CurveGenerator(LmsrCurve(2.0)))
+    st.modify_liquidity(lp, LmsrCurve(2.0))
     rec = st.execute_trade(target_price=[0.7, 0.3])
     assert np.max(np.abs(audit_budget_balance(st.fee, rec))) < 1e-12
 
@@ -235,7 +281,7 @@ def test_modify_liquidity_normalizes_incoming_generator():
 def test_withdraw_round_trip():
     st = initialize(LmsrCurve(1.0), price=[0.3, 0.7])
     lp = st.register_lp()
-    d1 = st.modify_liquidity(lp, CurveGenerator(LmsrCurve(1.5)))
+    d1 = st.modify_liquidity(lp, LmsrCurve(1.5))
     d2 = st.modify_liquidity(lp, TrivialGenerator(2))
     assert np.max(np.abs(d1 + d2)) < 1e-12
 
@@ -243,7 +289,7 @@ def test_withdraw_round_trip():
 def test_trade_and_inverse_trade_restore_books():
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     lp = st.register_lp()
-    st.modify_liquidity(lp, CurveGenerator(LmsrCurve(0.7)))
+    st.modify_liquidity(lp, LmsrCurve(0.7))
     before = [rec.liability.copy() for rec in st.records]
     r = st.execute_trade(target_price=[0.8, 0.2])
     st.execute_trade(bundle=-r.bundle)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from parmm import (
-    CurveGenerator,
     LmsrCurve,
     LmsrGenerator,
     UniswapV2Curve,
@@ -19,10 +18,11 @@ from parmm.equivalence import (
     interp1_validate,
     interp2_greedy,
 )
+from parmm.errors import InvariantViolated
 
 
 def test_scoring_trade_matches_engine_two_lps():
-    gens = [CurveGenerator(LmsrCurve(1.0)), CurveGenerator(UniswapV2Curve(1.0))]
+    gens = [LmsrCurve(1.0), UniswapV2Curve(1.0)]
     p0 = np.array([0.3, 0.7])
     target = np.array([0.6, 0.4])
     scoring = ScoringMarket(gens, p0)
@@ -39,7 +39,7 @@ def test_scoring_trade_matches_engine_two_lps():
 
 def test_scoring_parts_are_score_differences():
     # each LP's fill is exactly its score bundle change
-    gens = [CurveGenerator(brier_curve(2.0)), CurveGenerator(LmsrCurve(0.8))]
+    gens = [brier_curve(2.0), LmsrCurve(0.8)]
     p0 = np.array([0.45, 0.55])
     p1 = np.array([0.25, 0.75])
     scoring = ScoringMarket(gens, p0)
@@ -67,8 +67,17 @@ def test_interp1_rejects_incoherent_split():
     qs = [liability_of(G, p0) for G in gens]
     bad = [np.array([0.3, -0.3]), np.array([-0.3, 0.3])]  # swaps liability,
     # leaving books off their zero level sets
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolated):
         interp1_validate(gens, qs, bad, tol=1e-9)
+
+
+def test_interp1_raises_on_a_bundle_off_the_level_set():
+    # buying 5 of outcome 1 for 1 of outcome 2 moves an LMSR book's cost by
+    # about 4.31; the check raises rather than returning that deviation
+    G = LmsrGenerator(1.0, 2)
+    q = liability_of(G, np.array([0.5, 0.5]))
+    with pytest.raises(InvariantViolated, match=r"4\.309e\+00"):
+        interp1_validate([G], [q], [np.array([5.0, -1.0])])
 
 
 def test_greedy_routing_prefers_cheaper_lp():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from parmm import (
     BucketCurve,
     ConstantProductGenerator,
-    CurveGenerator,
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
@@ -25,10 +24,12 @@ from parmm import (
     UniswapV2Curve,
     UniswapV3Market,
     brier_curve,
+    conjugate_value,
     generator_from_descriptor,
+    liability_of,
     normalize_generator,
 )
-from parmm.errors import DivergentIntegral, UnsupportedFamily
+from parmm.errors import DivergentIntegral
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -102,30 +103,37 @@ def brute_conjugate(curve, q, m=20_001):
     ids=["lmsr", "v2", "brier", "walkthrough"],
 )
 def test_closed_form_conjugates_match_grid_maximization(curve):
-    conj = curve.conjugate()
     for q in np.linspace(-3.0, 3.0, 25):
-        assert conj.c(q) == pytest.approx(brute_conjugate(curve, q), abs=1e-6)
+        cost, _ = curve.conjugate([q, 0.0])
+        assert cost == pytest.approx(brute_conjugate(curve, q), abs=1e-6)
 
 
 def test_walkthrough_conjugate_pieces():
     # g = 2.5 p^2 - 2.1 p then affine: c(q) = (q + 2.1)^2 / 10 on [-2.1, 0.9],
     # 0 below, q above (cost of one unit of the first outcome)
     crv = PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [0.0]])
-    conj = crv.conjugate()
-    assert conj.c(-3.0) == pytest.approx(0.0, abs=1e-14)
-    assert conj.c(2.0) == pytest.approx(2.0, abs=1e-14)
+
+    def c(q):
+        return crv.conjugate([q, 0.0])[0]
+
+    def dc(q):
+        return crv.conjugate([q, 0.0])[1][0]
+
+    assert c(-3.0) == pytest.approx(0.0, abs=1e-14)
+    assert c(2.0) == pytest.approx(2.0, abs=1e-14)
     for q in np.linspace(-2.1, 0.9, 13):
-        assert conj.c(q) == pytest.approx((q + 2.1) ** 2 / 10.0, abs=1e-14)
+        assert c(q) == pytest.approx((q + 2.1) ** 2 / 10.0, abs=1e-14)
     for q in np.linspace(-2.1, 0.9 - 1e-9, 13):
-        assert conj.dc(q) == pytest.approx((q + 2.1) / 5.0, abs=1e-8)
-    assert conj.dc(0.9 + 1e-9) == pytest.approx(1.0, abs=1e-8)  # flat g piece
+        assert dc(q) == pytest.approx((q + 2.1) / 5.0, abs=1e-8)
+    assert dc(0.9 + 1e-9) == pytest.approx(1.0, abs=1e-8)  # flat g piece
 
 
 def test_lmsr_conjugate_closed_form():
     crv = LmsrCurve(2.0)
-    conj = crv.conjugate()
     for q in [-5.0, -0.3, 0.0, 1.7]:
-        assert conj.c(q) == pytest.approx(2.0 * math.log1p(math.exp(q / 2.0)), rel=1e-14)
+        cost, p = crv.conjugate([q, 0.0])
+        assert cost == pytest.approx(2.0 * math.log1p(math.exp(q / 2.0)), rel=1e-14)
+        assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-q / 2.0)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +246,30 @@ RAW = PiecewisePolyCurve([0.0, 1.0], [[1.0, -0.5, 1.0]])  # g(0)=1, g(1)=1.5, no
 FAMILIES = {
     "lmsr-n2": lambda: LmsrGenerator(1.5, 2),
     "lmsr-n3": lambda: LmsrGenerator(0.8, 3),
-    "lmsr-curve": lambda: CurveGenerator(LmsrCurve(1.5)),
-    "uniswap_v2": lambda: CurveGenerator(UniswapV2Curve(2.0)),
-    "brier": lambda: CurveGenerator(brier_curve(1.5)),
-    "piecewise_poly": lambda: CurveGenerator(RAW),
-    "piecewise_liquidity": lambda: CurveGenerator(
-        PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[5.0], [1.0, 2.0], [0.5]])
+    "lmsr-curve": lambda: LmsrCurve(1.5),
+    "uniswap_v2": lambda: UniswapV2Curve(2.0),
+    "brier": lambda: brier_curve(1.5),
+    "piecewise_poly": lambda: RAW,
+    "piecewise_liquidity": lambda: PiecewisePolyCurve.from_liquidity(
+        [0, 0.3, 0.6, 1], [[5.0], [1.0, 2.0], [0.5]]
     ),
-    "bucket": lambda: CurveGenerator(BucketCurve(UniswapV2Curve(2.0), 0.2, 0.7, 0.4)),
-    "v3_bucket": lambda: CurveGenerator(BucketCurve(UniswapV2Curve(1.0), 0.2, 0.7, 1.3)),
-    "lmsr_bucket": lambda: CurveGenerator(BucketCurve(LmsrCurve(1.0), 0.1, 0.5, 0.7)),
-    "brier_bucket": lambda: CurveGenerator(BucketCurve(brier_curve(1.0), 0.3, 0.8, 2.0)),
-    "soft_bucket": lambda: CurveGenerator(SoftBucketCurve([0.0, 0.4, 1.0], [0.0, 1.0, 0.0])),
-    "piecewise_linear": lambda: CurveGenerator(PiecewiseLinearCurve([0.2, 0.6], [1.0, 2.0])),
-    "tabulated_liquidity": lambda: CurveGenerator(
-        TabulatedLiquidityCurve(np.linspace(0.0, 1.0, 41), 1.0 + np.linspace(0.0, 1.0, 41))
+    "bucket": lambda: BucketCurve(UniswapV2Curve(2.0), 0.2, 0.7, 0.4),
+    "v3_bucket": lambda: BucketCurve(UniswapV2Curve(1.0), 0.2, 0.7, 1.3),
+    "lmsr_bucket": lambda: BucketCurve(LmsrCurve(1.0), 0.1, 0.5, 0.7),
+    "brier_bucket": lambda: BucketCurve(brier_curve(1.0), 0.3, 0.8, 2.0),
+    "soft_bucket": lambda: SoftBucketCurve([0.0, 0.4, 1.0], [0.0, 1.0, 0.0]),
+    "piecewise_linear": lambda: PiecewiseLinearCurve([0.2, 0.6], [1.0, 2.0]),
+    "tabulated_liquidity": lambda: TabulatedLiquidityCurve(
+        np.linspace(0.0, 1.0, 41), 1.0 + np.linspace(0.0, 1.0, 41)
     ),
     "constant_product-n2": lambda: ConstantProductGenerator(2, 1.7),
     "constant_product-n3": lambda: ConstantProductGenerator(3, 1.2),
     "pair_constant_product": lambda: PairConstantProductGenerator(3, 0, 2, 1.1),
     "trivial": lambda: TrivialGenerator(2),
     "sum-v3-lp": _v3_lp_generator,
-    "sum-n2": lambda: SumGenerator([LmsrGenerator(1.0, 2), CurveGenerator(UniswapV2Curve(1.0))]),
+    "sum-n2": lambda: SumGenerator([LmsrGenerator(1.0, 2), UniswapV2Curve(1.0)]),
     "sum-n3": lambda: SumGenerator([LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 2.0)]),
-    "shifted-curve": lambda: normalize_generator(CurveGenerator(RAW)),
+    "shifted-curve": lambda: normalize_generator(RAW),
     "shifted-n3": lambda: ShiftedGenerator(LmsrGenerator(1.0, 3), [0.1, -0.2, 0.3]),
     # spellings that only descriptors use; no constructor emits them
     "brier-desc": lambda: generator_from_descriptor({"family": "brier", "scale": 1.0}),
@@ -338,19 +346,23 @@ def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
 
 
 def test_piecewise_poly_conjugate_rejects_cubic_pieces():
+    # no closed form, so conjugate_value falls back to the scalar solve
     cubic = PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0, 2.0], [0.5]])
-    for _ in range(2):
-        with pytest.raises(UnsupportedFamily):
-            cubic.conjugate()
+    for p1 in (0.2, 0.5, 0.8):
+        q = liability_of(cubic, [p1, 1.0 - p1])
+        assert cubic.conjugate(q) is None
+        res = conjugate_value(cubic, q)
+        assert res.cost == pytest.approx(0.0, abs=1e-12)
+        assert res.price[0] == pytest.approx(p1, abs=1e-12)
 
 
 def test_normalize_curve_removes_chord():
-    norm = normalize_generator(CurveGenerator(RAW))
+    norm = normalize_generator(RAW)
     assert norm.value(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
     assert norm.value(np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
     for p1 in GRID[::20]:
         p = np.array([p1, 1.0 - p1])
-        assert np.array_equal(norm.hessian(p), CurveGenerator(RAW).hessian(p))
+        assert np.array_equal(norm.hessian(p), RAW.hessian(p))
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.3, 3.0))
@@ -365,7 +377,7 @@ def test_lmsr_curve_derivative_consistency(p, b):
 
 def test_pair_generator_matches_two_outcome_shape():
     G = PairConstantProductGenerator(2, 0, 1, 1.2)
-    C = CurveGenerator(UniswapV2Curve(1.2))
+    C = UniswapV2Curve(1.2)
     for p1 in GRID[::25]:
         p = np.array([p1, 1 - p1])
         assert G.value(p) == pytest.approx(C.value(p), rel=1e-14)
@@ -374,7 +386,7 @@ def test_pair_generator_matches_two_outcome_shape():
 
 def test_lmsr_generator_reduces_to_curve():
     G = LmsrGenerator(1.7, 2)
-    C = CurveGenerator(LmsrCurve(1.7))
+    C = LmsrCurve(1.7)
     for p1 in GRID[::25]:
         p = np.array([p1, 1 - p1])
         assert G.value(p) == pytest.approx(C.value(p), abs=1e-13)

@@ -31,3 +31,22 @@ def test_unused_import_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# checks in these modules raise typed errors: `python -O` strips `assert`
+ASSERT_FREE = ["cli.py", "convex_core.py", "engine.py", "equivalence.py"]
+
+
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of the `assert` statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_finds_assert_statements():
+    src = "def f(x):\n    assert x, 'msg'\n    if x:\n        assert x > 0\n    return AssertionError\n"
+    assert assert_lines(src) == [2, 4]
+
+
+@pytest.mark.parametrize("name", ASSERT_FREE)
+def test_no_assert_statements(name):
+    assert assert_lines((SRC / name).read_text()) == []

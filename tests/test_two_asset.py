@@ -7,7 +7,6 @@ import pytest
 
 from parmm import (
     BucketCurve,
-    CurveGenerator,
     SumGenerator,
     LmsrCurve,
     PiecewiseLinearMarket,
@@ -97,7 +96,7 @@ def test_price2_cost2_are_views_of_the_engine_solve():
     m.mint(0, 0, 1.0)
     m.mint(0, 2, 0.5)
     agg = m.aggregate_curve()
-    G = SumGenerator([CurveGenerator(c) for c in agg.terms])
+    G = SumGenerator(agg.terms)
     for p in [0.15, 0.45, 0.7]:
         q = liability2(agg, p)
         res = conjugate_value(G, q)
@@ -198,9 +197,7 @@ def test_v2_mint_is_proportional():
 def test_v2_thousand_operations_keep_invariant():
     rng = np.random.default_rng(23)
     m = UniswapV2Market([3.0, 2.0])
-    mirror = initialize(
-        CurveGenerator(UniswapV2Curve(m.alpha)), liability=-m.reserves
-    )
+    mirror = initialize(UniswapV2Curve(m.alpha), liability=-m.reserves)
     lp = m.register_lp()
     mirror_synced = True
     for k in range(1000):
@@ -215,9 +212,7 @@ def test_v2_thousand_operations_keep_invariant():
         else:
             m.mint(lp, float(rng.uniform(0.0, 1.0)))
             mirror_synced = False  # mirror keeps the old alpha
-            mirror = initialize(
-                CurveGenerator(UniswapV2Curve(m.alpha)), liability=-m.reserves
-            )
+            mirror = initialize(UniswapV2Curve(m.alpha), liability=-m.reserves)
             mirror_synced = True
         target = m.alpha ** 2
         assert abs(m.invariant() - target) < 1e-9 * max(1.0, target)
