@@ -37,7 +37,6 @@ from .generators import (
     Generator,
     ShiftedGenerator,
     SumGenerator,
-    TrivialGenerator,
 )
 
 EPS = 1e-9  # boundary clamp for simplex prices
@@ -326,8 +325,6 @@ def normalize_generator(G: Generator) -> Generator:
     changing its liquidity.  Families whose vertex values are unbounded cannot
     be normalized and raise VertexUnbounded (none of the built-in families do).
     """
-    if isinstance(G, TrivialGenerator):
-        return G
     vertex = G.vertex_values()
     if not np.all(np.isfinite(vertex)):
         raise VertexUnbounded("generator is unbounded at a vertex")

@@ -167,12 +167,17 @@ class MarketState:
             raise NotLevelSet("market holds no liquidity")
         return gens[0] if len(gens) == 1 else SumGenerator(gens)
 
+    def _record(self, lp_id: int) -> LpRecord:
+        if not 0 <= lp_id < len(self.records):
+            raise UnknownKind(f"no LP with id {lp_id}")
+        return self.records[lp_id]
+
     def total_liability(self) -> np.ndarray:
         return np.sum([rec.liability for rec in self.records], axis=0)
 
     def check_coherent(self, tol=1e-6) -> float:
         worst = 0.0
-        for rec in self._nontrivial():
+        for rec in self.records:
             dev = np.max(np.abs(rec.liability - liability_of(rec.generator, self.price)))
             worst = max(worst, float(dev))
         if not worst <= tol:
@@ -193,9 +198,8 @@ class MarketState:
 
         if generator.n != self.n:
             raise UnsupportedFamily(f"{generator.n}-outcome generator on a {self.n}-outcome market")
-        rec = self.records[lp_id]
-        if not isinstance(generator, TrivialGenerator):
-            generator = normalize_generator(generator)
+        rec = self._record(lp_id)
+        generator = normalize_generator(generator)
         old_gen = rec.generator
         rec.generator = generator
         try:
@@ -206,11 +210,7 @@ class MarketState:
         if self.strict and not self._aggregate().is_pseudobarrier:
             rec.generator = old_gen
             raise NotPseudobarrier("modification would remove the last pseudobarrier")
-        target = (
-            np.zeros(self.n)
-            if isinstance(generator, TrivialGenerator)
-            else liability_of(generator, self.price)
-        )
+        target = liability_of(generator, self.price)
         deposit = rec.liability - target
         rec.liability = target
         return deposit
@@ -226,12 +226,17 @@ class MarketState:
         beta = c0 - c1
         return partial + beta * np.ones(self.n), float(beta)
 
-    def execute_trade(self, bundle=None, target_price=None) -> TradeReceipt:
+    def price_trade(self, bundle=None, target_price=None) -> TradeReceipt:
+        """Price a trade by bundle or by target price without booking it;
+        `execute_trade` books the receipt this returns."""
+        for name, arg in (("bundle", bundle), ("target_price", target_price)):
+            if arg is not None and np.shape(arg) != (self.n,):
+                raise UnknownKind(f"{name} has shape {np.shape(arg)} on a {self.n}-outcome market")
         agg = self._aggregate()
         q = self.total_liability()
         if bundle is None:
             if target_price is None:
-                raise TypeError("execute_trade needs a bundle or a target_price")
+                raise TypeError("price_trade needs a bundle or a target_price")
             p_new = np.asarray(target_price, dtype=float)
             p_new = p_new / p_new.sum()
             bundle = liability_of(agg, p_new) - q
@@ -249,11 +254,10 @@ class MarketState:
             if rec.lp_id not in parts:
                 parts[rec.lp_id] = np.zeros(self.n)
         trader_fee, lp_fee_list = (0.0, [0.0] * len(self.records))
-        lp_fees = {}
         if self.fee is not None:
             ordered = [parts[rec.lp_id] for rec in self.records]
             trader_fee, lp_fee_list = compute_fees(self.fee, bundle, ordered)
-        receipt = TradeReceipt(
+        return TradeReceipt(
             bundle=bundle,
             parts=parts,
             price_before=self.price.copy(),
@@ -261,23 +265,28 @@ class MarketState:
             trader_fee=trader_fee,
             lp_fees={rec.lp_id: lp_fee_list[k] for k, rec in enumerate(self.records)},
         )
+
+    def _settle(self, receipt: TradeReceipt):
+        """Book a receipt from `price_trade`: fills, fees and the new price."""
         for rec in self.records:
-            rec.liability = rec.liability + parts[rec.lp_id]
+            rec.liability = rec.liability + receipt.parts[rec.lp_id]
             fee = receipt.lp_fees[rec.lp_id]
             if np.isscalar(fee) or np.ndim(fee) == 0:
                 rec.cash_fees += float(fee)
             else:
                 rec.bundle_fees = rec.bundle_fees + np.asarray(fee, float)
-        self.price = p_new
+        self.price = receipt.price_after.copy()
+
+    def execute_trade(self, bundle=None, target_price=None) -> TradeReceipt:
+        receipt = self.price_trade(bundle, target_price)
+        self._settle(receipt)
         return receipt
 
     def audit_no_liability(self, lp_id: int, grid: int = 10) -> float:
         """Worst-case component of the LP's liability over a price grid; a
         nonpositive generator never leaves the LP owing the trader, so the
         audit value should never exceed ~0."""
-        rec = self.records[lp_id]
-        if isinstance(rec.generator, TrivialGenerator):
-            return 0.0
+        rec = self._record(lp_id)
         worst = -np.inf
         for p in _simplex_grid(self.n, grid):
             worst = max(worst, float(liability_of(rec.generator, p).max()))

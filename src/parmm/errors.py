@@ -58,4 +58,4 @@ class UnsupportedFamily(ParmmError):
 
 
 class UnknownKind(ParmmError):
-    """Unrecognized descriptor, report kind, or scenario op."""
+    """Unrecognized descriptor, report kind, scenario op or LP id, or an input of the wrong shape."""

@@ -6,7 +6,12 @@ collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
 The curve is itself the maker's generator: `price2` and `cost2` are scalar
 views of `conjugate_value` on it and run no solver of their own.  The
 constant-product and concentrated-liquidity pools below are thin adapters
-over the general engine; their reserve bookkeeping is x = -q.
+over the general engine; their reserve bookkeeping is x = -q.  The
+concentrated-liquidity pool prices a swap once, with
+`MarketState.price_trade`, checks its buckets at that price and books that
+same receipt with its bucket-share fees written in, so pool fees land in the
+LPs' `bundle_fees`.  Invalid arguments raise `ParmmError` subclasses, also
+under `python -O`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
+    NotLevelSet,
     OutOfRange,
+    UnknownKind,
 )
 from .generators import (
     BucketCurve,
@@ -81,7 +88,8 @@ class UniswapV2Market:
 
     def __init__(self, reserves, beta: float = 0.0):
         x = np.asarray(reserves, dtype=float)
-        assert x.shape == (2,) and np.all(x > 0)
+        if x.shape != (2,) or not np.all(x > 0):
+            raise OutOfRange(f"reserves {x} are not two positive amounts")
         self.alphas = {0: math.sqrt(x[0] * x[1])}
         fee = PositivePartFee(beta) if beta > 0 else None
         self.state = initialize(UniswapV2Curve(self.alphas[0]), liability=-x, fee=fee)
@@ -110,7 +118,8 @@ class UniswapV2Market:
     def mint(self, lp_id: int, alpha_new: float) -> np.ndarray:
         """Set an LP's liquidity share; returns the reserve bundle the LP must
         deposit (proportional to current reserves)."""
-        assert alpha_new >= 0
+        if not alpha_new >= 0:
+            raise OutOfRange(f"liquidity {alpha_new} is negative")
         deposit = self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
         self.alphas[lp_id] = alpha_new
         return deposit
@@ -132,7 +141,8 @@ class UniswapV2Market:
 
     def swap(self, amount_in: float, asset: int = 0) -> np.ndarray:
         """Bundle for a swap selling `amount_in` of one asset into the pool."""
-        assert amount_in > 0 and asset in (0, 1)
+        if not amount_in > 0 or asset not in (0, 1):
+            raise OutOfRange(f"cannot swap {amount_in} of asset {asset}")
         x = self.reserves
         other = 1 - asset
         out = x[other] - self.alpha ** 2 / (x[asset] + amount_in)
@@ -157,19 +167,18 @@ class UniswapV3Market:
 
     def __init__(self, buckets, price: float, beta: float = 0.0):
         buckets = [(float(a), float(b)) for a, b in buckets]
-        assert buckets == sorted(buckets)
-        for (a, b), (a2, _) in zip(buckets, buckets[1:]):
-            assert b <= a2 + 1e-12, "buckets must not overlap"
-        assert all(0.0 < a < b < 1.0 for a, b in buckets)
+        if not all(0.0 < a < b < 1.0 for a, b in buckets):
+            raise OutOfRange("every bucket needs 0 < a < b < 1")
+        overlap = any(b > a2 + 1e-12 for (_, b), (a2, _) in zip(buckets, buckets[1:]))
+        if buckets != sorted(buckets) or overlap:
+            raise OutOfRange("buckets must be sorted and must not overlap")
         self.buckets = buckets
         self.beta = beta
         self.weights: dict[int, np.ndarray] = {0: np.zeros(len(buckets))}
-        self.fee_ledger: dict[int, np.ndarray] = {0: np.zeros(2)}
         j = self.locate(price)
         if j is None:
             raise OutOfRange(f"opening price {price} not inside any bucket")
         self.weights[0][j] = 1.0
-        self._aggregate_cache = (None, None)  # (aggregate weight, its bucket sum)
         self.state = MarketState(
             self._lp_curve(0), liability2(self._lp_curve(0), price), fee=None, strict=False
         )
@@ -195,14 +204,9 @@ class UniswapV3Market:
         return np.sum([w for w in self.weights.values()], axis=0)
 
     def aggregate_curve(self) -> Curve1D:
-        # rebuilt whenever the summed weights differ from the cached ones, so
-        # mints, rolled-back mints and direct edits of `weights` all show
-        W = self.aggregate_weight()
-        cached_W, curve = self._aggregate_cache
-        if cached_W is None or not np.array_equal(W, cached_W):
-            curve = self._bucket_sum(W)
-            self._aggregate_cache = (W, curve)
-        assert curve is not None, "pool holds no liquidity"
+        curve = self._bucket_sum(self.aggregate_weight())
+        if curve is None:
+            raise NotLevelSet("pool holds no liquidity")
         return curve
 
     def locate(self, p: float):
@@ -222,12 +226,14 @@ class UniswapV3Market:
     def register_lp(self) -> int:
         lp_id = self.state.register_lp()
         self.weights[lp_id] = np.zeros(len(self.buckets))
-        self.fee_ledger[lp_id] = np.zeros(2)
         return lp_id
 
     def mint(self, lp_id: int, j: int, weight: float) -> np.ndarray:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
-        assert weight >= 0
+        if lp_id not in self.weights:
+            raise UnknownKind(f"no LP with id {lp_id}")
+        if not weight >= 0:
+            raise OutOfRange(f"bucket weight {weight} is negative")
         old = self.weights[lp_id][j]
         self.weights[lp_id][j] = weight
         try:
@@ -249,11 +255,9 @@ class UniswapV3Market:
         return float(lhs - A * A)
 
     def trade(self, r):
-        r = np.asarray(r, dtype=float)
-        q = self.state.total_liability()
-        agg = self.aggregate_curve()
-        p_old = self.price
-        p_new = price2(agg, q + r)
+        receipt = self.state.price_trade(bundle=r)
+        p_old = float(receipt.price_before[0])
+        p_new = float(receipt.price_after[0])
         j_old = self.locate(p_old)
         j_new = self.locate(p_new)
         if j_new is None:
@@ -268,18 +272,14 @@ class UniswapV3Market:
             p_chk = p_old if j == j_old else p_new
             if abs(self.shifted_invariant_gap(j, p_chk)) > 1e-9 * max(1.0, W[j] ** 2):
                 raise InvariantViolated(f"bucket {j} off its shifted invariant")
-        receipt = self.state.execute_trade(bundle=r)
         if self.beta > 0:
-            trader_fee = self.beta * np.maximum(-r, 0.0)
+            receipt.trader_fee = self.beta * np.maximum(-receipt.bundle, 0.0)
             denom = float(W[crossed].sum())
-            lp_fees = {}
-            for lp_id, w in self.weights.items():
-                share = float(w[crossed].sum()) / denom
-                fee = share * trader_fee
-                lp_fees[lp_id] = fee
-                self.fee_ledger[lp_id] = self.fee_ledger[lp_id] + fee
-            receipt.trader_fee = trader_fee
-            receipt.lp_fees = lp_fees
+            receipt.lp_fees = {
+                lp_id: float(w[crossed].sum()) / denom * receipt.trader_fee
+                for lp_id, w in self.weights.items()
+            }
+        self.state._settle(receipt)
         return receipt
 
 
@@ -298,13 +298,14 @@ class PiecewiseLinearMarket:
 
     def __init__(self, grid, weights: dict | None = None):
         self.grid = np.asarray(grid, dtype=float)
-        assert np.all(np.diff(self.grid) > 0)
-        assert self.grid[0] > 0 and self.grid[-1] < 1
+        if not (np.all(np.diff(self.grid) > 0) and self.grid[0] > 0 and self.grid[-1] < 1):
+            raise OutOfRange("grid prices must increase strictly inside (0, 1)")
         self.weights: dict[int, np.ndarray] = {}
         if weights:
             for lp_id, w in weights.items():
                 w = np.asarray(w, dtype=float)
-                assert w.shape == self.grid.shape and np.all(w >= 0)
+                if w.shape != self.grid.shape or not np.all(w >= 0):
+                    raise OutOfRange(f"weights of LP {lp_id} do not match the grid")
                 self.weights[lp_id] = w
         self.t = float(np.sum(self.total_weights() * (self.grid - 1.0)))  # all buckets unfilled
         self._fill = (0, 0.0)  # cached active (slot, fraction) matching self.t
@@ -378,7 +379,8 @@ class PiecewiseLinearMarket:
     def modify_liquidity(self, lp_id: int, j: int, weight: float) -> float:
         """Set one LP weight; returns the scalar deposit that keeps the book's
         price and fill unchanged (exact, no rounding)."""
-        assert weight >= 0
+        if not weight >= 0:
+            raise OutOfRange(f"weight {weight} is negative")
         if lp_id not in self.weights:
             self.register_lp(lp_id)
         jstar, y = self.active

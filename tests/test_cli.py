@@ -178,3 +178,20 @@ def test_budget_imbalance_needs_a_trade():
     }
     with pytest.raises(UnknownKind):
         run_scenario(scen)
+
+
+def test_modify_liquidity_of_an_unknown_lp_exits_2(tmp_path, capsys):
+    # lp -1 used to index the last record and replace the founder's book
+    lmsr = {"family": "lmsr", "b": 1.0}
+    scen = {
+        "n": 2,
+        "events": [
+            {"op": "initialize", "generator": lmsr, "price": [0.5, 0.5]},
+            {"op": "modify_liquidity", "lp": -1, "generator": {"family": "uniswap_v2", "alpha": 1.0}},
+        ],
+    }
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(scen))
+    code, _, err = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    assert "no LP with id -1" in err

@@ -124,6 +124,23 @@ def test_modify_liquidity_rejects_outcome_count_under_python_O():
     assert out.stdout.strip() == "UnsupportedFamily True True"
 
 
+def test_pool_mint_of_an_unregistered_lp_raises_under_python_O():
+    # the pool adapters validate without `assert` too
+    out = run_under_python_O("""
+        from parmm import UniswapV3Market
+        from parmm.errors import UnknownKind
+
+        assert False  # stripped under -O
+        m = UniswapV3Market([(0.2, 0.4), (0.4, 0.6)], price=0.5)
+        try:
+            m.mint(1, 0, 1.0)
+        except UnknownKind:
+            print("UnknownKind", sorted(m.weights), len(m.state.records))
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "UnknownKind [0] 1"
+
+
 def test_fee_schemes_reject_bad_parameters():
     with pytest.raises(UnknownKind):
         NormFee(-1.0, "l9")
@@ -296,3 +313,78 @@ def test_trade_and_inverse_trade_restore_books():
     for old, rec in zip(before, st.records):
         assert np.max(np.abs(old - rec.liability)) < 1e-9
     assert np.max(np.abs(st.price - [0.5, 0.5])) < 1e-9
+
+
+def _books(st):
+    return (
+        st.price.copy(),
+        [(rec.liability.copy(), rec.cash_fees, rec.bundle_fees.copy()) for rec in st.records],
+    )
+
+
+def _assert_books_equal(a, b):
+    assert np.array_equal(a[0], b[0])
+    for (q1, c1, f1), (q2, c2, f2) in zip(a[1], b[1]):
+        assert np.array_equal(q1, q2) and c1 == c2 and np.array_equal(f1, f2)
+
+
+@pytest.mark.parametrize("fee", [NormFee(0.1, "l1"), PositivePartFee(0.05)], ids=["norm", "positive-part"])
+def test_price_trade_books_nothing_and_returns_the_executed_receipt(fee):
+    st = initialize(LmsrCurve(1.0), price=[0.3, 0.7], fee=fee)
+    st.modify_liquidity(st.register_lp(), PiecewisePolyCurve.from_liquidity([0, 0.4, 1], [[0.0], [10.0]]))
+    st.register_lp()  # an LP without liquidity still gets a zero fill
+    bundle = st.price_trade(target_price=[0.6, 0.4]).bundle
+    for kwargs in ({"target_price": [0.6, 0.4]}, {"bundle": bundle}):
+        before = _books(st)
+        quoted = st.price_trade(**kwargs)
+        _assert_books_equal(_books(st), before)
+        booked = st.execute_trade(**kwargs)
+        for name in ("bundle", "price_before", "price_after", "trader_fee"):
+            assert np.array_equal(getattr(quoted, name), getattr(booked, name)), name
+        for field in ("parts", "lp_fees"):
+            got, want = getattr(quoted, field), getattr(booked, field)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want), field
+        assert np.array_equal(st.price, booked.price_after)
+        assert st.price is not booked.price_after
+        st.execute_trade(target_price=[0.3, 0.7])
+
+
+@pytest.mark.parametrize("lp_id", [-1, 2, 7])
+def test_unknown_lp_ids_are_rejected_before_any_change(lp_id):
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    st.modify_liquidity(st.register_lp(), LmsrCurve(2.0))
+    gens = [rec.generator for rec in st.records]
+    before = _books(st)
+    with pytest.raises(UnknownKind, match=f"no LP with id {lp_id}"):
+        st.modify_liquidity(lp_id, LmsrCurve(3.0))
+    with pytest.raises(UnknownKind, match=f"no LP with id {lp_id}"):
+        st.audit_no_liability(lp_id)
+    assert [rec.generator for rec in st.records] == gens
+    _assert_books_equal(_books(st), before)
+
+
+def test_trade_inputs_of_the_wrong_shape_are_rejected():
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    before = _books(st)
+    for kwargs in (
+        {"target_price": [0.2, 0.3, 0.5]},
+        {"bundle": [0.1, 0.2, 0.3]},
+        {"bundle": 0.1},
+        {"target_price": [[0.5, 0.5]]},
+    ):
+        with pytest.raises(UnknownKind, match="shape"):
+            st.execute_trade(**kwargs)
+        with pytest.raises(UnknownKind, match="shape"):
+            st.price_trade(**kwargs)
+    _assert_books_equal(_books(st), before)
+
+
+def test_lp_without_liquidity_audits_to_zero_and_stays_coherent():
+    st = initialize(LmsrCurve(1.0), price=[0.4, 0.6])
+    lp = st.register_lp()
+    st.execute_trade(target_price=[0.7, 0.3])
+    assert st.audit_no_liability(lp) == 0.0
+    assert np.array_equal(st.records[lp].liability, np.zeros(2))
+    assert st.check_coherent(1e-12) <= 1e-12
+    assert np.array_equal(st.modify_liquidity(lp, TrivialGenerator(2)), np.zeros(2))

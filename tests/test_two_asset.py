@@ -19,14 +19,17 @@ from parmm import (
     cost2,
     initialize,
     liability2,
+    liability_of,
     price2,
 )
 from parmm.errors import (
+    BoundaryPrice,
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
     NotLevelSet,
     OutOfRange,
+    UnknownKind,
 )
 
 
@@ -292,33 +295,6 @@ def test_v3_cross_bucket_trade_and_fees():
     assert np.allclose(rec.lp_fees[lp], 2.0 * rec.trader_fee / 3.0, atol=1e-12)
 
 
-def test_v3_aggregate_curve_is_reused_until_the_weights_change():
-    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
-    lp = m.register_lp()
-
-    def assert_current(curve):
-        fresh = m._bucket_sum(m.aggregate_weight())
-        for p in (0.15, 0.3, 0.45, 0.6, 0.8):
-            assert curve.dg(p) == fresh.dg(p)
-
-    first = m.aggregate_curve()
-    assert m.aggregate_curve() is first
-    with pytest.raises(NotLevelSet):
-        m.mint(0, 0, 0.0)  # would empty the pool: rolled back
-    assert m.aggregate_curve() is first
-    assert_current(first)
-    m.mint(lp, 2, 1.0)
-    minted = m.aggregate_curve()
-    assert minted is not first
-    assert_current(minted)
-    m.mint(lp, 2, 1.0)  # same weights: the cached curve stays valid
-    assert m.aggregate_curve() is minted
-    m.weights[lp][1] = 0.5  # a direct edit is seen too
-    edited = m.aggregate_curve()
-    assert edited is not minted
-    assert_current(edited)
-
-
 def test_v3_empty_bucket_rejected():
     m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
     lp = m.register_lp()
@@ -347,6 +323,103 @@ def test_v3_trade_onto_the_empty_bucket_level_stops_at_its_left_edge():
     m.mint(m.register_lp(), 0, 1.0)
     with pytest.raises(EmptyBucket, match="bucket 1"):
         m.trade(q_gap - m.state.total_liability())
+
+
+def _tiled_pool(seed, buckets=20, lps=3, beta=0.01):
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0.05, 0.95, buckets + 1)
+    m = UniswapV3Market(list(zip(edges[:-1], edges[1:])), price=0.5, beta=beta)
+    for _ in range(lps - 1):
+        m.register_lp()
+    for j in range(buckets):
+        m.mint(int(rng.integers(lps)), j, float(rng.uniform(0.5, 2.0)))
+    return m, rng
+
+
+def _to_price(m, target):
+    p = np.array([target, 1.0 - target])
+    held = m.state.total_liability()
+    return np.sum([liability_of(rec.generator, p) for rec in m.state.records], axis=0) - held
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_v3_bucket_checks_see_the_price_the_engine_books(seed, monkeypatch):
+    m, rng = _tiled_pool(seed)
+    seen = []
+    locate = m.locate
+    monkeypatch.setattr(m, "locate", lambda p: (seen.append(p), locate(p))[1])
+    for target in rng.uniform(0.1, 0.9, size=40):
+        before = m.price
+        m.trade(_to_price(m, float(target)))
+        assert seen[-2:] == [before, m.price]
+
+
+def test_v3_fees_are_booked_in_the_lp_records():
+    m, rng = _tiled_pool(4, beta=0.05)
+    paid = np.zeros((3, 2))
+    for target in rng.uniform(0.1, 0.9, size=10):
+        rec = m.trade(_to_price(m, float(target)))
+        assert np.allclose(sum(rec.lp_fees.values()), rec.trader_fee, atol=1e-12)
+        for lp, fee in rec.lp_fees.items():
+            paid[lp] = paid[lp] + fee
+    assert paid.sum() > 0
+    for lp, rec in enumerate(m.state.records):
+        assert np.array_equal(rec.bundle_fees, paid[lp])
+        assert rec.cash_fees == 0.0
+
+
+def test_v3_swap_past_the_last_bucket_raises_boundary_price():
+    # past the top of the only funded bucket the cost depends on q_1 alone,
+    # so lowering q_2 keeps the level set and pushes the slope out of range
+    m = _v3()
+    before = m.state.total_liability()
+    r = liability2(m.aggregate_curve(), 0.6) + np.array([0.0, -1.0]) - before
+    with pytest.raises(BoundaryPrice):
+        m.trade(r)
+    assert np.array_equal(m.state.total_liability(), before)
+
+
+def test_v3_off_level_bundle_is_rejected_before_the_bucket_checks():
+    # the slope of this bundle lands in the empty middle bucket, but the
+    # cash it adds takes it off the level set, which is checked first
+    m = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
+    m.mint(m.register_lp(), 2, 1.0)
+    before = m.state.total_liability()
+    r = liability2(m.aggregate_curve(), 0.6) - before + 1.0
+    with pytest.raises(NotLevelSet):
+        m.trade(r)
+    assert np.array_equal(m.state.total_liability(), before)
+    with pytest.raises(UnknownKind, match="shape"):
+        m.trade(np.zeros(3))
+
+
+def test_pools_reject_bad_arguments_with_typed_errors():
+    for reserves in ([1.0, -1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(OutOfRange):
+            UniswapV2Market(reserves)
+    v2 = UniswapV2Market([1.0, 4.0])
+    with pytest.raises(OutOfRange):
+        v2.mint(v2.register_lp(), -1.0)
+    with pytest.raises(UnknownKind):
+        v2.mint(5, 1.0)
+    for amount, asset in ((0.0, 0), (1.0, 2)):
+        with pytest.raises(OutOfRange):
+            v2.swap(amount, asset)
+    for buckets in ([(0.4, 0.6), (0.2, 0.4)], [(0.2, 0.5), (0.4, 0.6)], [(0.0, 0.5)], [(0.6, 0.4)]):
+        with pytest.raises(OutOfRange):
+            UniswapV3Market(buckets, price=0.45)
+    v3 = _v3()
+    with pytest.raises(UnknownKind, match="no LP with id 3"):
+        v3.mint(3, 0, 1.0)
+    with pytest.raises(OutOfRange):
+        v3.mint(0, 0, -1.0)
+    with pytest.raises(OutOfRange):
+        PiecewiseLinearMarket([0.4, 0.2])
+    with pytest.raises(OutOfRange):
+        PiecewiseLinearMarket([0.2, 0.4], {0: [1.0]})
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
+    with pytest.raises(OutOfRange):
+        book.modify_liquidity(0, 0, -1.0)
 
 
 # ---------------------------------------------------------------------------
