@@ -56,6 +56,7 @@ from .errors import (
     VertexUnbounded,
 )
 from .generators import (
+    BucketArrayCurve,
     BucketCurve,
     ConstantProductGenerator,
     Curve1D,
@@ -67,12 +68,12 @@ from .generators import (
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
-    SumCurve,
     SumGenerator,
     TabulatedLiquidityCurve,
     TrivialGenerator,
     UniswapV2Curve,
     brier_curve,
+    compile_sum,
     curve_from_descriptor,
     generator_from_descriptor,
 )

@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except (UnknownKind, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParmmError, AssertionError) as exc:
+    except ParmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

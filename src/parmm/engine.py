@@ -3,8 +3,10 @@
 Each LP posts a generator and holds the liability bundle its maker owes at the
 shared market price.  Trades are net bundles against the aggregate maker (the
 sum of generators); the engine splits every trade across LPs so each stays on
-the zero level set of its own cost function.  Fees are tracked per LP and
-never touch the pricing math.
+the zero level set of its own cost function.  Conjugate solves run on the
+aggregate compiled by `generators.compile_sum`, which merges same-family
+terms; liabilities and the split sum the LPs' generators one by one.  Fees are
+tracked per LP and never touch the pricing math.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .convex_core import (
     EPS,
     conjugate_value,
     liability_of,
+    normalize_generator,
     price_of,
     spread_residual,
 )
@@ -30,7 +33,7 @@ from .errors import (
     UnknownKind,
     UnsupportedFamily,
 )
-from .generators import Generator, SumGenerator, TrivialGenerator
+from .generators import Generator, SumGenerator, TrivialGenerator, compile_sum
 
 _LEVEL_TOL = 1e-8
 
@@ -140,6 +143,9 @@ class MarketState:
 
     strict mode requires the aggregate generator to be a pseudobarrier (its
     gradient blows up at the boundary), which keeps every price query interior.
+    Conjugate solves run on `compile_sum` of the LPs' generators, built on the
+    first solve after a change; liabilities, target-price trades and the split
+    sum the LPs' generators one by one.
     """
 
     def __init__(self, generator: Generator, liability, fee=None, strict: bool = True, price_hint=None):
@@ -151,7 +157,8 @@ class MarketState:
         self.fee = fee
         self.strict = strict
         self.records: list[LpRecord] = [LpRecord(0, generator, q0.copy(), 0.0, np.zeros(n))]
-        p = price_of(self._aggregate(), q0, price_hint)
+        self._compiled = None
+        p = price_of(self._solver(), q0, price_hint)
         if np.max(np.abs(liability_of(generator, p) - q0)) > 1e-8:
             raise LiabilityMismatch("q0 is not on the zero level set of the cost function")
         self.price = p
@@ -161,11 +168,23 @@ class MarketState:
     def _nontrivial(self):
         return [rec for rec in self.records if not isinstance(rec.generator, TrivialGenerator)]
 
-    def _aggregate(self) -> Generator:
-        gens = [rec.generator for rec in self._nontrivial()]
+    def _terms(self, generators=None) -> list:
+        """The nontrivial generators among `generators`, the LPs' by default."""
+        gens = [rec.generator for rec in self.records] if generators is None else generators
+        gens = [G for G in gens if not isinstance(G, TrivialGenerator)]
         if not gens:
             raise NotLevelSet("market holds no liquidity")
+        return gens
+
+    def _aggregate(self) -> Generator:
+        gens = self._terms()
         return gens[0] if len(gens) == 1 else SumGenerator(gens)
+
+    def _solver(self) -> Generator:
+        """The aggregate for conjugate solves, compiled on first use."""
+        if self._compiled is None:
+            self._compiled = compile_sum(self._terms())
+        return self._compiled
 
     def _record(self, lp_id: int) -> LpRecord:
         if not 0 <= lp_id < len(self.records):
@@ -193,33 +212,26 @@ class MarketState:
 
     def modify_liquidity(self, lp_id: int, generator: Generator) -> np.ndarray:
         """Swap an LP's generator; returns the bundle the LP must deposit
-        (negative components are withdrawals)."""
-        from .convex_core import normalize_generator
-
+        (negative components are withdrawals).  Nothing changes unless it
+        succeeds."""
         if generator.n != self.n:
             raise UnsupportedFamily(f"{generator.n}-outcome generator on a {self.n}-outcome market")
         rec = self._record(lp_id)
         generator = normalize_generator(generator)
-        old_gen = rec.generator
-        rec.generator = generator
-        try:
-            self._aggregate()
-        except NotLevelSet:
-            rec.generator = old_gen
-            raise
-        if self.strict and not self._aggregate().is_pseudobarrier:
-            rec.generator = old_gen
+        terms = self._terms([generator if other is rec else other.generator for other in self.records])
+        if self.strict and not any(G.is_pseudobarrier for G in terms):
             raise NotPseudobarrier("modification would remove the last pseudobarrier")
         target = liability_of(generator, self.price)
         deposit = rec.liability - target
-        rec.liability = target
+        rec.generator, rec.liability = generator, target
+        self._compiled = None
         return deposit
 
     def quote_completion(self, partial) -> tuple[np.ndarray, float]:
         """Complete a partial bundle into a valid net trade by adding cash in
         the 1-direction; returns (full bundle, cash added per outcome)."""
         partial = np.asarray(partial, dtype=float)
-        agg = self._aggregate()
+        agg = self._solver()
         q = self.total_liability()
         c0 = conjugate_value(agg, q, self.price).cost
         c1 = conjugate_value(agg, q + partial, self.price).cost
@@ -232,15 +244,15 @@ class MarketState:
         for name, arg in (("bundle", bundle), ("target_price", target_price)):
             if arg is not None and np.shape(arg) != (self.n,):
                 raise UnknownKind(f"{name} has shape {np.shape(arg)} on a {self.n}-outcome market")
-        agg = self._aggregate()
         q = self.total_liability()
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
             p_new = np.asarray(target_price, dtype=float)
             p_new = p_new / p_new.sum()
-            bundle = liability_of(agg, p_new) - q
+            bundle = liability_of(self._aggregate(), p_new) - q
         else:
+            agg = self._solver()
             bundle = np.asarray(bundle, dtype=float)
             c0 = conjugate_value(agg, q, self.price).cost
             res = conjugate_value(agg, q + bundle, self.price)

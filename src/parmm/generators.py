@@ -11,11 +11,14 @@ A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
 does; it adds g, g' and g'' as `g`, `dg` and `d2g`, which give its slope and
 curvature.  All curve families here are normalized so g(0) = g(1) = 0.
+`compile_sum` merges the same-family terms of a sum for the solvers.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -23,7 +26,9 @@ from scipy.special import expit, xlogy
 
 from .errors import (
     DivergentIntegral,
+    OutOfRange,
     UnknownKind,
+    UnsupportedFamily,
     VertexUnbounded,
 )
 
@@ -152,21 +157,25 @@ class PiecewisePolyCurve(Curve1D):
 
     def __init__(self, xs, polys):
         xs = np.asarray(xs, dtype=float)
-        assert xs.ndim == 1 and len(xs) == len(polys) + 1
-        assert abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY
-        assert np.all(np.diff(xs) > 0)
+        if xs.ndim != 1 or len(xs) != len(polys) + 1:
+            raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(polys)} pieces")
+        if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
+            raise OutOfRange("breakpoints must increase strictly from 0 to 1")
         self.xs = xs
         self.polys = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in polys]
-        # derivatives are built once: dg and d2g run inside every price solve
-        self._d1 = [P.deriv() for P in self.polys]
-        self._d2 = [P.deriv(2) for P in self.polys]
+        # g, g' and g'' run inside every price solve: their coefficients are
+        # Python floats, evaluated by _horner, and the breakpoints a list
+        self._x = xs.tolist()
+        self._c0 = [P.coef.tolist() for P in self.polys]
+        self._c1 = [P.deriv().coef.tolist() for P in self.polys]
+        self._c2 = [P.deriv(2).coef.tolist() for P in self.polys]
         # slope bounds per piece, nondecreasing across the breakpoints, so a
         # piece whose end value rounds below its neighbour's is clamped to it
         self._dlo, self._dhi = [], []
         top = -math.inf
-        for k, d in enumerate(self._d1):
-            lo_k = max(float(d(xs[k])), top)
-            top = max(float(d(xs[k + 1])), lo_k)
+        for k, c in enumerate(self._c1):
+            lo_k = max(_horner(c, self._x[k]), top)
+            top = max(_horner(c, self._x[k + 1]), lo_k)
             self._dlo.append(lo_k)
             self._dhi.append(top)
         self._quadratic = all(P.trim().degree() <= 2 for P in self.polys)
@@ -200,27 +209,27 @@ class PiecewisePolyCurve(Curve1D):
         return cls(xs, [Q - chord for Q in B])
 
     def _piece(self, p):
-        k = int(np.searchsorted(self.xs, p, side="right")) - 1
+        k = bisect_right(self._x, p) - 1
         return min(max(k, 0), len(self.polys) - 1)
 
     def g(self, p):
-        return float(self.polys[self._piece(p)](p))
+        return float(_horner(self._c0[self._piece(p)], p))
 
     def _slope(self, k, p):
-        return min(max(float(self._d1[k](p)), self._dlo[k]), self._dhi[k])
+        return min(max(float(_horner(self._c1[k], p)), self._dlo[k]), self._dhi[k])
 
     def dg(self, p):
         k = self._piece(p)
         d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
-        if 0 < k and abs(p - self.xs[k]) < _TINY:
+        if 0 < k and abs(p - self._x[k]) < _TINY:
             d = 0.5 * (d + self._slope(k - 1, p))
-        elif k + 1 < len(self.polys) and abs(p - self.xs[k + 1]) < _TINY:
+        elif k + 1 < len(self.polys) and abs(p - self._x[k + 1]) < _TINY:
             d = 0.5 * (d + self._slope(k + 1, p))
         return float(d)
 
     def d2g(self, p):
-        return float(self._d2[self._piece(p)](p))
+        return float(_horner(self._c2[self._piece(p)], p))
 
     def conjugate(self, q):
         """Closed form for piecewise-quadratic curves: the conjugate of g is
@@ -234,9 +243,9 @@ class PiecewisePolyCurve(Curve1D):
         pieces.append(Polynomial([-g0]))  # q <= g'(0+): maximizer p = 0
         prev_slope = None
         for k, P in enumerate(self.polys):
-            d = self._d1[k]
-            sl, sr = float(d(self.xs[k])), float(d(self.xs[k + 1]))
-            assert sr >= sl - 1e-9, "curve must be convex"
+            sl, sr = _horner(self._c1[k], self._x[k]), _horner(self._c1[k], self._x[k + 1])
+            if not sr >= sl - 1e-9:
+                raise UnsupportedFamily(f"piece {k} is not convex: no closed-form conjugate")
             if prev_slope is None:
                 qs.append(sl)
             elif sl > prev_slope + 1e-12:
@@ -269,9 +278,19 @@ class PiecewisePolyCurve(Curve1D):
         }
 
 
+def _horner(c, x):
+    """numpy's polyval(x, c) for a list of Python floats, in the same operation
+    order, so its results are polyval's bit for bit."""
+    acc = c[-1] + x * 0
+    for coef in c[-2::-1]:
+        acc = coef + acc * x
+    return acc
+
+
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     """Quadratic-score curve g(p) = scale * (p^2 - p); liquidity 2 * scale."""
-    assert scale > 0
+    if not scale > 0:
+        raise OutOfRange(f"Brier scale {scale} is not positive")
     crv = PiecewisePolyCurve([0.0, 1.0], [Polynomial([0.0, -scale, scale])])
     crv._brier_scale = scale
     return crv
@@ -281,13 +300,15 @@ class LmsrCurve(Curve1D):
     """Two-outcome LMSR shape g(p) = b (p log p + (1-p) log(1-p)).
 
     `LmsrGenerator(b, 2)` is the same maker; this curve stays as the scalar
-    base a `BucketCurve` needs.  An "lmsr" descriptor loads as the generator.
+    base a `BucketCurve` needs and as the merged LMSR term of `compile_sum`,
+    whose slope builds no arrays.  An "lmsr" descriptor loads as the generator.
     """
 
     is_pseudobarrier = True
 
     def __init__(self, b: float):
-        assert b > 0, "b must be positive"
+        if not b > 0:
+            raise OutOfRange(f"LMSR b {b} is not positive")
         self.b = b
 
     def g(self, p):
@@ -322,7 +343,8 @@ class UniswapV2Curve(Curve1D):
     """Constant-product shape g(p) = -2 a sqrt(p (1-p)); reserves x1 x2 = a^2."""
 
     def __init__(self, alpha: float):
-        assert alpha >= 0
+        if not alpha >= 0:
+            raise OutOfRange(f"liquidity {alpha} is negative")
         self.alpha = alpha
 
     @property
@@ -356,7 +378,8 @@ class BucketCurve(Curve1D):
     """
 
     def __init__(self, base: Curve1D, a: float, b: float, weight: float = 1.0):
-        assert 0.0 < a < b < 1.0 and weight >= 0
+        if not (0.0 < a < b < 1.0 and weight >= 0):
+            raise OutOfRange(f"bucket [{a}, {b}] with weight {weight} needs 0 < a < b < 1 and weight >= 0")
         self.base, self.a, self.b, self.weight = base, a, b, weight
         self._ga, self._gb = base.g(a), base.g(b)
         self._da, self._db = base.dg(a), base.dg(b)
@@ -410,6 +433,112 @@ class BucketCurve(Curve1D):
         return {"family": "bucket", "base": self.base.descriptor(), "a": self.a, "b": self.b, "weight": self.weight}
 
 
+class BucketArrayCurve(Curve1D):
+    """Sum of BucketCurve(base, a_j, b_j, w_j) over sorted buckets that do not
+    overlap; zero weights are allowed.
+
+    A bucket left of p adds its right tail, slope w_j hi_j, and a bucket right
+    of p its left tail, slope w_j lo_j, so g, g' and g'' take a bisection,
+    prefix sums of w hi, suffix sums of w lo and the bucket or two holding p,
+    evaluated as their own `BucketCurve`: the tick bookkeeping of the Uniswap
+    v3 whitepaper (section 6.2) with the walk replaced by prefix sums.  g' is
+    clamped to bounds per bisection state, as `PiecewisePolyCurve` clamps per
+    piece, so it stays nondecreasing in floating point where a bucket enters
+    or leaves the sums.  `with_weights` reuses the per-bucket constants.
+    """
+
+    def __init__(self, base: Curve1D, buckets, weights):
+        buckets = [(float(a), float(b)) for a, b in buckets]
+        if not buckets or not all(0.0 < a < b < 1.0 for a, b in buckets):
+            raise OutOfRange("every bucket needs 0 < a < b < 1")
+        pairs = zip(buckets, buckets[1:])
+        if buckets != sorted(buckets) or any(b > a2 + 1e-12 or b > b2 for (_, b), (a2, b2) in pairs):
+            raise OutOfRange("buckets must be sorted and must not overlap")
+        self.base, self.buckets = base, buckets
+        self._units = [BucketCurve(base, a, b) for a, b in buckets]
+        self._lo = np.array([u._lo for u in self._units])
+        self._hi = np.array([u._hi for u in self._units])
+        self._a = [a for a, _ in buckets]
+        self._b = [b for _, b in buckets]
+        # bisection state s = i0 + i1 of p, where i0 buckets lie left of p
+        # (b < p) and i1 start at or left of it (a <= p): walking p upward,
+        # each edge raises i1 at a or i0 just past b, so s counts the edges
+        # passed and (i0, i1) is the count of each kind among the first s
+        edges = np.r_[self._a, self._b]
+        is_b = np.r_[np.zeros(len(buckets), int), np.ones(len(buckets), int)]
+        order = np.lexsort((is_b, edges))
+        kind, at = is_b[order], edges[order]
+        i0, i1 = np.r_[0, np.cumsum(kind)], np.r_[0, np.cumsum(1 - kind)]
+        # state s holds p from x_s to y_s; unit slopes of its held buckets at
+        # both ends bound their slopes in the state
+        x = np.r_[0.0, np.where(kind == 1, np.nextafter(at, 2.0), at)]
+        y = np.maximum(x, np.r_[np.where(kind == 1, at, np.nextafter(at, -1.0)), 1.0])
+        self._i0, self._i1, self._held_at = i0, i1, []
+        for r in range(int(np.max(i1 - i0))):
+            held = i0 + r < i1
+            j = np.minimum(i0 + r, len(buckets) - 1)
+            ux = [self._units[k].dg(v) if h else 0.0 for k, v, h in zip(j, x, held)]
+            uy = [self._units[k].dg(v) if h else 0.0 for k, v, h in zip(j, y, held)]
+            self._held_at.append((held, j, np.array(ux), np.array(uy)))
+        self._set_weights(weights)
+
+    def _set_weights(self, weights):
+        w = np.array(weights, dtype=float)
+        if w.shape != (len(self.buckets),) or not np.all(w >= 0):
+            raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, or negative")
+        self.weights = w
+        self._w = w.tolist()
+        H = np.concatenate(([0.0], np.cumsum(w * self._hi)))
+        L = np.concatenate((np.cumsum((w * self._lo)[::-1])[::-1], [0.0]))
+        # g' at the two ends of each state, summed in dg's order; the clamp
+        # bounds make it nondecreasing from state to state
+        lo, hi = H[self._i0], H[self._i0]
+        for held, j, ux, uy in self._held_at:
+            lo = np.where(held, lo + w[j] * ux, lo)
+            hi = np.where(held, hi + w[j] * uy, hi)
+        top = np.maximum.accumulate(hi + L[self._i1])
+        self._dlo = np.maximum(lo + L[self._i1], np.concatenate(([-math.inf], top[:-1]))).tolist()
+        self._dhi = top.tolist()
+        self._H, self._L = H.tolist(), L.tolist()
+
+    def with_weights(self, weights) -> "BucketArrayCurve":
+        """The same buckets over the same base, with other weights."""
+        arr = copy.copy(self)
+        arr._set_weights(weights)
+        return arr
+
+    def holding(self, p):
+        """(i0, i1): buckets i0 <= j < i1 hold p, those before lie left of it."""
+        return bisect_left(self._b, p), bisect_right(self._a, p)
+
+    def g(self, p):
+        i0, i1 = self.holding(p)
+        val = (p - 1.0) * self._H[i0] + p * self._L[i1]
+        for j in range(i0, i1):
+            val += self._w[j] * self._units[j].g(p)
+        return float(val)
+
+    def dg(self, p):
+        i0, i1 = self.holding(p)
+        acc = self._H[i0]
+        for j in range(i0, i1):
+            acc += self._w[j] * self._units[j].dg(p)
+        s = i0 + i1
+        return float(min(max(acc + self._L[i1], self._dlo[s]), self._dhi[s]))
+
+    def d2g(self, p):
+        i0, i1 = self.holding(p)
+        return float(sum(self._w[j] * self._units[j].d2g(p) for j in range(i0, i1)))
+
+    def descriptor(self):
+        return {
+            "family": "bucket_array",
+            "base": self.base.descriptor(),
+            "buckets": [list(ab) for ab in self.buckets],
+            "weights": list(self._w),
+        }
+
+
 class SoftBucketCurve(Curve1D):
     """Liquidity f(p) * 2 (p (1-p))^{-3/2} with f piecewise linear on knots.
 
@@ -430,9 +559,12 @@ class SoftBucketCurve(Curve1D):
         if len(knots) == len(weights) + 2:
             # outer knots below 0 / above 1 carry no mass on [0, 1]
             knots = knots[1:-1]
-        assert len(knots) == len(weights) >= 2
-        assert abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY
-        assert np.all(np.diff(knots) > 0) and np.all(weights >= 0)
+        if knots.ndim != 1 or knots.shape != weights.shape or len(knots) < 2:
+            raise UnknownKind(f"{knots.shape} knots for {weights.shape} weights")
+        if not (abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY and np.all(np.diff(knots) > 0)):
+            raise OutOfRange("knots must increase strictly from 0 to 1")
+        if not np.all(weights >= 0):
+            raise OutOfRange("soft-bucket weights must be nonnegative")
         self.knots, self.weights = knots, weights
         # per-interval affine pieces f = u + v p
         v = np.diff(weights) / np.diff(knots)
@@ -518,9 +650,10 @@ class PiecewiseLinearCurve(Curve1D):
     def __init__(self, grid, weights):
         grid = np.asarray(grid, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        assert grid.ndim == 1 and len(grid) == len(weights) > 0
-        assert np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1
-        assert np.all(weights >= 0)
+        if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
+            raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
+        if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all(weights >= 0)):
+            raise OutOfRange("grid prices must increase strictly inside (0, 1), weights be nonnegative")
         self.grid, self.weights = grid, weights
 
     def g(self, p):
@@ -556,9 +689,10 @@ class TabulatedLiquidityCurve(Curve1D):
 
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
-        assert grid.ndim == 1 and grid.shape == values.shape and len(grid) >= 3
-        assert np.all(np.diff(grid) > 0)
-        assert abs(grid[0]) < 1e-9 or grid[0] > 0
+        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 3:
+            raise UnknownKind(f"grid of shape {grid.shape} for samples of shape {values.shape}")
+        if not (np.all(np.diff(grid) > 0) and (abs(grid[0]) < 1e-9 or grid[0] > 0)):
+            raise OutOfRange("grid must increase strictly from 0 or above")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise DivergentIntegral("liquidity samples must be finite and nonnegative")
         self.grid, self.values = grid, values
@@ -583,38 +717,6 @@ class TabulatedLiquidityCurve(Curve1D):
         return {"family": "tabulated_liquidity", "grid": list(self.grid), "values": list(self.values)}
 
 
-class SumCurve(Curve1D):
-    """Sum of curves, evaluated as scalars.
-
-    A V3 LP's buckets are summed here rather than in a `SumGenerator`: with
-    about 50 bucket terms per LP, a `SumGenerator` nearly doubled the time to
-    build the v3-pool benchmark's pool.
-    """
-
-    def __init__(self, curves):
-        terms = []
-        for c in curves:
-            terms.extend(c.terms if isinstance(c, SumCurve) else [c])
-        assert terms
-        self.terms = terms
-
-    @property
-    def is_pseudobarrier(self):
-        return any(c.is_pseudobarrier for c in self.terms)
-
-    def g(self, p):
-        return sum(c.g(p) for c in self.terms)
-
-    def dg(self, p):
-        return sum(c.dg(p) for c in self.terms)
-
-    def d2g(self, p):
-        return sum(c.d2g(p) for c in self.terms)
-
-    def descriptor(self):
-        return {"family": "sum", "terms": [c.descriptor() for c in self.terms]}
-
-
 # ---------------------------------------------------------------------------
 # n-asset generators
 # ---------------------------------------------------------------------------
@@ -626,7 +728,8 @@ class LmsrGenerator(Generator):
     is_pseudobarrier = True
 
     def __init__(self, b: float, n: int):
-        assert b > 0 and n >= 2
+        if not (b > 0 and n >= 2):
+            raise OutOfRange(f"LMSR needs b > 0 and n >= 2, got b = {b}, n = {n}")
         self.b, self.n = b, n
 
     def value(self, x):
@@ -663,7 +766,8 @@ class ConstantProductGenerator(Generator):
     is_pseudobarrier = True
 
     def __init__(self, n: int, alpha: float = 1.0):
-        assert n >= 2 and alpha > 0
+        if not (n >= 2 and alpha > 0):
+            raise OutOfRange(f"constant product needs n >= 2 and alpha > 0, got n = {n}, alpha = {alpha}")
         self.n, self.alpha = n, alpha
 
     def _gm(self, x):
@@ -699,7 +803,8 @@ class PairConstantProductGenerator(Generator):
     """G(p) = -2 alpha sqrt(p_i p_j): constant-product liquidity on one pair."""
 
     def __init__(self, n: int, i: int, j: int, alpha: float = 1.0):
-        assert n >= 2 and 0 <= i < j < n and alpha >= 0
+        if not (n >= 2 and 0 <= i < j < n and alpha >= 0):
+            raise OutOfRange(f"pair ({i}, {j}) of {n} outcomes with alpha {alpha} is invalid")
         self.n, self.i, self.j, self.alpha = n, i, j, alpha
 
     @property
@@ -741,10 +846,12 @@ class SumGenerator(Generator):
         flat = []
         for t in terms:
             flat.extend(t.terms if isinstance(t, SumGenerator) else [t])
-        assert flat
+        if not flat:
+            raise UnknownKind("a sum needs at least one term")
         self.terms = flat
         self.n = flat[0].n
-        assert all(t.n == self.n for t in flat)
+        if any(t.n != self.n for t in flat):
+            raise UnsupportedFamily("terms of a sum have different outcome counts")
 
     @property
     def is_pseudobarrier(self):
@@ -774,6 +881,53 @@ class SumGenerator(Generator):
 
     def descriptor(self):
         return {"family": "sum", "terms": [t.descriptor() for t in self.terms]}
+
+
+def _family(G) -> tuple:
+    """Key shared by the terms `compile_sum` merges with G."""
+    if isinstance(G, LmsrCurve):
+        return ("lmsr", 2)
+    if isinstance(G, LmsrGenerator):
+        return ("lmsr", G.n)
+    if type(G) is UniswapV2Curve:
+        return ("uniswap_v2",)
+    if isinstance(G, ConstantProductGenerator):
+        return ("constant_product", G.n)
+    if isinstance(G, BucketArrayCurve):
+        return ("bucket_array", id(G._units))
+    return ("other", id(G))
+
+
+def _merge(kind: str, terms) -> Generator:
+    """One generator for a sum of same-family terms: each family is linear in
+    its scale (b, alpha, alpha^(1/n), the bucket weights)."""
+    n = terms[0].n
+    if kind == "lmsr":
+        b = sum(T.b for T in terms)
+        return LmsrCurve(b) if n == 2 else LmsrGenerator(b, n)
+    if len(terms) == 1:
+        return terms[0]
+    if kind == "uniswap_v2":
+        return UniswapV2Curve(sum(T.alpha for T in terms))
+    if kind == "constant_product":
+        return ConstantProductGenerator(n, sum(T.alpha ** (1.0 / n) for T in terms) ** n)
+    return terms[0].with_weights(np.sum([T.weights for T in terms], axis=0))
+
+
+def compile_sum(generators) -> Generator:
+    """The sum of `generators` with same-family terms merged, for conjugate
+    solves: LMSR b values add (two-outcome LMSR makers become one
+    `LmsrCurve`), V2 alphas add, constant-product alphas add in alpha^(1/n),
+    bucket arrays that share their buckets add their weights, and every other
+    term stays as it is.  A single generator is returned unchanged."""
+    gens = list(generators)
+    if len(gens) == 1:
+        return gens[0]
+    groups: dict = {}  # family key -> its terms, in first-seen order
+    for G in SumGenerator(gens).terms:
+        groups.setdefault(_family(G), []).append(G)
+    terms = [_merge(key[0], group) for key, group in groups.items()]
+    return terms[0] if len(terms) == 1 else SumGenerator(terms)
 
 
 class TrivialGenerator(Generator):
@@ -868,8 +1022,8 @@ def curve_from_descriptor(d: dict) -> Curve1D:
         return PiecewiseLinearCurve(d["grid"], d["weights"])
     if fam == "tabulated_liquidity":
         return TabulatedLiquidityCurve(d["grid"], d["values"])
-    if fam == "sum":
-        return SumCurve([curve_from_descriptor(t) for t in d["terms"]])
+    if fam == "bucket_array":
+        return BucketArrayCurve(curve_from_descriptor(d["base"]), d["buckets"], d["weights"])
     raise UnknownKind(f"unknown family {fam!r}")
 
 

@@ -6,12 +6,14 @@ collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
 The curve is itself the maker's generator: `price2` and `cost2` are scalar
 views of `conjugate_value` on it and run no solver of their own.  The
 constant-product and concentrated-liquidity pools below are thin adapters
-over the general engine; their reserve bookkeeping is x = -q.  The
-concentrated-liquidity pool prices a swap once, with
-`MarketState.price_trade`, checks its buckets at that price and books that
-same receipt with its bucket-share fees written in, so pool fees land in the
-LPs' `bundle_fees`.  Invalid arguments raise `ParmmError` subclasses, also
-under `python -O`.
+over the general engine; their reserve bookkeeping is x = -q.  Each LP of
+the concentrated-liquidity pool is one `BucketArrayCurve` over the pool's
+buckets, and the engine's solve aggregate is the array of the summed
+weights.  The pool prices a swap once, with `MarketState.price_trade`,
+checks its buckets at that price and books that same receipt with its
+bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
+Invalid arguments, bucket and slot indices among them, raise `ParmmError`
+subclasses, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .errors import (
     UnknownKind,
 )
 from .generators import (
+    BucketArrayCurve,
     BucketCurve,
     Curve1D,
     PiecewiseLinearCurve,
-    SumCurve,
     TrivialGenerator,
     UniswapV2Curve,
 )
@@ -71,6 +73,12 @@ def price2(curve: Curve1D, q) -> float:
 def cost2(curve: Curve1D, q) -> float:
     """Cost of liability q = (q1, q2) for the curve maker."""
     return conjugate_value(curve, q).cost
+
+
+def _check_index(j, size: int):
+    """Raise OutOfRange unless j is an integer in range(size)."""
+    if not (isinstance(j, (int, np.integer)) and 0 <= j < size):
+        raise OutOfRange(f"index {j!r} outside range({size})")
 
 
 # ---------------------------------------------------------------------------
@@ -159,61 +167,45 @@ class UniswapV2Market:
 
 class UniswapV3Market:
     """Concentrated-liquidity pool: constant-product liquidity restricted to
-    price buckets [a_j, b_j], aggregated across LPs.
+    price buckets [a_j, b_j], aggregated across LPs.  Each LP's maker is one
+    `BucketArrayCurve` over the pool's buckets, holding its weights.
 
     Inside bucket j with total weight A the virtual reserves obey the shifted
     invariant (x1 + A sqrt((1-b)/b)) (x2 + A sqrt(a/(1-a))) = A^2.
     """
 
     def __init__(self, buckets, price: float, beta: float = 0.0):
-        buckets = [(float(a), float(b)) for a, b in buckets]
-        if not all(0.0 < a < b < 1.0 for a, b in buckets):
-            raise OutOfRange("every bucket needs 0 < a < b < 1")
-        overlap = any(b > a2 + 1e-12 for (_, b), (a2, _) in zip(buckets, buckets[1:]))
-        if buckets != sorted(buckets) or overlap:
-            raise OutOfRange("buckets must be sorted and must not overlap")
-        self.buckets = buckets
+        # validates the buckets; every LP's curve shares its bucket constants
+        self._empty = BucketArrayCurve(UniswapV2Curve(1.0), buckets, np.zeros(len(buckets)))
+        self.buckets = self._empty.buckets
         self.beta = beta
         self.weights: dict[int, np.ndarray] = {0: np.zeros(len(buckets))}
         j = self.locate(price)
         if j is None:
             raise OutOfRange(f"opening price {price} not inside any bucket")
         self.weights[0][j] = 1.0
-        self.state = MarketState(
-            self._lp_curve(0), liability2(self._lp_curve(0), price), fee=None, strict=False
-        )
+        curve = self._curve(self.weights[0])
+        self.state = MarketState(curve, liability2(curve, price), fee=None, strict=False)
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _bucket_sum(self, w) -> Curve1D | None:
-        """Sum of the constant-product buckets carrying weight w; None if empty."""
-        terms = [
-            BucketCurve(UniswapV2Curve(1.0), a, b, wj)
-            for (a, b), wj in zip(self.buckets, w)
-            if wj > 0
-        ]
-        if not terms:
-            return None
-        return terms[0] if len(terms) == 1 else SumCurve(terms)
-
-    def _lp_curve(self, lp_id: int):
-        curve = self._bucket_sum(self.weights[lp_id])
-        return TrivialGenerator(2) if curve is None else curve
+    def _curve(self, w):
+        """The constant-product buckets carrying weights w; trivial if none."""
+        return self._empty.with_weights(w) if np.any(w > 0) else TrivialGenerator(2)
 
     def aggregate_weight(self) -> np.ndarray:
         return np.sum([w for w in self.weights.values()], axis=0)
 
-    def aggregate_curve(self) -> Curve1D:
-        curve = self._bucket_sum(self.aggregate_weight())
-        if curve is None:
+    def aggregate_curve(self) -> BucketArrayCurve:
+        w = self.aggregate_weight()
+        if not np.any(w > 0):
             raise NotLevelSet("pool holds no liquidity")
-        return curve
+        return self._empty.with_weights(w)
 
     def locate(self, p: float):
-        for j, (a, b) in enumerate(self.buckets):
-            if a <= p <= b:
-                return j
-        return None
+        """The first bucket holding p, or None."""
+        i0, i1 = self._empty.holding(p)
+        return i0 if i0 < i1 else None
 
     @property
     def reserves(self) -> np.ndarray:
@@ -232,15 +224,13 @@ class UniswapV3Market:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
         if lp_id not in self.weights:
             raise UnknownKind(f"no LP with id {lp_id}")
+        _check_index(j, len(self.buckets))
         if not weight >= 0:
             raise OutOfRange(f"bucket weight {weight} is negative")
-        old = self.weights[lp_id][j]
-        self.weights[lp_id][j] = weight
-        try:
-            deposit = self.state.modify_liquidity(lp_id, self._lp_curve(lp_id))
-        except Exception:
-            self.weights[lp_id][j] = old
-            raise
+        w = self.weights[lp_id].copy()
+        w[j] = weight
+        deposit = self.state.modify_liquidity(lp_id, self._curve(w))
+        self.weights[lp_id] = w
         # engine deposits are in liability space; reserves are the negation,
         # and the two agree because deposit = q_old - q_new = x_new - x_old
         return deposit
@@ -379,6 +369,7 @@ class PiecewiseLinearMarket:
     def modify_liquidity(self, lp_id: int, j: int, weight: float) -> float:
         """Set one LP weight; returns the scalar deposit that keeps the book's
         price and fill unchanged (exact, no rounding)."""
+        _check_index(j, len(self.grid))
         if not weight >= 0:
             raise OutOfRange(f"weight {weight} is negative")
         if lp_id not in self.weights:

@@ -1,15 +1,15 @@
 """Duality, liquidity matrices, and infimal convolution."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_pools import bench_inputs, v3_pool
 from parmm import (
+    BucketArrayCurve,
     BucketCurve,
     ConstantProductGenerator,
     LmsrCurve,
@@ -361,9 +361,15 @@ def leftmost_families():
         ),
         PiecewisePolyCurve.from_liquidity([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]]),
         PiecewisePolyCurve.from_liquidity([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]]),
+        # bucket arrays: gaps and an empty bucket; the solve aggregate of the
+        # benchmark's B = 400 pool, and one of its LPs, flat outside its range
+        BucketArrayCurve(LmsrCurve(0.7), [(0.1, 0.25), (0.4, 0.5), (0.5, 0.8)], [1.3, 0.0, 2.0]),
+        BENCH_POOL.state._solver(),
+        BENCH_POOL.state.records[3].generator,
     ]
 
 
+BENCH_POOL = v3_pool(1)
 LEFTMOST = leftmost_families()
 
 
@@ -406,18 +412,10 @@ def test_conjugate_two_on_a_flat_reached_by_a_double_root():
         assert abs(p - 0.4) < 1e-7
 
 
-def _bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_warm_started_two_outcome_solve_needs_few_slope_calls():
     # the k = 16 mixed-family aggregate of the bundle-n2 benchmark workload;
     # each solve starts from the price before, as the engine's trades do
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     spec = inputs.n2_market(1)
     agg = SumGenerator([normalize_generator(generator_from_descriptor(d, 2)) for d in spec["lps"]])
     calls = []

@@ -25,6 +25,7 @@ from parmm import (
 )
 from parmm.errors import (
     LiabilityMismatch,
+    NoGradient,
     NotLevelSet,
     NotPseudobarrier,
     OutOfRange,
@@ -139,6 +140,48 @@ def test_pool_mint_of_an_unregistered_lp_raises_under_python_O():
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "UnknownKind [0] 1"
+
+
+def test_pool_indices_are_checked_under_python_O():
+    # a bucket or slot index outside range(B) is refused before any change
+    out = run_under_python_O("""
+        from parmm import PiecewiseLinearMarket, UniswapV3Market
+        from parmm.errors import OutOfRange
+
+        assert False  # stripped under -O
+        m = UniswapV3Market([(0.2, 0.4), (0.4, 0.6), (0.6, 0.8)], price=0.5)
+        book = PiecewiseLinearMarket([0.2, 0.4, 0.6], {0: [1.0, 2.0, 0.5]})
+        for j in (-1, 3):
+            for call in (lambda: m.mint(0, j, 2.0), lambda: book.modify_liquidity(0, j, 2.0)):
+                try:
+                    call()
+                except OutOfRange:
+                    print("OutOfRange", m.weights[0].tolist(), book.weights[0].tolist(), end=" ")
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["OutOfRange", "[0.0,", "1.0,", "0.0]", "[1.0,", "2.0,", "0.5]"] * 4
+
+
+def test_failed_modify_liquidity_changes_nothing():
+    # the liability fails last, after normalization and the aggregate
+    # checks; the LP keeps its generator and liability and the market its
+    # compiled solve aggregate, which only a successful change drops
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5], strict=False)
+    lp = st.register_lp()
+    rec = st.records[lp]
+    gen, owed = rec.generator, rec.liability.copy()
+    steep = PiecewisePolyCurve([0, 1], [[0, -1e308, 1e308]])  # g' overflows
+    with pytest.raises(NoGradient):
+        st.modify_liquidity(lp, steep)
+    assert rec.generator is gen
+    assert np.array_equal(rec.liability, owed)
+    solver = st._solver()
+    with pytest.raises(NoGradient):
+        st.modify_liquidity(lp, steep)
+    assert st._solver() is solver
+    st.modify_liquidity(lp, LmsrCurve(2.0))
+    merged = st._solver()
+    assert merged is not solver and (type(merged), merged.b) == (LmsrCurve, 3.0)
 
 
 def test_fee_schemes_reject_bad_parameters():

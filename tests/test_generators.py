@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_pools import tiled_pool, v3_pool
 from parmm import (
+    BucketArrayCurve,
     BucketCurve,
     ConstantProductGenerator,
     LmsrCurve,
@@ -17,13 +19,13 @@ from parmm import (
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
-    SumCurve,
     SumGenerator,
     TabulatedLiquidityCurve,
     TrivialGenerator,
     UniswapV2Curve,
     UniswapV3Market,
     brier_curve,
+    compile_sum,
     conjugate_value,
     generator_from_descriptor,
     liability_of,
@@ -155,9 +157,7 @@ def test_bucket_tiling_recovers_base():
     # buckets that tile (0, 1) sum back to the base curve up to an affine term,
     # which normalization removes entirely
     base = brier_curve(1.0)
-    tiles = SumCurve(
-        [BucketCurve(base, a, b, 1.0) for a, b in [(1e-9, 0.25), (0.25, 0.6), (0.6, 1 - 1e-9)]]
-    )
+    tiles = BucketArrayCurve(base, [(1e-9, 0.25), (0.25, 0.6), (0.6, 1 - 1e-9)], [1.0, 1.0, 1.0])
     for p in GRID:
         assert tiles.g(p) == pytest.approx(base.g(p), abs=1e-7)
 
@@ -234,7 +234,7 @@ def test_piecewise_linear_elementary_shape():
 
 
 def _v3_lp_generator():
-    """An LP's generator in a V3 pool: a SumCurve of weighted buckets."""
+    """An LP's generator in a V3 pool: one bucket array holding its weights."""
     m = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
     m.mint(0, 0, 1.0)
     m.mint(0, 2, 0.5)
@@ -266,7 +266,7 @@ FAMILIES = {
     "constant_product-n3": lambda: ConstantProductGenerator(3, 1.2),
     "pair_constant_product": lambda: PairConstantProductGenerator(3, 0, 2, 1.1),
     "trivial": lambda: TrivialGenerator(2),
-    "sum-v3-lp": _v3_lp_generator,
+    "bucket_array-v3-lp": _v3_lp_generator,
     "sum-n2": lambda: SumGenerator([LmsrGenerator(1.0, 2), UniswapV2Curve(1.0)]),
     "sum-n3": lambda: SumGenerator([LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 2.0)]),
     "shifted-curve": lambda: normalize_generator(RAW),
@@ -325,13 +325,31 @@ def _joined_curves():
         ([0, 0.1, 0.35, 0.8, 1], [[0.0], [3.0], [0.0], [0.25]]),
     ):
         cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs[1:-1]))
-    return cases
+    # bucket arrays with gaps and an empty bucket, on an LMSR base
+    gaps = [(0.1, 0.25), (0.4, 0.5), (0.5, 0.8)]
+    cases.append((BucketArrayCurve(LmsrCurve(0.7), gaps, [1.3, 0.0, 2.0]), [0.1, 0.25, 0.4, 0.5, 0.8]))
+    return [pytest.param(c, joins, id=f"{type(c).__name__}-{i}") for i, (c, joins) in enumerate(cases)]
 
 
-JOINED = _joined_curves()
+def _bench_pool_aggregate():
+    """The solve aggregate of the benchmark's B = 400 pool, with its edges."""
+    pool = v3_pool(1)
+    return pool.state._solver(), sorted({x for ab in pool.buckets for x in ab})
 
 
-@pytest.mark.parametrize("curve,joins", JOINED, ids=[f"{type(c).__name__}-{i}" for i, (c, _) in enumerate(JOINED)])
+JOINED = _joined_curves() + [
+    pytest.param(
+        *_bench_pool_aggregate(),
+        id="bench-v3-pool",
+        # the joins hold; UniswapV2Curve.dg itself falls by one ulp at
+        # p = 0.11600000000000016 -> next float, 16 ulps inside the bucket
+        # [0.116, 0.1184], and the per-LP sum of BucketCurves does the same
+        marks=pytest.mark.xfail(strict=True, reason="UniswapV2Curve.dg is not monotone to the last ulp"),
+    )
+]
+
+
+@pytest.mark.parametrize("curve,joins", JOINED)
 def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
     # the two-outcome price solve relies on it; the flats the joins border
     # would otherwise be cut off by a slope that rounds below their level
@@ -343,6 +361,82 @@ def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
         ps = sorted([x - h for h in (1e-13, 1e-12, 2e-12, 1e-9)] + ps)
         slopes = [curve.dg(p) for p in ps]
         assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
+
+
+@pytest.mark.parametrize("buckets", [40, 400])
+def test_bucket_array_slope_evaluates_at_most_two_buckets(buckets, monkeypatch):
+    # g' of the solve aggregate costs the same at any B: prefix sums cover
+    # the buckets that do not hold p
+    pool = tiled_pool(buckets)
+    agg = pool.state._solver()
+    assert isinstance(agg, BucketArrayCurve)
+    calls = []
+    dg = BucketCurve.dg
+    monkeypatch.setattr(BucketCurve, "dg", lambda self, p: calls.append(p) or dg(self, p))
+    edges = sorted({x for ab in pool.buckets for x in ab})
+    for p in edges + list(np.linspace(0.01, 0.99, 97)):
+        calls.clear()
+        agg.slope(p)
+        assert len(calls) <= 2
+
+
+# two-outcome terms of every family, scaled by the draw (the bucket by its width).
+# Bucket arrays draw their weights over one shared set of buckets.
+SHARED = BucketArrayCurve(UniswapV2Curve(1.0), [(0.1, 0.3), (0.3, 0.5), (0.55, 0.9)], [0.0, 0.0, 0.0])
+TERMS_N2 = {
+    "lmsr-n2": lambda x: LmsrGenerator(x, 2),
+    "lmsr-curve": lambda x: LmsrCurve(x),
+    "uniswap_v2": lambda x: UniswapV2Curve(x),
+    "constant_product-n2": lambda x: ConstantProductGenerator(2, x),
+    "bucket_array": lambda x: SHARED.with_weights([x, 0.0, 2.0 * x]),
+    "bucket_array-other": lambda x: BucketArrayCurve(LmsrCurve(1.0), [(0.2, 0.6)], [x]),
+    "bucket": lambda x: BucketCurve(UniswapV2Curve(1.0), 0.2, 0.2 + 0.2 * x, 1.0),
+    "brier": lambda x: brier_curve(x),
+    "piecewise_liquidity": lambda x: PiecewisePolyCurve.from_liquidity([0, 0.3, 1], [[x], [1.0]]),
+    "soft_bucket": lambda x: SoftBucketCurve([0.0, 0.4, 1.0], [0.0, x, 0.0]),
+    "piecewise_linear": lambda x: PiecewiseLinearCurve([0.25, 0.7], [x, 1.0]),
+    "shifted-curve": lambda x: normalize_generator(RAW),
+    "sum-n2": lambda x: SumGenerator([LmsrGenerator(x, 2), UniswapV2Curve(1.0)]),
+}
+
+
+@given(
+    terms=st.lists(st.tuples(st.sampled_from(sorted(TERMS_N2)), st.floats(0.2, 3.0)), min_size=1, max_size=8),
+    b=st.floats(0.2, 3.0),
+    p1=st.floats(0.02, 0.98),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_sum_matches_the_term_by_term_sum(terms, b, p1):
+    # an LMSR term keeps the sum strictly convex, so its price is unique
+    gens = [LmsrCurve(b)] + [TERMS_N2[name](x) for name, x in terms]
+    want, got = SumGenerator(gens), compile_sum(gens)
+    for t in (p1, 0.5, 0.03, 0.97):
+        assert abs(got.slope(t) - want.slope(t)) <= 1e-12 * max(1.0, abs(want.slope(t)))
+        assert abs(got.curvature(t) - want.curvature(t)) <= 1e-12 * max(1.0, abs(want.curvature(t)))
+        x = np.array([t, 1.0 - t])
+        assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
+    q = want.grad(np.array([p1, 1.0 - p1]))
+    assert conjugate_value(got, q).price[0] == pytest.approx(conjugate_value(want, q).price[0], abs=1e-12)
+
+
+def test_compile_sum_merges_same_family_terms():
+    arrays = [SHARED.with_weights(w) for w in ([1.0, 0.0, 0.5], [0.0, 2.0, 0.5])]
+    merged = compile_sum([LmsrGenerator(1.0, 2), UniswapV2Curve(1.0), LmsrCurve(0.5), UniswapV2Curve(2.0)] + arrays)
+    lmsr, v2, arr = merged.terms
+    assert (type(lmsr), lmsr.b) == (LmsrCurve, 1.5)
+    assert (type(v2), v2.alpha) == (UniswapV2Curve, 3.0)
+    assert arr.buckets == SHARED.buckets and list(arr.weights) == [1.0, 2.0, 1.0]
+    # constant-product makers add in alpha^(1/n); n > 2 LMSR stays a generator
+    n3 = compile_sum([ConstantProductGenerator(3, 8.0), LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 27.0)])
+    cp, lmsr3 = n3.terms
+    assert cp.alpha == pytest.approx(125.0) and (type(lmsr3), lmsr3.b) == (LmsrGenerator, 1.0)
+    want = SumGenerator([ConstantProductGenerator(3, 8.0), LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 27.0)])
+    for x in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1]):
+        assert n3.value(x) == pytest.approx(want.value(x), rel=1e-12)
+        assert np.allclose(n3.grad(x), want.grad(x), rtol=1e-12, atol=1e-12)
+    # a single generator is returned as it is
+    G = LmsrGenerator(1.0, 2)
+    assert compile_sum([G]) is G
 
 
 def test_piecewise_poly_conjugate_rejects_cubic_pieces():

@@ -99,7 +99,7 @@ def test_price2_cost2_are_views_of_the_engine_solve():
     m.mint(0, 0, 1.0)
     m.mint(0, 2, 0.5)
     agg = m.aggregate_curve()
-    G = SumGenerator(agg.terms)
+    G = SumGenerator([BucketCurve(UniswapV2Curve(1.0), a, b, w) for (a, b), w in zip(m.buckets, m.aggregate_weight())])
     for p in [0.15, 0.45, 0.7]:
         q = liability2(agg, p)
         res = conjugate_value(G, q)
@@ -420,6 +420,22 @@ def test_pools_reject_bad_arguments_with_typed_errors():
     book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
     with pytest.raises(OutOfRange):
         book.modify_liquidity(0, 0, -1.0)
+
+
+@pytest.mark.parametrize("j", [-1, 3, 1.0, None])
+def test_bucket_and_slot_indices_outside_the_range_are_rejected(j):
+    v3 = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
+    weights, owed = v3.weights[0].copy(), v3.state.total_liability()
+    with pytest.raises(OutOfRange):
+        v3.mint(0, j, 2.0)
+    assert np.array_equal(v3.weights[0], weights)
+    assert np.array_equal(v3.state.total_liability(), owed)
+    book = PiecewiseLinearMarket([0.2, 0.4, 0.6], {0: [1.0, 2.0, 0.5]})
+    with pytest.raises(OutOfRange):
+        book.modify_liquidity(0, j, 2.0)
+    with pytest.raises(OutOfRange):
+        book.modify_liquidity(1, j, 2.0)
+    assert list(book.weights) == [0] and list(book.weights[0]) == [1.0, 2.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
