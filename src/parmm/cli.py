@@ -2,7 +2,10 @@
 
 `run` replays a JSON scenario deterministically and writes a JSONL trace with
 one line per event (result plus full state snapshot), numbers rounded to 12
-significant digits so reruns are byte-identical.  `report` derives CSV/JSON
+significant digits so reruns are byte-identical.  The writer encodes each
+distinct generator descriptor once per trace, not once per event, and
+writes the same bytes as `json.dumps` of the rounded records.  A failing
+event is reported as `event k (<op>): ...`.  `report` derives CSV/JSON
 summaries from a trace.  `equivalence` runs the randomized cross-check suite.
 
 Exit codes: 0 success, 1 market/validation failure, 2 malformed input.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import pickle
 import sys
 
 import numpy as np
@@ -37,13 +41,32 @@ from .generators import (
 )
 from .two_asset import liability2
 
+_INF = float("inf")
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+
+
+def _float_text(x) -> str:
+    """x rounded to 12 significant digits, as JSON text: byte for byte
+    `json.dumps(float(f"{x:.12g}"))`, including NaN, Infinity and -0.0."""
+    s = "%.12g" % x
+    if "." in s and "e" not in s:
+        # fixed notation with a point: 12 significant digits name one double,
+        # whose repr prints these same digits
+        return s
+    r = float(s)
+    if r != r:
+        return "NaN"
+    if r == _INF:
+        return "Infinity"
+    if r == -_INF:
+        return "-Infinity"
+    return repr(r)
+
 
 def _round(obj):
     """Round floats to 12 significant digits, recursively."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
+    if isinstance(obj, (float, np.floating)):
+        return float(_float_text(obj))
     if isinstance(obj, np.ndarray):
         return [_round(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -51,6 +74,76 @@ def _round(obj):
     if isinstance(obj, (list, tuple)):
         return [_round(v) for v in obj]
     return obj
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it; keys are not rounded."""
+    if isinstance(k, str):
+        return _json_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _json_str(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json(obj) -> str:
+    """`json.dumps(_round(obj), separators=(",", ":"))` without building the
+    rounded copy: the same bytes, and the same TypeError on what JSON lacks."""
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join([_key(k) + ":" + _json(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int):
+        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        return "[" + ",".join(map(_json, obj.tolist())) + "]"
+    return json.dumps(obj)  # json's TypeError
+
+
+def _descriptor_json(desc, texts: dict) -> str:
+    """JSON text of a generator descriptor, encoded once per distinct
+    descriptor in `texts`: a trace restates every LP's generator at every
+    event, and a generator changes only when `modify_liquidity` replaces it.
+    The key is the descriptor's pickle, which records every type, float bit
+    and key order that the text depends on, so equal keys mean equal text."""
+    try:
+        key = pickle.dumps(desc)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return _json(desc)
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _json(desc)
+    return text
+
+
+_LP_KEYS = ["id", "generator", "liability", "cash_fees", "bundle_fees"]
+
+
+def _lp_json(lp, texts: dict) -> str:
+    """One LP of a snapshot, its keys in the order `MarketState.snapshot` writes them."""
+    if type(lp) is not dict or list(lp) != _LP_KEYS:
+        return _json(lp)
+    return (f'{{"id":{_json(lp["id"])},"generator":{_descriptor_json(lp["generator"], texts)},'
+            f'"liability":{_json(lp["liability"])},"cash_fees":{_json(lp["cash_fees"])},'
+            f'"bundle_fees":{_json(lp["bundle_fees"])}}}')
+
+
+def _trace_line(rec, texts: dict) -> str:
+    """A trace record as one JSON line, byte for byte
+    `json.dumps(_round(rec), separators=(",", ":"))`; a record shaped as
+    `run_scenario` builds them is written by that shape."""
+    if type(rec) is dict and list(rec) == ["event", "op", "result", "state"]:
+        state = rec["state"]
+        if type(state) is dict and list(state) == ["price", "lps"] and type(state["lps"]) is list:
+            lps = ",".join([_lp_json(lp, texts) for lp in state["lps"]])
+            return (f'{{"event":{_json(rec["event"])},"op":{_json(rec["op"])},"result":{_json(rec["result"])},'
+                    f'"state":{{"price":{_json(state["price"])},"lps":[{lps}]}}}}\n')
+    return _json(rec) + "\n"
 
 
 def _fee_scheme(name: str | None, beta: float):
@@ -90,81 +183,85 @@ def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
     last_receipt = None
     for idx, ev in enumerate(scenario["events"]):
         op = ev["op"]
-        if state is None and op != "initialize":
-            raise UnknownKind(f"event {idx} ({op}): the market is not initialized yet")
-        result: dict = {}
-        if op == "initialize":
-            gen = generator_from_descriptor(ev["generator"], n)
-            kwargs = {"fee": fee, "strict": mode == "strict"}
-            if "price" in ev:
-                state = initialize(gen, price=_as_price(ev["price"], n), **kwargs)
-            else:
-                state = initialize(gen, liability=np.asarray(ev["liability"], float), **kwargs)
-            result = {"price": state.price}
-        elif op == "register_lp":
-            result = {"lp": state.register_lp()}
-        elif op == "modify_liquidity":
-            gen = generator_from_descriptor(ev["generator"], n)
-            deposit = state.modify_liquidity(int(ev["lp"]), gen)
-            result = {"lp": int(ev["lp"]), "deposit": deposit}
-        elif op == "execute_trade":
-            if "target_price" in ev:
-                receipt = state.execute_trade(target_price=_as_price(ev["target_price"], n))
-            else:
-                receipt = state.execute_trade(bundle=np.asarray(ev["bundle"], float))
-            last_receipt = receipt
-            result = {
-                "bundle": receipt.bundle,
-                "parts": {str(k): v for k, v in receipt.parts.items()},
-                "price_after": receipt.price_after,
-                "trader_fee": receipt.trader_fee,
-                "lp_fees": {str(k): v for k, v in receipt.lp_fees.items()},
-            }
-        elif op == "quote_completion":
-            full, cash = state.quote_completion(np.asarray(ev["bundle"], float))
-            result = {"bundle": full, "cash": cash}
-        elif op == "query":
-            what = ev.get("what")
-            if what == "price":
+        try:
+            if state is None and op != "initialize":
+                raise UnknownKind("the market is not initialized yet")
+            result: dict = {}
+            if op == "initialize":
+                gen = generator_from_descriptor(ev["generator"], n)
+                kwargs = {"fee": fee, "strict": mode == "strict"}
+                if "price" in ev:
+                    state = initialize(gen, price=_as_price(ev["price"], n), **kwargs)
+                else:
+                    state = initialize(gen, liability=np.asarray(ev["liability"], float), **kwargs)
                 result = {"price": state.price}
-            elif what == "liabilities":
-                result = {"liabilities": {str(r.lp_id): r.liability for r in state.records}}
-            elif what == "fees":
+            elif op == "register_lp":
+                result = {"lp": state.register_lp()}
+            elif op == "modify_liquidity":
+                gen = generator_from_descriptor(ev["generator"], n)
+                deposit = state.modify_liquidity(int(ev["lp"]), gen)
+                result = {"lp": int(ev["lp"]), "deposit": deposit}
+            elif op == "execute_trade":
+                if "target_price" in ev:
+                    receipt = state.execute_trade(target_price=_as_price(ev["target_price"], n))
+                else:
+                    receipt = state.execute_trade(bundle=np.asarray(ev["bundle"], float))
+                last_receipt = receipt
                 result = {
-                    "fees": {
-                        str(r.lp_id): {"cash": r.cash_fees, "bundle": r.bundle_fees}
-                        for r in state.records
-                    }
+                    "bundle": receipt.bundle,
+                    "parts": {str(k): v for k, v in receipt.parts.items()},
+                    "price_after": receipt.price_after,
+                    "trader_fee": receipt.trader_fee,
+                    "lp_fees": {str(k): v for k, v in receipt.lp_fees.items()},
                 }
-            elif what == "liquidity":
-                result = {
-                    "liquidity": {
-                        str(r.lp_id): liquidity_matrix(r.generator, state.price)
-                        for r in state.records
+            elif op == "quote_completion":
+                full, cash = state.quote_completion(np.asarray(ev["bundle"], float))
+                result = {"bundle": full, "cash": cash}
+            elif op == "query":
+                what = ev.get("what")
+                if what == "price":
+                    result = {"price": state.price}
+                elif what == "liabilities":
+                    result = {"liabilities": {str(r.lp_id): r.liability for r in state.records}}
+                elif what == "fees":
+                    result = {
+                        "fees": {
+                            str(r.lp_id): {"cash": r.cash_fees, "bundle": r.bundle_fees}
+                            for r in state.records
+                        }
                     }
-                }
-            elif what == "no_liability":
-                result = {
-                    "worst_liability": {
-                        str(r.lp_id): state.audit_no_liability(r.lp_id)
-                        for r in state.records
+                elif what == "liquidity":
+                    result = {
+                        "liquidity": {
+                            str(r.lp_id): liquidity_matrix(r.generator, state.price)
+                            for r in state.records
+                        }
                     }
-                }
-            elif what == "budget_imbalance":
-                if last_receipt is None:
-                    raise UnknownKind("budget_imbalance queried before any trade")
-                result = {"imbalance": audit_budget_balance(state.fee, last_receipt)}
+                elif what == "no_liability":
+                    result = {
+                        "worst_liability": {
+                            str(r.lp_id): state.audit_no_liability(r.lp_id)
+                            for r in state.records
+                        }
+                    }
+                elif what == "budget_imbalance":
+                    if last_receipt is None:
+                        raise UnknownKind("budget_imbalance queried before any trade")
+                    result = {"imbalance": audit_budget_balance(state.fee, last_receipt)}
+                else:
+                    raise UnknownKind(f"unknown query {what!r}")
             else:
-                raise UnknownKind(f"unknown query {what!r}")
-        else:
-            raise UnknownKind(f"unknown op {op!r}")
-        trace.append({"event": idx, "op": op, "result": result, "state": state.snapshot()})
+                raise UnknownKind(f"unknown op {op!r}")
+            trace.append({"event": idx, "op": op, "result": result, "state": state.snapshot()})
+        except ParmmError as exc:
+            exc.args = (f"event {idx} ({op}): {exc}",)
+            raise
     return trace
 
 
 def _write_trace(trace, out):
-    for rec in trace:
-        out.write(json.dumps(_round(rec), separators=(",", ":")) + "\n")
+    texts: dict = {}
+    out.writelines(_trace_line(rec, texts) for rec in trace)
 
 
 def _load_trace(path):

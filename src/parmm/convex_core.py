@@ -22,6 +22,7 @@ not reach the tolerance is discarded and the ascent goes on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,15 @@ def binary_price(p1: float) -> np.ndarray:
 def liability_of(G: Generator, p) -> np.ndarray:
     """Bundle the maker owes when quoting price p: grad Gbar(p)."""
     p = np.asarray(p, dtype=float)
-    if p.min() < EPS:
+    # the ufunc and the list skip numpy's reduction wrappers, which cost more
+    # than most gradients; the minimum still propagates NaN as p.min() does
+    if np.minimum.reduce(p) < EPS:
         raise BoundaryPrice("liability queried at the boundary clamp")
     try:
         q = G.grad(p)
     except (FloatingPointError, ZeroDivisionError) as exc:  # pragma: no cover
         raise NoGradient(str(exc))
-    if not np.all(np.isfinite(q)):
+    if not all(map(math.isfinite, q.tolist())):
         raise NoGradient("gradient is not finite at this price")
     return q
 

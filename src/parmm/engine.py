@@ -33,7 +33,7 @@ from .errors import (
     UnknownKind,
     UnsupportedFamily,
 )
-from .generators import Generator, SumGenerator, TrivialGenerator, compile_sum
+from .generators import Generator, TrivialGenerator, compile_sum
 
 _LEVEL_TOL = 1e-8
 
@@ -86,7 +86,12 @@ def compute_fees(scheme, r, parts):
     r = np.asarray(r, dtype=float)
     if isinstance(scheme, NormFee):
         trader = scheme.beta * scheme._norm(r)
-        norms = np.array([scheme._norm(ri) for ri in parts])
+        if scheme.norm == "l1":
+            norms = np.abs(parts).sum(axis=-1)
+        else:
+            # per row: np.linalg.norm(P, 2, axis=1) and sqrt(einsum) both
+            # differ from the row norm in the last ulp on most fills
+            norms = np.array([scheme._norm(ri) for ri in parts])
         total = norms.sum()
         if total <= 0.0:
             return 0.0, [0.0 for _ in parts]
@@ -176,10 +181,6 @@ class MarketState:
             raise NotLevelSet("market holds no liquidity")
         return gens
 
-    def _aggregate(self) -> Generator:
-        gens = self._terms()
-        return gens[0] if len(gens) == 1 else SumGenerator(gens)
-
     def _solver(self) -> Generator:
         """The aggregate for conjugate solves, compiled on first use."""
         if self._compiled is None:
@@ -245,12 +246,17 @@ class MarketState:
             if arg is not None and np.shape(arg) != (self.n,):
                 raise UnknownKind(f"{name} has shape {np.shape(arg)} on a {self.n}-outcome market")
         q = self.total_liability()
+        nontrivial = self._nontrivial()
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
             p_new = np.asarray(target_price, dtype=float)
             p_new = p_new / p_new.sum()
-            bundle = liability_of(self._aggregate(), p_new) - q
+            # one gradient per LP: the aggregate's liability is the sum of theirs
+            held = [liability_of(rec.generator, p_new) for rec in nontrivial]
+            if not held:
+                raise NotLevelSet("market holds no liquidity")
+            bundle = np.sum(held, axis=0) - q
         else:
             agg = self._solver()
             bundle = np.asarray(bundle, dtype=float)
@@ -259,8 +265,8 @@ class MarketState:
             if abs(res.cost - c0) > _LEVEL_TOL * max(1.0, float(np.abs(q).max())):
                 raise NotLevelSet(f"trade moves the aggregate cost by {res.cost - c0:.3e}")
             p_new = price_of(agg, q + bundle, self.price)
-        nontrivial = self._nontrivial()
-        fills = spread_residual([liability_of(rec.generator, p_new) - rec.liability for rec in nontrivial], bundle)
+            held = [liability_of(rec.generator, p_new) for rec in nontrivial]
+        fills = spread_residual([h - rec.liability for h, rec in zip(held, nontrivial)], bundle)
         parts = {rec.lp_id: fill for rec, fill in zip(nontrivial, fills)}
         for rec in self.records:
             if rec.lp_id not in parts:
@@ -306,14 +312,14 @@ class MarketState:
 
     def snapshot(self) -> dict:
         return {
-            "price": list(self.price),
+            "price": self.price.tolist(),
             "lps": [
                 {
                     "id": rec.lp_id,
                     "generator": rec.generator.descriptor(),
-                    "liability": list(rec.liability),
+                    "liability": rec.liability.tolist(),
                     "cash_fees": rec.cash_fees,
-                    "bundle_fees": list(rec.bundle_fees) if rec.bundle_fees is not None else None,
+                    "bundle_fees": rec.bundle_fees.tolist() if rec.bundle_fees is not None else None,
                 }
                 for rec in self.records
             ],

@@ -273,8 +273,8 @@ class PiecewisePolyCurve(Curve1D):
     def descriptor(self) -> dict:
         return {
             "family": "piecewise_poly",
-            "breakpoints": list(self.xs),
-            "coefficients": [list(P.coef) for P in self.polys],
+            "breakpoints": list(self._x),
+            "coefficients": [list(c) for c in self._c0],
         }
 
 

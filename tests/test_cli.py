@@ -1,12 +1,21 @@
 """CLI: scenario replay determinism, reports, exit codes."""
 
+import io
 import json
+import math
 import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parmm.cli import main, run_scenario
-from parmm.errors import UnknownKind
+import parmm
+from parmm import LmsrCurve, PiecewisePolyCurve, UniswapV2Curve, initialize
+from parmm.cli import _write_trace, main, run_scenario
+from parmm.errors import UnknownKind, UnsupportedFamily
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 WALK = os.path.join(SCEN, "two_lp_walkthrough.json")
@@ -195,3 +204,212 @@ def test_modify_liquidity_of_an_unknown_lp_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["run", str(f)], capsys)
     assert code == 2
     assert "no LP with id -1" in err
+
+
+def test_failing_modify_mid_scenario_names_event_and_op(tmp_path, capsys):
+    lmsr = {"family": "lmsr", "b": 1.0}
+    scen = {
+        "n": 2,
+        "events": [
+            {"op": "initialize", "generator": lmsr, "price": [0.5, 0.5]},
+            {"op": "register_lp"},
+            {"op": "execute_trade", "target_price": [0.6, 0.4]},
+            {"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 1.0, "n": 3}},
+            {"op": "execute_trade", "target_price": [0.4, 0.6]},
+        ],
+    }
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(scen))
+    code, out, err = run_cli(["run", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: event 3 (modify_liquidity): 3-outcome generator on a 2-outcome market")
+    with pytest.raises(UnsupportedFamily, match=r"^event 3 \(modify_liquidity\): "):
+        run_scenario(scen)
+
+
+# ---------------------------------------------------------------------------
+# the trace writer against the old rounding pass
+# ---------------------------------------------------------------------------
+
+
+def _old_round(obj):
+    """The rounding pass the trace writer replaced, kept as its oracle."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, (np.floating,)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, np.ndarray):
+        return [_old_round(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: _old_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_round(v) for v in obj]
+    return obj
+
+
+def _oracle(trace) -> str:
+    return "".join(json.dumps(_old_round(rec), separators=(",", ":")) + "\n" for rec in trace)
+
+
+def _written(trace) -> str:
+    out = io.StringIO()
+    _write_trace(trace, out)
+    return out.getvalue()
+
+
+def every_family_scenario(seed: int) -> dict:
+    """Two outcomes, one LP of every descriptor family with seeded
+    parameters, target trades, a mid-scenario replacement and every query."""
+    rng = random.Random(seed)
+    u = rng.uniform
+    a, b, m = u(0.1, 0.3), u(0.6, 0.9), u(0.35, 0.65)
+    s = u(0.5, 2.0)
+    lps = [
+        {"family": "uniswap_v2", "alpha": u(0.5, 2.0)},
+        {"family": "brier", "scale": u(0.5, 2.0)},
+        {"family": "piecewise_poly", "breakpoints": [0.0, m, 1.0], "coefficients": [[0.0, -s, s], [0.0, -s, s]]},
+        {"family": "piecewise_liquidity", "breakpoints": [0.0, m, 1.0], "coefficients": [[u(1, 5)], [u(1, 5)]]},
+        {"family": "v3_bucket", "a": a, "b": b, "alpha": u(0.5, 2.0)},
+        {"family": "lmsr_bucket", "a": a, "b": b, "alpha": u(0.5, 2.0)},
+        {"family": "brier_bucket", "a": a, "b": b, "alpha": u(0.5, 2.0)},
+        {"family": "bucket", "base": {"family": "lmsr", "b": u(1.5, 3.0)}, "a": a, "b": b, "weight": u(0.5, 2.0)},
+        {"family": "bucket_array", "base": {"family": "uniswap_v2", "alpha": 1.0},
+         "buckets": [[a, m - 0.05], [m, b]], "weights": [u(0.5, 2.0), 0.0]},
+        {"family": "soft_bucket", "knots": [0.0, m, 1.0], "weights": [0.0, u(0.5, 2.0), 0.0]},
+        {"family": "piecewise_linear", "grid": [a, b], "weights": [u(0.5, 2.0), u(0.5, 2.0)]},
+        {"family": "tabulated_liquidity", "grid": [i / 20 for i in range(21)],
+         "values": [1.0 + u(0.0, 1.0) for _ in range(21)]},
+        {"family": "constant_product", "n": 2, "alpha": u(0.5, 2.0)},
+        {"family": "pair_constant_product", "n": 2, "i": 0, "j": 1, "alpha": u(0.5, 2.0)},
+        {"family": "sum", "terms": [{"family": "lmsr", "b": u(0.5, 2.0)}, {"family": "uniswap_v2", "alpha": 1.0}]},
+        {"family": "shifted", "inner": {"family": "lmsr", "b": u(0.5, 2.0)}, "shift": [u(-1, 1), u(-1, 1)]},
+    ]
+    events = [{"op": "initialize", "generator": {"family": "lmsr", "b": u(0.5, 2.0)}, "price": u(0.3, 0.7)}]
+    for lp, desc in enumerate(lps, start=1):
+        events += [{"op": "register_lp"}, {"op": "modify_liquidity", "lp": lp, "generator": desc}]
+    events.append({"op": "register_lp"})  # stays trivial
+    for k in range(12):
+        events.append({"op": "execute_trade", "target_price": u(0.15, 0.85)})
+        if k == 5:
+            events.append({"op": "modify_liquidity", "lp": 3, "generator": {"family": "uniswap_v2", "alpha": 1.5}})
+    events.append({"op": "quote_completion", "bundle": [u(-0.1, 0.1), 0.0]})
+    for what in ("price", "liabilities", "fees", "liquidity", "no_liability", "budget_imbalance"):
+        events.append({"op": "query", "what": what})
+    return {"n": 2, "mode": "lenient", "fee": {"scheme": "norm-l2", "beta": 0.01}, "events": events}
+
+
+def _families(obj) -> set:
+    """Every descriptor family named anywhere in obj."""
+    if isinstance(obj, dict):
+        found = {obj["family"]} if "family" in obj else set()
+        return found.union(*map(_families, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_families, obj))
+    return set()
+
+
+@pytest.mark.parametrize("name", ["two_lp_walkthrough", "three_asset_fee_imbalance", "every-family-3", "every-family-8"])
+def test_trace_writer_matches_the_rounding_pass(name):
+    if name.startswith("every-family"):
+        scen = every_family_scenario(int(name.rsplit("-", 1)[1]))
+    else:
+        with open(os.path.join(SCEN, f"{name}.json")) as fh:
+            scen = json.load(fh)
+    trace = run_scenario(scen)
+    assert _written(trace) == _oracle(trace)
+    if name.startswith("every-family"):
+        want = {"bucket", "bucket_array", "sum", "shifted", "piecewise_poly", "lmsr", "uniswap_v2",
+                "v3_bucket", "lmsr_bucket", "brier_bucket", "soft_bucket", "piecewise_linear",
+                "tabulated_liquidity", "constant_product", "pair_constant_product", "trivial"}
+        assert want <= _families([rec["state"] for rec in trace[1:]])
+
+
+def test_trace_writer_matches_the_rounding_pass_on_edge_values():
+    nan, inf = float("nan"), float("inf")
+    edge = [1.0, -1.0, 0.0, -0.0, nan, inf, -inf, 1e16, 1e15, 123456789012345.0, 1e12, 1e-5, 1e-4,
+            100.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, np.float64(1 / 3), np.float32(0.1),
+            np.float64(-0.0), 3, -7, 2 ** 70, True, False, None, "caf\u00e9 \"q\"\n"]
+    lp = {"id": 0, "generator": {"family": "lmsr", "b": -0.0, "n": 2, "w": edge},
+          "liability": [nan, -inf], "cash_fees": np.float64(1e-5), "bundle_fees": None}
+    trace = [
+        {"meta": {"version": "x", "n": 2, "fee": None}},
+        {"event": 0, "op": "query",
+         "result": {"values": edge, "tuple": (1.5, 2), "array": np.array([1.0, nan, -0.0]),
+                    "liquidity": {"0": np.array([[1.0, -1.0], [-1.0, 1.0]]) / 3, "1": np.eye(2, dtype=int)}},
+         "state": {"price": [np.float64(0.25), 0.75], "lps": [lp, {**lp, "generator": {**lp["generator"], "b": 0.0}}]}},
+        # shapes the writer does not expect go through its general path
+        {"event": 1, "op": "query", "result": {}, "state": {"price": [0.5], "lps": [{**lp, "extra": 1}, [1.5]]}},
+        {"event": 2, "op": "query", "result": {}, "state": {"lps": [], "price": []}},
+        {"event": 3, "op": "query", "result": {}, "state": {"price": [0.5], "lps": "none"}},
+        {"state": {"price": [0.5], "lps": [lp]}, "event": 4, "op": "query", "result": {}},
+        {1: 0.5, 2.5: "x", None: True, False: [edge[:3]], nan: -inf},
+        [edge, (edge,)],
+        edge,
+    ]
+    assert _written(trace) == _oracle(trace)
+    unpicklable = {"event": 0, "op": "query", "result": {},
+                   "state": {"price": [], "lps": [{**lp, "generator": {"family": lambda: 0}}]}}
+    for bad in ({"x": np.int64(1)}, {(1, 2): 0.0}, {"x": {1.0}}, unpicklable):
+        with pytest.raises(TypeError):
+            json.dumps(_old_round(bad))
+        with pytest.raises(TypeError):
+            _written([bad])
+
+
+def test_trace_descriptors_are_copies(tmp_path):
+    # snapshots and trace lines carry each generator's descriptor; a record
+    # edited after the replay changes its own line and nothing else
+    poly = {"family": "piecewise_poly", "breakpoints": [0.0, 0.5, 1.0],
+            "coefficients": [[0.0, -1.0, 1.0], [0.0, -1.0, 1.0]]}
+    scen = {
+        "n": 2,
+        "events": [
+            {"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": [0.5, 0.5]},
+            {"op": "register_lp"},
+            {"op": "modify_liquidity", "lp": 1, "generator": poly},
+            {"op": "execute_trade", "target_price": [0.6, 0.4]},
+            {"op": "execute_trade", "target_price": [0.55, 0.45]},
+            {"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2", "alpha": 2.0}},
+            {"op": "execute_trade", "target_price": [0.5, 0.5]},
+        ],
+    }
+    trace = run_scenario(scen)
+    descs = [rec["state"]["lps"][1]["generator"] for rec in trace[2:]]
+    assert [d["family"] for d in descs] == ["trivial"] + ["piecewise_poly"] * 3 + ["uniswap_v2"] * 2
+    assert descs[2] == descs[3] and descs[2] is not descs[3]
+    clean = _written(trace).splitlines()
+    # 0.0 -> -0.0 compares equal, so only an exact key keeps the edited line apart
+    descs[2]["coefficients"][0][0] = -0.0
+    descs[2]["breakpoints"].append(2.0)
+    edited = _written(trace).splitlines()
+    assert edited == _oracle(trace).splitlines()
+    changed = [k for k, (a, b) in enumerate(zip(clean, edited)) if a != b]
+    assert changed == [4] and '"coefficients":[[-0.0,' in edited[4]
+    assert descs[3] == json.loads(clean[5])["state"]["lps"][1]["generator"]
+
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    lp = st.register_lp()
+    st.modify_liquidity(lp, PiecewisePolyCurve([0.0, 0.5, 1.0], [[0.0, -1.0, 1.0], [0.0, -1.0, 1.0]]))
+    G = st.records[lp].generator
+    before = G.descriptor()
+    snap = st.snapshot()
+    snap["lps"][lp]["generator"]["coefficients"][1][2] = 7.0
+    snap["lps"][lp]["generator"]["family"] = "edited"
+    assert G.descriptor() == before
+    assert st.snapshot()["lps"][lp]["generator"] == before
+    st.modify_liquidity(lp, UniswapV2Curve(2.0))
+    assert st.snapshot()["lps"][lp]["generator"] == {"family": "uniswap_v2", "alpha": 2.0}
+
+
+def test_run_under_python_O_writes_the_same_bytes(tmp_path):
+    # nothing in the writer may rest on `assert`, which -O strips
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(every_family_scenario(5)))
+    here, there = tmp_path / "in.jsonl", tmp_path / "O.jsonl"
+    assert main(["run", str(scen), "--out", str(here)]) == 0
+    src = str(Path(parmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-m", "parmm.cli", "run", str(scen), "--out", str(there)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert there.read_bytes() == here.read_bytes()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bench_pools import bench_inputs, v3_pool
 from parmm import (
     BucketArrayCurve,
+    Generator,
     BucketCurve,
     ConstantProductGenerator,
     LmsrCurve,
@@ -34,7 +35,7 @@ from parmm import (
     price_of,
 )
 from parmm.convex_core import EPS, _conjugate_two, _fd_hessian
-from parmm.errors import BoundaryPrice, NotLevelSet, SolverDiverged, VertexUnbounded
+from parmm.errors import BoundaryPrice, NoGradient, NotLevelSet, SolverDiverged, VertexUnbounded
 
 
 def families_n2():
@@ -138,10 +139,34 @@ def test_solver_matches_closed_form_lmsr():
             assert np.max(np.abs(got.price - pwant)) < 1e-7
 
 
-def test_boundary_liability_raises():
-    G = LmsrCurve(1.0)
+@pytest.mark.parametrize("p", [[1e-12, 1.0 - 1e-12], [0.0, 1.0], [1.0, 0.0], [0.3, 0.7, 0.0], [0.5, -0.1, 0.6]])
+def test_boundary_liability_raises(p):
+    G = LmsrCurve(1.0) if len(p) == 2 else LmsrGenerator(1.0, 3)
     with pytest.raises(BoundaryPrice):
-        liability_of(G, np.array([1e-12, 1.0 - 1e-12]))
+        liability_of(G, np.array(p))
+
+
+class _FixedGradient(Generator):
+    n = 2
+
+    def __init__(self, g):
+        self.g = np.array(g, dtype=float)
+
+    def grad(self, x):
+        return self.g.copy()
+
+
+@pytest.mark.parametrize("g", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0], [1e308, math.nan]])
+def test_non_finite_gradient_raises(g):
+    with pytest.raises(NoGradient):
+        liability_of(_FixedGradient(g), [0.4, 0.6])
+    assert np.array_equal(liability_of(_FixedGradient([1e308, -1e308]), [0.4, 0.6]), [1e308, -1e308])
+
+
+def test_nan_price_is_not_a_boundary_price():
+    # the boundary check propagates NaN, as p.min() does; the gradient then fails
+    with np.errstate(invalid="ignore"), pytest.raises(NoGradient):
+        liability_of(LmsrGenerator(1.0, 2), np.array([math.nan, 1e-20]))
 
 
 # ---------------------------------------------------------------------------

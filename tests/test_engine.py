@@ -277,6 +277,32 @@ def test_norm_fee_budget_balance_always():
         assert np.max(np.abs(audit_budget_balance(NormFee(0.2, "l2"), rec))) < 1e-12
 
 
+
+def test_norm_fee_l1_shares_match_the_row_norms_exactly():
+    # l1 fills take one array op; the per-row norm is the reference
+    rng = np.random.default_rng(11)
+    fee = NormFee(0.02, "l1")
+    for n in (2, 3, 5):
+        for _ in range(300):
+            parts = list(rng.normal(size=(16, n)) * 10.0 ** rng.uniform(-6, 3, size=(16, 1)))
+            trader, shares = compute_fees(fee, np.sum(parts, axis=0), parts)
+            norms = np.array([np.linalg.norm(part, 1) for part in parts])
+            assert shares == list(trader * norms / norms.sum())
+
+
+def test_target_trade_takes_one_gradient_per_lp(monkeypatch):
+    st = initialize(LmsrGenerator(1.0, 2), price=[0.5, 0.5])
+    for b in (0.5, 2.0):
+        st.modify_liquidity(st.register_lp(), LmsrGenerator(b, 2))
+    st.register_lp()  # holds no liquidity and takes no gradient
+    calls = []
+    grad = LmsrGenerator.grad
+    monkeypatch.setattr(LmsrGenerator, "grad", lambda self, x: calls.append(self.b) or grad(self, x))
+    receipt = st.execute_trade(target_price=[0.6, 0.4])
+    assert sorted(calls) == [0.5, 1.0, 2.0]
+    assert np.max(np.abs(sum(receipt.parts.values()) - receipt.bundle)) < 1e-12
+    st.check_coherent(1e-12)
+
 def test_positive_part_balanced_for_two_outcomes():
     # with two outcomes the per-LP fills share the sign pattern of the net
     # trade, so positive-part fees balance exactly
