@@ -13,11 +13,14 @@ the answer keeps the bisection's definition (the leftmost solution across
 flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
 in floating point as `Curve1D.dg` promises.
 This is the package's only scalar solver: the views `two_asset.price2` and
-`cost2` are calls into `conjugate_value`.  Larger markets use
-exponentiated-gradient ascent on p |-> <p, q> - G(p), which is invariant to
-the c * 1 gauge freedom of q, and hand off to Newton on the tangent-space KKT
-system as soon as the projected gradient is below 1e-3; a hand-off that does
-not reach the tolerance is discarded and the ascent goes on.
+`cost2` are calls into `conjugate_value`.  Larger markets have one solver too:
+damped Newton on the KKT system of max <p, q> - G(p) over the clamped simplex,
+started at the caller's price hint or the uniform price.  Coordinates whose
+reduced gradient points out of the clamp are held there; the others take the
+equality-constrained Newton step, with the Hessian plus min(1, r) diag(1/p) for
+a KKT residual r, so flat directions get scaled-gradient steps.  A maximizer
+with a held coordinate is reported at the boundary, and a solve that has not
+converged after _MAXIT steps raises SolverDiverged with its residual.
 """
 
 from __future__ import annotations
@@ -31,35 +34,43 @@ from .errors import (
     BoundaryPrice,
     NoGradient,
     NotLevelSet,
+    OutOfRange,
     SolverDiverged,
     VertexUnbounded,
 )
 from .generators import (
     Generator,
     ShiftedGenerator,
-    SumGenerator,
+    compile_sum,
 )
 
 EPS = 1e-9  # boundary clamp for simplex prices
-_GTOL = 1e-10  # projected-gradient tolerance for the simplex solver
-_MAXIT = 10_000
+# the simplex solver stops at a KKT residual below _GTOL, or below _GREL times
+# the largest |q_i| + |grad_i G| when that is larger: the residual's rounding floor
+_GTOL = 1e-12
+_GREL = 1e-14
+_MAXIT = 100  # Newton steps before the simplex solver gives up
 _XTOL = 1e-15  # bracket width at which a two-outcome solve stops
 _NUDGE = 4e-16  # two-outcome iterates stay this far inside the bracket
-_HANDOFF = 1e-3  # projected gradient below which EG tries the Newton polish
 
 
 def simplex_price(values, n: int | None = None) -> np.ndarray:
-    """Validate a point of the (relative interior of the) price simplex."""
+    """Validate a point of the (relative interior of the) price simplex.
+
+    A price whose components do not sum to 1 (to 1e-9) is rejected, not
+    renormalised; one that passes is divided by its sum."""
     p = np.asarray(values, dtype=float)
-    if n is not None and p.shape != (n,):
-        raise ValueError(f"expected {n} components, got {p.shape}")
-    if p.ndim != 1 or len(p) < 2 or not np.all(np.isfinite(p)):
-        raise ValueError("price must be a finite vector of length >= 2")
-    s = p.sum()
+    if p.ndim != 1 or len(p) < 2 or (n is not None and len(p) != n):
+        raise OutOfRange(f"price must be a vector of {n or '>= 2'} components, got shape {p.shape}")
+    # scalar checks on the list skip numpy's reduction wrappers, as in liability_of
+    xs = p.tolist()
+    if not all(map(math.isfinite, xs)):
+        raise OutOfRange("price components must be finite")
+    s = sum(xs)
     if abs(s - 1.0) > 1e-9:
-        raise ValueError(f"price components sum to {s}, not 1")
+        raise OutOfRange(f"price components sum to {s}, not 1")
     p = p / s
-    if p.min() < EPS or p.max() > 1.0 - EPS:
+    if min(xs) / s < EPS or max(xs) / s > 1.0 - EPS:
         raise BoundaryPrice("price touches the boundary clamp")
     return p
 
@@ -128,109 +139,63 @@ def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
     return ConjugateResult(cost, p, p1 <= EPS * (1 + 1e-6) or p1 >= 1.0 - EPS * (1 + 1e-6))
 
 
-def _project_simplex_step(p, v):
-    """Tangent-space Newton direction is computed in the caller; here we just
-    report the projected-gradient residual max_i |v_i - <p, v>|."""
-    return float(np.max(np.abs(v - p @ v)))
+def _free_residual(p, v):
+    """(held, r) for the simplex solver: the coordinates held at the clamp
+    because their reduced gradient v_i - c points outward, and the KKT
+    residual max |v_i - c| over the rest, with c the p-weighted mean of v off
+    the clamp."""
+    at = p <= EPS * (1 + 1e-6)
+    c = p[~at] @ v[~at] / p[~at].sum()
+    held = at & (v < c)
+    return held, float(np.max(np.abs(v[~held] - c)))
 
 
-def _newton_polish(G: Generator, q, p, max_iter=50):
-    """Tangent-space Newton on grad Gbar(p) = q - c 1, using the analytic
-    Hessian when available and a finite-difference one otherwise."""
-    n = len(p)
-    for _ in range(max_iter):
-        v = q - G.grad(p)
-        resid = _project_simplex_step(p, v)
-        if resid < 1e-13:
-            return p
-        H = G.hessian(p)
-        if H is None:
-            H = _fd_hessian(G, p)
-        KKT = np.zeros((n + 1, n + 1))
-        KKT[:n, :n] = H
-        KKT[:n, n] = 1.0
-        KKT[n, :n] = 1.0
-        rhs = np.concatenate([v, [0.0]])
-        # least squares tolerates the singular Hessians of degenerate
-        # generators (flat directions pick up the minimum-norm step)
-        step = np.linalg.lstsq(KKT, rhs, rcond=None)[0][:n]
-        if not np.all(np.isfinite(step)):
-            return p
-        # damp so the iterate stays strictly inside the clamp
-        tau = 1.0
-        bad = step < 0
-        if bad.any():
-            tau = min(1.0, 0.9 * float(np.min(-(p[bad] - EPS) / step[bad])))
-        pn = p + tau * step
-        if pn.min() < EPS or not np.all(np.isfinite(pn)):
-            return p
-        pn = pn / pn.sum()
-        vn = q - G.grad(pn)
-        if _project_simplex_step(pn, vn) >= resid:
-            return p
-        p = pn
-    return p
-
-
-def _conjugate_eg(G: Generator, q, p0) -> ConjugateResult:
+def _conjugate_kkt(G: Generator, q, p0) -> ConjugateResult:
+    """Damped Newton on the KKT system of max <p, q> - G(p) over the simplex
+    (see the module docstring).  A step stops at 0.99 of the distance to the
+    clamp, then backtracks: it is taken on an Armijo increase or, near the
+    optimum, when it cuts the residual while the objective drops by no more
+    than its rounding floor.  f is about 0 at held liabilities (Euler's
+    identity), so that floor scales with the terms of f, not with f."""
     n = G.n
     p = np.full(n, 1.0 / n) if p0 is None else np.clip(np.asarray(p0, dtype=float), EPS, None)
     p = p / p.sum()
-
-    def fval(pp):
-        return float(pp @ q - G.value(pp))
-
-    eta = 1.0
-    f = fval(p)
-    converged = False
-    handoff = _HANDOFF
+    g = G.value(p)
+    f = p @ q - g
+    v = q - G.grad(p)
+    held, r = _free_residual(p, v)
     for it in range(_MAXIT):
-        grad = q - G.grad(p)
-        resid = _project_simplex_step(p, grad)
-        if resid < _GTOL:
-            converged = True
-            break
-        if resid < handoff:
-            # Newton finishes the job when it reaches the tolerance; otherwise
-            # keep ascending and try again after the residual drops tenfold
-            pn = _newton_polish(G, q, p)
-            if _project_simplex_step(pn, q - G.grad(pn)) < _GTOL:
-                p, converged = pn, True
-                break
-            handoff = 0.1 * resid
-        accepted = False
+        if r < max(_GTOL, _GREL * float(np.max(np.abs(q) + np.abs(q - v)))):
+            return ConjugateResult(float(f), p, bool(held.any()))
+        free = ~held
+        m = int(free.sum())
+        H = G.hessian(p)
+        if H is None:
+            H = _fd_hessian(G, p)
+        K = np.ones((m + 1, m + 1))
+        K[:m, :m] = H[np.ix_(free, free)] + min(1.0, r) * np.diag(1.0 / p[free])
+        K[m, m] = 0.0
+        d = np.zeros(n)
+        d[free] = np.linalg.solve(K, np.append(v[free], 0.0))[:m]
+        out = d < 0
+        tau = min(1.0, 0.99 * float(np.min((p[out] - EPS) / -d[out]))) if out.any() else 1.0
+        rise = float(v @ d)
+        floor = 1e-14 * (float(np.abs(p * q).sum()) + abs(g))
         for _ in range(60):
-            z = p * np.exp(eta * (grad - grad.max()))
-            pn = z / z.sum()
-            pn = np.clip(pn, EPS, None)
+            pn = p + tau * d
             pn = pn / pn.sum()
-            fn = fval(pn)
-            if fn >= f:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            # stalled on function value; fall back to residual control
-            p = _newton_polish(G, q, p)
-            resid = _project_simplex_step(p, q - G.grad(p))
-            converged = resid < _GTOL
+            gn = G.value(pn)
+            fn = pn @ q - gn
+            if fn >= f - floor:
+                vn = q - G.grad(pn)
+                heldn, rn = _free_residual(pn, vn)
+                if fn >= f + 0.01 * tau * rise or rn <= (1.0 - 0.25 * tau) * r:
+                    break
+            tau *= 0.5
+        else:
             break
-        if fn > f:
-            eta *= 1.3
-        p, f = pn, fn
-    if not converged:
-        resid = _project_simplex_step(p, q - G.grad(p))
-        if resid >= _GTOL:
-            # KKT residual concentrated on clamped coordinates means the true
-            # maximizer sits at the boundary
-            interior = p > EPS * (1 + 1e-6)
-            v = q - G.grad(p)
-            v = v - p @ v
-            if float(np.max(np.abs(v[interior]))) < 1e-8:
-                return ConjugateResult(fval(p), p, True)
-            raise SolverDiverged(f"projected gradient {resid:.3e} after {_MAXIT} iterations")
-    at_boundary = bool(p.min() <= EPS * (1 + 1e-6))
-    return ConjugateResult(fval(p), p, at_boundary)
+        p, g, f, v, held, r = pn, gn, fn, vn, heldn, rn
+    raise SolverDiverged(f"KKT residual {r:.3e} after {it + 1} iterations")
 
 
 def conjugate_value(G: Generator, q, p0=None) -> ConjugateResult:
@@ -244,7 +209,7 @@ def conjugate_value(G: Generator, q, p0=None) -> ConjugateResult:
         return ConjugateResult(float(cost), p, bool(p.min() <= EPS * (1 + 1e-6)))
     if G.n == 2:
         return _conjugate_two(G, q, p0)
-    return _conjugate_eg(G, q, p0)
+    return _conjugate_kkt(G, q, p0)
 
 
 def price_of(G: Generator, q, p0=None) -> np.ndarray:
@@ -260,15 +225,14 @@ def infimal_convolution_split(generators, q, p0=None):
 
     Returns (cost, parts, price) where cost is the aggregate cost
     (inf-convolution of the individual costs, equal to the conjugate of the
-    summed generator), parts sum to q exactly, and each part sits on the level
-    set C_i = cost / k up to solver tolerance.
+    summed generator, solved on its `compile_sum`), parts sum to q exactly,
+    and each part sits on the level set C_i = cost / k up to solver tolerance.
     """
     gens = list(generators)
     if not gens:
         raise NotLevelSet("no makers to split the liability across")
     q = np.asarray(q, dtype=float)
-    agg = gens[0] if len(gens) == 1 else SumGenerator(gens)
-    res = conjugate_value(agg, q, p0)
+    res = conjugate_value(compile_sum(gens), q, p0)
     if res.at_boundary:
         raise BoundaryPrice("aggregate maximizer reached the boundary clamp")
     p = res.price

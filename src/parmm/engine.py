@@ -22,6 +22,7 @@ from .convex_core import (
     liability_of,
     normalize_generator,
     price_of,
+    simplex_price,
     spread_residual,
 )
 from .errors import (
@@ -250,8 +251,7 @@ class MarketState:
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
-            p_new = np.asarray(target_price, dtype=float)
-            p_new = p_new / p_new.sum()
+            p_new = simplex_price(target_price, self.n)
             # one gradient per LP: the aggregate's liability is the sum of theirs
             held = [liability_of(rec.generator, p_new) for rec in nontrivial]
             if not held:
@@ -348,7 +348,6 @@ def initialize(generator, liability=None, price=None, fee=None, strict=True) -> 
     if liability is None:
         if price is None:
             raise TypeError("initialize needs a liability or a price")
-        hint = np.asarray(price, dtype=float)
-        hint = hint / hint.sum()
+        hint = simplex_price(price, generator.n)
         liability = liability_of(generator, hint)
     return MarketState(generator, liability, fee=fee, strict=strict, price_hint=hint)

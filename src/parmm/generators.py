@@ -883,8 +883,9 @@ class SumGenerator(Generator):
         return {"family": "sum", "terms": [t.descriptor() for t in self.terms]}
 
 
-def _family(G) -> tuple:
-    """Key shared by the terms `compile_sum` merges with G."""
+def _family(G) -> tuple | None:
+    """Key shared by the terms `compile_sum` merges with G; None for a family
+    that does not merge."""
     if isinstance(G, LmsrCurve):
         return ("lmsr", 2)
     if isinstance(G, LmsrGenerator):
@@ -895,7 +896,7 @@ def _family(G) -> tuple:
         return ("constant_product", G.n)
     if isinstance(G, BucketArrayCurve):
         return ("bucket_array", id(G._units))
-    return ("other", id(G))
+    return None
 
 
 def _merge(kind: str, terms) -> Generator:
@@ -924,8 +925,10 @@ def compile_sum(generators) -> Generator:
     if len(gens) == 1:
         return gens[0]
     groups: dict = {}  # family key -> its terms, in first-seen order
-    for G in SumGenerator(gens).terms:
-        groups.setdefault(_family(G), []).append(G)
+    for k, G in enumerate(SumGenerator(gens).terms):
+        # a term of an unmerged family keeps a group of its own, even when
+        # one generator object backs several LPs
+        groups.setdefault(_family(G) or ("other", k), []).append(G)
     terms = [_merge(key[0], group) for key, group in groups.items()]
     return terms[0] if len(terms) == 1 else SumGenerator(terms)
 

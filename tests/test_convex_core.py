@@ -34,8 +34,8 @@ from parmm import (
     normalize_generator,
     price_of,
 )
-from parmm.convex_core import EPS, _conjugate_two, _fd_hessian
-from parmm.errors import BoundaryPrice, NoGradient, NotLevelSet, SolverDiverged, VertexUnbounded
+from parmm.convex_core import _MAXIT, EPS, _conjugate_two, _fd_hessian, simplex_price
+from parmm.errors import BoundaryPrice, NoGradient, NotLevelSet, OutOfRange, SolverDiverged, VertexUnbounded
 
 
 def families_n2():
@@ -116,7 +116,7 @@ def test_cash_invariance_of_cost():
     for G in [LmsrCurve(1.0), LmsrGenerator(1.0, 3), ConstantProductGenerator(3, 1.0)]:
         q = liability_of(G, random_prices(rng, G.n, 1)[0])
         base = conjugate_value(G, q).cost
-        for c in (-0.7, 0.3, 2.0):
+        for c in (-0.7, 0.3, 2.0, 1e6, -1e6):
             assert conjugate_value(G, q + c).cost == pytest.approx(base + c, abs=1e-9)
 
 
@@ -457,18 +457,102 @@ def test_warm_started_two_outcome_solve_needs_few_slope_calls():
 
 
 def test_simplex_solver_does_not_stall_on_mixed_constant_product_sum():
-    # exponentiated-gradient ascent alone used to stall just above its Newton
-    # hand-off and raise SolverDiverged after 10 000 iterations
+    # 60 interior targets: every solve converges within 20 gradients
     G = SumGenerator([LmsrGenerator(1.0, 5)] + [ConstantProductGenerator(5, float(a)) for a in range(2, 17)])
+    calls, grad = [], G.grad
+    G.grad = lambda x: calls.append(1) or grad(x)
     rng = np.random.default_rng(0)
     diverged = 0
     for _ in range(60):
         p = np.clip(rng.dirichlet(np.ones(5)), 0.02, None)
         p /= p.sum()
+        q = grad(p)
+        calls.clear()
         try:
-            res = conjugate_value(G, G.grad(p))
+            res = conjugate_value(G, q)
         except SolverDiverged:
             diverged += 1
             continue
         assert np.max(np.abs(res.price - p)) < 1e-9
+        assert len(calls) <= 20
     assert diverged == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_simplex_solver_near_the_boundary(n):
+    # targets with components down to 1e-6, solved from the uniform price and
+    # from the previous target
+    aggregates = [
+        SumGenerator([LmsrGenerator(1.0, n)] + [ConstantProductGenerator(n, float(a)) for a in range(2, 17)]),
+        SumGenerator([LmsrGenerator(0.7, n), PairConstantProductGenerator(n, 0, n - 1, 1.0)]),
+        ConstantProductGenerator(n, 1.0),
+    ]
+    rng = np.random.default_rng(n)
+    for G in aggregates:
+        prev = None
+        for k in range(20):
+            p = np.clip(rng.dirichlet(np.full(n, 0.3)), 10 ** rng.uniform(-6, -2), None)
+            p /= p.sum()
+            res = conjugate_value(G, G.grad(p), prev if k % 2 else None)
+            assert not res.at_boundary
+            assert np.max(np.abs(res.price - p)) < 1e-9
+            prev = p
+
+
+def test_simplex_solver_stops_at_the_rounding_floor_of_its_residual():
+    # the gradient's first component is about -1.9e5 here, so the KKT
+    # residual cannot get below about 3e-11 in floating point
+    G = SumGenerator([LmsrGenerator(1.0, 3)] + [ConstantProductGenerator(3, float(a)) for a in range(2, 17)])
+    p = np.array([1e-6, 0.5, 0.5 - 1e-6])
+    assert np.max(np.abs(conjugate_value(G, G.grad(p)).price - p)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "q, cost, price",
+    [
+        ([0.0, 0.0, -1.0], 0.999999998, [0.5, 0.5, 0.0]),
+        ([0.3, -0.2, 0.1], 1.0807764054, [0.621268, 0.378732, 0.0]),
+    ],
+)
+@pytest.mark.parametrize("hint", [None, [0.2, 0.3, 0.5]])
+def test_lone_pair_pool_maximizer_sits_on_the_boundary(q, cost, price, hint):
+    # flat in the third outcome: the maximizer holds it at the clamp
+    G = PairConstantProductGenerator(3, 0, 1, 1.0)
+    res = conjugate_value(G, np.array(q), hint)
+    assert res.at_boundary
+    assert res.cost == pytest.approx(cost, abs=1e-10)
+    assert np.max(np.abs(res.price - price)) < 1e-6
+    assert res.price[2] <= EPS * (1 + 1e-6)
+    with pytest.raises(BoundaryPrice):
+        price_of(G, np.array(q), hint)
+
+
+def test_inconsistent_gradient_fails_fast_with_its_residual():
+    class Flickering(LmsrGenerator):
+        """The LMSR value, with a gradient off by 0.5 on every other call and
+        no closed-form conjugate."""
+
+        calls = 0
+
+        def conjugate(self, q):
+            return None
+
+        def grad(self, x):
+            self.calls += 1
+            return super().grad(x) + np.array([0.5 * (self.calls % 2), 0.0, 0.0])
+
+    G = Flickering(1.0, 3)
+    steps, hessian = [], G.hessian
+    G.hessian = lambda p: steps.append(1) or hessian(p)
+    with pytest.raises(SolverDiverged, match=r"KKT residual \d\.\d{3}e[+-]\d+ after \d+ iterations"):
+        conjugate_value(G, np.array([0.3, -0.1, 0.2]))
+    assert 0 < len(steps) <= _MAXIT
+
+
+def test_simplex_price_rejects_instead_of_renormalising():
+    assert np.array_equal(simplex_price([0.25, 0.75], 2), [0.25, 0.75])
+    for bad in ([0.5, 0.6], [0.5, np.nan], [1.0], [[0.5, 0.5]], [0.2, 0.3, 0.5]):
+        with pytest.raises(OutOfRange):
+            simplex_price(bad, 2)
+    with pytest.raises(BoundaryPrice):
+        simplex_price([0.0, 1.0])

@@ -457,3 +457,47 @@ def test_lp_without_liquidity_audits_to_zero_and_stays_coherent():
     assert np.array_equal(st.records[lp].liability, np.zeros(2))
     assert st.check_coherent(1e-12) <= 1e-12
     assert np.array_equal(st.modify_liquidity(lp, TrivialGenerator(2)), np.zeros(2))
+
+
+def test_prices_that_do_not_sum_to_one_are_rejected_not_renormalised():
+    with pytest.raises(OutOfRange, match="sum to 1.1"):
+        initialize(LmsrCurve(1.0), price=[0.5, 0.6])
+    with pytest.raises(OutOfRange, match="finite"):
+        initialize(LmsrGenerator(1.0, 3), price=[0.5, np.nan, 0.5])
+    st = initialize(LmsrCurve(1.0), price=[0.4, 0.6], fee=NormFee(0.1))
+    st.modify_liquidity(st.register_lp(), PiecewisePolyCurve.from_liquidity([0, 0.4, 1], [[0.0], [10.0]]))
+    before = _books(st)
+    for target in ([0.5, 0.6], [0.45, 0.45], [np.inf, 0.0]):
+        with pytest.raises(OutOfRange):
+            st.price_trade(target_price=target)
+        with pytest.raises(OutOfRange):
+            st.execute_trade(target_price=target)
+    _assert_books_equal(_books(st), before)
+    # a sum within 1e-9 of 1 passes and is divided out
+    st.execute_trade(target_price=[0.7, 0.3 + 5e-10])
+    assert math.fsum(st.price) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "base, make",
+    [
+        (LmsrCurve(1.0), lambda: PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [1.0]])),
+        (LmsrGenerator(1.0, 3), lambda: PairConstantProductGenerator(3, 0, 1, 1.0)),
+    ],
+    ids=["piecewise-poly", "pair-pool"],
+)
+def test_one_generator_object_may_back_several_lps(base, make):
+    # compile_sum used to group an unmerged family by object identity, then
+    # try to merge the group's weights
+    n = base.n
+    markets = []
+    for gens in ([make()] * 2, [make(), make()]):
+        st = initialize(base, price=np.full(n, 1.0 / n), strict=False)
+        for G in gens:
+            st.modify_liquidity(st.register_lp(), G)
+        markets.append(st)
+    partial = np.zeros(n)
+    partial[:2] = [0.1, -0.1]
+    shared, separate = (st.execute_trade(bundle=st.quote_completion(partial)[0]) for st in markets)
+    assert np.array_equal(shared.price_after, separate.price_after)
+    assert markets[0].check_coherent(1e-9) <= 1e-9

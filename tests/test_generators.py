@@ -437,6 +437,9 @@ def test_compile_sum_merges_same_family_terms():
     # a single generator is returned as it is
     G = LmsrGenerator(1.0, 2)
     assert compile_sum([G]) is G
+    # one object of a family that does not merge may back several LPs
+    P = PairConstantProductGenerator(3, 0, 1, 1.0)
+    assert compile_sum([P, LmsrGenerator(1.0, 3), P]).terms[::2] == [P, P]
 
 
 def test_piecewise_poly_conjugate_rejects_cubic_pieces():

@@ -50,3 +50,39 @@ def test_assert_scan_finds_assert_statements():
 @pytest.mark.parametrize("name", ASSERT_FREE)
 def test_no_assert_statements(name):
     assert assert_lines((SRC / name).read_text()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level private names: `_x` functions, classes and constants."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_private_name_scan_finds_unread_names():
+    src = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A + mod._g\nclass _C:\n    pass\n"
+    assert private_definitions(src) - names_read(src) == {"_B", "_f", "_C"}
+
+
+def test_every_private_name_is_read():
+    # a dead helper left behind by a refactor fails here
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    read = set().union(*map(names_read, sources.values()))
+    unread = {name: sorted(private_definitions(s) - read) for name, s in sources.items()}
+    assert {name: names for name, names in unread.items() if names} == {}
