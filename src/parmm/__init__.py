@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .convex_core import (
     ConjugateResult,
     EPS,
-    binary_price,
     conjugate_value,
     directional_liquidity,
     infimal_convolution_split,

@@ -75,10 +75,6 @@ def simplex_price(values, n: int | None = None) -> np.ndarray:
     return p
 
 
-def binary_price(p1: float) -> np.ndarray:
-    return simplex_price([p1, 1.0 - p1])
-
-
 def liability_of(G: Generator, p) -> np.ndarray:
     """Bundle the maker owes when quoting price p: grad Gbar(p)."""
     p = np.asarray(p, dtype=float)

@@ -4,8 +4,10 @@ A generator is a convex, nonpositive function G on the probability simplex,
 extended 1-homogeneously to the positive orthant via Gbar(x) = |x| * G(x/|x|).
 Its gradient map p -> grad Gbar(p) is the liability a maker holds when quoting
 price p, and its convex conjugate is the maker's cost function.
-`conjugate(q)` gives that cost in closed form as (C(q), maximizing price), or
-None when the family has none and the solvers in `convex_core` take over.
+`conjugate(q)` gives that cost as (C(q), maximizing price) for the families
+with an O(1) closed form (LMSR, V2, constant product at n = 2) and None for
+the rest, piecewise curves, buckets and sums among them, which the solvers in
+`convex_core` price.  A piecewise curve checks its convexity when built.
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
@@ -150,9 +152,12 @@ class Curve1D(Generator):
 class PiecewisePolyCurve(Curve1D):
     """Piecewise-polynomial curve on breakpoints 0 = x_0 < ... < x_m = 1.
 
-    polys[k] is the polynomial (in the global coordinate p) used on
-    [xs[k], xs[k+1]].  Convexity is the caller's responsibility; the conjugate
-    construction requires degree <= 2 and nondecreasing slopes.
+    polys[k], a Polynomial or its coefficients (lowest degree first, in the
+    global coordinate p), is the curve on [xs[k], xs[k+1]].  The constructor
+    raises OutOfRange where g' falls, to a relative 1e-9: inside a piece (g''
+    below 0 at an end, exact up to cubics, or a lower right-end slope) or at a
+    breakpoint.  Non-finite slopes are left to `liability_of`.  There is no
+    closed-form conjugate: `convex_core` solves it, as it solves every sum.
     """
 
     def __init__(self, xs, polys):
@@ -161,24 +166,31 @@ class PiecewisePolyCurve(Curve1D):
             raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(polys)} pieces")
         if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
             raise OutOfRange("breakpoints must increase strictly from 0 to 1")
-        self.xs = xs
-        self.polys = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in polys]
+        polys = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in polys]
         # g, g' and g'' run inside every price solve: their coefficients are
         # Python floats, evaluated by _horner, and the breakpoints a list
         self._x = xs.tolist()
-        self._c0 = [P.coef.tolist() for P in self.polys]
-        self._c1 = [P.deriv().coef.tolist() for P in self.polys]
-        self._c2 = [P.deriv(2).coef.tolist() for P in self.polys]
+        self._c0 = [P.coef.tolist() for P in polys]
+        self._c1 = [P.deriv().coef.tolist() for P in polys]
+        self._c2 = [P.deriv(2).coef.tolist() for P in polys]
+        # g' and g'' at both ends of each piece
+        ends = [
+            (_horner(c1, a), _horner(c1, b), _horner(c2, a), _horner(c2, b))
+            for c1, c2, a, b in zip(self._c1, self._c2, self._x, self._x[1:])
+        ]
+        tol = 1e-9 * max([1.0] + [abs(v) for e in ends for v in e if math.isfinite(v)])
         # slope bounds per piece, nondecreasing across the breakpoints, so a
         # piece whose end value rounds below its neighbour's is clamped to it
         self._dlo, self._dhi = [], []
         top = -math.inf
-        for k, c in enumerate(self._c1):
-            lo_k = max(_horner(c, self._x[k]), top)
-            top = max(_horner(c, self._x[k + 1]), lo_k)
-            self._dlo.append(lo_k)
+        for k, (sl, sr, cl, cr) in enumerate(ends):
+            if min(cl, cr) < -tol or sr < sl - tol:
+                raise OutOfRange(f"piece {k} is not convex: g' falls inside it")
+            if sl < top - tol:
+                raise OutOfRange(f"g' falls at breakpoint {self._x[k]}: the curve is not convex")
+            self._dlo.append(max(sl, top))
+            top = max(sr, self._dlo[-1])
             self._dhi.append(top)
-        self._quadratic = all(P.trim().degree() <= 2 for P in self.polys)
 
     @classmethod
     def from_liquidity(cls, xs, liq_polys) -> "PiecewisePolyCurve":
@@ -190,27 +202,13 @@ class PiecewisePolyCurve(Curve1D):
         """
         xs = np.asarray(xs, dtype=float)
         liq = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in liq_polys]
-        A = []
-        acc = 0.0
-        for k, L in enumerate(liq):
-            P = L.integ()
-            P = P + (acc - P(xs[k]))
-            A.append(P)
-            acc = P(xs[k + 1])
-        B = []
-        acc = 0.0
-        for k, P in enumerate(A):
-            Q = P.integ()
-            Q = Q + (acc - Q(xs[k]))
-            B.append(Q)
-            acc = Q(xs[k + 1])
-        b1 = acc  # B(1), with B(0) = 0
-        chord = Polynomial([0.0, b1])
+        B = _integrate(xs, _integrate(xs, liq))
+        chord = Polynomial([0.0, B[-1](xs[-1])])  # B(1), with B(0) = 0
         return cls(xs, [Q - chord for Q in B])
 
     def _piece(self, p):
         k = bisect_right(self._x, p) - 1
-        return min(max(k, 0), len(self.polys) - 1)
+        return min(max(k, 0), len(self._c0) - 1)
 
     def g(self, p):
         return float(_horner(self._c0[self._piece(p)], p))
@@ -224,51 +222,12 @@ class PiecewisePolyCurve(Curve1D):
         # midpoint subgradient at interior breakpoints
         if 0 < k and abs(p - self._x[k]) < _TINY:
             d = 0.5 * (d + self._slope(k - 1, p))
-        elif k + 1 < len(self.polys) and abs(p - self._x[k + 1]) < _TINY:
+        elif k + 1 < len(self._c0) and abs(p - self._x[k + 1]) < _TINY:
             d = 0.5 * (d + self._slope(k + 1, p))
         return float(d)
 
     def d2g(self, p):
         return float(_horner(self._c2[self._piece(p)], p))
-
-    def conjugate(self, q):
-        """Closed form for piecewise-quadratic curves: the conjugate of g is
-        piecewise quadratic in t = q_1 - q_2.  None if a piece is cubic or more."""
-        if not self._quadratic:
-            return None
-        qs: list[float] = []
-        pieces: list[Polynomial] = []
-        g0 = self.g(0.0)
-        g1 = self.g(1.0)
-        pieces.append(Polynomial([-g0]))  # q <= g'(0+): maximizer p = 0
-        prev_slope = None
-        for k, P in enumerate(self.polys):
-            sl, sr = _horner(self._c1[k], self._x[k]), _horner(self._c1[k], self._x[k + 1])
-            if not sr >= sl - 1e-9:
-                raise UnsupportedFamily(f"piece {k} is not convex: no closed-form conjugate")
-            if prev_slope is None:
-                qs.append(sl)
-            elif sl > prev_slope + 1e-12:
-                # slope jump at the breakpoint: affine conjugate piece
-                x = self.xs[k]
-                pieces.append(Polynomial([-self.g(x), x]))
-                qs.append(sl)
-            if sr > sl + 1e-12:
-                coef = P.coef
-                a2 = coef[2] if len(coef) > 2 else 0.0
-                a1 = coef[1] if len(coef) > 1 else 0.0
-                a0 = coef[0]
-                # quadratic piece: c(q) = (q - a1)^2 / (4 a2) - a0
-                pieces.append(Polynomial([a1 * a1 / (4 * a2) - a0, -2 * a1 / (4 * a2), 1.0 / (4 * a2)]))
-                qs.append(sr)
-            prev_slope = sr
-        pieces.append(Polynomial([-g1, 1.0]))  # q >= g'(1-): maximizer p = 1
-        t = q[0] - q[1]
-        # side="left" resolves kinks of c to the left piece, matching the
-        # leftmost-maximizer convention used by the price solvers
-        piece = pieces[int(np.searchsorted(np.asarray(qs), t, side="left"))]
-        p1 = float(min(max(piece.deriv()(t), 0.0), 1.0))
-        return float(piece(t)) + q[1], np.array([p1, 1.0 - p1])
 
     def descriptor(self) -> dict:
         return {
@@ -276,6 +235,18 @@ class PiecewisePolyCurve(Curve1D):
             "breakpoints": list(self._x),
             "coefficients": [list(c) for c in self._c0],
         }
+
+
+def _integrate(xs, polys):
+    """Antiderivatives of the pieces, continuous across the breakpoints xs and
+    0 at xs[0]."""
+    out, acc = [], 0.0
+    for k, P in enumerate(polys):
+        Q = P.integ()
+        Q = Q + (acc - Q(xs[k]))
+        out.append(Q)
+        acc = Q(xs[k + 1])
+    return out
 
 
 def _horner(c, x):
@@ -291,9 +262,7 @@ def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     """Quadratic-score curve g(p) = scale * (p^2 - p); liquidity 2 * scale."""
     if not scale > 0:
         raise OutOfRange(f"Brier scale {scale} is not positive")
-    crv = PiecewisePolyCurve([0.0, 1.0], [Polynomial([0.0, -scale, scale])])
-    crv._brier_scale = scale
-    return crv
+    return PiecewisePolyCurve([0.0, 1.0], [[0.0, -scale, scale]])
 
 
 class LmsrCurve(Curve1D):
@@ -421,16 +390,11 @@ class BucketCurve(Curve1D):
         return 0.0
 
     def descriptor(self):
-        short = None
-        if isinstance(self.base, LmsrCurve) and self.base.b == 1.0:
-            short = "lmsr_bucket"
-        elif isinstance(self.base, UniswapV2Curve) and self.base.alpha == 1.0:
-            short = "v3_bucket"
-        elif getattr(self.base, "_brier_scale", None) == 1.0:
-            short = "brier_bucket"
-        if short is not None:
-            return {"family": short, "a": self.a, "b": self.b, "alpha": self.weight}
-        return {"family": "bucket", "base": self.base.descriptor(), "a": self.a, "b": self.b, "weight": self.weight}
+        base = self.base.descriptor()
+        for short, (_, unit_desc) in _UNIT_BASES.items():
+            if base == unit_desc:
+                return {"family": short, "a": self.a, "b": self.b, "alpha": self.weight}
+        return {"family": "bucket", "base": base, "a": self.a, "b": self.b, "weight": self.weight}
 
 
 class BucketArrayCurve(Curve1D):
@@ -984,8 +948,7 @@ class ShiftedGenerator(Generator):
         return self.inner.hessian(p)
 
     def conjugate(self, q):
-        res = self.inner.conjugate(np.asarray(q, dtype=float) + self.shift)
-        return res
+        return self.inner.conjugate(np.asarray(q, dtype=float) + self.shift)
 
     def vertex_values(self):
         return self.inner.vertex_values() - self.shift
@@ -999,8 +962,17 @@ class ShiftedGenerator(Generator):
 # ---------------------------------------------------------------------------
 
 
+# the bucket shorthands: family -> (unit base curve, its descriptor)
+_UNIT_BASES = {
+    fam: (base, base.descriptor())
+    for fam, base in [("v3_bucket", UniswapV2Curve(1.0)), ("lmsr_bucket", LmsrCurve(1.0)), ("brier_bucket", brier_curve(1.0))]
+}
+
+
 def curve_from_descriptor(d: dict) -> Curve1D:
     fam = d.get("family")
+    if fam in _UNIT_BASES:
+        return BucketCurve(_UNIT_BASES[fam][0], d["a"], d["b"], d.get("alpha", 1.0))
     if fam == "lmsr":
         return LmsrCurve(d["b"])
     if fam == "uniswap_v2":
@@ -1011,12 +983,6 @@ def curve_from_descriptor(d: dict) -> Curve1D:
         return PiecewisePolyCurve(d["breakpoints"], d["coefficients"])
     if fam == "piecewise_liquidity":
         return PiecewisePolyCurve.from_liquidity(d["breakpoints"], d["coefficients"])
-    if fam == "v3_bucket":
-        return BucketCurve(UniswapV2Curve(1.0), d["a"], d["b"], d.get("alpha", 1.0))
-    if fam == "lmsr_bucket":
-        return BucketCurve(LmsrCurve(1.0), d["a"], d["b"], d.get("alpha", 1.0))
-    if fam == "brier_bucket":
-        return BucketCurve(brier_curve(1.0), d["a"], d["b"], d.get("alpha", 1.0))
     if fam == "bucket":
         return BucketCurve(curve_from_descriptor(d["base"]), d["a"], d["b"], d.get("weight", 1.0))
     if fam == "soft_bucket":

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .convex_core import EPS, conjugate_value
+from .convex_core import EPS, conjugate_value, liability_of
 from .engine import MarketState, PositivePartFee, initialize
 from .errors import (
     EmptyBucket,
@@ -52,12 +52,10 @@ __all__ = [
 
 
 def liability2(curve: Curve1D, p: float) -> np.ndarray:
-    """Scoring-rule liability of the curve maker quoting price p."""
-    if not EPS <= p <= 1.0 - EPS:
+    """Scoring-rule liability of the curve maker quoting price p: `liability_of` at (p, 1 - p)."""
+    if not EPS <= min(p, 1.0 - p):
         raise OutOfRange(f"price {p} outside the clamp")
-    g = curve.g(p)
-    d = curve.dg(p)
-    return np.array([g + d * (1.0 - p), g - p * d])
+    return liability_of(curve, [p, 1.0 - p])
 
 
 def price2(curve: Curve1D, q) -> float:

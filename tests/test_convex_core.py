@@ -120,6 +120,28 @@ def test_cash_invariance_of_cost():
             assert conjugate_value(G, q + c).cost == pytest.approx(base + c, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "G",
+    [
+        LmsrCurve(1.3),
+        UniswapV2Curve(0.8),
+        LmsrGenerator(0.7, 2),
+        ConstantProductGenerator(2, 1.7),
+        ShiftedGenerator(UniswapV2Curve(1.2), [0.4, -0.3]),
+    ],
+    ids=["lmsr-curve", "v2", "lmsr-n2", "constant_product-n2", "shifted-v2"],
+)
+def test_closed_forms_match_the_scalar_solve(G):
+    # the O(1) closed forms against the scalar solve
+    rng = np.random.default_rng(16)
+    for p1 in rng.uniform(0.02, 0.98, 40):
+        q = liability_of(G, [p1, 1.0 - p1]) + rng.normal(0.0, 0.5, 2)
+        cost, p = G.conjugate(q)
+        res = _conjugate_two(G, q, None)
+        assert abs(res.cost - cost) <= 1e-12
+        assert abs(res.price[0] - p[0]) <= 1e-12
+
+
 def test_solver_matches_closed_form_lmsr():
     # run the iterative path against the analytic conjugate
     G = LmsrGenerator(1.3, 3)

@@ -1,5 +1,6 @@
 """Curve and generator families against independently derived values."""
 
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,8 @@ from parmm import (
     liability_of,
     normalize_generator,
 )
-from parmm.errors import DivergentIntegral
+from parmm.cli import main
+from parmm.errors import DivergentIntegral, OutOfRange
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -106,7 +108,7 @@ def brute_conjugate(curve, q, m=20_001):
 )
 def test_closed_form_conjugates_match_grid_maximization(curve):
     for q in np.linspace(-3.0, 3.0, 25):
-        cost, _ = curve.conjugate([q, 0.0])
+        cost = conjugate_value(curve, [q, 0.0]).cost
         assert cost == pytest.approx(brute_conjugate(curve, q), abs=1e-6)
 
 
@@ -116,10 +118,10 @@ def test_walkthrough_conjugate_pieces():
     crv = PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [0.0]])
 
     def c(q):
-        return crv.conjugate([q, 0.0])[0]
+        return conjugate_value(crv, [q, 0.0]).cost
 
     def dc(q):
-        return crv.conjugate([q, 0.0])[1][0]
+        return conjugate_value(crv, [q, 0.0]).price[0]
 
     assert c(-3.0) == pytest.approx(0.0, abs=1e-14)
     assert c(2.0) == pytest.approx(2.0, abs=1e-14)
@@ -243,6 +245,8 @@ def _v3_lp_generator():
 
 RAW = PiecewisePolyCurve([0.0, 1.0], [[1.0, -0.5, 1.0]])  # g(0)=1, g(1)=1.5, not normalized
 
+# keys are `family` or `family-variant`; test_hygiene checks that the family
+# parts are the families the descriptor loaders accept
 FAMILIES = {
     "lmsr-n2": lambda: LmsrGenerator(1.5, 2),
     "lmsr-n3": lambda: LmsrGenerator(0.8, 3),
@@ -442,15 +446,73 @@ def test_compile_sum_merges_same_family_terms():
     assert compile_sum([P, LmsrGenerator(1.0, 3), P]).terms[::2] == [P, P]
 
 
-def test_piecewise_poly_conjugate_rejects_cubic_pieces():
-    # no closed form, so conjugate_value falls back to the scalar solve
-    cubic = PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0, 2.0], [0.5]])
+PIECEWISE = {
+    "brier": lambda: brier_curve(2.0),
+    "walkthrough": lambda: PiecewisePolyCurve.from_liquidity([0, 0.6, 1], [[5.0], [0.0]]),
+    "twenty-pieces": lambda: PiecewisePolyCurve.from_liquidity(
+        np.linspace(0.0, 1.0, 21), [[0.5 + k % 4, 0.1 * k] for k in range(20)]
+    ),
+    "cubic": lambda: PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0, 2.0], [0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE))
+def test_piecewise_poly_conjugate_is_solved(name):
+    # piecewise curves have no closed form: conjugate_value solves them
+    crv = PIECEWISE[name]()
+    assert crv.conjugate([0.0, 0.0]) is None
+    for q in np.linspace(-3.0, 3.0, 25):
+        assert conjugate_value(crv, [q, 0.0]).cost == pytest.approx(brute_conjugate(crv, q), abs=1e-6)
     for p1 in (0.2, 0.5, 0.8):
-        q = liability_of(cubic, [p1, 1.0 - p1])
-        assert cubic.conjugate(q) is None
-        res = conjugate_value(cubic, q)
+        q = liability_of(crv, [p1, 1.0 - p1])
+        res = conjugate_value(crv, q)
         assert res.cost == pytest.approx(0.0, abs=1e-12)
-        assert res.price[0] == pytest.approx(p1, abs=1e-12)
+        assert np.allclose(liability_of(crv, res.price), q, rtol=0.0, atol=1e-12)
+        if crv.d2g(p1) > 0:  # off the walkthrough's flat, the price is unique
+            assert res.price[0] == pytest.approx(p1, abs=1e-12)
+
+
+NONCONVEX = {
+    "falling-quadratic": (
+        lambda: PiecewisePolyCurve([0, 1], [[0.0, 1.0, -1.0]]),
+        {"family": "piecewise_poly", "breakpoints": [0.0, 1.0], "coefficients": [[0.0, 1.0, -1.0]]},
+    ),
+    "downward-jump": (
+        lambda: PiecewisePolyCurve([0, 0.5, 1], [[0.0, 1.0], [1.0, -1.0]]),
+        {"family": "piecewise_poly", "breakpoints": [0.0, 0.5, 1.0], "coefficients": [[0.0, 1.0], [1.0, -1.0]]},
+    ),
+    # g'(0) = g'(1) = -0.5, so only g''(1) = -0.6 shows the fall
+    "cubic": (
+        lambda: PiecewisePolyCurve([0, 1], [[0.0, -0.5, 0.3, -0.2]]),
+        {"family": "piecewise_poly", "breakpoints": [0.0, 1.0], "coefficients": [[0.0, -0.5, 0.3, -0.2]]},
+    ),
+    "negative-liquidity": (
+        lambda: PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0], [-0.5]]),
+        {"family": "piecewise_liquidity", "breakpoints": [0.0, 0.5, 1.0], "coefficients": [[1.0], [-0.5]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONCONVEX))
+def test_nonconvex_piecewise_curves_are_rejected_at_construction(name, tmp_path, capsys):
+    build, desc = NONCONVEX[name]
+    with pytest.raises(OutOfRange, match="not convex"):
+        build()
+    with pytest.raises(OutOfRange, match="not convex"):
+        generator_from_descriptor(desc, 2)
+    scen = {
+        "n": 2,
+        "events": [
+            {"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": [0.5, 0.5]},
+            {"op": "register_lp"},
+            {"op": "modify_liquidity", "lp": 1, "generator": desc},
+        ],
+    }
+    path = tmp_path / "nonconvex.json"
+    path.write_text(json.dumps(scen))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: event 2 (modify_liquidity): ") and "not convex" in err
 
 
 def test_normalize_curve_removes_chord():

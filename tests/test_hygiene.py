@@ -1,6 +1,7 @@
 """Source hygiene checks that need no extra tools."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,62 @@ def test_every_private_name_is_read():
     read = set().union(*map(names_read, sources.values()))
     unread = {name: sorted(private_definitions(s) - read) for name, s in sources.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+TESTS = Path(__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+LOADERS = ("curve_from_descriptor", "generator_from_descriptor")
+
+
+def loaded_families(source: str, tables: dict) -> set[str]:
+    """Families the descriptor loaders accept: the strings they compare
+    `fam` with, and the keys of each table (looked up in `tables`) that
+    they test `fam in`."""
+    found = set()
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in LOADERS):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "fam"):
+                continue
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, ast.Eq) and isinstance(right, ast.Constant):
+                    found.add(right.value)
+                elif isinstance(op, ast.In) and isinstance(right, ast.Name):
+                    found.update(tables[right.id])
+    return found
+
+
+def round_trip_families(source: str) -> set[str]:
+    """The family part of each `FAMILIES` key, spelled `family` or
+    `family-variant`, in a test module."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FAMILIES"]:
+            return {key.value.split("-")[0] for key in node.value.keys}
+    return set()
+
+
+def readme_families(text: str) -> set[str]:
+    """The names in backticks in the README paragraph "Generator families: ..."."""
+    para = text[text.index("Generator families:"):].split("\n\n")[0]
+    return set(re.findall(r"`(\w+)`", para))
+
+
+def test_family_scans_read_their_sources():
+    src = (
+        'def curve_from_descriptor(d):\n    fam = d["family"]\n    if fam in _T:\n        return 1\n'
+        '    if fam == "a" or fam == "b":\n        return 2\ndef other(fam):\n    return fam == "c"\n'
+    )
+    assert loaded_families(src, {"_T": {"t": None}}) == {"a", "b", "t"}
+    assert round_trip_families('FAMILIES = {"a-n2": f, "a-n3": f, "b": g}\nOTHER = {"c": h}\n') == {"a", "b"}
+    assert readme_families("x `y`\n\nGenerator families: `a`, `b` (and\n`c`).\n\nNot `d`.\n") == {"a", "b", "c"}
+
+
+def test_descriptor_families_are_loaded_tested_and_documented():
+    # a family added to a loader needs a round trip and a README entry
+    from parmm import generators
+
+    loaded = loaded_families((SRC / "generators.py").read_text(), vars(generators))
+    tested = round_trip_families((TESTS / "test_generators.py").read_text())
+    documented = readme_families(README.read_text())
+    assert loaded == tested == documented
