@@ -5,8 +5,10 @@ shared market price.  Trades are net bundles against the aggregate maker (the
 sum of generators); the engine splits every trade across LPs so each stays on
 the zero level set of its own cost function.  Conjugate solves run on the
 aggregate compiled by `generators.compile_sum`, which merges same-family
-terms; liabilities and the split sum the LPs' generators one by one.  Fees are
-tracked per LP and never touch the pricing math.
+terms: LMSR, V2 and constant-product makers by their scale, buckets over equal
+bases into one bucket array, and piecewise curves into one on the union of
+their breakpoints.  Liabilities and the split sum the LPs' generators one by
+one.  Fees are tracked per LP and never touch the pricing math.
 """
 
 from __future__ import annotations

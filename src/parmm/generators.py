@@ -7,7 +7,8 @@ price p, and its convex conjugate is the maker's cost function.
 `conjugate(q)` gives that cost as (C(q), maximizing price) for the families
 with an O(1) closed form (LMSR, V2, constant product at n = 2) and None for
 the rest, piecewise curves, buckets and sums among them, which the solvers in
-`convex_core` price.  A piecewise curve checks its convexity when built.
+`convex_core` price.  A piecewise curve checks its convexity and continuity
+when built.
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
@@ -19,6 +20,7 @@ curvature.  All curve families here are normalized so g(0) = g(1) = 0.
 from __future__ import annotations
 
 import copy
+import json
 import math
 from bisect import bisect_left, bisect_right
 
@@ -112,7 +114,8 @@ class Curve1D(Generator):
         raise NotImplementedError
 
     def d2g(self, p):
-        """Second derivative where defined (0 across kinks / flat pieces)."""
+        """Second derivative where defined, from the right at a kink (0 on flat
+        pieces)."""
         raise NotImplementedError
 
     def value(self, x):
@@ -154,10 +157,11 @@ class PiecewisePolyCurve(Curve1D):
 
     polys[k], a Polynomial or its coefficients (lowest degree first, in the
     global coordinate p), is the curve on [xs[k], xs[k+1]].  The constructor
-    raises OutOfRange where g' falls, to a relative 1e-9: inside a piece (g''
+    raises OutOfRange, to a relative 1e-9, where g' falls, inside a piece (g''
     below 0 at an end, exact up to cubics, or a lower right-end slope) or at a
-    breakpoint.  Non-finite slopes are left to `liability_of`.  There is no
-    closed-form conjugate: `convex_core` solves it, as it solves every sum.
+    breakpoint, and where g jumps at a breakpoint.  Non-finite slopes are left
+    to `liability_of`.  There is no closed-form conjugate: `convex_core`
+    solves it, as it solves every sum.
     """
 
     def __init__(self, xs, polys):
@@ -188,6 +192,8 @@ class PiecewisePolyCurve(Curve1D):
                 raise OutOfRange(f"piece {k} is not convex: g' falls inside it")
             if sl < top - tol:
                 raise OutOfRange(f"g' falls at breakpoint {self._x[k]}: the curve is not convex")
+            if k and abs(_horner(self._c0[k - 1], self._x[k]) - _horner(self._c0[k], self._x[k])) > tol:
+                raise OutOfRange(f"g jumps at breakpoint {self._x[k]}: the curve is not continuous")
             self._dlo.append(max(sl, top))
             top = max(sr, self._dlo[-1])
             self._dhi.append(top)
@@ -220,10 +226,8 @@ class PiecewisePolyCurve(Curve1D):
         k = self._piece(p)
         d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
-        if 0 < k and abs(p - self._x[k]) < _TINY:
+        if 0 < k and p == self._x[k]:
             d = 0.5 * (d + self._slope(k - 1, p))
-        elif k + 1 < len(self._c0) and abs(p - self._x[k + 1]) < _TINY:
-            d = 0.5 * (d + self._slope(k + 1, p))
         return float(d)
 
     def d2g(self, p):
@@ -385,7 +389,9 @@ class BucketCurve(Curve1D):
         return float(w * val)
 
     def d2g(self, p):
-        if self.a < p < self.b:
+        # from the right at the edges, as a piecewise curve takes the piece
+        # right of a breakpoint: then buckets that tile [a, b] add up to it
+        if self.a <= p < self.b:
             return float(self.weight * self.base.d2g(p))
         return 0.0
 
@@ -860,12 +866,19 @@ def _family(G) -> tuple | None:
         return ("constant_product", G.n)
     if isinstance(G, BucketArrayCurve):
         return ("bucket_array", id(G._units))
+    if type(G) is BucketCurve:
+        # equal bases merge, however they were built
+        return ("bucket", json.dumps(G.base.descriptor(), sort_keys=True))
+    if type(G) is PiecewisePolyCurve:
+        return ("piecewise_poly",)
     return None
 
 
 def _merge(kind: str, terms) -> Generator:
     """One generator for a sum of same-family terms: each family is linear in
-    its scale (b, alpha, alpha^(1/n), the bucket weights)."""
+    its scale (b, alpha, alpha^(1/n), the bucket weights) or, for buckets and
+    piecewise curves, in its liquidity on the common refinement of the terms'
+    edges or breakpoints."""
     n = terms[0].n
     if kind == "lmsr":
         b = sum(T.b for T in terms)
@@ -876,6 +889,23 @@ def _merge(kind: str, terms) -> Generator:
         return UniswapV2Curve(sum(T.alpha for T in terms))
     if kind == "constant_product":
         return ConstantProductGenerator(n, sum(T.alpha ** (1.0 / n) for T in terms) ** n)
+    if kind == "bucket":
+        # liquidity on [a, c] is its restriction to [a, b] plus that to
+        # [b, c], each normalized to g(0) = g(1) = 0: a sub-bucket carries
+        # the weights of the buckets that contain it
+        edges = sorted({x for T in terms for x in (T.a, T.b)})
+        subs = [(a, b, [T.weight for T in terms if T.a <= a and b <= T.b]) for a, b in zip(edges, edges[1:])]
+        subs = [(a, b, sum(ws)) for a, b, ws in subs if ws]
+        return BucketArrayCurve(terms[0].base, [(a, b) for a, b, _ in subs], [w for _, _, w in subs])
+    if kind == "piecewise_poly":
+        # each refined piece adds the coefficients of the pieces covering it
+        xs = sorted({x for T in terms for x in T._x})
+        coefs = [[0.0] * max(len(c) for T in terms for c in T._c0) for _ in xs[1:]]
+        for c, a, b in zip(coefs, xs, xs[1:]):
+            for T in terms:
+                for i, v in enumerate(T._c0[T._piece(0.5 * (a + b))]):
+                    c[i] += v
+        return PiecewisePolyCurve(xs, coefs)
     return terms[0].with_weights(np.sum([T.weights for T in terms], axis=0))
 
 
@@ -883,8 +913,11 @@ def compile_sum(generators) -> Generator:
     """The sum of `generators` with same-family terms merged, for conjugate
     solves: LMSR b values add (two-outcome LMSR makers become one
     `LmsrCurve`), V2 alphas add, constant-product alphas add in alpha^(1/n),
-    bucket arrays that share their buckets add their weights, and every other
-    term stays as it is.  A single generator is returned unchanged."""
+    bucket arrays that share their buckets add their weights, `BucketCurve`s
+    over equal bases become one `BucketArrayCurve` on the common refinement
+    of their edges, `PiecewisePolyCurve`s become one on the union of their
+    breakpoints, and every other term stays as it is.  A single generator is
+    returned unchanged."""
     gens = list(generators)
     if len(gens) == 1:
         return gens[0]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from parmm import UniswapV3Market
+from parmm import MarketState, NormFee, UniswapV3Market, generator_from_descriptor, initialize
 
 
 def bench_inputs():
@@ -15,6 +15,17 @@ def bench_inputs():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def n2_market(seed: int) -> MarketState:
+    """The bundle-n2 workload's opening market: k = 16 LPs of mixed families."""
+    spec = bench_inputs().n2_market(seed)
+    gens = [generator_from_descriptor(d, 2) for d in spec["lps"]]
+    p = spec["price"]
+    st = initialize(gens[0], price=[p, 1.0 - p], fee=NormFee(spec["fee_beta"], "l1"), strict=False)
+    for G in gens[1:]:
+        st.modify_liquidity(st.register_lp(), G)
+    return st
 
 
 def v3_pool(seed: int) -> UniswapV3Market:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bench_pools import tiled_pool, v3_pool
+from bench_pools import bench_inputs, n2_market, tiled_pool, v3_pool
 from parmm import (
     BucketArrayCurve,
     BucketCurve,
@@ -149,7 +149,7 @@ def test_bucket_liquidity_restriction():
     base = LmsrCurve(1.0)
     crv = BucketCurve(base, 0.3, 0.7, 1.5)
     for p in GRID:
-        want = 1.5 * base.d2g(p) if 0.3 < p < 0.7 else 0.0
+        want = 1.5 * base.d2g(p) if 0.3 <= p < 0.7 else 0.0
         assert crv.d2g(p) == want
         assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=2e-5, abs=2e-5)
     assert crv.g(0.0) == 0.0 and crv.g(1.0) == 0.0
@@ -315,6 +315,13 @@ def test_curvature_is_hessian_quadratic_form(family, t):
     assert abs(G.curvature(t) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _kink(x):
+    """A curve with one kink, at x: slope -1 left of it, and right of it
+    the slope that brings g back to g(1) = 0."""
+    s = x / (1.0 - x)
+    return PiecewisePolyCurve([0.0, x, 1.0], [[0.0, -1.0], [-s, s]])
+
+
 def _joined_curves():
     """Curves whose g' is pieced together, with the prices where pieces join."""
     v3 = UniswapV3Market([(0.1, 0.3), (0.3, 0.5), (0.5, 0.7)], price=0.2)
@@ -323,15 +330,25 @@ def _joined_curves():
     for base in (UniswapV2Curve(1.0), LmsrCurve(0.7), brier_curve(1.3)):
         for a, b in ((0.1, 0.4), (0.6, 0.9), (0.25, 0.75)):
             cases.append((BucketCurve(base, a, b, 1.3), [a, b]))
-    for xs, liq in (
-        ([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]]),
-        ([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]]),
-        ([0, 0.1, 0.35, 0.8, 1], [[0.0], [3.0], [0.0], [0.25]]),
-    ):
-        cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs[1:-1]))
+    flats = [
+        PiecewisePolyCurve.from_liquidity(xs, liq)
+        for xs, liq in (
+            ([0, 0.3, 0.6, 1], [[1.0], [0.0], [1.0]]),
+            ([0, 0.2, 0.45, 0.7, 1], [[2.0], [0.0], [0.5, 1.0], [0.0]]),
+            ([0, 0.1, 0.35, 0.8, 1], [[0.0], [3.0], [0.0], [0.25]]),
+        )
+    ]
+    cases += [(c, c._x[1:-1]) for c in flats]
     # bucket arrays with gaps and an empty bucket, on an LMSR base
     gaps = [(0.1, 0.25), (0.4, 0.5), (0.5, 0.8)]
     cases.append((BucketArrayCurve(LmsrCurve(0.7), gaps, [1.3, 0.0, 2.0]), [0.1, 0.25, 0.4, 0.5, 0.8]))
+    # merged by compile_sum: the piecewise curves above with two kinks 1e-13
+    # apart, and overlapping, nested and separate LMSR buckets
+    pieces = flats + [_kink(0.4), _kink(0.4 + 1e-13)]
+    cases.append((compile_sum(pieces), sorted({x for c in pieces for x in c._x[1:-1]})))
+    buckets = [(0.1, 0.4, 1.3), (0.25, 0.75, 0.6), (0.3, 0.35, 2.0), (0.8, 0.9, 1.0)]
+    cases.append((compile_sum([BucketCurve(LmsrCurve(0.7), a, b, w) for a, b, w in buckets]),
+                  sorted({x for a, b, _ in buckets for x in (a, b)})))
     return [pytest.param(c, joins, id=f"{type(c).__name__}-{i}") for i, (c, joins) in enumerate(cases)]
 
 
@@ -384,7 +401,8 @@ def test_bucket_array_slope_evaluates_at_most_two_buckets(buckets, monkeypatch):
         assert len(calls) <= 2
 
 
-# two-outcome terms of every family, scaled by the draw (the bucket by its width).
+# two-outcome terms of every family, scaled by the draw (the bucket by its width,
+# the kink by its place).
 # Bucket arrays draw their weights over one shared set of buckets.
 SHARED = BucketArrayCurve(UniswapV2Curve(1.0), [(0.1, 0.3), (0.3, 0.5), (0.55, 0.9)], [0.0, 0.0, 0.0])
 TERMS_N2 = {
@@ -397,6 +415,7 @@ TERMS_N2 = {
     "bucket": lambda x: BucketCurve(UniswapV2Curve(1.0), 0.2, 0.2 + 0.2 * x, 1.0),
     "brier": lambda x: brier_curve(x),
     "piecewise_liquidity": lambda x: PiecewisePolyCurve.from_liquidity([0, 0.3, 1], [[x], [1.0]]),
+    "piecewise_poly": lambda x: _kink(0.3 + 0.1 * x),
     "soft_bucket": lambda x: SoftBucketCurve([0.0, 0.4, 1.0], [0.0, x, 0.0]),
     "piecewise_linear": lambda x: PiecewiseLinearCurve([0.25, 0.7], [x, 1.0]),
     "shifted-curve": lambda x: normalize_generator(RAW),
@@ -414,6 +433,9 @@ def test_compiled_sum_matches_the_term_by_term_sum(terms, b, p1):
     # an LMSR term keeps the sum strictly convex, so its price is unique
     gens = [LmsrCurve(b)] + [TERMS_N2[name](x) for name, x in terms]
     want, got = SumGenerator(gens), compile_sum(gens)
+    # buckets over one base, and piecewise curves, each merge into one term
+    kinds = [type(T) for T in getattr(got, "terms", [got])]
+    assert kinds.count(BucketCurve) <= 1 and kinds.count(PiecewisePolyCurve) <= 1
     for t in (p1, 0.5, 0.03, 0.97):
         assert abs(got.slope(t) - want.slope(t)) <= 1e-12 * max(1.0, abs(want.slope(t)))
         assert abs(got.curvature(t) - want.curvature(t)) <= 1e-12 * max(1.0, abs(want.curvature(t)))
@@ -444,6 +466,78 @@ def test_compile_sum_merges_same_family_terms():
     # one object of a family that does not merge may back several LPs
     P = PairConstantProductGenerator(3, 0, 1, 1.0)
     assert compile_sum([P, LmsrGenerator(1.0, 3), P]).terms[::2] == [P, P]
+    # buckets over equal bases become one array on the common refinement of
+    # their edges; a sub-bucket adds the weights of the buckets holding it.
+    # Overlapping and nested V2 buckets, each base built on its own:
+    v2 = [BucketCurve(UniswapV2Curve(1.0), a, b, w) for a, b, w in ((0.1, 0.5, 1), (0.3, 0.7, 2), (0.35, 0.45, 0.5))]
+    arr = compile_sum(v2)
+    assert arr.buckets == [(0.1, 0.3), (0.3, 0.35), (0.35, 0.45), (0.45, 0.5), (0.5, 0.7)]
+    assert list(arr.weights) == [1.0, 3.0, 3.5, 3.0, 2.0]
+    _assert_sums_to(arr, v2)
+    # Brier buckets, from the shorthand or by hand; no bucket holds (0.4, 0.6)
+    brier = [
+        generator_from_descriptor({"family": "brier_bucket", "a": 0.1, "b": 0.3, "alpha": 1.5}),
+        generator_from_descriptor({"family": "brier_bucket", "a": 0.2, "b": 0.4}),
+        BucketCurve(brier_curve(1.0), 0.6, 0.8, 0.5),
+    ]
+    arr = compile_sum(brier)
+    assert arr.buckets == [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.6, 0.8)]
+    assert list(arr.weights) == [1.5, 2.5, 1.0, 0.5]
+    _assert_sums_to(arr, brier)
+    # buckets over two bases stay two arrays
+    bases = [UniswapV2Curve, LmsrCurve] * 2
+    mixed = [BucketCurve(base(1.0), a, a + 0.4) for a, base in zip((0.1, 0.2, 0.3, 0.4), bases)]
+    arrays = compile_sum(mixed)
+    assert [(type(T), type(T.base), len(T.buckets)) for T in arrays.terms] == [
+        (BucketArrayCurve, UniswapV2Curve, 3),
+        (BucketArrayCurve, LmsrCurve, 3),
+    ]
+    _assert_sums_to(arrays, mixed)
+    # piecewise curves merge on the union of their breakpoints, each piece
+    # padded to the longest: a kink (degree 1) and a quartic
+    unequal = [_kink(0.6), PiecewisePolyCurve.from_liquidity([0, 0.25, 0.75, 1], [[1.0], [0.0, 0.0, 3.0], [2.0]])]
+    pw = compile_sum(unequal)
+    assert pw._x == [0.0, 0.25, 0.6, 0.75, 1.0] and {len(c) for c in pw._c0} == {5}
+    _assert_sums_to(pw, unequal)
+    # breakpoints 1e-13 apart stay two, and the subgradient at each is the sum's
+    close = [_kink(0.4), _kink(0.4 + 1e-13)]
+    pw = compile_sum(close)
+    assert pw._x == [0.0, 0.4, 0.4 + 1e-13, 1.0]
+    _assert_sums_to(pw, close)
+    # a brier curve and piecewise_liquidity curves, loaded from descriptors
+    liq = [generator_from_descriptor({"family": "brier", "scale": 2.0})] + [
+        generator_from_descriptor({"family": "piecewise_liquidity", "breakpoints": xs, "coefficients": prof})
+        for xs, prof in (([0, 0.3, 0.7, 1], [[1.0], [4.0], [2.0]]), ([0, 0.45, 0.6, 1], [[3.0], [0.5], [1.5]]))
+    ]
+    pw = compile_sum(liq)
+    assert type(pw) is PiecewisePolyCurve and pw._x == [0.0, 0.3, 0.45, 0.6, 0.7, 1.0]
+    _assert_sums_to(pw, liq)
+
+
+def _assert_sums_to(got, terms):
+    """got's value, slope and curvature are the term-by-term sum's, to a
+    relative 1e-12, on the grid and within an ulp of every join."""
+    joins = {x for T in terms for x in (T._x[1:-1] if isinstance(T, PiecewisePolyCurve) else (T.a, T.b))}
+    want = SumGenerator(terms)
+    for p in sorted(set(GRID) | {y for x in joins for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))}):
+        x = np.array([p, 1.0 - p])
+        for f in ("slope", "curvature"):
+            b = getattr(want, f)(p)
+            assert abs(getattr(got, f)(p) - b) <= 1e-12 * max(1.0, abs(b))
+        assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
+
+
+def test_bench_n2_market_solves_a_four_term_aggregate():
+    # the bundle-n2 workload's 16 LPs: its 4 V2 and 4 LMSR makers, 4 V2
+    # buckets and 4 piecewise_liquidity curves merge into one term per family
+    st = n2_market(1)
+    agg, want = st._solver(), SumGenerator(st._terms())
+    assert [type(T) for T in agg.terms] == [UniswapV2Curve, LmsrCurve, BucketArrayCurve, PiecewisePolyCurve]
+    for _, p1 in zip(range(50), bench_inputs().n2_targets(1, st.price[0])):
+        q = want.grad(np.array([p1, 1.0 - p1]))
+        got, ref = conjugate_value(agg, q, st.price), conjugate_value(want, q, st.price)
+        assert abs(got.price[0] - ref.price[0]) <= 1e-12
+        assert abs(got.cost - ref.cost) <= 1e-12
 
 
 PIECEWISE = {
@@ -493,13 +587,9 @@ NONCONVEX = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NONCONVEX))
-def test_nonconvex_piecewise_curves_are_rejected_at_construction(name, tmp_path, capsys):
-    build, desc = NONCONVEX[name]
-    with pytest.raises(OutOfRange, match="not convex"):
-        build()
-    with pytest.raises(OutOfRange, match="not convex"):
-        generator_from_descriptor(desc, 2)
+def _modify_error(desc, tmp_path, capsys) -> str:
+    """stderr of `parmm run` on a scenario whose event 2 gives LP 1 the
+    generator `desc`; the run must exit 1."""
     scen = {
         "n": 2,
         "events": [
@@ -508,11 +598,49 @@ def test_nonconvex_piecewise_curves_are_rejected_at_construction(name, tmp_path,
             {"op": "modify_liquidity", "lp": 1, "generator": desc},
         ],
     }
-    path = tmp_path / "nonconvex.json"
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scen))
     assert main(["run", str(path)]) == 1
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(NONCONVEX))
+def test_nonconvex_piecewise_curves_are_rejected_at_construction(name, tmp_path, capsys):
+    build, desc = NONCONVEX[name]
+    with pytest.raises(OutOfRange, match="not convex"):
+        build()
+    with pytest.raises(OutOfRange, match="not convex"):
+        generator_from_descriptor(desc, 2)
+    err = _modify_error(desc, tmp_path, capsys)
     assert err.startswith("error: event 2 (modify_liquidity): ") and "not convex" in err
+
+
+@pytest.mark.parametrize("jump", [0.5, -0.5, 1e-6])
+def test_discontinuous_piecewise_curves_are_rejected_at_construction(jump, tmp_path, capsys):
+    # g' rises from -0.6 to 1.4 at 0.5, but g jumps there
+    xs, coefs = [0.0, 0.5, 1.0], [[0.0, -1.0, 0.4], [-1.0 + jump, 1.0, 0.4]]
+    with pytest.raises(OutOfRange, match="not continuous"):
+        PiecewisePolyCurve(xs, coefs)
+    desc = {"family": "piecewise_poly", "breakpoints": xs, "coefficients": coefs}
+    with pytest.raises(OutOfRange, match="not continuous"):
+        generator_from_descriptor(desc, 2)
+    err = _modify_error(desc, tmp_path, capsys)
+    assert err.startswith("error: event 2 (modify_liquidity): ") and "not continuous" in err
+    # without the jump the curve loads
+    PiecewisePolyCurve(xs, [coefs[0], [-1.0, 1.0, 0.4]])
+
+
+def test_kinked_piecewise_curve_prices_on_its_breakpoint():
+    # g' jumps from -0.6 to 1.4 at 0.5: every slope between prices 0.5, to
+    # the solver's bracket width, and the subgradient is the midpoint there
+    crv = PiecewisePolyCurve([0.0, 0.5, 1.0], [[0.0, -1.0, 0.4], [-1.0, 1.0, 0.4]])
+    assert crv.dg(0.5) == pytest.approx(0.4, abs=1e-15)
+    assert crv.dg(np.nextafter(0.5, 0.0)) == pytest.approx(-0.6, abs=1e-15)
+    assert crv.dg(np.nextafter(0.5, 1.0)) == pytest.approx(1.4, abs=1e-15)
+    for t in np.linspace(-0.55, 1.35, 39):
+        res = conjugate_value(crv, [t, 0.0])
+        assert abs(res.price[0] - 0.5) <= 1e-15
+        assert res.cost == pytest.approx(0.5 * t + 0.4, abs=1e-15)
 
 
 def test_normalize_curve_removes_chord():
