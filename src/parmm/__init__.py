@@ -63,18 +63,18 @@ from .generators import (
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
-    PiecewiseLinearCurve,
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
     SumGenerator,
-    TabulatedLiquidityCurve,
     TrivialGenerator,
     UniswapV2Curve,
     brier_curve,
     compile_sum,
     curve_from_descriptor,
     generator_from_descriptor,
+    piecewise_linear_curve,
+    tabulated_liquidity_curve,
 )
 from .two_asset import (
     PiecewiseLinearMarket,

@@ -8,7 +8,8 @@ price p, and its convex conjugate is the maker's cost function.
 with an O(1) closed form (LMSR, V2, constant product at n = 2) and None for
 the rest, piecewise curves, buckets and sums among them, which the solvers in
 `convex_core` price.  A piecewise curve checks its convexity and continuity
-when built.
+when built.  It is the one piecewise-polynomial family: the `brier`,
+`piecewise_linear` and `tabulated_liquidity` descriptors load as one.
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
@@ -158,10 +159,10 @@ class PiecewisePolyCurve(Curve1D):
     polys[k], a Polynomial or its coefficients (lowest degree first, in the
     global coordinate p), is the curve on [xs[k], xs[k+1]].  The constructor
     raises OutOfRange, to a relative 1e-9, where g' falls, inside a piece (g''
-    below 0 at an end, exact up to cubics, or a lower right-end slope) or at a
-    breakpoint, and where g jumps at a breakpoint.  Non-finite slopes are left
-    to `liability_of`.  There is no closed-form conjugate: `convex_core`
-    solves it, as it solves every sum.
+    below 0 at an end or where g''' vanishes, or a lower right-end slope) or
+    at a breakpoint, and where g jumps at a breakpoint.  Non-finite slopes
+    are left to `liability_of`.  There is no closed-form conjugate:
+    `convex_core` solves it, as it solves every sum.
     """
 
     def __init__(self, xs, polys):
@@ -188,7 +189,7 @@ class PiecewisePolyCurve(Curve1D):
         self._dlo, self._dhi = [], []
         top = -math.inf
         for k, (sl, sr, cl, cr) in enumerate(ends):
-            if min(cl, cr) < -tol or sr < sl - tol:
+            if min([cl, cr] + _turning_values(self._c2[k], *self._x[k : k + 2])) < -tol or sr < sl - tol:
                 raise OutOfRange(f"piece {k} is not convex: g' falls inside it")
             if sl < top - tol:
                 raise OutOfRange(f"g' falls at breakpoint {self._x[k]}: the curve is not convex")
@@ -253,6 +254,14 @@ def _integrate(xs, polys):
     return out
 
 
+def _turning_values(c2, a, b):
+    """g'' at the real parts of the roots of g''' in (a, b): with g''(a) and
+    g''(b), they bound g'' below on the piece.  None for an affine g''."""
+    if len(c2) < 3:
+        return []
+    return [_horner(c2, r) for r in Polynomial(c2).deriv().roots().real if a < r < b]
+
+
 def _horner(c, x):
     """numpy's polyval(x, c) for a list of Python floats, in the same operation
     order, so its results are polyval's bit for bit."""
@@ -267,6 +276,40 @@ def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     if not scale > 0:
         raise OutOfRange(f"Brier scale {scale} is not positive")
     return PiecewisePolyCurve([0.0, 1.0], [[0.0, -scale, scale]])
+
+
+def piecewise_linear_curve(grid, weights) -> PiecewisePolyCurve:
+    """Sum of weighted one-kink curves with kinks at grid prices 0 < a_1 <
+    ... < a_k < 1: the j-th has slope a_j - 1 left of a_j and a_j right of
+    it, so its maker quotes a_j for every state inside its capacity.  On
+    (a_j, a_{j+1}), with a_0 = 0, the sum's slope is sum_{i<=j} w_i a_i +
+    sum_{i>j} w_i (a_i - 1) and its intercept -sum_{i<=j} w_i a_i."""
+    grid, weights = np.asarray(grid, dtype=float), np.asarray(weights, dtype=float)
+    if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
+        raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
+    if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all(weights >= 0)):
+        raise OutOfRange("grid prices must increase strictly inside (0, 1), weights be nonnegative")
+    intercepts = np.r_[0.0, -np.cumsum(weights * grid)]
+    unfilled = np.r_[np.cumsum((weights * (grid - 1.0))[::-1])[::-1], 0.0]
+    return PiecewisePolyCurve(np.r_[0.0, grid, 1.0], [[c, u - c] for c, u in zip(intercepts, unfilled)])
+
+
+def tabulated_liquidity_curve(grid, values) -> PiecewisePolyCurve:
+    """Curve whose liquidity g'' interpolates `values` at the prices `grid`
+    linearly and is 0 off the grid, which lies inside [0, 1];
+    `from_liquidity` integrates it exactly, so g, g' and g'' agree."""
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
+        raise UnknownKind(f"grid of shape {grid.shape} for samples of shape {values.shape}")
+    if not (np.all(np.diff(grid) > 0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
+        raise OutOfRange("grid must increase strictly inside [0, 1]")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise DivergentIntegral("liquidity samples must be finite and nonnegative")
+    slopes = np.diff(values) / np.diff(grid)
+    lo, hi = int(grid[0] > 0.0), int(grid[-1] < 1.0)  # the pieces off the grid
+    xs = [0.0] * lo + grid.tolist() + [1.0] * hi
+    liq = [[0.0]] * lo + [[v - s * x, s] for v, s, x in zip(values, slopes, grid)] + [[0.0]] * hi
+    return PiecewisePolyCurve.from_liquidity(xs, liq)
 
 
 class LmsrCurve(Curve1D):
@@ -610,83 +653,6 @@ class SoftBucketCurve(Curve1D):
         return {"family": "soft_bucket", "knots": list(self.knots), "weights": list(self.weights)}
 
 
-class PiecewiseLinearCurve(Curve1D):
-    """Sum of weighted one-kink curves with kinks at interior grid prices.
-
-    The j-th elementary curve has slope a_j - 1 left of a_j and slope a_j to
-    the right; its maker quotes price a_j for every state inside its capacity.
-    """
-
-    def __init__(self, grid, weights):
-        grid = np.asarray(grid, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
-            raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
-        if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all(weights >= 0)):
-            raise OutOfRange("grid prices must increase strictly inside (0, 1), weights be nonnegative")
-        self.grid, self.weights = grid, weights
-
-    def g(self, p):
-        a, w = self.grid, self.weights
-        return float(np.sum(np.where(a >= p, (a - 1.0) * p, a * (p - 1.0)) * w))
-
-    def dg(self, p):
-        a, w = self.grid, self.weights
-        at = np.abs(a - p) < _TINY
-        slopes = np.where(a > p, a - 1.0, a)
-        slopes = np.where(at, a - 0.5, slopes)
-        return float(np.sum(slopes * w))
-
-    def d2g(self, p):
-        return 0.0
-
-    def descriptor(self):
-        return {"family": "piecewise_linear", "grid": list(self.grid), "weights": list(self.weights)}
-
-
-class TabulatedLiquidityCurve(Curve1D):
-    """Curve integrated numerically from liquidity samples on a grid.
-
-    Integrals use composite Simpson in the substituted variable theta with
-    p = sin^2(theta), which clusters nodes near the endpoints where liquidity
-    profiles typically blow up.  Derivative/second-derivative queries
-    interpolate the tabulated antiderivatives linearly, so accuracy is set by
-    the grid resolution.
-    """
-
-    def __init__(self, grid, values):
-        from scipy.integrate import cumulative_simpson
-
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 3:
-            raise UnknownKind(f"grid of shape {grid.shape} for samples of shape {values.shape}")
-        if not (np.all(np.diff(grid) > 0) and (abs(grid[0]) < 1e-9 or grid[0] > 0)):
-            raise OutOfRange("grid must increase strictly from 0 or above")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DivergentIntegral("liquidity samples must be finite and nonnegative")
-        self.grid, self.values = grid, values
-        theta = np.arcsin(np.sqrt(np.clip(grid, 0.0, 1.0)))
-        integrand = values * np.sin(2.0 * theta)  # dp = sin(2 theta) d theta
-        A = cumulative_simpson(integrand, x=theta, initial=0.0)
-        B = cumulative_simpson(A * np.sin(2.0 * theta), x=theta, initial=0.0)
-        self._A, self._B = A, B
-        self._chord = (B[-1] - B[0]) / (grid[-1] - grid[0])
-
-    def g(self, p):
-        B = np.interp(p, self.grid, self._B)
-        return float(B - self._B[0] - self._chord * (p - self.grid[0]))
-
-    def dg(self, p):
-        return float(np.interp(p, self.grid, self._A) - self._chord)
-
-    def d2g(self, p):
-        return float(np.interp(p, self.grid, self.values))
-
-    def descriptor(self):
-        return {"family": "tabulated_liquidity", "grid": list(self.grid), "values": list(self.values)}
-
-
 # ---------------------------------------------------------------------------
 # n-asset generators
 # ---------------------------------------------------------------------------
@@ -1021,9 +987,9 @@ def curve_from_descriptor(d: dict) -> Curve1D:
     if fam == "soft_bucket":
         return SoftBucketCurve(d["knots"], d["weights"])
     if fam == "piecewise_linear":
-        return PiecewiseLinearCurve(d["grid"], d["weights"])
+        return piecewise_linear_curve(d["grid"], d["weights"])
     if fam == "tabulated_liquidity":
-        return TabulatedLiquidityCurve(d["grid"], d["values"])
+        return tabulated_liquidity_curve(d["grid"], d["values"])
     if fam == "bucket_array":
         return BucketArrayCurve(curve_from_descriptor(d["base"]), d["buckets"], d["weights"])
     raise UnknownKind(f"unknown family {fam!r}")

@@ -36,9 +36,10 @@ from .generators import (
     BucketArrayCurve,
     BucketCurve,
     Curve1D,
-    PiecewiseLinearCurve,
+    PiecewisePolyCurve,
     TrivialGenerator,
     UniswapV2Curve,
+    piecewise_linear_curve,
 )
 
 __all__ = [
@@ -309,8 +310,8 @@ class PiecewiseLinearMarket:
         self.weights[lp_id] = np.zeros_like(self.grid)
         return lp_id
 
-    def curve(self) -> PiecewiseLinearCurve:
-        return PiecewiseLinearCurve(self.grid, self.total_weights())
+    def curve(self) -> PiecewisePolyCurve:
+        return piecewise_linear_curve(self.grid, self.total_weights())
 
     # -- state decoding ---------------------------------------------------
 

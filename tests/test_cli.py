@@ -318,9 +318,11 @@ def test_trace_writer_matches_the_rounding_pass(name):
     trace = run_scenario(scen)
     assert _written(trace) == _oracle(trace)
     if name.startswith("every-family"):
+        # brier, piecewise_liquidity, piecewise_linear and tabulated_liquidity
+        # load as, and are written as, piecewise_poly
         want = {"bucket", "bucket_array", "sum", "shifted", "piecewise_poly", "lmsr", "uniswap_v2",
-                "v3_bucket", "lmsr_bucket", "brier_bucket", "soft_bucket", "piecewise_linear",
-                "tabulated_liquidity", "constant_product", "pair_constant_product", "trivial"}
+                "v3_bucket", "lmsr_bucket", "brier_bucket", "soft_bucket", "constant_product",
+                "pair_constant_product", "trivial"}
         assert want <= _families([rec["state"] for rec in trace[1:]])
 
 

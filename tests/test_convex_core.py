@@ -16,7 +16,6 @@ from parmm import (
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
-    PiecewiseLinearCurve,
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
@@ -32,6 +31,7 @@ from parmm import (
     liability_of,
     liquidity_matrix,
     normalize_generator,
+    piecewise_linear_curve,
     price_of,
 )
 from parmm.convex_core import _MAXIT, EPS, _conjugate_two, _fd_hessian, simplex_price
@@ -395,8 +395,8 @@ def leftmost_families():
     # families_n2 holds bucket curves, whose g' is flat outside the bucket
     return families_n2() + [
         # g' is a step function: kinks at the grid, flat in between
-        PiecewiseLinearCurve([0.2, 0.5, 0.7], [1.0, 2.0, 0.5]),
-        SumGenerator([LmsrGenerator(0.5, 2), PiecewiseLinearCurve([0.3, 0.6], [1.0, 1.0])]),
+        piecewise_linear_curve([0.2, 0.5, 0.7], [1.0, 2.0, 0.5]),
+        SumGenerator([LmsrGenerator(0.5, 2), piecewise_linear_curve([0.3, 0.6], [1.0, 1.0])]),
         # interior flats with curvature on both sides
         two_bucket_gap(),
         v3_pool_with_empty_bucket(),

@@ -16,12 +16,10 @@ from parmm import (
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
-    PiecewiseLinearCurve,
     PiecewisePolyCurve,
     ShiftedGenerator,
     SoftBucketCurve,
     SumGenerator,
-    TabulatedLiquidityCurve,
     TrivialGenerator,
     UniswapV2Curve,
     UniswapV3Market,
@@ -31,9 +29,11 @@ from parmm import (
     generator_from_descriptor,
     liability_of,
     normalize_generator,
+    piecewise_linear_curve,
+    tabulated_liquidity_curve,
 )
 from parmm.cli import main
-from parmm.errors import DivergentIntegral, OutOfRange
+from parmm.errors import DivergentIntegral, OutOfRange, UnknownKind
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -202,7 +202,7 @@ def test_soft_bucket_zero_weights_is_flat():
 
 def test_tabulated_liquidity_close_to_exact():
     grid = np.linspace(0.0, 1.0, 2001)
-    crv = TabulatedLiquidityCurve(grid, np.full_like(grid, 2.0))
+    crv = tabulated_liquidity_curve(grid, np.full_like(grid, 2.0))
     ref = brier_curve(1.0)
     for p in GRID[::8]:
         assert crv.g(p) == pytest.approx(ref.g(p), abs=5e-6)
@@ -211,8 +211,35 @@ def test_tabulated_liquidity_close_to_exact():
 
 def test_tabulated_liquidity_rejects_bad_samples():
     grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(DivergentIntegral):
-        TabulatedLiquidityCurve(grid, np.r_[np.inf, np.ones(10)])
+    for bad in (np.inf, np.nan, -0.5):
+        with pytest.raises(DivergentIntegral):
+            tabulated_liquidity_curve(grid, np.r_[bad, np.ones(10)])
+    with pytest.raises(UnknownKind):
+        tabulated_liquidity_curve([0.5], [1.0])
+    # two samples are enough: liquidity 2 on the whole interval is Brier's
+    crv = tabulated_liquidity_curve([0.0, 1.0], [2.0, 2.0])
+    for p in GRID[::8]:
+        assert crv.g(p) == pytest.approx(brier_curve(1.0).g(p), abs=1e-15)
+
+
+def test_tabulated_liquidity_is_zero_off_its_grid(tmp_path, capsys):
+    # a grid inside [0, 1] spans part of it: g(0) = g(1) = 0 still, g' is
+    # the slope of g, and g'' is 0 outside the grid
+    grid = np.linspace(0.2, 0.8, 13)
+    crv = tabulated_liquidity_curve(grid, 1.0 + grid)
+    assert crv.g(0.0) == 0.0 and abs(crv.g(1.0)) < 1e-15
+    for p in list(GRID[::8]) + [0.05, 0.1, 0.9, 0.95]:
+        assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=1e-5, abs=1e-5)
+    for p in (0.0, 0.1, 0.199, 0.8, 0.9, 1.0):
+        assert crv.d2g(p) == 0.0
+    assert crv.d2g(0.5) == pytest.approx(1.5, abs=1e-12)
+    # a grid outside [0, 1] is a typed error, named at the event that loads it
+    for bad in ([0.0, 0.5, 1.0, 1.5], [-0.1, 0.5], [0.0, 0.5, 0.5, 1.0]):
+        desc = {"family": "tabulated_liquidity", "grid": bad, "values": [1.0] * len(bad)}
+        with pytest.raises(OutOfRange):
+            generator_from_descriptor(desc, 2)
+        err = _modify_error(desc, tmp_path, capsys)
+        assert err.startswith("error: event 2 (modify_liquidity): grid must increase strictly inside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +248,7 @@ def test_tabulated_liquidity_rejects_bad_samples():
 
 
 def test_piecewise_linear_elementary_shape():
-    crv = PiecewiseLinearCurve([0.3], [1.0])
+    crv = piecewise_linear_curve([0.3], [1.0])
     for p in GRID:
         want = (0.3 - 1.0) * p if p <= 0.3 else 0.3 * (p - 1.0)
         assert crv.g(p) == pytest.approx(want, abs=1e-15)
@@ -262,10 +289,6 @@ FAMILIES = {
     "lmsr_bucket": lambda: BucketCurve(LmsrCurve(1.0), 0.1, 0.5, 0.7),
     "brier_bucket": lambda: BucketCurve(brier_curve(1.0), 0.3, 0.8, 2.0),
     "soft_bucket": lambda: SoftBucketCurve([0.0, 0.4, 1.0], [0.0, 1.0, 0.0]),
-    "piecewise_linear": lambda: PiecewiseLinearCurve([0.2, 0.6], [1.0, 2.0]),
-    "tabulated_liquidity": lambda: TabulatedLiquidityCurve(
-        np.linspace(0.0, 1.0, 41), 1.0 + np.linspace(0.0, 1.0, 41)
-    ),
     "constant_product-n2": lambda: ConstantProductGenerator(2, 1.7),
     "constant_product-n3": lambda: ConstantProductGenerator(3, 1.2),
     "pair_constant_product": lambda: PairConstantProductGenerator(3, 0, 2, 1.1),
@@ -280,6 +303,13 @@ FAMILIES = {
     "piecewise_liquidity-desc": lambda: generator_from_descriptor(
         {"family": "piecewise_liquidity", "breakpoints": [0, 0.6, 1], "coefficients": [[5.0], [0.0]]}
     ),
+    "piecewise_linear-desc": lambda: generator_from_descriptor(
+        {"family": "piecewise_linear", "grid": [0.2, 0.6], "weights": [1.0, 2.0]}
+    ),
+    "tabulated_liquidity-desc": lambda: generator_from_descriptor(
+        {"family": "tabulated_liquidity", "grid": list(np.linspace(0.0, 1.0, 41)),
+         "values": list(1.0 + np.linspace(0.0, 1.0, 41))}
+    ),
 }
 TWO_OUTCOME = sorted(k for k in FAMILIES if FAMILIES[k]().n == 2)
 INTERIOR = {2: [[0.3, 0.7], [0.55, 0.45], [0.9, 0.1]], 3: [[0.2, 0.3, 0.5], [0.6, 0.25, 0.15]]}
@@ -293,6 +323,12 @@ def test_descriptor_round_trip(family):
     for p in INTERIOR[G.n] + [np.linspace(1.0, 2.0, G.n)]:
         assert G2.value(p) == pytest.approx(G.value(p), rel=1e-12, abs=1e-12)
         assert np.allclose(G2.grad(p), G.grad(p), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["brier", "piecewise_liquidity", "piecewise_linear", "tabulated_liquidity"])
+def test_piecewise_shorthands_load_as_piecewise_poly_curves(family):
+    G = FAMILIES[f"{family}-desc"]()
+    assert type(G) is PiecewisePolyCurve and G.descriptor()["family"] == "piecewise_poly"
 
 
 @pytest.mark.parametrize("family", TWO_OUTCOME)
@@ -349,6 +385,8 @@ def _joined_curves():
     buckets = [(0.1, 0.4, 1.3), (0.25, 0.75, 0.6), (0.3, 0.35, 2.0), (0.8, 0.9, 1.0)]
     cases.append((compile_sum([BucketCurve(LmsrCurve(0.7), a, b, w) for a, b, w in buckets]),
                   sorted({x for a, b, _ in buckets for x in (a, b)})))
+    # a piecewise-linear book's curve: g' is a step function, flat between kinks
+    cases.append((piecewise_linear_curve([0.2, 0.5, 0.7], [1.0, 0.0, 0.5]), [0.2, 0.5, 0.7]))
     return [pytest.param(c, joins, id=f"{type(c).__name__}-{i}") for i, (c, joins) in enumerate(cases)]
 
 
@@ -417,7 +455,10 @@ TERMS_N2 = {
     "piecewise_liquidity": lambda x: PiecewisePolyCurve.from_liquidity([0, 0.3, 1], [[x], [1.0]]),
     "piecewise_poly": lambda x: _kink(0.3 + 0.1 * x),
     "soft_bucket": lambda x: SoftBucketCurve([0.0, 0.4, 1.0], [0.0, x, 0.0]),
-    "piecewise_linear": lambda x: PiecewiseLinearCurve([0.25, 0.7], [x, 1.0]),
+    "piecewise_linear": lambda x: piecewise_linear_curve([0.25, 0.7], [x, 1.0]),
+    "tabulated_liquidity": lambda x: tabulated_liquidity_curve(
+        np.linspace(0.1, 0.9, 9), x + np.sin(np.arange(9.0)) ** 2
+    ),
     "shifted-curve": lambda x: normalize_generator(RAW),
     "sum-n2": lambda x: SumGenerator([LmsrGenerator(x, 2), UniswapV2Curve(1.0)]),
 }
@@ -566,6 +607,19 @@ def test_piecewise_poly_conjugate_is_solved(name):
             assert res.price[0] == pytest.approx(p1, abs=1e-12)
 
 
+def test_tabulated_conjugate_is_the_supremum():
+    # g, g' and g'' of a tabulated curve agree, so the solved cost is the
+    # supremum of <p, q> - g(p): found on a grid, then on a 1e-8 grid around it
+    grid = np.linspace(0.0, 1.0, 21)
+    crv = tabulated_liquidity_curve(grid, 1.0 + 0.5 * np.sin(7.0 * grid))
+    for q in (-0.3, 0.0, 0.3):
+        ps = np.linspace(0.0, 1.0, 20_001)
+        best = ps[np.argmax([q * p - crv.g(p) for p in ps])]
+        fine = np.clip(np.linspace(best - 1e-4, best + 1e-4, 20_001), 0.0, 1.0)
+        sup = max(q * p - crv.g(p) for p in fine)
+        assert abs(conjugate_value(crv, [q, 0.0]).cost - sup) <= 1e-9
+
+
 NONCONVEX = {
     "falling-quadratic": (
         lambda: PiecewisePolyCurve([0, 1], [[0.0, 1.0, -1.0]]),
@@ -583,6 +637,11 @@ NONCONVEX = {
     "negative-liquidity": (
         lambda: PiecewisePolyCurve.from_liquidity([0, 0.5, 1], [[1.0], [-0.5]]),
         {"family": "piecewise_liquidity", "breakpoints": [0.0, 0.5, 1.0], "coefficients": [[1.0], [-0.5]]},
+    ),
+    # liquidity (p - 0.5)^2 - 0.01 is positive at both ends and -0.01 at 0.5
+    "quartic-dip": (
+        lambda: PiecewisePolyCurve.from_liquidity([0, 1], [[0.24, -1.0, 1.0]]),
+        {"family": "piecewise_liquidity", "breakpoints": [0.0, 1.0], "coefficients": [[0.24, -1.0, 1.0]]},
     ),
 }
 
@@ -652,14 +711,21 @@ def test_normalize_curve_removes_chord():
         assert np.array_equal(norm.hessian(p), RAW.hessian(p))
 
 
-@given(st.floats(0.05, 0.95), st.floats(0.3, 3.0))
-@settings(max_examples=60, deadline=None)
-def test_lmsr_curve_derivative_consistency(p, b):
-    crv = LmsrCurve(b)
-    assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=1e-5, abs=1e-5)
-    h = 1e-5
-    fd2 = (crv.dg(p + h) - crv.dg(p - h)) / (2 * h)
-    assert fd2 == pytest.approx(crv.d2g(p), rel=1e-4, abs=1e-4)
+# prices at least 2e-3 from every breakpoint, knot and bucket edge in FAMILIES
+OFF_BREAKPOINTS = (0.137, 0.262, 0.389, 0.452, 0.541, 0.668, 0.739, 0.861, 0.917)
+
+
+@pytest.mark.parametrize("family", TWO_OUTCOME)
+def test_curve_derivative_consistency(family):
+    # the slope is g' of g(p) = G(p, 1 - p), and the curvature g'' of it
+    G = FAMILIES[family]()
+    for p in OFF_BREAKPOINTS:
+        h = 1e-6
+        fd1 = (G.value([p + h, 1.0 - p - h]) - G.value([p - h, 1.0 - p + h])) / (2 * h)
+        assert fd1 == pytest.approx(G.slope(p), rel=1e-5, abs=1e-5)
+        h = 1e-5
+        fd2 = (G.slope(p + h) - G.slope(p - h)) / (2 * h)
+        assert fd2 == pytest.approx(G.curvature(p), rel=1e-4, abs=1e-4)
 
 
 def test_pair_generator_matches_two_outcome_shape():

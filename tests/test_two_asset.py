@@ -475,6 +475,24 @@ def test_book_price_matches_brute_force_on_1000_states():
         assert book.price == want
 
 
+def test_book_state_is_a_subgradient_of_its_curve():
+    # the book is the general maker of its piecewise-linear curve: its state
+    # t = q_1 - q_2 lies between the curve's one-sided slopes at its price
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        m = int(rng.integers(1, 6))
+        grid = np.sort(rng.choice(np.arange(1, 100), size=m, replace=False)) / 100.0
+        alpha = rng.uniform(0.0, 2.0, size=m) * (rng.uniform(size=m) < 0.8)
+        book = PiecewiseLinearMarket(grid, {0: alpha})
+        book.modify_liquidity(1, int(rng.integers(m)), float(rng.uniform(0.5, 2.0)))
+        book.trade(float(rng.uniform(0.0, 0.999)) * float(book.total_weights().sum()))
+        crv, p = book.curve(), book.price
+        assert type(crv) is PiecewisePolyCurve
+        left, right = crv.dg(np.nextafter(p, 0.0)), crv.dg(np.nextafter(p, 1.0))
+        tol = 1e-12 * max(1.0, float(book.total_weights().sum()))
+        assert left - tol <= book.t <= right + tol
+
+
 def test_book_deposit_round_trip_exact():
     book = PiecewiseLinearMarket([0.2, 0.4, 0.6], {0: [1.0, 2.0, 0.5]})
     book.trade(1.5)
