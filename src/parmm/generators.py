@@ -26,8 +26,6 @@ import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from scipy.special import expit, xlogy
 
 from .errors import (
     DivergentIntegral,
@@ -156,8 +154,9 @@ class Curve1D(Generator):
 class PiecewisePolyCurve(Curve1D):
     """Piecewise-polynomial curve on breakpoints 0 = x_0 < ... < x_m = 1.
 
-    polys[k], a Polynomial or its coefficients (lowest degree first, in the
-    global coordinate p), is the curve on [xs[k], xs[k+1]].  The constructor
+    polys[k], the coefficients of the curve on [xs[k], xs[k+1]] (lowest
+    degree first, in the global coordinate p) or an object holding them as
+    `.coef`, such as a numpy Polynomial, gives each piece.  The constructor
     raises OutOfRange, to a relative 1e-9, where g' falls, inside a piece (g''
     below 0 at an end or where g''' vanishes, or a lower right-end slope) or
     at a breakpoint, and where g jumps at a breakpoint.  Non-finite slopes
@@ -171,13 +170,12 @@ class PiecewisePolyCurve(Curve1D):
             raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(polys)} pieces")
         if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
             raise OutOfRange("breakpoints must increase strictly from 0 to 1")
-        polys = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in polys]
         # g, g' and g'' run inside every price solve: their coefficients are
         # Python floats, evaluated by _horner, and the breakpoints a list
         self._x = xs.tolist()
-        self._c0 = [P.coef.tolist() for P in polys]
-        self._c1 = [P.deriv().coef.tolist() for P in polys]
-        self._c2 = [P.deriv(2).coef.tolist() for P in polys]
+        self._c0 = [_coefficients(P) for P in polys]
+        self._c1 = [_polyder(c, 1) for c in self._c0]
+        self._c2 = [_polyder(c, 2) for c in self._c0]
         # g' and g'' at both ends of each piece
         ends = [
             (_horner(c1, a), _horner(c1, b), _horner(c2, a), _horner(c2, b))
@@ -208,10 +206,9 @@ class PiecewisePolyCurve(Curve1D):
         subtraction; any antiderivative choice gives the same curve.
         """
         xs = np.asarray(xs, dtype=float)
-        liq = [Polynomial(np.asarray(P.coef if isinstance(P, Polynomial) else P, dtype=float)) for P in liq_polys]
-        B = _integrate(xs, _integrate(xs, liq))
-        chord = Polynomial([0.0, B[-1](xs[-1])])  # B(1), with B(0) = 0
-        return cls(xs, [Q - chord for Q in B])
+        B = _integrate(xs, _integrate(xs, [_coefficients(P) for P in liq_polys]))
+        chord = [0.0, _horner(B[-1], xs[-1])]  # B(1), with B(0) = 0
+        return cls(xs, [_polyadd(Q, [-v for v in chord]) for Q in B])
 
     def _piece(self, p):
         k = bisect_right(self._x, p) - 1
@@ -246,11 +243,11 @@ def _integrate(xs, polys):
     """Antiderivatives of the pieces, continuous across the breakpoints xs and
     0 at xs[0]."""
     out, acc = [], 0.0
-    for k, P in enumerate(polys):
-        Q = P.integ()
-        Q = Q + (acc - Q(xs[k]))
+    for k, c in enumerate(polys):
+        Q = _polyint(c)
+        Q = _polyadd(Q, [acc - _horner(Q, xs[k])])
         out.append(Q)
-        acc = Q(xs[k + 1])
+        acc = _horner(Q, xs[k + 1])
     return out
 
 
@@ -259,16 +256,63 @@ def _turning_values(c2, a, b):
     g''(b), they bound g'' below on the piece.  None for an affine g''."""
     if len(c2) < 3:
         return []
-    return [_horner(c2, r) for r in Polynomial(c2).deriv().roots().real if a < r < b]
+    return [_horner(c2, r) for r in np.roots(_polyder(c2, 1)[::-1]).real.tolist() if a < r < b]
+
+
+def _coefficients(P) -> list:
+    """The coefficients of a piece, given as a sequence or as `.coef`."""
+    c = np.array(getattr(P, "coef", P), dtype=float, ndmin=1)
+    if c.ndim != 1 or not c.size:
+        raise UnknownKind(f"piece coefficients of shape {c.shape}")
+    return c.tolist()
+
+
+# Coefficient lists, lowest degree first, hold the pieces.  These helpers are
+# numpy.polynomial's polyval, polyder, polyint, polyadd and trimseq on lists of
+# Python floats, in the same operation order, so their results are numpy's
+# bit for bit.
 
 
 def _horner(c, x):
-    """numpy's polyval(x, c) for a list of Python floats, in the same operation
-    order, so its results are polyval's bit for bit."""
+    """polyval(x, c)."""
     acc = c[-1] + x * 0
     for coef in c[-2::-1]:
         acc = coef + acc * x
     return acc
+
+
+def _trim(c):
+    """trimseq(c): c without its trailing zeros, keeping the first entry."""
+    k = len(c)
+    while k > 1 and c[k - 1] == 0:
+        k -= 1
+    return c[:k]
+
+
+def _polyder(c, m):
+    """polyder(c, m), the m-th derivative."""
+    if m >= len(c):
+        return [c[0] * 0]
+    for _ in range(m):
+        c = [j * c[j] for j in range(1, len(c))]
+    return c
+
+
+def _polyint(c):
+    """polyint(c), the antiderivative that is 0 at 0."""
+    if len(c) == 1 and c[0] == 0:
+        return [0.0]
+    Q = [c[0] * 0, c[0]] + [v / (j + 1) for j, v in enumerate(c[1:], 1)]
+    Q[0] += 0 - _horner(Q, 0)
+    return Q
+
+
+def _polyadd(a, b):
+    """polyadd(a, b), which trims both terms and the sum."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([u + v for u, v in zip(a, b)] + a[len(b) :])
 
 
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
@@ -328,7 +372,7 @@ class LmsrCurve(Curve1D):
         self.b = b
 
     def g(self, p):
-        return float(self.b * (xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)))
+        return float(self.b * (_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)))
 
     def dg(self, p):
         return float(self.b * (np.log(p) - np.log1p(-p)))
@@ -339,11 +383,31 @@ class LmsrCurve(Curve1D):
     def conjugate(self, q):
         t = q[0] - q[1]
         cost = float(self.b * np.logaddexp(0.0, t / self.b)) + q[1]
-        p1 = float(expit(t / self.b))
+        p1 = _expit(t / self.b)
         return cost, np.array([p1, 1.0 - p1])
 
     def descriptor(self):
         return {"family": "lmsr", "b": self.b}
+
+
+def _xlogy(x, y):
+    """scipy's xlogy(x, y): x log y, 0 where x == 0 (y not NaN), NaN where
+    y < 0.  Bit for bit, as both call the C library's log; numpy's log can
+    differ from it in the last place."""
+    if x == 0 and y == y:
+        return 0.0
+    if y > 0:
+        return x * math.log(y)
+    return x * -math.inf if y == 0 else math.nan
+
+
+def _expit(t):
+    """scipy's expit(t), 1 / (1 + exp(-t)) in its one branch, bit for bit;
+    0 where exp(-t) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
 
 
 def _constant_product_conjugate(q, width):
@@ -670,8 +734,8 @@ class LmsrGenerator(Generator):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        s = x.sum()
-        return float(self.b * np.sum(xlogy(x, x / s)))
+        y = x / x.sum()
+        return float(self.b * np.sum([_xlogy(u, v) for u, v in zip(x.tolist(), y.tolist())]))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)

@@ -85,6 +85,83 @@ def test_from_liquidity_round_trip_random_profiles():
             assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=1e-5, abs=1e-5)
 
 
+def polynomial_reference(xs, pieces, integrate):
+    """(c0, c1, c2) of each piece, computed with numpy's Polynomial: the
+    coefficients `pieces` themselves, or, with `integrate`, the curve
+    `from_liquidity` builds from them."""
+    from numpy.polynomial import Polynomial
+
+    xs = np.asarray(xs, dtype=float)
+    polys = [Polynomial(np.asarray(c, dtype=float)) for c in pieces]
+    if integrate:
+        for _ in range(2):
+            out, acc = [], 0.0
+            for k, P in enumerate(polys):
+                Q = P.integ()
+                Q = Q + (acc - Q(xs[k]))
+                out.append(Q)
+                acc = Q(xs[k + 1])
+            polys = out
+        chord = Polynomial([0.0, polys[-1](xs[-1])])
+        polys = [Q - chord for Q in polys]
+    return [[P.coef.tolist() for P in polys], [P.deriv().coef.tolist() for P in polys],
+            [P.deriv(2).coef.tolist() for P in polys]]
+
+
+def random_liquidity(rng, m):
+    """m pieces of degree 0 to 4, nonnegative on [0, 1]; some are zero or
+    end in zero coefficients, which numpy trims."""
+    pieces = []
+    for _ in range(m):
+        c = rng.uniform(0.0, 3.0, int(rng.integers(1, 6))).tolist()
+        if rng.random() < 0.25:
+            c = [0.0] * len(c)
+        elif rng.random() < 0.3:
+            c[-1] = 0.0
+        pieces.append(c)
+    return pieces
+
+
+def test_piecewise_coefficients_match_numpy_polynomial_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = []  # (curve, breakpoints, pieces, built by from_liquidity)
+    for m in [1, 2, 3, 5, 8] * 8:
+        xs = [0.0] + np.sort(rng.uniform(0.0, 1.0, m - 1)).tolist() + [1.0]
+        liq = random_liquidity(rng, m)
+        cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs, liq, True))
+    for n in [2, 3, 17, 60]:
+        grid = np.sort(rng.uniform(0.0, 1.0, n))
+        values = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+        # tabulated_liquidity_curve's pieces, as its docstring defines them
+        slopes = np.diff(values) / np.diff(grid)
+        xs = [0.0] + grid.tolist() + [1.0]
+        liq = [[0.0]] + [[v - s * x, s] for v, s, x in zip(values, slopes, grid)] + [[0.0]]
+        cases.append((tabulated_liquidity_curve(grid, values), xs, liq, True))
+        grid = np.unique(rng.uniform(0.01, 0.99, n))
+        crv = piecewise_linear_curve(grid, rng.uniform(0.0, 1.0, len(grid)) * (rng.random(len(grid)) < 0.8))
+        cases.append((crv, crv._x, crv._c0, False))
+    for scale in [0.3, 1.0, 2.5]:
+        cases.append((brier_curve(scale), [0.0, 1.0], [[0.0, -scale, scale]], False))
+    # the middle piece's slope is the chord's, so numpy trims its difference
+    # to the constant -1/8
+    xs, liq = [0.0, 0.25, 0.75, 1.0], [[4.0], [0.0], [4.0]]
+    cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs, liq, True))
+    for crv, xs, pieces, integrate in cases:
+        # compared as JSON, where -0.0 and 0.0 differ, so signs of zeros match too
+        assert json.dumps([crv._c0, crv._c1, crv._c2]) == json.dumps(polynomial_reference(xs, pieces, integrate))
+
+
+def test_piecewise_curves_accept_numpy_polynomials():
+    from numpy.polynomial import Polynomial
+
+    crv = PiecewisePolyCurve([0.0, 1.0], [Polynomial([0.0, -1.5, 1.5])])
+    ref = brier_curve(1.5)
+    assert [crv._c0, crv._c1, crv._c2] == [ref._c0, ref._c1, ref._c2]
+    crv = PiecewisePolyCurve.from_liquidity([0.0, 0.6, 1.0], [Polynomial([5.0]), Polynomial([0.0])])
+    ref = PiecewisePolyCurve.from_liquidity([0.0, 0.6, 1.0], [[5.0], [0.0]])
+    assert [crv._c0, crv._c1, crv._c2] == [ref._c0, ref._c1, ref._c2]
+
+
 # ---------------------------------------------------------------------------
 # conjugates
 # ---------------------------------------------------------------------------
@@ -140,6 +217,45 @@ def test_lmsr_conjugate_closed_form():
         assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-q / 2.0)), rel=1e-14)
 
 
+def same_bits(a, b):
+    """Equal as IEEE doubles: NaN at the same places, every other entry
+    with the same bits, the sign of a zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+def test_lmsr_scalars_match_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    from parmm.generators import _expit, _xlogy
+
+    rng = np.random.default_rng(31)
+    edges = [0.0, 1.0, 5e-324, 2.2e-308, 1e-310, 1.0 - 2.0**-53, 0.5, 1e-300]
+    ps = np.r_[rng.uniform(0.0, 1.0, 20_000), edges].tolist()
+    ys = np.r_[rng.lognormal(0.0, 30.0, 5_000), edges, math.inf].tolist()
+    pairs = [(p, p) for p in ps] + [(1.0 - p, 1.0 - p) for p in ps] + list(zip(ps, ys))
+    assert same_bits([_xlogy(x, y) for x, y in pairs], [special.xlogy(x, y) for x, y in pairs])
+    ts = np.r_[rng.normal(0.0, 300.0, 20_000), rng.uniform(-40.0, 40.0, 5_000)].tolist()
+    ts += [0.0, 709.78, -709.78, -745.0, -800.0, 1e300, -1e300, -math.inf, math.inf]
+    assert same_bits([_expit(t) for t in ts], [special.expit(t) for t in ts])
+    # a negative or NaN argument gives NaN, as in scipy, and raises nothing
+    for x, y in [(0.5, -0.1), (-0.5, -0.5), (2.0, -math.inf), (1.0, math.nan), (0.0, math.nan)]:
+        assert math.isnan(_xlogy(x, y)) and math.isnan(special.xlogy(x, y))
+    assert math.isnan(LmsrCurve(1.0).g(1.5))
+    for b in [0.4, 1.0, 3.7]:
+        crv = LmsrCurve(b)
+        got = [crv.g(p) for p in ps]
+        assert same_bits(got, [float(b * (special.xlogy(p, p) + special.xlogy(1.0 - p, 1.0 - p))) for p in ps])
+        got = [crv.conjugate([t, 0.0])[1][0] for t in ts]
+        assert same_bits(got, [float(special.expit(t / b)) for t in ts])
+        for n in [2, 3, 5]:
+            G = LmsrGenerator(b, n)
+            xs = rng.uniform(0.0, 2.0, (300, n)) * (rng.random((300, n)) < 0.7)
+            xs[xs.sum(axis=1) == 0.0, 0] = 1.0
+            want = [float(b * np.sum(special.xlogy(x, x / x.sum()))) for x in xs]
+            assert same_bits([G.value(x) for x in xs], want)
+
+
 # ---------------------------------------------------------------------------
 # buckets
 # ---------------------------------------------------------------------------
@@ -164,9 +280,17 @@ def test_bucket_tiling_recovers_base():
         assert tiles.g(p) == pytest.approx(base.g(p), abs=1e-7)
 
 
-def test_soft_bucket_matches_quadrature():
-    from scipy.integrate import quad
+def gauss_legendre(f, a, b, knots, nodes=40):
+    """Integral of f from a to b: Gauss-Legendre on each piece between the
+    knots, where f is smooth."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = min(a, b), max(a, b)
+    edges = [lo] + [k for k in knots if lo < k < hi] + [hi]
+    total = sum(0.5 * (r - l) * np.dot(w, f(0.5 * (r - l) * x + 0.5 * (r + l))) for l, r in zip(edges, edges[1:]))
+    return total if a <= b else -total
 
+
+def test_soft_bucket_matches_quadrature():
     crv = SoftBucketCurve([0.0, 0.3, 0.6, 1.0], [0.0, 2.0, 0.0, 0.0])
 
     def ell(p):
@@ -175,7 +299,7 @@ def test_soft_bucket_matches_quadrature():
 
     for p in [0.1, 0.3, 0.45, 0.6, 0.8]:
         assert crv.d2g(p) == pytest.approx(ell(p), rel=1e-12)
-        num, _ = quad(ell, 0.45, p, limit=200)
+        num = gauss_legendre(ell, 0.45, p, knots=[0.3, 0.6])
         assert crv.dg(p) - crv.dg(0.45) == pytest.approx(num, abs=1e-9)
     assert crv.g(0.0) == pytest.approx(0.0, abs=1e-12)
     assert crv.g(1.0) == pytest.approx(0.0, abs=1e-12)

@@ -1,7 +1,10 @@
 """Source hygiene checks that need no extra tools."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,49 @@ def test_unused_import_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# numpy is parmm's one dependency: these cost most of the import time
+HEAVY = ("scipy", "numpy.polynomial")
+
+
+def is_heavy(name: str) -> bool:
+    """Whether the dotted name is a HEAVY module or lies inside one."""
+    return any(name == m or name.startswith(m + ".") for m in HEAVY)
+
+
+def heavy_imports(source: str) -> list[int]:
+    """Line numbers of the absolute imports that load a HEAVY module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(is_heavy(a.name) for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if any(is_heavy(f"{node.module}.{a.name}") for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_heavy_import_scan_finds_imports():
+    src = (
+        "import scipy\nimport numpy as np, scipy.special as sp\nfrom scipy.special import expit\n"
+        "from numpy.polynomial import Polynomial\nfrom numpy import polynomial\nimport scipyx\n"
+        "def f():\n    from scipy import integrate\n    from . import scipy\n"
+    )
+    assert heavy_imports(src) == [1, 2, 3, 4, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_heavy_imports(path):
+    assert heavy_imports(path.read_text()) == []
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # a fresh process, so no other test's imports count
+    code = "import sys, parmm; print(sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert [m for m in ast.literal_eval(out.stdout) if is_heavy(m)] == []
 
 
 # checks in these modules raise typed errors: `python -O` strips `assert`
