@@ -3,8 +3,9 @@
 `run` replays a JSON scenario deterministically and writes a JSONL trace with
 one line per event (result plus full state snapshot), numbers rounded to 12
 significant digits so reruns are byte-identical.  The writer encodes each
-distinct generator descriptor once per trace, not once per event, and
-writes the same bytes as `json.dumps` of the rounded records.  A failing
+distinct generator descriptor once per trace, not once per event, checks
+exact types before the general isinstance chain, encodes a list in one pass,
+and writes the same bytes as `json.dumps` of the rounded records.  A failing
 event is reported as `event k (<op>): ...`.  `report` derives CSV/JSON
 summaries from a trace.  `equivalence` runs the randomized cross-check suite.
 
@@ -49,10 +50,14 @@ def _float_text(x) -> str:
     """x rounded to 12 significant digits, as JSON text: byte for byte
     `json.dumps(float(f"{x:.12g}"))`, including NaN, Infinity and -0.0."""
     s = "%.12g" % x
-    if "." in s and "e" not in s:
-        # fixed notation with a point: 12 significant digits name one double,
-        # whose repr prints these same digits
-        return s
+    if "e" not in s:
+        # 12 significant digits name one double, whose repr prints these
+        # same digits: with the point, or for a whole number (0 and -0
+        # among them) followed by ".0"
+        if "." in s:
+            return s
+        if "n" not in s:
+            return s + ".0"
     r = float(s)
     if r != r:
         return "NaN"
@@ -88,12 +93,20 @@ def _key(k) -> str:
 def _json(obj) -> str:
     """`json.dumps(_round(obj), separators=(",", ":"))` without building the
     rounded copy: the same bytes, and the same TypeError on what JSON lacks."""
+    t = type(obj)
+    if t is float:
+        return _float_text(obj)
+    if t is list:
+        return _list_json(obj)
+    if t is np.ndarray:
+        return _list_json(obj.tolist())
+    # dicts, subclasses, and the other types JSON has
+    if isinstance(obj, dict):
+        return "{" + ",".join([_key(k) + ":" + _json(v) for k, v in obj.items()]) + "}"
     if isinstance(obj, (float, np.floating)):
         return _float_text(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_json, obj)) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join([_key(k) + ":" + _json(v) for k, v in obj.items()]) + "}"
+        return _list_json(obj)
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, int):
@@ -101,8 +114,14 @@ def _json(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, np.ndarray):
-        return "[" + ",".join(map(_json, obj.tolist())) + "]"
+        return _list_json(obj.tolist())
     return json.dumps(obj)  # json's TypeError
+
+
+def _list_json(items) -> str:
+    """A list as JSON text, in one pass that sends each float straight to
+    `_float_text`."""
+    return "[" + ",".join([_float_text(v) if type(v) is float else _json(v) for v in items]) + "]"
 
 
 def _descriptor_json(desc, texts: dict) -> str:
@@ -125,12 +144,17 @@ _LP_KEYS = ["id", "generator", "liability", "cash_fees", "bundle_fees"]
 
 
 def _lp_json(lp, texts: dict) -> str:
-    """One LP of a snapshot, its keys in the order `MarketState.snapshot` writes them."""
+    """One LP of a snapshot, its keys in the order `MarketState.snapshot`
+    writes them; an int id, float lists and a float cash fee are encoded
+    directly, other values by `_json`."""
     if type(lp) is not dict or list(lp) != _LP_KEYS:
         return _json(lp)
-    return (f'{{"id":{_json(lp["id"])},"generator":{_descriptor_json(lp["generator"], texts)},'
-            f'"liability":{_json(lp["liability"])},"cash_fees":{_json(lp["cash_fees"])},'
-            f'"bundle_fees":{_json(lp["bundle_fees"])}}}')
+    lp_id, liability, cash, fees = lp["id"], lp["liability"], lp["cash_fees"], lp["bundle_fees"]
+    return (f'{{"id":{int.__repr__(lp_id) if type(lp_id) is int else _json(lp_id)},'
+            f'"generator":{_descriptor_json(lp["generator"], texts)},'
+            f'"liability":{_list_json(liability) if type(liability) is list else _json(liability)},'
+            f'"cash_fees":{_float_text(cash) if type(cash) is float else _json(cash)},'
+            f'"bundle_fees":{_list_json(fees) if type(fees) is list else _json(fees)}}}')
 
 
 def _trace_line(rec, texts: dict) -> str:

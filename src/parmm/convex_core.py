@@ -62,7 +62,7 @@ def simplex_price(values, n: int | None = None) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.ndim != 1 or len(p) < 2 or (n is not None and len(p) != n):
         raise OutOfRange(f"price must be a vector of {n or '>= 2'} components, got shape {p.shape}")
-    # scalar checks on the list skip numpy's reduction wrappers, as in liability_of
+    # scalar checks on the list cost less than numpy's reductions, as in liability_of
     xs = p.tolist()
     if not all(map(math.isfinite, xs)):
         raise OutOfRange("price components must be finite")
@@ -78,9 +78,10 @@ def simplex_price(values, n: int | None = None) -> np.ndarray:
 def liability_of(G: Generator, p) -> np.ndarray:
     """Bundle the maker owes when quoting price p: grad Gbar(p)."""
     p = np.asarray(p, dtype=float)
-    # the ufunc and the list skip numpy's reduction wrappers, which cost more
-    # than most gradients; the minimum still propagates NaN as p.min() does
-    if np.minimum.reduce(p) < EPS:
+    # scalar checks on the lists cost less than most gradients; as p.min()
+    # propagates NaN, a NaN coordinate does not read as a boundary price
+    xs = p.tolist()
+    if min(xs) < EPS and not any(map(math.isnan, xs)):
         raise BoundaryPrice("liability queried at the boundary clamp")
     try:
         q = G.grad(p)
@@ -221,8 +222,9 @@ def infimal_convolution_split(generators, q, p0=None):
 
     Returns (cost, parts, price) where cost is the aggregate cost
     (inf-convolution of the individual costs, equal to the conjugate of the
-    summed generator, solved on its `compile_sum`), parts sum to q exactly,
-    and each part sits on the level set C_i = cost / k up to solver tolerance.
+    summed generator, solved on its `compile_sum`), the rows of the (k, n)
+    array parts sum to q exactly, and each part sits on the level set
+    C_i = cost / k up to solver tolerance.
     """
     gens = list(generators)
     if not gens:
@@ -233,17 +235,16 @@ def infimal_convolution_split(generators, q, p0=None):
         raise BoundaryPrice("aggregate maximizer reached the boundary clamp")
     p = res.price
     # the residual equals cost * 1 in exact arithmetic
-    parts = spread_residual([liability_of(Gi, p) for Gi in gens], q)
+    parts = spread_residual(np.array([liability_of(Gi, p) for Gi in gens]), q)
     return float(res.cost), parts, p
 
 
-def spread_residual(parts, total) -> list:
-    """Add (total - sum(parts)) / k to each of the k parts so they sum to total."""
-    acc = np.zeros_like(total)
-    for part in parts:
-        acc += part
-    share = (total - acc) / len(parts)
-    return [part + share for part in parts]
+def spread_residual(parts, total) -> np.ndarray:
+    """Add (total - sum(parts)) / k to each row of the (k, n) array `parts`
+    so the rows sum to total.  The column sums run row by row from +0.0, so
+    a column of -0.0 parts sums to +0.0."""
+    share = (total - np.add.reduce(parts, axis=0, initial=0.0)) / len(parts)
+    return parts + share
 
 
 def _fd_hessian(G: Generator, p, h=None):

@@ -7,8 +7,10 @@ the zero level set of its own cost function.  Conjugate solves run on the
 aggregate compiled by `generators.compile_sum`, which merges same-family
 terms: LMSR, V2 and constant-product makers by their scale, buckets over equal
 bases into one bucket array, and piecewise curves into one on the union of
-their breakpoints.  Liabilities and the split sum the LPs' generators one by
-one.  Fees are tracked per LP and never touch the pricing math.
+their breakpoints.  Liabilities take one gradient per LP; the split stacks
+them in one (k, n) array and spreads the residual across its rows, and the
+fees read the same stacked fills.  Fees are tracked per LP and never touch
+the pricing math.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ class MarketState:
     strict mode requires the aggregate generator to be a pseudobarrier (its
     gradient blows up at the boundary), which keeps every price query interior.
     Conjugate solves run on `compile_sum` of the LPs' generators, built on the
-    first solve after a change; liabilities, target-price trades and the split
-    sum the LPs' generators one by one.
+    first solve after a change; liabilities and target-price trades take one
+    gradient per LP, and the split works on them stacked.
     """
 
     def __init__(self, generator: Generator, liability, fee=None, strict: bool = True, price_hint=None):
@@ -196,7 +198,7 @@ class MarketState:
         return self.records[lp_id]
 
     def total_liability(self) -> np.ndarray:
-        return np.sum([rec.liability for rec in self.records], axis=0)
+        return np.add.reduce([rec.liability for rec in self.records], axis=0)
 
     def check_coherent(self, tol=1e-6) -> float:
         worst = 0.0
@@ -254,11 +256,11 @@ class MarketState:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
             p_new = simplex_price(target_price, self.n)
-            # one gradient per LP: the aggregate's liability is the sum of theirs
-            held = [liability_of(rec.generator, p_new) for rec in nontrivial]
-            if not held:
+            if not nontrivial:
                 raise NotLevelSet("market holds no liquidity")
-            bundle = np.sum(held, axis=0) - q
+            # one gradient per LP: the aggregate's liability is the sum of theirs
+            held = np.array([liability_of(rec.generator, p_new) for rec in nontrivial])
+            bundle = np.add.reduce(held, axis=0) - q
         else:
             agg = self._solver()
             bundle = np.asarray(bundle, dtype=float)
@@ -267,16 +269,16 @@ class MarketState:
             if abs(res.cost - c0) > _LEVEL_TOL * max(1.0, float(np.abs(q).max())):
                 raise NotLevelSet(f"trade moves the aggregate cost by {res.cost - c0:.3e}")
             p_new = price_of(agg, q + bundle, self.price)
-            held = [liability_of(rec.generator, p_new) for rec in nontrivial]
-        fills = spread_residual([h - rec.liability for h, rec in zip(held, nontrivial)], bundle)
-        parts = {rec.lp_id: fill for rec, fill in zip(nontrivial, fills)}
-        for rec in self.records:
-            if rec.lp_id not in parts:
-                parts[rec.lp_id] = np.zeros(self.n)
+            held = np.array([liability_of(rec.generator, p_new) for rec in nontrivial])
+        # fills by record index (= lp_id), zero for LPs without liquidity
+        fills = np.zeros((len(self.records), self.n))
+        rows = [rec.lp_id for rec in nontrivial]
+        fills[rows] = spread_residual(held - np.array([rec.liability for rec in nontrivial]), bundle)
+        parts = {i: fills[i] for i in rows}
+        parts.update((rec.lp_id, fills[rec.lp_id]) for rec in self.records if rec.lp_id not in parts)
         trader_fee, lp_fee_list = (0.0, [0.0] * len(self.records))
         if self.fee is not None:
-            ordered = [parts[rec.lp_id] for rec in self.records]
-            trader_fee, lp_fee_list = compute_fees(self.fee, bundle, ordered)
+            trader_fee, lp_fee_list = compute_fees(self.fee, bundle, fills)
         return TradeReceipt(
             bundle=bundle,
             parts=parts,

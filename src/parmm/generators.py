@@ -117,15 +117,16 @@ class Curve1D(Generator):
         pieces)."""
         raise NotImplementedError
 
+    # value and grad read x as two Python floats: numpy's scalar arithmetic
+    # costs more than g and dg on most curves, and x0 + x1 is x.sum()
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = x.sum()
-        return float(s * self.g(x[0] / s))
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        s = x0 + x1
+        return float(s * self.g(x0 / s))
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        s = x.sum()
-        p = x[0] / s
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        p = x0 / (x0 + x1)
         gp = self.g(p)
         dp = self.dg(p)
         base = gp - p * dp

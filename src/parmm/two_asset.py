@@ -236,8 +236,11 @@ class UniswapV3Market:
 
     def shifted_invariant_gap(self, j: int, p: float) -> float:
         """Deviation of bucket j's virtual reserves from its invariant at p."""
+        return self._invariant_gap(j, float(self.aggregate_weight()[j]), p)
+
+    def _invariant_gap(self, j: int, A: float, p: float) -> float:
+        """`shifted_invariant_gap` for bucket j holding total weight A."""
         a, b = self.buckets[j]
-        A = float(self.aggregate_weight()[j])
         crv = BucketCurve(UniswapV2Curve(1.0), a, b, A)
         x = -liability2(crv, p)
         lhs = (x[0] + A * math.sqrt((1.0 - b) / b)) * (x[1] + A * math.sqrt(a / (1.0 - a)))
@@ -259,7 +262,7 @@ class UniswapV3Market:
                 raise EmptyBucket(f"bucket {j} holds no liquidity")
         for j in (j_old, j_new):
             p_chk = p_old if j == j_old else p_new
-            if abs(self.shifted_invariant_gap(j, p_chk)) > 1e-9 * max(1.0, W[j] ** 2):
+            if abs(self._invariant_gap(j, float(W[j]), p_chk)) > 1e-9 * max(1.0, W[j] ** 2):
                 raise InvariantViolated(f"bucket {j} off its shifted invariant")
         if self.beta > 0:
             receipt.trader_fee = self.beta * np.maximum(-receipt.bundle, 0.0)

@@ -298,6 +298,56 @@ def every_family_scenario(seed: int) -> dict:
     return {"n": 2, "mode": "lenient", "fee": {"scheme": "norm-l2", "beta": 0.01}, "events": events}
 
 
+def three_outcome_scenario(seed: int, fee: str) -> dict:
+    """Three outcomes, one LP of every n-outcome family with seeded
+    parameters, an LP without liquidity, target trades, a mid-scenario
+    replacement and every query."""
+    rng = random.Random(seed)
+    u = rng.uniform
+
+    def price():
+        z = [u(0.5, 2.0) for _ in range(3)]
+        return [v / sum(z) for v in z]
+
+    lps = [
+        {"family": "lmsr", "b": u(0.5, 2.0)},
+        {"family": "constant_product", "alpha": u(0.5, 2.0)},
+        {"family": "pair_constant_product", "i": 0, "j": 2, "alpha": u(0.5, 2.0)},
+        {"family": "sum", "terms": [{"family": "lmsr", "b": u(0.5, 2.0)}, {"family": "constant_product", "alpha": 1.0}]},
+        {"family": "shifted", "inner": {"family": "lmsr", "b": u(0.5, 2.0)}, "shift": [u(-1, 1) for _ in range(3)]},
+    ]
+    events = [{"op": "initialize", "generator": {"family": "lmsr", "b": u(0.5, 2.0)}, "price": price()}]
+    for lp, desc in enumerate(lps, start=1):
+        events += [{"op": "register_lp"}, {"op": "modify_liquidity", "lp": lp, "generator": desc}]
+    events.append({"op": "register_lp"})  # stays trivial
+    for k in range(8):
+        events.append({"op": "execute_trade", "target_price": price()})
+        if k == 3:
+            events.append({"op": "modify_liquidity", "lp": 2, "generator": {"family": "lmsr", "b": 1.5}})
+    events.append({"op": "quote_completion", "bundle": [u(-0.1, 0.1), 0.0, u(-0.1, 0.1)]})
+    for what in ("price", "liabilities", "fees", "liquidity", "no_liability", "budget_imbalance"):
+        events.append({"op": "query", "what": what})
+    return {"n": 3, "mode": "lenient", "fee": {"scheme": fee, "beta": 0.01}, "events": events}
+
+
+@pytest.mark.parametrize("fee", ["norm-l1", "norm-l2", "positive-part"])
+def test_three_outcome_run_writes_the_rounding_pass(fee, tmp_path):
+    # no path of the split, the fees or the writer may assume two outcomes
+    scen = three_outcome_scenario(11, fee)
+    path, out = tmp_path / "s.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(scen))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    trace = run_scenario(scen)
+    assert out.read_text() == _oracle(trace)
+    for rec in trace[1:]:
+        if rec["op"] == "execute_trade":
+            res = rec["result"]
+            assert list(res["parts"]) == [str(i) for i in range(7)]
+            assert np.allclose(np.sum(list(res["parts"].values()), axis=0), res["bundle"], atol=1e-12)
+            assert np.allclose(res["price_after"], scen["events"][rec["event"]]["target_price"], atol=1e-12)
+            assert not np.any(res["parts"]["6"])
+
+
 def _families(obj) -> set:
     """Every descriptor family named anywhere in obj."""
     if isinstance(obj, dict):
@@ -330,9 +380,22 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
     nan, inf = float("nan"), float("inf")
     edge = [1.0, -1.0, 0.0, -0.0, nan, inf, -inf, 1e16, 1e15, 123456789012345.0, 1e12, 1e-5, 1e-4,
             100.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, np.float64(1 / 3), np.float32(0.1),
-            np.float64(-0.0), 3, -7, 2 ** 70, True, False, None, "caf\u00e9 \"q\"\n"]
+            np.float64(-0.0), 3, -7, 2 ** 70, True, False, None, "caf\u00e9 \"q\"\n",
+            # whole numbers and zeros, which skip the float round trip
+            -5e-324, np.float32(-0.0), -2.0, 1e11, 99999999999.0, 123456789012.4, 999999999999.6]
     lp = {"id": 0, "generator": {"family": "lmsr", "b": -0.0, "n": 2, "w": edge},
           "liability": [nan, -inf], "cash_fees": np.float64(1e-5), "bundle_fees": None}
+    # LPs shaped as snapshots write them, holding what snapshots never do
+    odd = [
+        {**lp, "liability": [1, True, np.float64(2.5), np.float32(0.1), None], "bundle_fees": [[0.5, -0.0], 3]},
+        {**lp, "id": True, "liability": [0.0, -0.0, np.float64(-0.0)], "cash_fees": 0,
+         "bundle_fees": [5e-324, -5e-324, 1e11, None, False]},
+        {**lp, "id": -1, "liability": (1.0, 2, -0.0), "cash_fees": np.float32(-0.0),
+         "bundle_fees": np.array([1.0, -0.0, 2.5])},
+        {**lp, "id": 2 ** 70, "liability": np.array([[0.1, 0.2], [0.3, -0.0]]), "cash_fees": None, "bundle_fees": []},
+        {**lp, "id": 1.5, "liability": [[1.0, [2.0]], 0.0, 1, -0.0, 1e-320], "cash_fees": -0.0,
+         "bundle_fees": [np.float64(0.0), 0.0, -0.0]},
+    ]
     trace = [
         {"meta": {"version": "x", "n": 2, "fee": None}},
         {"event": 0, "op": "query",
@@ -343,6 +406,8 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
         {"event": 1, "op": "query", "result": {}, "state": {"price": [0.5], "lps": [{**lp, "extra": 1}, [1.5]]}},
         {"event": 2, "op": "query", "result": {}, "state": {"lps": [], "price": []}},
         {"event": 3, "op": "query", "result": {}, "state": {"price": [0.5], "lps": "none"}},
+        {"event": 5, "op": "query", "result": {"zeros": [0.0, -0.0, np.float64(-0.0), 5e-324, -5e-324]},
+         "state": {"price": [0.0, -0.0, 1.0], "lps": odd}},
         {"state": {"price": [0.5], "lps": [lp]}, "event": 4, "op": "query", "result": {}},
         {1: 0.5, 2.5: "x", None: True, False: [edge[:3]], nan: -inf},
         [edge, (edge,)],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bench_pools import bench_inputs, v3_pool
+from bench_pools import bench_inputs, n2_market, v3_pool
 from parmm import (
     BucketArrayCurve,
     Generator,
@@ -34,7 +34,7 @@ from parmm import (
     piecewise_linear_curve,
     price_of,
 )
-from parmm.convex_core import _MAXIT, EPS, _conjugate_two, _fd_hessian, simplex_price
+from parmm.convex_core import _MAXIT, EPS, _conjugate_two, _fd_hessian, simplex_price, spread_residual
 from parmm.errors import BoundaryPrice, NoGradient, NotLevelSet, OutOfRange, SolverDiverged, VertexUnbounded
 
 
@@ -187,8 +187,9 @@ def test_non_finite_gradient_raises(g):
 
 def test_nan_price_is_not_a_boundary_price():
     # the boundary check propagates NaN, as p.min() does; the gradient then fails
-    with np.errstate(invalid="ignore"), pytest.raises(NoGradient):
-        liability_of(LmsrGenerator(1.0, 2), np.array([math.nan, 1e-20]))
+    for p in ([math.nan, 1e-20], [1e-20, math.nan], [math.nan, 1e-20, 0.5]):
+        with np.errstate(invalid="ignore"), pytest.raises(NoGradient):
+            liability_of(LmsrGenerator(1.0, len(p)), np.array(p))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,60 @@ def test_two_lmsr_split_closed_form():
         assert cost == pytest.approx(conjugate_value(combined, q).cost, abs=1e-9)
         assert np.max(np.abs(price - p)) < 1e-9
         assert np.allclose(parts[0], b1 / (b1 + b2) * q, atol=1e-8)
+
+
+def _sequential_spread(parts, total):
+    """The split as a loop over the parts, their sum started from +0.0."""
+    acc = np.zeros_like(total)
+    for part in parts:
+        acc += part
+    share = (total - acc) / len(parts)
+    return [part + share for part in parts]
+
+
+def test_stacked_split_matches_the_sequential_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in (1, 2, 3, 8, 9, 16, 17, 40):
+        for n in (2, 3, 5):
+            parts = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 7, (k, n))
+            cases.append((parts, parts.sum(axis=0) + rng.standard_normal(n) * 1e-9))
+    # a column of -0.0 parts sums to +0.0, so a -0.0 total stays -0.0 in
+    # every part; and totals with an exact zero component
+    zero_col = rng.standard_normal((4, 3))
+    zero_col[:, 1] = -0.0
+    for total in ([1.0, -0.0, -2.0], [1.0, 0.0, 0.0], [0.0, -0.0, 1e-300]):
+        cases.append((zero_col, np.array(total)))
+    cases.append((np.zeros((3, 2)), np.array([0.0, -0.0])))
+    for parts, total in cases:
+        got = spread_residual(parts, total)
+        assert got.shape == parts.shape
+        assert got.tobytes() == np.array(_sequential_spread(list(parts), total)).tobytes()
+    assert spread_residual(zero_col, np.array([1.0, -0.0, 2.0]))[:, 1].tobytes() == np.full(4, -0.0).tobytes()
+
+
+def test_engine_split_matches_the_sequential_loop_bit_for_bit():
+    # the k = 16 bench market with one LP emptied and one never filled, by
+    # target and by bundle
+    st = n2_market(2)
+    idle = st.register_lp()
+    st.modify_liquidity(3, TrivialGenerator(2))
+    live = [rec for rec in st.records if not isinstance(rec.generator, TrivialGenerator)]
+    rng = np.random.default_rng(32)
+    for k in range(6):
+        before = {rec.lp_id: rec.liability.copy() for rec in st.records}
+        p = np.array([1.0, -1.0]) * float(rng.uniform(0.2, 0.8)) + [0.0, 1.0]
+        if k % 2:
+            bundle = np.sum([liability_of(rec.generator, p) for rec in live], axis=0) - st.total_liability()
+            receipt = st.execute_trade(bundle=bundle)
+        else:
+            receipt = st.execute_trade(target_price=p)
+        held = [liability_of(rec.generator, receipt.price_after) for rec in live]
+        want = _sequential_spread([h - before[rec.lp_id] for h, rec in zip(held, live)], receipt.bundle)
+        # the LPs with liquidity first, in record order, then the others
+        assert list(receipt.parts) == [rec.lp_id for rec in live] + [3, idle]
+        assert np.array([receipt.parts[rec.lp_id] for rec in live]).tobytes() == np.array(want).tobytes()
+        assert np.array([receipt.parts[3], receipt.parts[idle]]).tobytes() == np.zeros((2, 2)).tobytes()
 
 
 def test_split_across_no_makers_raises():

@@ -13,6 +13,7 @@ from parmm import (
     BucketArrayCurve,
     BucketCurve,
     ConstantProductGenerator,
+    Curve1D,
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
@@ -33,7 +34,8 @@ from parmm import (
     tabulated_liquidity_curve,
 )
 from parmm.cli import main
-from parmm.errors import DivergentIntegral, OutOfRange, UnknownKind
+from parmm.convex_core import EPS
+from parmm.errors import BoundaryPrice, DivergentIntegral, NoGradient, OutOfRange, UnknownKind
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -875,3 +877,86 @@ def test_constant_product_uniform_values():
     u = np.ones(3) / 3
     assert G.value(u) == pytest.approx(-1.0)  # -3 * (1/27)^(1/3)
     assert np.allclose(G.grad(u), -np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# two-outcome gradients in Python floats
+# ---------------------------------------------------------------------------
+
+
+def _numpy_value(self, x):
+    """`Curve1D.value` as numpy scalars evaluate it."""
+    x = np.asarray(x, dtype=float)
+    s = x.sum()
+    return float(s * self.g(x[0] / s))
+
+
+def _numpy_grad(self, x):
+    """`Curve1D.grad` as numpy scalars evaluate it."""
+    x = np.asarray(x, dtype=float)
+    s = x.sum()
+    p = x[0] / s
+    gp = self.g(p)
+    dp = self.dg(p)
+    base = gp - p * dp
+    return np.array([dp + base, base])
+
+
+def _numpy_liability(G, p):
+    """`liability_of` with the clamp checked by np.minimum, which propagates NaN."""
+    p = np.asarray(p, dtype=float)
+    if np.minimum.reduce(p) < EPS:
+        raise BoundaryPrice("clamp")
+    q = G.grad(p)
+    if not np.all(np.isfinite(q)):
+        raise NoGradient("not finite")
+    return q
+
+
+def _edges(G) -> list:
+    """The breakpoints, knots and bucket edges of G and of its terms."""
+    if isinstance(G, SumGenerator):
+        return [x for t in G.terms for x in _edges(t)]
+    if isinstance(G, ShiftedGenerator):
+        return _edges(G.inner)
+    if isinstance(G, PiecewisePolyCurve):
+        return list(G._x)
+    if isinstance(G, BucketCurve):
+        return [G.a, G.b]
+    if isinstance(G, BucketArrayCurve):
+        return [x for ab in G.buckets for x in ab]
+    if isinstance(G, SoftBucketCurve):
+        return G.knots.tolist()
+    return []
+
+
+def _outcome(f, *args):
+    """The bytes f returns, or the type of what it raises."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", TWO_OUTCOME)
+def test_float_gradients_match_the_numpy_expressions_bit_for_bit(family, monkeypatch):
+    G = FAMILIES[family]()
+    rng = np.random.default_rng(23)
+    near = [EPS, 1.0 - EPS] + [x for x in _edges(G) if 0.0 < x < 1.0]
+    p1s = rng.uniform(0.0, 1.0, 60).tolist()
+    for x in near:
+        p1s += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+        p1s += (x + rng.uniform(-1e-9, 1e-9, 6)).tolist()
+    # on the simplex, and off it: grad is 0-homogeneous, value 1-homogeneous
+    points = [np.array([t, 1.0 - t]) for t in p1s]
+    points += [np.array([t, 1.0 - t]) * s for t, s in zip(p1s, rng.uniform(0.5, 3.0, len(p1s)))]
+    # a NaN coordinate is no boundary price, whichever coordinate it is
+    points += [np.array(x) for x in ([math.nan, 1e-20], [1e-20, math.nan], [math.nan, 0.5], [0.5, math.nan])]
+    with np.errstate(all="ignore"):
+        got = [(_outcome(G.value, x), _outcome(G.grad, x), _outcome(liability_of, G, x)) for x in points]
+        monkeypatch.setattr(Curve1D, "value", _numpy_value)
+        monkeypatch.setattr(Curve1D, "grad", _numpy_grad)
+        want = [(_outcome(G.value, x), _outcome(G.grad, x), _outcome(_numpy_liability, G, x)) for x in points]
+    assert got == want
+    assert sum(isinstance(w[2], bytes) for w in want) > len(points) // 2
