@@ -11,7 +11,9 @@ G.curvature, warm-started at the caller's price hint; a bisection step is the
 fallback whenever Newton would leave the bracket or stops halving its step, so
 the answer keeps the bisection's definition (the leftmost solution across
 flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
-in floating point as `Curve1D.dg` promises.
+in floating point as `Curve1D.dg` promises.  The slopes at the two clamps,
+which tell whether the maximizer sits at one, depend on G alone: they are
+evaluated once per generator object and kept on it.
 This is the package's only scalar solver: the views `two_asset.price2` and
 `cost2` are calls into `conjugate_value`.  Larger markets have one solver too:
 damped Newton on the KKT system of max <p, q> - G(p) over the clamped simplex,
@@ -99,14 +101,26 @@ class ConjugateResult:
     at_boundary: bool
 
 
+def _clamp_slopes(G: Generator) -> tuple:
+    """(g'(EPS), g'(1 - EPS)), evaluated once per generator object and kept
+    on it as `Generator._clamp_slopes`."""
+    ends = G._clamp_slopes
+    if ends is None:
+        ends = G._clamp_slopes = (G.slope(EPS), G.slope(1.0 - EPS))
+    return ends
+
+
 def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
     t = float(q[0] - q[1])
     lo, hi = EPS, 1.0 - EPS
     slack = 1e-13 * max(1.0, abs(t))
-    if G.slope(hi) < t - slack:
+    # the clamp slopes, once per generator: a t beyond them puts the
+    # maximizer at a clamp
+    slope_lo, slope_hi = _clamp_slopes(G)
+    if slope_hi < t - slack:
         # maximizer at p = 1: the conjugate continues affinely
         return ConjugateResult(float(q[0] - G.value(np.array([1.0, 0.0]))), np.array([hi, 1.0 - hi]), True)
-    if G.slope(lo) >= t:
+    if slope_lo >= t:
         return ConjugateResult(float(q[1] - G.value(np.array([0.0, 1.0]))), np.array([lo, 1.0 - lo]), True)
     # leftmost p with g'(p) >= t (ties broken left across flats and kinks),
     # keeping the bracket g'(lo) < t <= g'(hi).  The next point is the Newton

@@ -9,8 +9,9 @@ terms: LMSR, V2 and constant-product makers by their scale, buckets over equal
 bases into one bucket array, and piecewise curves into one on the union of
 their breakpoints.  Liabilities take one gradient per LP; the split stacks
 them in one (k, n) array and spreads the residual across its rows, and the
-fees read the same stacked fills.  Fees are tracked per LP and never touch
-the pricing math.
+fees read the same stacked fills.  A receipt is booked in one pass over the
+LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
+gives its kind.  Fees are tracked per LP and never touch the pricing math.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ class NormFee:
         _check_rate(self.beta)
 
     def _norm(self, r):
-        return float(np.linalg.norm(r, 1 if self.norm == "l1" else 2))
+        # np.linalg.norm's own expression for l1, without its dispatch
+        if self.norm == "l1":
+            return float(np.add.reduce(np.abs(r)))
+        return float(np.linalg.norm(r, 2))
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ class PositivePartFee:
 def compute_fees(scheme, r, parts):
     """Fees for a net trade r split into per-LP fills.
 
-    Returns (trader_fee, lp_fees): cash floats for NormFee, bundles for
-    PositivePartFee.
+    Returns (trader_fee, lp_fees): Python floats (cash) for NormFee,
+    bundles for PositivePartFee.
     """
     r = np.asarray(r, dtype=float)
     if isinstance(scheme, NormFee):
@@ -100,7 +104,7 @@ def compute_fees(scheme, r, parts):
         total = norms.sum()
         if total <= 0.0:
             return 0.0, [0.0 for _ in parts]
-        return trader, list(trader * norms / total)
+        return trader, (trader * norms / total).tolist()
     if isinstance(scheme, PositivePartFee):
         trader = scheme.beta * np.maximum(-r, 0.0)
         return trader, [scheme.beta * np.maximum(-np.asarray(ri, float), 0.0) for ri in parts]
@@ -289,14 +293,16 @@ class MarketState:
         )
 
     def _settle(self, receipt: TradeReceipt):
-        """Book a receipt from `price_trade`: fills, fees and the new price."""
+        """Book a receipt from `price_trade`: fills, fees and the new price,
+        in one pass over the LPs.  A fee is cash if it is a float (as
+        `compute_fees` returns cash fees) and a bundle otherwise."""
         for rec in self.records:
             rec.liability = rec.liability + receipt.parts[rec.lp_id]
             fee = receipt.lp_fees[rec.lp_id]
-            if np.isscalar(fee) or np.ndim(fee) == 0:
-                rec.cash_fees += float(fee)
+            if isinstance(fee, float):
+                rec.cash_fees += fee
             else:
-                rec.bundle_fees = rec.bundle_fees + np.asarray(fee, float)
+                rec.bundle_fees = rec.bundle_fees + fee
         self.price = receipt.price_after.copy()
 
     def execute_trade(self, bundle=None, target_price=None) -> TradeReceipt:

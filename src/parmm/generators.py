@@ -53,6 +53,9 @@ class Generator:
 
     n: int
     is_pseudobarrier = False
+    # g' at the two price clamps, kept by `convex_core._clamp_slopes`; code
+    # that changes a generator's parameters in place resets it to None
+    _clamp_slopes = None
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -503,12 +506,15 @@ class BucketCurve(Curve1D):
             return float(self.weight * self.base.d2g(p))
         return 0.0
 
+    _short = None  # the `_UNIT_BASES` shorthand for the base ("" if none), found on first use
+
     def descriptor(self):
-        base = self.base.descriptor()
-        for short, (_, unit_desc) in _UNIT_BASES.items():
-            if base == unit_desc:
-                return {"family": short, "a": self.a, "b": self.b, "alpha": self.weight}
-        return {"family": "bucket", "base": base, "a": self.a, "b": self.b, "weight": self.weight}
+        if self._short is None:
+            base = self.base.descriptor()
+            self._short = next((short for short, (_, unit_desc) in _UNIT_BASES.items() if base == unit_desc), "")
+        if self._short:
+            return {"family": self._short, "a": self.a, "b": self.b, "alpha": self.weight}
+        return {"family": "bucket", "base": self.base.descriptor(), "a": self.a, "b": self.b, "weight": self.weight}
 
 
 class BucketArrayCurve(Curve1D):
@@ -566,6 +572,7 @@ class BucketArrayCurve(Curve1D):
             raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, or negative")
         self.weights = w
         self._w = w.tolist()
+        self._clamp_slopes = None
         H = np.concatenate(([0.0], np.cumsum(w * self._hi)))
         L = np.concatenate((np.cumsum((w * self._lo)[::-1])[::-1], [0.0]))
         # g' at the two ends of each state, summed in dg's order; the clamp

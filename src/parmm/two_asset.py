@@ -256,10 +256,10 @@ class UniswapV3Market:
             raise EmptyBucket(f"price {p_new:.6g} lands outside every bucket")
         lo, hi = min(j_old, j_new), max(j_old, j_new)
         W = self.aggregate_weight()
-        crossed = list(range(lo, hi + 1))
-        for j in crossed:
-            if W[j] <= 0:
-                raise EmptyBucket(f"bucket {j} holds no liquidity")
+        crossed = slice(lo, hi + 1)
+        empty = np.flatnonzero(W[crossed] <= 0)
+        if empty.size:
+            raise EmptyBucket(f"bucket {lo + int(empty[0])} holds no liquidity")
         for j in (j_old, j_new):
             p_chk = p_old if j == j_old else p_new
             if abs(self._invariant_gap(j, float(W[j]), p_chk)) > 1e-9 * max(1.0, W[j] ** 2):

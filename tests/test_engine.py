@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 import parmm
+import parmm.engine
+from bench_pools import n2_market, v3_pool
 from parmm import (
+    ConstantProductGenerator,
     LmsrCurve,
     LmsrGenerator,
+    MarketState,
     NormFee,
     PairConstantProductGenerator,
     PiecewisePolyCurve,
@@ -501,3 +505,150 @@ def test_one_generator_object_may_back_several_lps(base, make):
     shared, separate = (st.execute_trade(bundle=st.quote_completion(partial)[0]) for st in markets)
     assert np.array_equal(shared.price_after, separate.price_after)
     assert markets[0].check_coherent(1e-9) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one-pass booking
+# ---------------------------------------------------------------------------
+
+
+def _old_compute_fees(scheme, r, parts):
+    """`compute_fees` with every norm from np.linalg.norm and LP cash fees
+    left as numpy floats."""
+    r = np.asarray(r, dtype=float)
+    if isinstance(scheme, NormFee):
+        order = 1 if scheme.norm == "l1" else 2
+        trader = scheme.beta * float(np.linalg.norm(r, order))
+        if scheme.norm == "l1":
+            norms = np.abs(parts).sum(axis=-1)
+        else:
+            norms = np.array([float(np.linalg.norm(ri, 2)) for ri in parts])
+        total = norms.sum()
+        if total <= 0.0:
+            return 0.0, [0.0 for _ in parts]
+        return trader, list(trader * norms / total)
+    trader = scheme.beta * np.maximum(-r, 0.0)
+    return trader, [scheme.beta * np.maximum(-np.asarray(ri, float), 0.0) for ri in parts]
+
+
+def _old_settle(self, receipt):
+    """`MarketState._settle` testing each fee's kind with np.isscalar/np.ndim."""
+    for rec in self.records:
+        rec.liability = rec.liability + receipt.parts[rec.lp_id]
+        fee = receipt.lp_fees[rec.lp_id]
+        if np.isscalar(fee) or np.ndim(fee) == 0:
+            rec.cash_fees += float(fee)
+        else:
+            rec.bundle_fees = rec.bundle_fees + np.asarray(fee, float)
+    self.price = receipt.price_after.copy()
+
+
+def _bits(x):
+    """The float bits of a fee, a receipt field or a list or dict of them."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _receipt_bits(rec):
+    return [_bits(getattr(rec, f)) for f in ("bundle", "parts", "price_before", "price_after", "trader_fee", "lp_fees")]
+
+
+def _booked_bits(st):
+    assert all(type(rec.cash_fees) is float for rec in st.records)
+    return _bits(st.price), [
+        (rec.lp_id, _bits(rec.liability), _bits(rec.cash_fees), _bits(rec.bundle_fees)) for rec in st.records
+    ]
+
+
+def _n3_market(fee):
+    st = initialize(LmsrGenerator(1.0, 3), price=[0.3, 0.3, 0.4], fee=fee, strict=False)
+    for G in (ConstantProductGenerator(3, 2.0), PairConstantProductGenerator(3, 0, 2, 1.5), LmsrGenerator(0.5, 3)):
+        st.modify_liquidity(st.register_lp(), G)
+    return st
+
+
+BOOKED = {
+    "norm-l1-n2": lambda: n2_market(1),
+    "norm-l2-n3": lambda: _n3_market(NormFee(0.02, "l2")),
+    "norm-l1-n3": lambda: _n3_market(NormFee(0.02, "l1")),
+    "positive-part-n3": lambda: _n3_market(PositivePartFee(0.05)),
+    "v3-pool": lambda: v3_pool(1),
+}
+
+
+def _trades(name, seed):
+    """Seeded trade calls for a market of BOOKED: by bundle and by target
+    price, and one that books -0.0 fills onto -0.0 liabilities."""
+    rng = np.random.default_rng(seed)
+    if name == "v3-pool":
+        for p1 in rng.uniform(0.3, 0.7, 12):
+            p = np.array([p1, 1.0 - p1])
+            yield lambda pool: pool.trade(
+                np.add.reduce([parmm.liability_of(r.generator, p) for r in pool.state.records])
+                - pool.state.total_liability()
+            )
+        return
+    n = BOOKED[name]().n
+    for k in range(12):
+        p = rng.dirichlet(np.full(n, 4.0))
+        if k % 2:
+            yield lambda st: st.execute_trade(target_price=p)
+        else:
+            yield lambda st: st.execute_trade(
+                bundle=np.add.reduce([parmm.liability_of(r.generator, p) for r in st._nontrivial()])
+                - st.total_liability()
+            )
+
+    def signed_zero(st):
+        # the LP without liquidity gets a -0.0 fill onto a -0.0 liability
+        empty = st.records[-1]
+        empty.liability = np.full(n, -0.0)
+        receipt = st.price_trade(target_price=p)
+        receipt.parts[empty.lp_id] = np.full(n, -0.0)
+        st._settle(receipt)
+        return receipt
+
+    yield signed_zero
+
+
+@pytest.mark.parametrize("name", sorted(BOOKED))
+def test_one_pass_booking_matches_the_per_lp_loop_bit_for_bit(name, monkeypatch):
+    got, want = BOOKED[name](), BOOKED[name]()
+    for market in (got, want):
+        market.register_lp()  # an LP without liquidity
+    for trade in _trades(name, 41):
+        with monkeypatch.context() as m:
+            m.setattr(parmm.engine, "compute_fees", _old_compute_fees)
+            m.setattr(MarketState, "_settle", _old_settle)
+            old = trade(want)
+        new = trade(got)
+        assert _receipt_bits(new) == _receipt_bits(old)
+        if name != "v3-pool" and isinstance(got.fee, NormFee):
+            assert all(type(f) is float for f in new.lp_fees.values())
+        states = [m.state if name == "v3-pool" else m for m in (got, want)]
+        assert _booked_bits(states[0]) == _booked_bits(states[1])
+    if name != "v3-pool":
+        assert np.signbit(got.records[-1].liability).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fees_match_np_linalg_norm_bit_for_bit(n):
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        k = int(rng.integers(1, 17))
+        parts = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-6, 3, size=(k, 1))
+        parts[rng.random(k) < 0.2] = -0.0  # fills of LPs without liquidity
+        r = np.add.reduce(parts, axis=0)
+        r[rng.random(n) < 0.2] = -0.0
+        for scheme in (NormFee(0.02, "l1"), NormFee(0.03, "l2"), PositivePartFee(0.05)):
+            trader, shares = compute_fees(scheme, r, parts)
+            old_trader, old_shares = _old_compute_fees(scheme, r, parts)
+            assert _bits(trader) == _bits(old_trader) and _bits(shares) == _bits(old_shares)
+            if isinstance(scheme, NormFee):
+                assert type(trader) is float and all(type(f) is float for f in shares)
+    # all fills zero: no fee, in cash floats
+    for scheme in (NormFee(0.02, "l1"), NormFee(0.03, "l2")):
+        assert compute_fees(scheme, np.full(n, -0.0), np.full((3, n), -0.0)) == (0.0, [0.0, 0.0, 0.0])

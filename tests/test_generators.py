@@ -33,6 +33,7 @@ from parmm import (
     piecewise_linear_curve,
     tabulated_liquidity_curve,
 )
+import parmm.convex_core
 from parmm.cli import main
 from parmm.convex_core import EPS
 from parmm.errors import BoundaryPrice, DivergentIntegral, NoGradient, OutOfRange, UnknownKind
@@ -960,3 +961,109 @@ def test_float_gradients_match_the_numpy_expressions_bit_for_bit(family, monkeyp
         want = [(_outcome(G.value, x), _outcome(G.grad, x), _outcome(_numpy_liability, G, x)) for x in points]
     assert got == want
     assert sum(isinstance(w[2], bytes) for w in want) > len(points) // 2
+
+
+# ---------------------------------------------------------------------------
+# clamp slopes kept on the generator
+# ---------------------------------------------------------------------------
+
+
+def _fresh_clamp_slopes(G):
+    """The clamp slopes evaluated on every call, as no generator keeps them."""
+    return G.slope(EPS), G.slope(1.0 - EPS)
+
+
+def _solves(G, qs, hints) -> list:
+    """(cost bytes, price bytes, at_boundary) of each solve, or the error type."""
+    out = []
+    for q, hint in zip(qs, hints):
+        try:
+            res = conjugate_value(G, q, hint)
+        except Exception as exc:  # the type is the outcome
+            out.append(type(exc))
+        else:
+            out.append((np.float64(res.cost).tobytes(), res.price.tobytes(), res.at_boundary))
+    return out
+
+
+CLAMP_CASES = {
+    **{family: FAMILIES[family] for family in TWO_OUTCOME},
+    "bench-n2": lambda: n2_market(1)._solver(),
+    "bench-v3-pool": lambda: v3_pool(1).state._solver(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMP_CASES))
+def test_kept_clamp_slopes_solve_as_fresh_ones_bit_for_bit(name, monkeypatch):
+    G = CLAMP_CASES[name]()
+    rng = np.random.default_rng(31)
+    lo, hi = _fresh_clamp_slopes(G)
+    # slopes inside, at both clamps, one ulp and one slack past them, and beyond
+    ts = [G.slope(p) for p in rng.uniform(0.01, 0.99, 30)]
+    for s, out in ((lo, -math.inf), (hi, math.inf)):
+        ts += [s, np.nextafter(s, out), np.nextafter(s, -out), s + math.copysign(2.0, out)]
+        ts += [s + math.copysign(k * 1e-13 * max(1.0, abs(s)), out) for k in (0.5, 1.0, 2.0)]
+    shifts = rng.normal(0.0, 3.0, len(ts))
+    qs = [np.array([t + c, c]) for t, c in zip(ts, shifts)]
+    hints = [None if k % 3 == 0 else np.array([x, 1.0 - x]) for k, x in enumerate(rng.uniform(0.05, 0.95, len(ts)))]
+    got = _solves(G, qs, hints)
+    again = _solves(G, qs, hints)
+    monkeypatch.setattr(parmm.convex_core, "_clamp_slopes", _fresh_clamp_slopes)
+    want = _solves(CLAMP_CASES[name](), qs, hints)
+    assert got == again == want
+    if G.conjugate(qs[0]) is None:
+        # the scalar solve ran and kept the slopes; both clamp branches and
+        # the interior are covered
+        assert G._clamp_slopes == (lo, hi)
+        ends = {w[1] for w in want if w[2]}
+        assert {np.array([EPS, 1.0 - EPS]).tobytes(), np.array([1.0 - EPS, 1.0 - (1.0 - EPS)]).tobytes()} <= ends
+        assert sum(not w[2] for w in want) >= (20 if lo < hi else 0)
+
+
+def test_with_weights_after_a_solve_solves_as_a_fresh_curve():
+    buckets = [(0.1, 0.3), (0.3, 0.5), (0.55, 0.9)]
+    A = BucketArrayCurve(UniswapV2Curve(1.0), buckets, [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(37)
+    qs = [np.array([t, 0.0]) for t in rng.uniform(-8.0, 8.0, 40)]
+    hints = [None] * len(qs)
+    before = _solves(A, qs, hints)
+    kept = A._clamp_slopes
+    assert kept == _fresh_clamp_slopes(A)
+    for w in ([0.2, 3.0, 0.7], [0.0, 1.0, 0.0], [1.0, 0.5, 2.0]):
+        B = A.with_weights(w)
+        assert B._clamp_slopes is None
+        fresh = BucketArrayCurve(UniswapV2Curve(1.0), buckets, w)
+        assert _solves(B, qs, hints) == _solves(fresh, qs, hints)
+        assert B._clamp_slopes == fresh._clamp_slopes == _fresh_clamp_slopes(fresh)
+    # the original keeps its own, and solves as before
+    assert A._clamp_slopes is kept
+    assert _solves(A, qs, hints) == before
+    # a pool's opening LP keeps the curve it was solved on alone; once a
+    # second LP mints, the aggregate is that curve with the summed weights
+    pool = UniswapV3Market(buckets, 0.2)
+    assert pool.state.records[0].generator._clamp_slopes is not None
+    pool.mint(pool.register_lp(), 2, 1.5)
+    agg = pool.state._solver()
+    fresh = BucketArrayCurve(UniswapV2Curve(1.0), buckets, pool.aggregate_weight())
+    assert _solves(agg, qs, hints) == _solves(fresh, qs, hints)
+    assert agg._clamp_slopes == _fresh_clamp_slopes(fresh)
+
+
+@pytest.mark.parametrize("bench", ["n2", "v3-pool"])
+def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
+    st = n2_market(1) if bench == "n2" else v3_pool(1).state
+    agg = st._solver()
+    calls = []
+    slope = type(agg).slope
+    monkeypatch.setattr(type(agg), "slope", lambda self, t: calls.append(t) or slope(self, t))
+    lo, hi = agg.slope(EPS), agg.slope(1.0 - EPS)
+    calls.clear()
+    price, ends = st.price, 0
+    for _, p1 in zip(range(20), bench_inputs().n2_targets(1, float(price[0]))):
+        # an interior solve, then one past each clamp
+        for q in (agg.grad(np.array([p1, 1.0 - p1])), np.array([lo - 1.0, 0.0]), np.array([hi + 1.0, 0.0])):
+            res = conjugate_value(agg, q, price)
+            price, ends = res.price, ends + res.at_boundary
+    assert ends == 40
+    assert calls.count(EPS) == 1 and calls.count(1.0 - EPS) == 1
+    assert len(calls) > 60

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bench_pools import v3_pool
 from parmm import (
     BucketCurve,
     SumGenerator,
@@ -340,6 +341,38 @@ def _to_price(m, target):
     p = np.array([target, 1.0 - target])
     held = m.state.total_liability()
     return np.sum([liability_of(rec.generator, p) for rec in m.state.records], axis=0) - held
+
+
+def test_v3_fees_over_the_crossed_slice_match_the_index_list_bit_for_bit():
+    # the benchmark's B = 400 pool; each swap lands inside a bucket 0 to 39
+    # buckets away from the one the price starts in, toward the middle
+    pool = v3_pool(3)
+    rng = np.random.default_rng(47)
+    spans = []
+    for span in rng.permutation(np.repeat(np.arange(1, 41), 2)).tolist():
+        j = pool.locate(pool.price)
+        a, b = pool.buckets[j + (span - 1 if pool.price < 0.5 else 1 - span)]
+        W = pool.aggregate_weight()
+        weights = {lp: w.copy() for lp, w in pool.weights.items()}
+        rec = pool.trade(_to_price(pool, a + (b - a) * rng.uniform(0.2, 0.8)))
+        lo, hi = sorted(pool.locate(float(p[0])) for p in (rec.price_before, rec.price_after))
+        crossed = list(range(lo, hi + 1))
+        denom = float(W[crossed].sum())
+        want = {lp: float(w[crossed].sum()) / denom * rec.trader_fee for lp, w in weights.items()}
+        assert rec.lp_fees.keys() == want.keys()
+        assert all(rec.lp_fees[lp].tobytes() == want[lp].tobytes() for lp in want)
+        spans.append(len(crossed))
+    assert sorted(set(spans)) == list(range(1, 41))
+
+
+def test_v3_empty_bucket_error_names_the_first_empty_bucket():
+    for start, target in ((0.13, 0.87), (0.87, 0.13)):
+        m = UniswapV3Market([(0.1 * j + 0.05, 0.1 * j + 0.15) for j in range(9)], price=start)
+        lp = m.register_lp()
+        for j in range(9):
+            m.mint(lp, j, 0.0 if j in (3, 5) else 1.0)
+        with pytest.raises(EmptyBucket, match="bucket 3 holds"):
+            m.trade(_to_price(m, target))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
