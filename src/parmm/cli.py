@@ -2,12 +2,17 @@
 
 `run` replays a JSON scenario deterministically and writes a JSONL trace with
 one line per event (result plus full state snapshot), numbers rounded to 12
-significant digits so reruns are byte-identical.  The writer encodes each
-distinct generator descriptor once per trace, not once per event, checks
-exact types before the general isinstance chain, encodes a list in one pass,
-and writes the same bytes as `json.dumps` of the rounded records.  A failing
-event is reported as `event k (<op>): ...`.  `report` derives CSV/JSON
-summaries from a trace.  `equivalence` runs the randomized cross-check suite.
+significant digits so reruns are byte-identical.  Each line is written as its
+event completes, so a replay holds no trace in memory.  The writer encodes
+each distinct generator descriptor once per trace, not once per event, writes
+a snapshot's LPs and a trade's result by their known shape, checks exact
+types before the general isinstance chain, encodes a list in one pass, and
+writes the same bytes as `json.dumps` of the rounded records.  A failing
+event ends the trace, after the lines of the events before it, with an error
+record `{"event", "op", "error", "message"}`, and is reported on stderr as
+`event k (<op>): ...`.  `report` derives CSV/JSON summaries from a trace,
+reading it one line at a time.  `equivalence` runs the randomized
+cross-check suite.
 
 Exit codes: 0 success, 1 market/validation failure, 2 malformed input.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import pickle
 import sys
@@ -157,15 +163,36 @@ def _lp_json(lp, texts: dict) -> str:
             f'"bundle_fees":{_list_json(fees) if type(fees) is list else _json(fees)}}}')
 
 
+_TRADE_KEYS = ["bundle", "parts", "price_after", "trader_fee", "lp_fees"]
+
+
+def _by_lp_json(d) -> str:
+    """A `{lp id: fill or fee}` dict of a trade's result; str keys are
+    encoded directly, other keys by `_key`."""
+    return "{" + ",".join([(_json_str(k) if type(k) is str else _key(k)) + ":" + _json(v)
+                           for k, v in d.items()]) + "}"
+
+
+def _result_json(res) -> str:
+    """An event's result; a trade's, in the key order `replay` writes it, is
+    written by that shape, other results by `_json`."""
+    if (type(res) is not dict or list(res) != _TRADE_KEYS
+            or type(res["parts"]) is not dict or type(res["lp_fees"]) is not dict):
+        return _json(res)
+    return (f'{{"bundle":{_json(res["bundle"])},"parts":{_by_lp_json(res["parts"])},'
+            f'"price_after":{_json(res["price_after"])},"trader_fee":{_json(res["trader_fee"])},'
+            f'"lp_fees":{_by_lp_json(res["lp_fees"])}}}')
+
+
 def _trace_line(rec, texts: dict) -> str:
     """A trace record as one JSON line, byte for byte
     `json.dumps(_round(rec), separators=(",", ":"))`; a record shaped as
-    `run_scenario` builds them is written by that shape."""
+    `replay` builds them is written by that shape."""
     if type(rec) is dict and list(rec) == ["event", "op", "result", "state"]:
         state = rec["state"]
         if type(state) is dict and list(state) == ["price", "lps"] and type(state["lps"]) is list:
             lps = ",".join([_lp_json(lp, texts) for lp in state["lps"]])
-            return (f'{{"event":{_json(rec["event"])},"op":{_json(rec["op"])},"result":{_json(rec["result"])},'
+            return (f'{{"event":{_json(rec["event"])},"op":{_json(rec["op"])},"result":{_result_json(rec["result"])},'
                     f'"state":{{"price":{_json(state["price"])},"lps":[{lps}]}}}}\n')
     return _json(rec) + "\n"
 
@@ -190,8 +217,13 @@ def _as_price(value, n):
     return np.asarray(value, dtype=float)
 
 
-def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
-    """Replay a scenario; returns the list of trace records."""
+def replay(scenario: dict, mode=None, fee_name=None, beta=None):
+    """Check a scenario's configuration, then return a generator of its trace
+    records: the meta record, then each event's record as the event succeeds.
+    A configuration error (mode, fee scheme, no event list) raises here,
+    before any record.  A failing event yields an error record
+    `{"event", "op", "error", "message"}` and then re-raises its exception,
+    whose message names the event and op for a `ParmmError`."""
     n = int(scenario.get("n", 2))
     mode = mode or scenario.get("mode", "strict")
     if mode not in ("strict", "lenient"):
@@ -200,20 +232,25 @@ def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
     fee_name = fee_name or fee_cfg.get("scheme")
     beta = beta if beta is not None else fee_cfg.get("beta", 0.0)
     fee = _fee_scheme(fee_name, beta)
+    meta = {"meta": {"version": __version__, "n": n, "mode": mode,
+                     "fee": {"scheme": fee_name, "beta": beta} if fee else None}}
+    return _replay_events(meta, scenario["events"], n, mode == "strict", fee)
 
-    trace = [{"meta": {"version": __version__, "n": n, "mode": mode,
-                       "fee": {"scheme": fee_name, "beta": beta} if fee else None}}]
+
+def _replay_events(meta, events, n, strict, fee):
+    yield meta
     state: MarketState | None = None
     last_receipt = None
-    for idx, ev in enumerate(scenario["events"]):
-        op = ev["op"]
+    for idx, ev in enumerate(events):
+        op = None
         try:
+            op = ev["op"]
             if state is None and op != "initialize":
                 raise UnknownKind("the market is not initialized yet")
             result: dict = {}
             if op == "initialize":
                 gen = generator_from_descriptor(ev["generator"], n)
-                kwargs = {"fee": fee, "strict": mode == "strict"}
+                kwargs = {"fee": fee, "strict": strict}
                 if "price" in ev:
                     state = initialize(gen, price=_as_price(ev["price"], n), **kwargs)
                 else:
@@ -276,21 +313,34 @@ def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
                     raise UnknownKind(f"unknown query {what!r}")
             else:
                 raise UnknownKind(f"unknown op {op!r}")
-            trace.append({"event": idx, "op": op, "result": result, "state": state.snapshot()})
-        except ParmmError as exc:
-            exc.args = (f"event {idx} ({op}): {exc}",)
+            record = {"event": idx, "op": op, "result": result, "state": state.snapshot()}
+        except (ParmmError, KeyError) as exc:
+            # the errors `main` reports; the record carries the text it prints
+            if isinstance(exc, ParmmError):
+                exc.args = (f"event {idx} ({op}): {exc}",)
+            yield {"event": idx, "op": op, "error": type(exc).__name__, "message": str(exc)}
             raise
-    return trace
+        yield record
+
+
+def run_scenario(scenario: dict, mode=None, fee_name=None, beta=None):
+    """Replay a scenario; returns the list of trace records, or raises the
+    failing event's exception."""
+    return list(replay(scenario, mode, fee_name, beta))
 
 
 def _write_trace(trace, out):
+    """Write trace records as JSONL, each line as its record arrives."""
     texts: dict = {}
     out.writelines(_trace_line(rec, texts) for rec in trace)
 
 
 def _load_trace(path):
+    """A trace's records, read one line at a time."""
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +349,29 @@ def _load_trace(path):
 
 
 def report_price_path(trace, out):
-    states = [rec for rec in trace if "state" in rec]
-    n = len(states[0]["state"]["price"])
+    """The price after each event, one row per record with a state, written
+    as the records arrive."""
     w = csv.writer(out)
-    w.writerow(["event"] + [f"p{i + 1}" for i in range(n)])
-    for rec in states:
-        w.writerow([rec["event"]] + rec["state"]["price"])
+    header = False
+    for rec in trace:
+        if "state" not in rec:
+            continue
+        price = rec["state"]["price"]
+        if not header:
+            w.writerow(["event"] + [f"p{i + 1}" for i in range(len(price))])
+            header = True
+        w.writerow([rec["event"]] + price)
+    if not header:
+        raise UnknownKind("the trace has no market state")
 
 
 def report_liquidity_profile(trace, out, grid=99):
-    last = [rec for rec in trace if "state" in rec][-1]["state"]
+    last = None
+    for rec in trace:
+        if "state" in rec:
+            last = rec["state"]
+    if last is None:
+        raise UnknownKind("the trace has no market state")
     n = len(last["price"])
     if n != 2:
         raise UnknownKind("liquidity profiles are only defined for two outcomes")
@@ -372,7 +435,9 @@ def report_table1_check(out, samples=200, seed=7):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built on the first call and kept: parse_args leaves a parser unchanged
     ap = argparse.ArgumentParser(prog="parmm", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -403,12 +468,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.scenario) as fh:
                 scenario = json.load(fh)
-            trace = run_scenario(scenario, args.mode, args.fee, args.beta)
+            records = replay(scenario, args.mode, args.fee, args.beta)
             if args.out:
                 with open(args.out, "w") as fh:
-                    _write_trace(trace, fh)
+                    _write_trace(records, fh)
             else:
-                _write_trace(trace, sys.stdout)
+                _write_trace(records, sys.stdout)
             return 0
         if args.command == "report":
             if args.kind == "table1-check":

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 import parmm
 from parmm import LmsrCurve, PiecewisePolyCurve, UniswapV2Curve, initialize
-from parmm.cli import _write_trace, main, run_scenario
+from parmm.cli import _build_parser, _write_trace, main, run_scenario
 from parmm.errors import UnknownKind, UnsupportedFamily
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -26,6 +27,13 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_optimized(argv):
+    """`python -O -m parmm.cli *argv` in a fresh process; -O strips `assert`."""
+    src = str(Path(parmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-O", "-m", "parmm.cli", *argv], capture_output=True, text=True, env=env)
 
 
 def test_run_walkthrough_scenario(capsys, tmp_path):
@@ -206,25 +214,191 @@ def test_modify_liquidity_of_an_unknown_lp_exits_2(tmp_path, capsys):
     assert "no LP with id -1" in err
 
 
+def _error_line(event, op, error, err) -> str:
+    """The error record a failed run ends with, as `json.dumps` writes it;
+    its message is what stderr prints after "error: "."""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    record = {"event": event, "op": op, "error": error, "message": err[len("error: "):-1]}
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _replayed(scen, tmp_path, name="head") -> str:
+    """The trace `parmm run` writes for scen, which must succeed."""
+    path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+    path.write_text(json.dumps(scen))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+_LMSR = {"family": "lmsr", "b": 1.0}
+_OPENING = [
+    {"op": "initialize", "generator": _LMSR, "price": [0.5, 0.5]},
+    {"op": "register_lp"},
+    {"op": "execute_trade", "target_price": [0.6, 0.4]},
+]
+_TAIL = [{"op": "execute_trade", "target_price": [0.4, 0.6]}]
+# (failing event, its type, exit code, stderr's start)
+_FAILURES = {
+    "bad-modify": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 1.0, "n": 3}},
+                   "UnsupportedFamily", 1,
+                   "error: event 3 (modify_liquidity): 3-outcome generator on a 2-outcome market"),
+    "unknown-op": ({"op": "settle"}, "UnknownKind", 2, "error: event 3 (settle): unknown op 'settle'"),
+    "no-op": ({"lp": 1}, "KeyError", 2, "error: 'op'\n"),
+}
+
+
 def test_failing_modify_mid_scenario_names_event_and_op(tmp_path, capsys):
-    lmsr = {"family": "lmsr", "b": 1.0}
-    scen = {
-        "n": 2,
-        "events": [
-            {"op": "initialize", "generator": lmsr, "price": [0.5, 0.5]},
-            {"op": "register_lp"},
-            {"op": "execute_trade", "target_price": [0.6, 0.4]},
-            {"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 1.0, "n": 3}},
-            {"op": "execute_trade", "target_price": [0.4, 0.6]},
-        ],
-    }
+    # the events before the failure are written as a replay of just them
+    # would write them, then the failing event's error record
+    failing, _, _, _ = _FAILURES["bad-modify"]
+    scen = {"n": 2, "events": _OPENING + [failing] + _TAIL}
     f = tmp_path / "s.json"
     f.write_text(json.dumps(scen))
     code, out, err = run_cli(["run", str(f)], capsys)
-    assert code == 1 and out == ""
+    assert code == 1
     assert err.startswith("error: event 3 (modify_liquidity): 3-outcome generator on a 2-outcome market")
+    head = _replayed({"n": 2, "events": _OPENING}, tmp_path)
+    assert out == head + _error_line(3, "modify_liquidity", "UnsupportedFamily", err)
     with pytest.raises(UnsupportedFamily, match=r"^event 3 \(modify_liquidity\): "):
         run_scenario(scen)
+
+
+@pytest.mark.parametrize(("failure", "sink"), [
+    (failure, sink) for failure in sorted(_FAILURES) for sink in ("stdout", "out", "python-O")
+    if (failure, sink) != ("bad-modify", "stdout")  # the test above
+])
+def test_failed_run_writes_the_events_before_it_and_an_error_record(failure, sink, tmp_path, capsys):
+    failing, error, exit_code, err_start = _FAILURES[failure]
+    scen = {"n": 2, "events": _OPENING + [failing] + _TAIL}
+    f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    f.write_text(json.dumps(scen))
+    if sink == "python-O":
+        # nothing on the failure path may rest on `assert`, which -O strips
+        proc = run_cli_optimized(["run", str(f), "--out", str(trace)])
+        code, out, err = proc.returncode, trace.read_text(), proc.stderr
+    elif sink == "out":
+        code, stdout, err = run_cli(["run", str(f), "--out", str(trace)], capsys)
+        assert stdout == ""
+        out = trace.read_text()
+    else:
+        code, out, err = run_cli(["run", str(f)], capsys)
+    assert code == exit_code and err.startswith(err_start)
+    head = _replayed({"n": 2, "events": _OPENING}, tmp_path)
+    assert out == head + _error_line(3, failing.get("op"), error, err)
+
+
+@pytest.mark.parametrize("config", [{"mode": "bogus"}, {"fee": {"scheme": "bogus", "beta": 0.1}}])
+def test_configuration_error_leaves_no_trace_file(config, tmp_path, capsys):
+    f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    f.write_text(json.dumps({"n": 2, **config, "events": _OPENING}))
+    code, out, err = run_cli(["run", str(f), "--out", str(trace)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: unknown ")
+    assert not trace.exists()
+
+
+def test_reports_read_a_trace_that_ends_in_an_error_record(tmp_path, capsys):
+    # the reports skip the error record: they read as on the events before it
+    failing, _, _, _ = _FAILURES["bad-modify"]
+    events = [{"op": "initialize", "generator": _LMSR, "price": [0.5, 0.5]}, {"op": "register_lp"},
+              {"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2", "alpha": 1.0}},
+              {"op": "execute_trade", "target_price": [0.6, 0.4]}]
+    f, failed = tmp_path / "s.json", tmp_path / "failed.jsonl"
+    f.write_text(json.dumps({"n": 2, "events": events + [failing] + _TAIL}))
+    assert main(["run", str(f), "--out", str(failed)]) == 1
+    capsys.readouterr()
+    assert '"error":"UnsupportedFamily"' in failed.read_text().splitlines()[-1]
+    _replayed({"n": 2, "events": events}, tmp_path)
+    for kind in (["price-path"], ["liquidity-profile", "--grid", "7"]):
+        want = run_cli(["report", str(tmp_path / "head.jsonl"), "--kind", *kind], capsys)
+        assert want[0] == 0 and want[1].count("\n") > 3
+        assert run_cli(["report", str(failed), "--kind", *kind], capsys) == want
+    # a trace whose first event failed holds no state to report on
+    f.write_text(json.dumps({"n": 2, "events": [failing]}))
+    assert main(["run", str(f), "--out", str(failed)]) == 2
+    capsys.readouterr()
+    assert len(failed.read_text().splitlines()) == 2
+    for kind in ("price-path", "liquidity-profile"):
+        assert run_cli(["report", str(failed), "--kind", kind], capsys) == (
+            2, "", "error: the trace has no market state\n")
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # main keeps one parser; a run of commands, a bad flag among them, gives
+    # what a fresh parser per call gives
+    trace = tmp_path / "t.jsonl"
+    calls = [
+        ["run", WALK, "--out", str(trace)],
+        ["report", str(trace), "--kind", "price-path"],
+        ["equivalence", "--n", "2", "--trials", "3", "--seed", "1"],
+        ["run", WALK, "--bogus"],
+        ["report", str(trace), "--kind", "liquidity-profile", "--grid", "5"],
+        ["report", str(trace), "--kind", "nope"],
+        ["run", WALK, "--fee", "norm-l2", "--beta", "0.1"],
+        ["run", WALK, "--out", str(trace), "--mode", "lenient"],
+        ["report", str(trace), "--kind", "price-path"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's exit on a bad flag
+                code = ("SystemExit", exc.code)
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err, trace.read_bytes()))
+        return got
+
+    parser = _build_parser()
+    kept = outcomes(fresh=False)
+    assert _build_parser() is parser
+    assert [g[0] for g in kept] == [0, 0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 0, 0, 0]
+    assert outcomes(fresh=True) == kept
+
+
+def churn_scenario(seed: int, lps: int, events: int) -> dict:
+    """Two outcomes, `lps` LPs over four families, then target trades with
+    every fifth event replacing a random LP's generator."""
+    rng = random.Random(seed)
+    u = rng.uniform
+
+    def generator(kind):
+        return [{"family": "uniswap_v2", "alpha": u(0.5, 2.0)},
+                {"family": "lmsr", "b": u(0.5, 2.0)},
+                {"family": "v3_bucket", "a": u(0.05, 0.45), "b": u(0.55, 0.95), "alpha": u(0.5, 2.0)},
+                {"family": "brier", "scale": u(0.5, 2.0)}][kind % 4]
+
+    evs = [{"op": "initialize", "generator": _LMSR, "price": 0.5}]
+    for lp in range(1, lps + 1):
+        evs += [{"op": "register_lp"}, {"op": "modify_liquidity", "lp": lp, "generator": generator(lp)}]
+    while len(evs) < events:
+        if len(evs) % 5 == 0:
+            evs.append({"op": "modify_liquidity", "lp": rng.randrange(1, lps + 1),
+                        "generator": generator(rng.randrange(4))})
+        else:
+            evs.append({"op": "execute_trade", "target_price": u(0.1, 0.9)})
+    return {"n": 2, "mode": "lenient", "fee": {"scheme": "norm-l1", "beta": 0.01}, "events": evs}
+
+
+def test_run_holds_no_trace_in_memory(tmp_path):
+    # each line is written as its event completes, so a run's peak stays
+    # far below the trace it writes (a run that kept every record until the
+    # end peaked at about 4.5 times the trace here)
+    scen = churn_scenario(1, lps=8, events=400)
+    f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    f.write_text(json.dumps(scen))
+    assert main(["run", str(f), "--out", str(trace)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["run", str(f), "--out", str(trace)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = trace.stat().st_size
+    assert len(trace.read_text().splitlines()) == 401
+    assert peak < size / 2, (peak, size)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +532,25 @@ def _families(obj) -> set:
     return set()
 
 
-@pytest.mark.parametrize("name", ["two_lp_walkthrough", "three_asset_fee_imbalance", "every-family-3", "every-family-8"])
-def test_trace_writer_matches_the_rounding_pass(name):
+@pytest.mark.parametrize("name", ["two_lp_walkthrough", "three_asset_fee_imbalance", "every-family-3", "every-family-8",
+                                  "three-outcome-norm-l1", "three-outcome-norm-l2", "three-outcome-positive-part"])
+def test_trace_writer_matches_the_rounding_pass(name, tmp_path, capsys):
     if name.startswith("every-family"):
         scen = every_family_scenario(int(name.rsplit("-", 1)[1]))
+    elif name.startswith("three-outcome"):
+        scen = three_outcome_scenario(11, name[len("three-outcome-"):])
     else:
         with open(os.path.join(SCEN, f"{name}.json")) as fh:
             scen = json.load(fh)
     trace = run_scenario(scen)
-    assert _written(trace) == _oracle(trace)
+    want = _oracle(trace)
+    assert _written(trace) == want
+    # parmm run streams the same bytes, to a file and to stdout
+    path, out = tmp_path / "s.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(scen))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == want
+    assert run_cli(["run", str(path)], capsys) == (0, want, "")
     if name.startswith("every-family"):
         # brier, piecewise_liquidity, piecewise_linear and tabulated_liquidity
         # load as, and are written as, piecewise_poly
@@ -396,6 +580,32 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
         {**lp, "id": 1.5, "liability": [[1.0, [2.0]], 0.0, 1, -0.0, 1e-320], "cash_fees": -0.0,
          "bundle_fees": [np.float64(0.0), 0.0, -0.0]},
     ]
+    # trade results shaped as `replay` writes them, and near misses
+    fill = np.array([0.1, -0.0])
+    trade = {"bundle": np.array([0.25, -0.25]), "parts": {"0": fill, "1": -fill, "2": np.zeros(2)},
+             "price_after": np.array([0.6, 0.4]), "trader_fee": 0.001,
+             "lp_fees": {"0": 0.0005, "1": 0.0005, "2": 0.0}}
+    trades = [
+        trade,
+        {**trade, "extra": 1},
+        dict(reversed(list(trade.items()))),
+        {**trade, "trader_fee": np.float64(1e-5),
+         "lp_fees": {"0": np.float64(5e-6), "1": np.float32(5e-6), "2": np.float64(-0.0)}},
+        # PositivePartFee: bundle fees
+        {**trade, "trader_fee": np.array([0.0, 0.0025]),
+         "lp_fees": {"0": np.array([0.0, 0.0]), "1": np.array([0.0, 0.0025]), "2": np.zeros(2)}},
+        # three outcomes, with PositivePartFee bundle fees
+        {"bundle": np.array([0.1, -0.3, 0.2]), "parts": {"0": np.array([0.1, -0.1, 0.0]), "1": np.array([0.0, -0.2, 0.2])},
+         "price_after": np.array([0.2, 0.5, 0.3]), "trader_fee": np.array([0.0, 0.003, 0.0]),
+         "lp_fees": {"0": np.array([0.0, 0.001, 0.0]), "1": np.array([0.0, 0.002, -0.0])}},
+        # what replay never writes: other key and value types
+        {**trade, "parts": {0: fill, "1": [0.5, -0.0], True: (1.0, 2), "caf\u00e9": np.eye(2, dtype=int),
+                            "3": np.array([[0.1, nan], [inf, 1e16]]), "4": np.float32([0.1, 2.0])},
+         "lp_fees": {"0": None, "1": 3, "2": edge, None: 0.5, 1.5: np.float64(2.0)}},
+        {**trade, "parts": [fill], "lp_fees": {}},
+        {**trade, "parts": {}, "lp_fees": (0.1, 0.2)},
+        {**trade, "bundle": edge, "price_after": [1, 0], "trader_fee": None},
+    ]
     trace = [
         {"meta": {"version": "x", "n": 2, "fee": None}},
         {"event": 0, "op": "query",
@@ -409,6 +619,8 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
         {"event": 5, "op": "query", "result": {"zeros": [0.0, -0.0, np.float64(-0.0), 5e-324, -5e-324]},
          "state": {"price": [0.0, -0.0, 1.0], "lps": odd}},
         {"state": {"price": [0.5], "lps": [lp]}, "event": 4, "op": "query", "result": {}},
+        *({"event": 6, "op": "execute_trade", "result": res, "state": {"price": [0.5, 0.5], "lps": [lp]}}
+          for res in trades),
         {1: 0.5, 2.5: "x", None: True, False: [edge[:3]], nan: -inf},
         [edge, (edge,)],
         edge,
@@ -474,9 +686,6 @@ def test_run_under_python_O_writes_the_same_bytes(tmp_path):
     scen.write_text(json.dumps(every_family_scenario(5)))
     here, there = tmp_path / "in.jsonl", tmp_path / "O.jsonl"
     assert main(["run", str(scen), "--out", str(here)]) == 0
-    src = str(Path(parmm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-O", "-m", "parmm.cli", "run", str(scen), "--out", str(there)],
-                         capture_output=True, text=True, env=env)
+    out = run_cli_optimized(["run", str(scen), "--out", str(there)])
     assert out.returncode == 0, out.stderr
     assert there.read_bytes() == here.read_bytes()
