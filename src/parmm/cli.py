@@ -5,14 +5,14 @@ one line per event (result plus full state snapshot), numbers rounded to 12
 significant digits so reruns are byte-identical.  Each line is written as its
 event completes, so a replay holds no trace in memory.  The writer encodes
 each distinct generator descriptor once per trace, not once per event, writes
-a snapshot's LPs and a trade's result by their known shape, checks exact
-types before the general isinstance chain, encodes a list in one pass, and
-writes the same bytes as `json.dumps` of the rounded records.  A failing
-event ends the trace, after the lines of the events before it, with an error
-record `{"event", "op", "error", "message"}`, and is reported on stderr as
+a snapshot's LPs by their known shape, checks exact types before the
+general isinstance chain, encodes a list in one pass, and writes the same
+bytes as `json.dumps` of the rounded records.  A failing event ends the
+trace, after the lines of the events before it, with an error record
+`{"event", "op", "error", "message"}`, and is reported on stderr as
 `event k (<op>): ...`.  `report` derives CSV/JSON summaries from a trace,
-reading it one line at a time.  `equivalence` runs the randomized
-cross-check suite.
+skipping its error record.  `equivalence` runs the randomized cross-check
+suite.
 
 Exit codes: 0 success, 1 market/validation failure, 2 malformed input.
 """
@@ -108,7 +108,8 @@ def _json(obj) -> str:
         return _list_json(obj.tolist())
     # dicts, subclasses, and the other types JSON has
     if isinstance(obj, dict):
-        return "{" + ",".join([_key(k) + ":" + _json(v) for k, v in obj.items()]) + "}"
+        return "{" + ",".join([(_json_str(k) if type(k) is str else _key(k)) + ":" + _json(v)
+                               for k, v in obj.items()]) + "}"
     if isinstance(obj, (float, np.floating)):
         return _float_text(obj)
     if isinstance(obj, (list, tuple)):
@@ -163,27 +164,6 @@ def _lp_json(lp, texts: dict) -> str:
             f'"bundle_fees":{_list_json(fees) if type(fees) is list else _json(fees)}}}')
 
 
-_TRADE_KEYS = ["bundle", "parts", "price_after", "trader_fee", "lp_fees"]
-
-
-def _by_lp_json(d) -> str:
-    """A `{lp id: fill or fee}` dict of a trade's result; str keys are
-    encoded directly, other keys by `_key`."""
-    return "{" + ",".join([(_json_str(k) if type(k) is str else _key(k)) + ":" + _json(v)
-                           for k, v in d.items()]) + "}"
-
-
-def _result_json(res) -> str:
-    """An event's result; a trade's, in the key order `replay` writes it, is
-    written by that shape, other results by `_json`."""
-    if (type(res) is not dict or list(res) != _TRADE_KEYS
-            or type(res["parts"]) is not dict or type(res["lp_fees"]) is not dict):
-        return _json(res)
-    return (f'{{"bundle":{_json(res["bundle"])},"parts":{_by_lp_json(res["parts"])},'
-            f'"price_after":{_json(res["price_after"])},"trader_fee":{_json(res["trader_fee"])},'
-            f'"lp_fees":{_by_lp_json(res["lp_fees"])}}}')
-
-
 def _trace_line(rec, texts: dict) -> str:
     """A trace record as one JSON line, byte for byte
     `json.dumps(_round(rec), separators=(",", ":"))`; a record shaped as
@@ -192,7 +172,7 @@ def _trace_line(rec, texts: dict) -> str:
         state = rec["state"]
         if type(state) is dict and list(state) == ["price", "lps"] and type(state["lps"]) is list:
             lps = ",".join([_lp_json(lp, texts) for lp in state["lps"]])
-            return (f'{{"event":{_json(rec["event"])},"op":{_json(rec["op"])},"result":{_result_json(rec["result"])},'
+            return (f'{{"event":{_json(rec["event"])},"op":{_json(rec["op"])},"result":{_json(rec["result"])},'
                     f'"state":{{"price":{_json(state["price"])},"lps":[{lps}]}}}}\n')
     return _json(rec) + "\n"
 
@@ -314,8 +294,9 @@ def _replay_events(meta, events, n, strict, fee):
             else:
                 raise UnknownKind(f"unknown op {op!r}")
             record = {"event": idx, "op": op, "result": result, "state": state.snapshot()}
-        except (ParmmError, KeyError) as exc:
-            # the errors `main` reports; the record carries the text it prints
+        except Exception as exc:
+            # every failed event ends the trace with an error record; for the
+            # errors `main` reports it carries the text printed after "error: "
             if isinstance(exc, ParmmError):
                 exc.args = (f"event {idx} ({op}): {exc}",)
             yield {"event": idx, "op": op, "error": type(exc).__name__, "message": str(exc)}
@@ -336,11 +317,8 @@ def _write_trace(trace, out):
 
 
 def _load_trace(path):
-    """A trace's records, read one line at a time."""
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +326,26 @@ def _load_trace(path):
 # ---------------------------------------------------------------------------
 
 
-def report_price_path(trace, out):
-    """The price after each event, one row per record with a state, written
-    as the records arrive."""
-    w = csv.writer(out)
-    header = False
-    for rec in trace:
-        if "state" not in rec:
-            continue
-        price = rec["state"]["price"]
-        if not header:
-            w.writerow(["event"] + [f"p{i + 1}" for i in range(len(price))])
-            header = True
-        w.writerow([rec["event"]] + price)
-    if not header:
+def _states(trace):
+    """The records of a trace that carry a market state: all but the meta
+    record and a failed event's error record."""
+    states = [rec for rec in trace if "state" in rec]
+    if not states:
         raise UnknownKind("the trace has no market state")
+    return states
+
+
+def report_price_path(trace, out):
+    states = _states(trace)
+    n = len(states[0]["state"]["price"])
+    w = csv.writer(out)
+    w.writerow(["event"] + [f"p{i + 1}" for i in range(n)])
+    for rec in states:
+        w.writerow([rec["event"]] + rec["state"]["price"])
 
 
 def report_liquidity_profile(trace, out, grid=99):
-    last = None
-    for rec in trace:
-        if "state" in rec:
-            last = rec["state"]
-    if last is None:
-        raise UnknownKind("the trace has no market state")
+    last = _states(trace)[-1]["state"]
     n = len(last["price"])
     if n != 2:
         raise UnknownKind("liquidity profiles are only defined for two outcomes")

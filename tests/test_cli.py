@@ -287,6 +287,23 @@ def test_failed_run_writes_the_events_before_it_and_an_error_record(failure, sin
     assert out == head + _error_line(3, failing.get("op"), error, err)
 
 
+@pytest.mark.parametrize(("failing", "message"), [
+    ({"op": "modify_liquidity", "lp": "x", "generator": _LMSR}, "invalid literal for int() with base 10: 'x'"),
+    ({"op": "execute_trade", "target_price": "abc"}, "could not convert string to float: 'abc'"),
+])
+def test_an_unexpected_failure_also_ends_the_trace_with_an_error_record(failing, message, tmp_path):
+    # main does not report a ValueError; it escapes, as before, but the
+    # trace still shows that the run failed
+    f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    f.write_text(json.dumps({"n": 2, "events": _OPENING + [failing] + _TAIL}))
+    with pytest.raises(ValueError) as raised:
+        main(["run", str(f), "--out", str(trace)])
+    assert str(raised.value) == message
+    record = {"event": 3, "op": failing["op"], "error": "ValueError", "message": message}
+    head = _replayed({"n": 2, "events": _OPENING}, tmp_path)
+    assert trace.read_text() == head + json.dumps(record, separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize("config", [{"mode": "bogus"}, {"fee": {"scheme": "bogus", "beta": 0.1}}])
 def test_configuration_error_leaves_no_trace_file(config, tmp_path, capsys):
     f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
@@ -580,32 +597,6 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
         {**lp, "id": 1.5, "liability": [[1.0, [2.0]], 0.0, 1, -0.0, 1e-320], "cash_fees": -0.0,
          "bundle_fees": [np.float64(0.0), 0.0, -0.0]},
     ]
-    # trade results shaped as `replay` writes them, and near misses
-    fill = np.array([0.1, -0.0])
-    trade = {"bundle": np.array([0.25, -0.25]), "parts": {"0": fill, "1": -fill, "2": np.zeros(2)},
-             "price_after": np.array([0.6, 0.4]), "trader_fee": 0.001,
-             "lp_fees": {"0": 0.0005, "1": 0.0005, "2": 0.0}}
-    trades = [
-        trade,
-        {**trade, "extra": 1},
-        dict(reversed(list(trade.items()))),
-        {**trade, "trader_fee": np.float64(1e-5),
-         "lp_fees": {"0": np.float64(5e-6), "1": np.float32(5e-6), "2": np.float64(-0.0)}},
-        # PositivePartFee: bundle fees
-        {**trade, "trader_fee": np.array([0.0, 0.0025]),
-         "lp_fees": {"0": np.array([0.0, 0.0]), "1": np.array([0.0, 0.0025]), "2": np.zeros(2)}},
-        # three outcomes, with PositivePartFee bundle fees
-        {"bundle": np.array([0.1, -0.3, 0.2]), "parts": {"0": np.array([0.1, -0.1, 0.0]), "1": np.array([0.0, -0.2, 0.2])},
-         "price_after": np.array([0.2, 0.5, 0.3]), "trader_fee": np.array([0.0, 0.003, 0.0]),
-         "lp_fees": {"0": np.array([0.0, 0.001, 0.0]), "1": np.array([0.0, 0.002, -0.0])}},
-        # what replay never writes: other key and value types
-        {**trade, "parts": {0: fill, "1": [0.5, -0.0], True: (1.0, 2), "caf\u00e9": np.eye(2, dtype=int),
-                            "3": np.array([[0.1, nan], [inf, 1e16]]), "4": np.float32([0.1, 2.0])},
-         "lp_fees": {"0": None, "1": 3, "2": edge, None: 0.5, 1.5: np.float64(2.0)}},
-        {**trade, "parts": [fill], "lp_fees": {}},
-        {**trade, "parts": {}, "lp_fees": (0.1, 0.2)},
-        {**trade, "bundle": edge, "price_after": [1, 0], "trader_fee": None},
-    ]
     trace = [
         {"meta": {"version": "x", "n": 2, "fee": None}},
         {"event": 0, "op": "query",
@@ -619,8 +610,6 @@ def test_trace_writer_matches_the_rounding_pass_on_edge_values():
         {"event": 5, "op": "query", "result": {"zeros": [0.0, -0.0, np.float64(-0.0), 5e-324, -5e-324]},
          "state": {"price": [0.0, -0.0, 1.0], "lps": odd}},
         {"state": {"price": [0.5], "lps": [lp]}, "event": 4, "op": "query", "result": {}},
-        *({"event": 6, "op": "execute_trade", "result": res, "state": {"price": [0.5, 0.5], "lps": [lp]}}
-          for res in trades),
         {1: 0.5, 2.5: "x", None: True, False: [edge[:3]], nan: -inf},
         [edge, (edge,)],
         edge,
