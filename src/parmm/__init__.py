@@ -80,7 +80,6 @@ from .two_asset import (
     PiecewiseLinearMarket,
     UniswapV2Market,
     UniswapV3Market,
-    cost2,
     liability2,
     price2,
 )

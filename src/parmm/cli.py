@@ -189,12 +189,21 @@ def _fee_scheme(name: str | None, beta: float):
     raise UnknownKind(f"unknown fee scheme {name!r}")
 
 
-def _as_price(value, n):
-    if np.ndim(value) == 0:
+def _numbers(ev, key):
+    """An event's price, bundle or liability `ev[key]` as floats."""
+    try:
+        return np.asarray(ev[key], dtype=float)
+    except (TypeError, ValueError):
+        raise UnknownKind(f"{key} is not numeric: {ev[key]!r}") from None
+
+
+def _as_price(ev, key, n):
+    p = _numbers(ev, key)
+    if p.ndim == 0:
         if n != 2:
             raise UnknownKind("scalar prices only make sense for two outcomes")
-        return np.array([float(value), 1.0 - float(value)])
-    return np.asarray(value, dtype=float)
+        return np.array([float(p), 1.0 - float(p)])
+    return p
 
 
 def replay(scenario: dict, mode=None, fee_name=None, beta=None):
@@ -232,21 +241,23 @@ def _replay_events(meta, events, n, strict, fee):
                 gen = generator_from_descriptor(ev["generator"], n)
                 kwargs = {"fee": fee, "strict": strict}
                 if "price" in ev:
-                    state = initialize(gen, price=_as_price(ev["price"], n), **kwargs)
+                    state = initialize(gen, price=_as_price(ev, "price", n), **kwargs)
                 else:
-                    state = initialize(gen, liability=np.asarray(ev["liability"], float), **kwargs)
+                    state = initialize(gen, liability=_numbers(ev, "liability"), **kwargs)
                 result = {"price": state.price}
             elif op == "register_lp":
                 result = {"lp": state.register_lp()}
             elif op == "modify_liquidity":
                 gen = generator_from_descriptor(ev["generator"], n)
-                deposit = state.modify_liquidity(int(ev["lp"]), gen)
-                result = {"lp": int(ev["lp"]), "deposit": deposit}
+                if type(ev["lp"]) is not int:  # truncating 2.7, or true as 1, picks the wrong LP
+                    raise UnknownKind(f"lp must be an integer, got {ev['lp']!r}")
+                deposit = state.modify_liquidity(ev["lp"], gen)
+                result = {"lp": ev["lp"], "deposit": deposit}
             elif op == "execute_trade":
                 if "target_price" in ev:
-                    receipt = state.execute_trade(target_price=_as_price(ev["target_price"], n))
+                    receipt = state.execute_trade(target_price=_as_price(ev, "target_price", n))
                 else:
-                    receipt = state.execute_trade(bundle=np.asarray(ev["bundle"], float))
+                    receipt = state.execute_trade(bundle=_numbers(ev, "bundle"))
                 last_receipt = receipt
                 result = {
                     "bundle": receipt.bundle,
@@ -256,7 +267,7 @@ def _replay_events(meta, events, n, strict, fee):
                     "lp_fees": {str(k): v for k, v in receipt.lp_fees.items()},
                 }
             elif op == "quote_completion":
-                full, cash = state.quote_completion(np.asarray(ev["bundle"], float))
+                full, cash = state.quote_completion(_numbers(ev, "bundle"))
                 result = {"bundle": full, "cash": cash}
             elif op == "query":
                 what = ev.get("what")

@@ -14,8 +14,8 @@ flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
 in floating point as `Curve1D.dg` promises.  The slopes at the two clamps,
 which tell whether the maximizer sits at one, depend on G alone: they are
 evaluated once per generator object and kept on it.
-This is the package's only scalar solver: the views `two_asset.price2` and
-`cost2` are calls into `conjugate_value`.  Larger markets have one solver too:
+This is the package's only scalar solver: `two_asset.price2` calls into
+`conjugate_value`.  Larger markets have one solver too:
 damped Newton on the KKT system of max <p, q> - G(p) over the clamped simplex,
 started at the caller's price hint or the uniform price.  Coordinates whose
 reduced gradient points out of the clamp are held there; the others take the
@@ -140,7 +140,7 @@ def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
         if hi - lo <= _XTOL:
             break
         d = G.curvature(x)
-        newton = d is not None and d > 0.0 and lo <= x - f / d <= hi and abs(f / d) < 0.5 * step
+        newton = d > 0.0 and lo <= x - f / d <= hi and abs(f / d) < 0.5 * step
         xn = x - f / d if newton else 0.5 * (lo + hi)
         xn = min(max(xn, lo + _NUDGE), hi - _NUDGE)
         x, step = xn, abs(xn - x)
@@ -180,11 +180,8 @@ def _conjugate_kkt(G: Generator, q, p0) -> ConjugateResult:
             return ConjugateResult(float(f), p, bool(held.any()))
         free = ~held
         m = int(free.sum())
-        H = G.hessian(p)
-        if H is None:
-            H = _fd_hessian(G, p)
         K = np.ones((m + 1, m + 1))
-        K[:m, :m] = H[np.ix_(free, free)] + min(1.0, r) * np.diag(1.0 / p[free])
+        K[:m, :m] = G.hessian(p)[np.ix_(free, free)] + min(1.0, r) * np.diag(1.0 / p[free])
         K[m, m] = 0.0
         d = np.zeros(n)
         d[free] = np.linalg.solve(K, np.append(v[free], 0.0))[:m]
@@ -261,34 +258,13 @@ def spread_residual(parts, total) -> np.ndarray:
     return parts + share
 
 
-def _fd_hessian(G: Generator, p, h=None):
-    """Central differences of the 0-homogeneous gradient map, taken in ambient
-    coordinates (legitimate off the simplex), then projected so that p spans
-    the null space as it does analytically."""
-    p = np.asarray(p, dtype=float)
-    n = len(p)
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(p)))
-    H = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        H[:, j] = (G.grad(p + e) - G.grad(p - e)) / (2.0 * h)
-    H = 0.5 * (H + H.T)
-    P = np.eye(n) - np.outer(p, p) / float(p @ p)
-    return P @ H @ P
-
-
 def liquidity_matrix(G: Generator, p) -> np.ndarray:
     """Hessian of the 1-homogeneous extension at p: PSD with p in its null
     space; the inverse metric of price impact."""
     p = np.asarray(p, dtype=float)
     if p.min() < EPS:
         raise BoundaryPrice("liquidity queried at the boundary clamp")
-    H = G.hessian(p)
-    if H is None:
-        H = _fd_hessian(G, p)
-    return H
+    return G.hessian(p)
 
 
 def directional_liquidity(G: Generator, p, v) -> float:

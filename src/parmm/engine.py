@@ -138,8 +138,8 @@ class LpRecord:
     lp_id: int
     generator: Generator
     liability: np.ndarray
-    cash_fees: float = 0.0
-    bundle_fees: np.ndarray | None = None
+    cash_fees: float
+    bundle_fees: np.ndarray
 
 
 @dataclass
@@ -329,7 +329,7 @@ class MarketState:
                     "generator": rec.generator.descriptor(),
                     "liability": rec.liability.tolist(),
                     "cash_fees": rec.cash_fees,
-                    "bundle_fees": rec.bundle_fees.tolist() if rec.bundle_fees is not None else None,
+                    "bundle_fees": rec.bundle_fees.tolist(),
                 }
                 for rec in self.records
             ],

@@ -46,9 +46,9 @@ _TINY = 1e-12
 class Generator:
     """Convex nonpositive generator on the n-simplex, 1-homogeneously extended.
 
-    value/grad accept any strictly positive vector x (grad is 0-homogeneous, so
-    finite differencing off the simplex is legitimate); hessian returns the
-    analytic Hessian of the extension at a simplex point, or None.
+    A family defines value, grad, hessian (the analytic Hessian of the
+    extension at a simplex point), vertex_values and descriptor; conjugate is
+    optional.  value and grad accept any strictly positive vector x.
     """
 
     n: int
@@ -63,20 +63,17 @@ class Generator:
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian(self, p):
-        return None
+    def hessian(self, p) -> np.ndarray:
+        raise NotImplementedError
 
     def slope(self, t: float) -> float:
         """g'(t) of a two-outcome generator: the gradient difference at (t, 1 - t)."""
         gr = self.grad(np.array([t, 1.0 - t]))
         return float(gr[0] - gr[1])
 
-    def curvature(self, t: float):
-        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t);
-        None when the family has no analytic Hessian."""
+    def curvature(self, t: float) -> float:
+        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t)."""
         H = self.hessian(np.array([t, 1.0 - t]))
-        if H is None:
-            return None
         return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
 
     def conjugate(self, q):
@@ -875,14 +872,10 @@ class SumGenerator(Generator):
         return sum(term.slope(t) for term in self.terms)
 
     def curvature(self, t):
-        cs = [term.curvature(t) for term in self.terms]
-        return None if None in cs else sum(cs)
+        return sum([term.curvature(t) for term in self.terms])
 
     def hessian(self, p):
-        hs = [t.hessian(p) for t in self.terms]
-        if any(h is None for h in hs):
-            return None
-        return np.sum(hs, axis=0)
+        return np.sum([t.hessian(p) for t in self.terms], axis=0)
 
     def vertex_values(self):
         return np.sum([t.vertex_values() for t in self.terms], axis=0)

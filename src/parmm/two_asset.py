@@ -3,8 +3,8 @@
 A two-outcome maker is fully described by its curve g on [0, 1]: the maker's
 liability at price p is (g(p) + g'(p)(1 - p), g(p) - p g'(p)) and its state
 collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
-The curve is itself the maker's generator: `price2` and `cost2` are scalar
-views of `conjugate_value` on it and run no solver of their own.  The
+The curve is itself the maker's generator: `price2` is a scalar view of
+`conjugate_value` on it and runs no solver of its own.  The
 constant-product and concentrated-liquidity pools below are thin adapters
 over the general engine; their reserve bookkeeping is x = -q.  Each LP of
 the concentrated-liquidity pool is one `BucketArrayCurve` over the pool's
@@ -45,7 +45,6 @@ from .generators import (
 __all__ = [
     "liability2",
     "price2",
-    "cost2",
     "UniswapV2Market",
     "UniswapV3Market",
     "PiecewiseLinearMarket",
@@ -67,11 +66,6 @@ def price2(curve: Curve1D, q) -> float:
     if res.at_boundary:
         raise OutOfRange(f"slope {q[0] - q[1]} outside the reachable range")
     return float(res.price[0])
-
-
-def cost2(curve: Curve1D, q) -> float:
-    """Cost of liability q = (q1, q2) for the curve maker."""
-    return conjugate_value(curve, q).cost
 
 
 def _check_index(j, size: int):

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from fd_hessian import fd_hessian
 from parmm import (
     BucketCurve,
     ConstantProductGenerator,
@@ -36,7 +37,6 @@ from parmm import (
     liquidity_matrix,
     price_of,
 )
-from parmm.convex_core import _fd_hessian
 from parmm.equivalence import equivalence_suite, interp2_greedy
 from parmm.generators import Generator
 
@@ -182,6 +182,9 @@ def test_split_value_matches_sum_conjugate():
             def grad(self, x):
                 return np.sum([G.grad(x) for G in gens], axis=0)
 
+            def hessian(self, p):
+                return np.sum([G.hessian(p) for G in gens], axis=0)
+
         cost, parts, price = infimal_convolution_split(gens, q, p)
         want = conjugate_value(_Sum(), q, p).cost
         assert abs(cost - want) < 1e-6
@@ -278,7 +281,7 @@ def test_hessians_match_finite_differences():
             p = np.clip(p, 0.05, None)
             p /= p.sum()
             H = liquidity_matrix(G, p)
-            F = _fd_hessian(G, p)
+            F = fd_hessian(G, p)
             scale = max(1.0, float(np.max(np.abs(F))))
             assert np.max(np.abs(H - F)) / scale < 1e-4
 

@@ -244,6 +244,21 @@ _FAILURES = {
                    "error: event 3 (modify_liquidity): 3-outcome generator on a 2-outcome market"),
     "unknown-op": ({"op": "settle"}, "UnknownKind", 2, "error: event 3 (settle): unknown op 'settle'"),
     "no-op": ({"lp": 1}, "KeyError", 2, "error: 'op'\n"),
+    # malformed event values: a typed error, not a traceback
+    "lp-str": ({"op": "modify_liquidity", "lp": "x", "generator": _LMSR}, "UnknownKind", 2,
+               "error: event 3 (modify_liquidity): lp must be an integer, got 'x'\n"),
+    "lp-float": ({"op": "modify_liquidity", "lp": 1.5, "generator": _LMSR}, "UnknownKind", 2,
+                 "error: event 3 (modify_liquidity): lp must be an integer, got 1.5\n"),
+    "lp-bool": ({"op": "modify_liquidity", "lp": True, "generator": _LMSR}, "UnknownKind", 2,
+                "error: event 3 (modify_liquidity): lp must be an integer, got True\n"),
+    "price-str": ({"op": "execute_trade", "target_price": "abc"}, "UnknownKind", 2,
+                  "error: event 3 (execute_trade): target_price is not numeric: 'abc'\n"),
+    "bundle-str": ({"op": "execute_trade", "bundle": [0.1, "x"]}, "UnknownKind", 2,
+                   "error: event 3 (execute_trade): bundle is not numeric: [0.1, 'x']\n"),
+    "quote-dict": ({"op": "quote_completion", "bundle": {"a": 1}}, "UnknownKind", 2,
+                   "error: event 3 (quote_completion): bundle is not numeric: {'a': 1}\n"),
+    "liability-ragged": ({"op": "initialize", "generator": _LMSR, "liability": [[1, 2], [3]]}, "UnknownKind", 2,
+                         "error: event 3 (initialize): liability is not numeric: [[1, 2], [3]]\n"),
 }
 
 
@@ -287,19 +302,17 @@ def test_failed_run_writes_the_events_before_it_and_an_error_record(failure, sin
     assert out == head + _error_line(3, failing.get("op"), error, err)
 
 
-@pytest.mark.parametrize(("failing", "message"), [
-    ({"op": "modify_liquidity", "lp": "x", "generator": _LMSR}, "invalid literal for int() with base 10: 'x'"),
-    ({"op": "execute_trade", "target_price": "abc"}, "could not convert string to float: 'abc'"),
-])
-def test_an_unexpected_failure_also_ends_the_trace_with_an_error_record(failing, message, tmp_path):
-    # main does not report a ValueError; it escapes, as before, but the
-    # trace still shows that the run failed
+def test_an_unexpected_failure_also_ends_the_trace_with_an_error_record(tmp_path):
+    # main does not report a TypeError from a descriptor field of the wrong
+    # type; it escapes, but the trace still shows that the run failed
+    failing = {"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": "one"}}
+    message = "'>' not supported between instances of 'str' and 'int'"
     f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
     f.write_text(json.dumps({"n": 2, "events": _OPENING + [failing] + _TAIL}))
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(TypeError) as raised:
         main(["run", str(f), "--out", str(trace)])
     assert str(raised.value) == message
-    record = {"event": 3, "op": failing["op"], "error": "ValueError", "message": message}
+    record = {"event": 3, "op": failing["op"], "error": "TypeError", "message": message}
     head = _replayed({"n": 2, "events": _OPENING}, tmp_path)
     assert trace.read_text() == head + json.dumps(record, separators=(",", ":")) + "\n"
 

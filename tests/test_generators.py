@@ -14,6 +14,7 @@ from parmm import (
     BucketCurve,
     ConstantProductGenerator,
     Curve1D,
+    Generator,
     LmsrCurve,
     LmsrGenerator,
     PairConstantProductGenerator,
@@ -476,6 +477,25 @@ def test_curvature_is_hessian_quadratic_form(family, t):
     v = np.array([1.0, -1.0])
     want = float(v @ G.hessian(np.array([t, 1.0 - t])) @ v)
     assert abs(G.curvature(t) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hessian_contract(family):
+    # every family's analytic Hessian: the solvers and liquidity_matrix read
+    # it with no fallback
+    G = FAMILIES[family]()
+    for p in map(np.array, INTERIOR[G.n]):
+        H = G.hessian(p)
+        assert H.shape == (G.n, G.n) and np.all(np.isfinite(H))
+        assert np.array_equal(H, H.T)
+        scale = max(1.0, float(np.abs(H).max()))
+        assert np.linalg.eigvalsh(H).min() >= -1e-12 * scale
+        assert np.abs(H @ p).max() <= 1e-12 * scale
+
+
+def test_a_generator_must_define_its_hessian():
+    with pytest.raises(NotImplementedError):
+        Generator().hessian(np.array([0.5, 0.5]))
 
 
 def _kink(x):

@@ -17,7 +17,6 @@ from parmm import (
     UniswapV3Market,
     brier_curve,
     conjugate_value,
-    cost2,
     initialize,
     liability2,
     liability_of,
@@ -76,7 +75,7 @@ def test_price2_inverts_liability_on_cubic_pieces():
     for p in np.linspace(0.05, 0.95, 19):
         q = liability2(crv, p)
         assert price2(crv, q) == pytest.approx(p, abs=1e-9)
-        assert cost2(crv, q) == pytest.approx(0.0, abs=1e-12)
+        assert conjugate_value(crv, q).cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_price2_out_of_range():
@@ -87,13 +86,13 @@ def test_price2_out_of_range():
         price2(crv, np.array([-2.0, 0.0]))
 
 
-def test_cost2_zero_on_level_set():
+def test_cost_zero_on_level_set():
     for crv in [LmsrCurve(1.0), UniswapV2Curve(1.0), brier_curve(1.0)]:
         for p in [0.1, 0.5, 0.9]:
-            assert cost2(crv, liability2(crv, p)) == pytest.approx(0.0, abs=1e-12)
+            assert conjugate_value(crv, liability2(crv, p)).cost == pytest.approx(0.0, abs=1e-12)
 
 
-def test_price2_cost2_are_views_of_the_engine_solve():
+def test_price2_and_the_aggregate_cost_match_the_bucket_sum():
     # a V3 aggregate curve has no closed-form conjugate, so both sides run
     # the iterative two-outcome solve
     m = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
@@ -105,13 +104,13 @@ def test_price2_cost2_are_views_of_the_engine_solve():
         q = liability2(agg, p)
         res = conjugate_value(G, q)
         assert price2(agg, q) == pytest.approx(res.price[0], abs=1e-12)
-        assert cost2(agg, q) == pytest.approx(res.cost, abs=1e-12)
+        assert conjugate_value(agg, q).cost == pytest.approx(res.cost, abs=1e-12)
 
 
-def test_cost2_continues_affinely_past_the_range():
+def test_cost_continues_affinely_past_the_range():
     crv = BucketCurve(LmsrCurve(1.0), 0.3, 0.7, 1.0)  # no closed-form conjugate
     q = np.array([5.0, 1.0])  # t = 4 lies above every slope of the curve
-    assert cost2(crv, q) == pytest.approx(q[0] - crv.g(1.0), abs=1e-12)
+    assert conjugate_value(crv, q).cost == pytest.approx(q[0] - crv.g(1.0), abs=1e-12)
     with pytest.raises(OutOfRange):
         price2(crv, q)
 
