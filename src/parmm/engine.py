@@ -162,9 +162,15 @@ class MarketState:
     gradient per LP, and the split works on them stacked.
     """
 
-    def __init__(self, generator: Generator, liability, fee=None, strict: bool = True, price_hint=None):
+    def __init__(self, generator: Generator, liability=None, price=None, fee=None, strict: bool = True):
         n = generator.n
-        q0 = np.zeros(n) if liability is None else np.asarray(liability, dtype=float)
+        hint = None
+        if liability is None:
+            if price is None:
+                raise TypeError("initialize needs a liability or a price")
+            hint = simplex_price(price, n)
+            liability = liability_of(generator, hint)
+        q0 = np.asarray(liability, dtype=float)
         if strict and not generator.is_pseudobarrier:
             raise NotPseudobarrier("strict markets need a pseudobarrier generator")
         self.n = n
@@ -172,7 +178,7 @@ class MarketState:
         self.strict = strict
         self.records: list[LpRecord] = [LpRecord(0, generator, q0.copy(), 0.0, np.zeros(n))]
         self._compiled = None
-        p = price_of(self._solver(), q0, price_hint)
+        p = price_of(self._solver(), q0, hint)
         if np.max(np.abs(liability_of(generator, p) - q0)) > 1e-8:
             raise LiabilityMismatch("q0 is not on the zero level set of the cost function")
         self.price = p
@@ -351,13 +357,4 @@ def _simplex_grid(n: int, m: int):
             yield p
 
 
-def initialize(generator, liability=None, price=None, fee=None, strict=True) -> MarketState:
-    """Open a market with one LP.  Supply either the opening liability q0
-    (checked against the zero level set) or an opening price."""
-    hint = None
-    if liability is None:
-        if price is None:
-            raise TypeError("initialize needs a liability or a price")
-        hint = simplex_price(price, generator.n)
-        liability = liability_of(generator, hint)
-    return MarketState(generator, liability, fee=fee, strict=strict, price_hint=hint)
+initialize = MarketState

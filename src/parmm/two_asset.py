@@ -23,14 +23,12 @@ import math
 import numpy as np
 
 from .convex_core import EPS, conjugate_value, liability_of
-from .engine import MarketState, PositivePartFee, initialize
+from .engine import MarketState, PositivePartFee
 from .errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
-    NotLevelSet,
     OutOfRange,
-    UnknownKind,
 )
 from .generators import (
     BucketArrayCurve,
@@ -91,9 +89,8 @@ class UniswapV2Market:
         x = np.asarray(reserves, dtype=float)
         if x.shape != (2,) or not np.all(x > 0):
             raise OutOfRange(f"reserves {x} are not two positive amounts")
-        self.alphas = {0: math.sqrt(x[0] * x[1])}
         fee = PositivePartFee(beta) if beta > 0 else None
-        self.state = initialize(UniswapV2Curve(self.alphas[0]), liability=-x, fee=fee)
+        self.state = MarketState(UniswapV2Curve(math.sqrt(x[0] * x[1])), liability=-x, fee=fee)
 
     @property
     def reserves(self) -> np.ndarray:
@@ -105,25 +102,21 @@ class UniswapV2Market:
 
     @property
     def alpha(self) -> float:
-        return sum(self.alphas.values())
+        return sum(rec.generator.alpha for rec in self.state._nontrivial())
 
     def invariant(self) -> float:
         x = self.reserves
         return float(x[0] * x[1])
 
     def register_lp(self) -> int:
-        lp_id = self.state.register_lp()
-        self.alphas[lp_id] = 0.0
-        return lp_id
+        return self.state.register_lp()
 
     def mint(self, lp_id: int, alpha_new: float) -> np.ndarray:
         """Set an LP's liquidity share; returns the reserve bundle the LP must
         deposit (proportional to current reserves)."""
         if not alpha_new >= 0:
             raise OutOfRange(f"liquidity {alpha_new} is negative")
-        deposit = self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
-        self.alphas[lp_id] = alpha_new
-        return deposit
+        return self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
 
     def trade(self, r):
         """Execute the bundle r (toward the trader); the pool keeps its
@@ -172,12 +165,12 @@ class UniswapV3Market:
         self._empty = BucketArrayCurve(UniswapV2Curve(1.0), buckets, np.zeros(len(buckets)))
         self.buckets = self._empty.buckets
         self.beta = beta
-        self.weights: dict[int, np.ndarray] = {0: np.zeros(len(buckets))}
         j = self.locate(price)
         if j is None:
             raise OutOfRange(f"opening price {price} not inside any bucket")
-        self.weights[0][j] = 1.0
-        curve = self._curve(self.weights[0])
+        w = np.zeros(len(self.buckets))
+        w[j] = 1.0
+        curve = self._curve(w)
         self.state = MarketState(curve, liability2(curve, price), fee=None, strict=False)
 
     # -- bookkeeping ------------------------------------------------------
@@ -186,14 +179,21 @@ class UniswapV3Market:
         """The constant-product buckets carrying weights w; trivial if none."""
         return self._empty.with_weights(w) if np.any(w > 0) else TrivialGenerator(2)
 
-    def aggregate_weight(self) -> np.ndarray:
-        return np.sum([w for w in self.weights.values()], axis=0)
+    def _weights(self, rec) -> np.ndarray:
+        """An LP's bucket weights as its curve holds them, not copied."""
+        return self._empty.weights if isinstance(rec.generator, TrivialGenerator) else rec.generator.weights
+
+    @property
+    def weights(self) -> dict:
+        """Each LP's bucket weights, copied from its curve in the engine."""
+        return {rec.lp_id: self._weights(rec).copy() for rec in self.state.records}
 
     def aggregate_curve(self) -> BucketArrayCurve:
-        w = self.aggregate_weight()
-        if not np.any(w > 0):
-            raise NotLevelSet("pool holds no liquidity")
-        return self._empty.with_weights(w)
+        """The engine's solve aggregate: the LPs' weights summed in LP order."""
+        return self.state._solver()
+
+    def aggregate_weight(self) -> np.ndarray:
+        return self.aggregate_curve().weights.copy()
 
     def locate(self, p: float):
         """The first bucket holding p, or None."""
@@ -209,28 +209,23 @@ class UniswapV3Market:
         return float(self.state.price[0])
 
     def register_lp(self) -> int:
-        lp_id = self.state.register_lp()
-        self.weights[lp_id] = np.zeros(len(self.buckets))
-        return lp_id
+        return self.state.register_lp()
 
     def mint(self, lp_id: int, j: int, weight: float) -> np.ndarray:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
-        if lp_id not in self.weights:
-            raise UnknownKind(f"no LP with id {lp_id}")
+        rec = self.state._record(lp_id)
         _check_index(j, len(self.buckets))
         if not weight >= 0:
             raise OutOfRange(f"bucket weight {weight} is negative")
-        w = self.weights[lp_id].copy()
+        w = self._weights(rec).copy()
         w[j] = weight
-        deposit = self.state.modify_liquidity(lp_id, self._curve(w))
-        self.weights[lp_id] = w
         # engine deposits are in liability space; reserves are the negation,
         # and the two agree because deposit = q_old - q_new = x_new - x_old
-        return deposit
+        return self.state.modify_liquidity(lp_id, self._curve(w))
 
     def shifted_invariant_gap(self, j: int, p: float) -> float:
         """Deviation of bucket j's virtual reserves from its invariant at p."""
-        return self._invariant_gap(j, float(self.aggregate_weight()[j]), p)
+        return self._invariant_gap(j, float(self.aggregate_curve().weights[j]), p)
 
     def _invariant_gap(self, j: int, A: float, p: float) -> float:
         """`shifted_invariant_gap` for bucket j holding total weight A."""
@@ -249,7 +244,7 @@ class UniswapV3Market:
         if j_new is None:
             raise EmptyBucket(f"price {p_new:.6g} lands outside every bucket")
         lo, hi = min(j_old, j_new), max(j_old, j_new)
-        W = self.aggregate_weight()
+        W = self.aggregate_curve().weights
         crossed = slice(lo, hi + 1)
         empty = np.flatnonzero(W[crossed] <= 0)
         if empty.size:
@@ -262,8 +257,8 @@ class UniswapV3Market:
             receipt.trader_fee = self.beta * np.maximum(-receipt.bundle, 0.0)
             denom = float(W[crossed].sum())
             receipt.lp_fees = {
-                lp_id: float(w[crossed].sum()) / denom * receipt.trader_fee
-                for lp_id, w in self.weights.items()
+                rec.lp_id: float(self._weights(rec)[crossed].sum()) / denom * receipt.trader_fee
+                for rec in self.state.records
             }
         self.state._settle(receipt)
         return receipt
