@@ -189,12 +189,19 @@ def _fee_scheme(name: str | None, beta: float):
     raise UnknownKind(f"unknown fee scheme {name!r}")
 
 
+def _is_number(x) -> bool:
+    """Whether x is a JSON number (not a bool) or a list of them, nested."""
+    return type(x) in (int, float) or type(x) is list and all(map(_is_number, x))
+
+
 def _numbers(ev, key):
-    """An event's price, bundle or liability `ev[key]` as floats."""
+    """An event's price, bundle or liability `ev[key]` as floats: finite JSON numbers only."""
     try:
-        return np.asarray(ev[key], dtype=float)
-    except (TypeError, ValueError):
-        raise UnknownKind(f"{key} is not numeric: {ev[key]!r}") from None
+        if _is_number(ev[key]) and np.isfinite(x := np.asarray(ev[key], dtype=float)).all():
+            return x
+    except (ValueError, OverflowError):  # ragged lists, integers beyond float
+        pass
+    raise UnknownKind(f"{key} is not numeric: {ev[key]!r}")
 
 
 def _as_price(ev, key, n):
@@ -249,8 +256,6 @@ def _replay_events(meta, events, n, strict, fee):
                 result = {"lp": state.register_lp()}
             elif op == "modify_liquidity":
                 gen = generator_from_descriptor(ev["generator"], n)
-                if type(ev["lp"]) is not int:  # truncating 2.7, or true as 1, picks the wrong LP
-                    raise UnknownKind(f"lp must be an integer, got {ev['lp']!r}")
                 deposit = state.modify_liquidity(ev["lp"], gen)
                 result = {"lp": ev["lp"], "deposit": deposit}
             elif op == "execute_trade":

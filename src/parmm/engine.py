@@ -12,6 +12,10 @@ them in one (k, n) array and spreads the residual across its rows, and the
 fees read the same stacked fills.  A receipt is booked in one pass over the
 LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
 gives its kind.  Fees are tracked per LP and never touch the pricing math.
+`MarketState.records` is the only per-LP book, which the pools read too;
+its constructor, `initialize`, opens a market.  An LP id that is not an
+integer (bools included) or a bundle that is not an (n,) vector raises
+`UnknownKind`, a non-finite component `OutOfRange`, before any change.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ class MarketState:
                 raise TypeError("initialize needs a liability or a price")
             hint = simplex_price(price, n)
             liability = liability_of(generator, hint)
-        q0 = np.asarray(liability, dtype=float)
+        q0 = _bundle("liability", liability, n)
         if strict and not generator.is_pseudobarrier:
             raise NotPseudobarrier("strict markets need a pseudobarrier generator")
         self.n = n
@@ -203,6 +207,8 @@ class MarketState:
         return self._compiled
 
     def _record(self, lp_id: int) -> LpRecord:
+        if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
+            raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
         if not 0 <= lp_id < len(self.records):
             raise UnknownKind(f"no LP with id {lp_id}")
         return self.records[lp_id]
@@ -246,7 +252,7 @@ class MarketState:
     def quote_completion(self, partial) -> tuple[np.ndarray, float]:
         """Complete a partial bundle into a valid net trade by adding cash in
         the 1-direction; returns (full bundle, cash added per outcome)."""
-        partial = np.asarray(partial, dtype=float)
+        partial = _bundle("bundle", partial, self.n)
         agg = self._solver()
         q = self.total_liability()
         c0 = conjugate_value(agg, q, self.price).cost
@@ -257,23 +263,20 @@ class MarketState:
     def price_trade(self, bundle=None, target_price=None) -> TradeReceipt:
         """Price a trade by bundle or by target price without booking it;
         `execute_trade` books the receipt this returns."""
-        for name, arg in (("bundle", bundle), ("target_price", target_price)):
-            if arg is not None and np.shape(arg) != (self.n,):
-                raise UnknownKind(f"{name} has shape {np.shape(arg)} on a {self.n}-outcome market")
         q = self.total_liability()
         nontrivial = self._nontrivial()
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
-            p_new = simplex_price(target_price, self.n)
+            p_new = simplex_price(_bundle("target_price", target_price, self.n), self.n)
             if not nontrivial:
                 raise NotLevelSet("market holds no liquidity")
             # one gradient per LP: the aggregate's liability is the sum of theirs
             held = np.array([liability_of(rec.generator, p_new) for rec in nontrivial])
             bundle = np.add.reduce(held, axis=0) - q
         else:
+            bundle = _bundle("bundle", bundle, self.n)
             agg = self._solver()
-            bundle = np.asarray(bundle, dtype=float)
             c0 = conjugate_value(agg, q, self.price).cost
             res = conjugate_value(agg, q + bundle, self.price)
             if abs(res.cost - c0) > _LEVEL_TOL * max(1.0, float(np.abs(q).max())):
@@ -340,6 +343,19 @@ class MarketState:
                 for rec in self.records
             ],
         }
+
+
+def _bundle(name: str, x, n: int) -> np.ndarray:
+    """x as a finite float (n,) vector; UnknownKind or OutOfRange otherwise."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise UnknownKind(f"{name} is not numeric: {x!r}") from None
+    if x.shape != (n,):
+        raise UnknownKind(f"{name} has shape {x.shape} on a {n}-outcome market")
+    if not np.isfinite(x).all():
+        raise OutOfRange(f"{name} {x.tolist()} is not finite")
+    return x
 
 
 def _simplex_grid(n: int, m: int):

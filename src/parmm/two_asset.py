@@ -5,15 +5,15 @@ liability at price p is (g(p) + g'(p)(1 - p), g(p) - p g'(p)) and its state
 collapses to the scalar t = q_1 - q_2, recovered through the inverse of g'.
 The curve is itself the maker's generator: `price2` is a scalar view of
 `conjugate_value` on it and runs no solver of its own.  The
-constant-product and concentrated-liquidity pools below are thin adapters
-over the general engine; their reserve bookkeeping is x = -q.  Each LP of
-the concentrated-liquidity pool is one `BucketArrayCurve` over the pool's
-buckets, and the engine's solve aggregate is the array of the summed
-weights.  The pool prices a swap once, with `MarketState.price_trade`,
+constant-product and concentrated-liquidity pools below are the general
+engine plus reserve bookkeeping x = -q, and keep no LP book of their own:
+each LP's liquidity, a V2 alpha or a `BucketArrayCurve` of bucket weights,
+is read from the engine's records, and the v3 aggregate is the engine's
+solve aggregate.  The v3 pool prices a swap once, with `price_trade`,
 checks its buckets at that price and books that same receipt with its
 bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
-Invalid arguments, bucket and slot indices among them, raise `ParmmError`
-subclasses, also under `python -O`.
+Invalid arguments, bucket and slot indices among them (a bool is not an
+index), raise `ParmmError` subclasses, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def price2(curve: Curve1D, q) -> float:
 
 
 def _check_index(j, size: int):
-    """Raise OutOfRange unless j is an integer in range(size)."""
-    if not (isinstance(j, (int, np.integer)) and 0 <= j < size):
+    """Raise OutOfRange unless j is an integer in range(size), not a bool (a numpy mask)."""
+    if isinstance(j, bool) or not (isinstance(j, (int, np.integer)) and 0 <= j < size):
         raise OutOfRange(f"index {j!r} outside range({size})")
 
 

@@ -259,6 +259,16 @@ _FAILURES = {
                    "error: event 3 (quote_completion): bundle is not numeric: {'a': 1}\n"),
     "liability-ragged": ({"op": "initialize", "generator": _LMSR, "liability": [[1, 2], [3]]}, "UnknownKind", 2,
                          "error: event 3 (initialize): liability is not numeric: [[1, 2], [3]]\n"),
+    # only finite JSON numbers are numbers: not null, a numeric string, NaN
+    # or an integer beyond the float range
+    "quote-null": ({"op": "quote_completion", "bundle": [None, 0.1]}, "UnknownKind", 2,
+                   "error: event 3 (quote_completion): bundle is not numeric: [None, 0.1]\n"),
+    "price-numeric-str": ({"op": "execute_trade", "target_price": "0.3"}, "UnknownKind", 2,
+                          "error: event 3 (execute_trade): target_price is not numeric: '0.3'\n"),
+    "bundle-nan": ({"op": "execute_trade", "bundle": [float("nan"), 0.1]}, "UnknownKind", 2,
+                   "error: event 3 (execute_trade): bundle is not numeric: [nan, 0.1]\n"),
+    "liability-huge-int": ({"op": "initialize", "generator": _LMSR, "liability": [2 ** 1024, 0]}, "UnknownKind", 2,
+                           f"error: event 3 (initialize): liability is not numeric: {[2 ** 1024, 0]!r}\n"),
 }
 
 

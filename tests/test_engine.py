@@ -23,6 +23,8 @@ from parmm import (
     PiecewisePolyCurve,
     PositivePartFee,
     TrivialGenerator,
+    UniswapV2Market,
+    UniswapV3Market,
     audit_budget_balance,
     compute_fees,
     initialize,
@@ -33,6 +35,7 @@ from parmm.errors import (
     NotLevelSet,
     NotPseudobarrier,
     OutOfRange,
+    ParmmError,
     UnknownKind,
 )
 
@@ -451,6 +454,67 @@ def test_trade_inputs_of_the_wrong_shape_are_rejected():
         with pytest.raises(UnknownKind, match="shape"):
             st.price_trade(**kwargs)
     _assert_books_equal(_books(st), before)
+
+
+def _two_lmsrs():
+    st = initialize(LmsrCurve(1.0), price=[0.4, 0.6], fee=NormFee(0.1))
+    st.modify_liquidity(st.register_lp(), LmsrCurve(2.0))
+    return st
+
+
+def _v2_pool():
+    pool = UniswapV2Market([4.0, 9.0], beta=0.01)
+    pool.mint(pool.register_lp(), 2.0)
+    return pool
+
+
+def _v3_pool():
+    pool = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4, beta=0.01)
+    pool.mint(pool.register_lp(), 2, 1.5)
+    return pool
+
+
+def _view(m):
+    """What a rejected operation must leave as it was: the engine's snapshot
+    and, for a pool, its reserves and each LP's liquidity."""
+    if isinstance(m, MarketState):
+        return m.snapshot()
+    held = m.alpha if isinstance(m, UniswapV2Market) else {lp: w.tolist() for lp, w in m.weights.items()}
+    return m.state.snapshot(), m.reserves.tolist(), held
+
+
+# every market holds LPs 0 and 1, so 2 is len(records); True would pick
+# LP 1, and 1.5 would index the record list
+_BAD_LPS = [True, 1.5, -1, 2]
+_BAD_BUNDLES = [([0.1], UnknownKind), (0.1, UnknownKind), ([0.1, 0.1, 0.1], UnknownKind),
+                ([np.nan, 0.1], OutOfRange), ([np.inf, -0.1], OutOfRange)]
+_REJECTIONS = [
+    *[pytest.param(_two_lmsrs, lambda st, lp=lp: st.modify_liquidity(lp, LmsrCurve(3.0)), UnknownKind,
+                   id=f"modify_liquidity-lp-{lp}") for lp in _BAD_LPS],
+    *[pytest.param(_v2_pool, lambda m, lp=lp: m.mint(lp, 1.0), UnknownKind, id=f"v2-mint-lp-{lp}") for lp in _BAD_LPS],
+    *[pytest.param(_v3_pool, lambda m, lp=lp: m.mint(lp, 0, 1.0), UnknownKind, id=f"v3-mint-lp-{lp}") for lp in _BAD_LPS],
+    # numpy would read a bool bucket index as a mask over every bucket
+    *[pytest.param(_v3_pool, lambda m, j=j: m.mint(1, j, 2.0), OutOfRange, id=f"v3-mint-bucket-{j}") for j in (True, False)],
+    *[pytest.param(_two_lmsrs, lambda st, b=b: st.quote_completion(b), error, id=f"quote_completion-{b}")
+      for b, error in _BAD_BUNDLES],
+    *[pytest.param(_two_lmsrs, lambda st, b=b: st.price_trade(bundle=b), error, id=f"price_trade-{b}")
+      for b, error in _BAD_BUNDLES],
+    *[pytest.param(_two_lmsrs, lambda st, b=b: st.execute_trade(bundle=b), error, id=f"execute_trade-{b}")
+      for b, error in _BAD_BUNDLES],
+    *[pytest.param(_v3_pool, lambda m, b=b: m.trade(b), error, id=f"v3-trade-{b}") for b, error in _BAD_BUNDLES],
+    pytest.param(_two_lmsrs, lambda st: initialize(LmsrCurve(1.0), liability=[0.0]), UnknownKind,
+                 id="initialize-short-liability"),
+]
+
+
+@pytest.mark.parametrize(("market", "call", "error"), _REJECTIONS)
+def test_a_rejected_operation_raises_a_typed_error_and_changes_nothing(market, call, error):
+    m = market()
+    assert len((m if isinstance(m, MarketState) else m.state).records) == 2
+    before = _view(m)
+    with pytest.raises(error):
+        call(m)
+    assert issubclass(error, ParmmError) and _view(m) == before
 
 
 def test_lp_without_liquidity_audits_to_zero_and_stays_coherent():

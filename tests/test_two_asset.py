@@ -454,8 +454,9 @@ def test_pools_reject_bad_arguments_with_typed_errors():
         book.modify_liquidity(0, 0, -1.0)
 
 
-@pytest.mark.parametrize("j", [-1, 3, 1.0, None])
+@pytest.mark.parametrize("j", [-1, 3, 1.0, None, True, False])
 def test_bucket_and_slot_indices_outside_the_range_are_rejected(j):
+    # numpy would read a bool index as a mask over every bucket
     v3 = UniswapV3Market([(0.1, 0.3), (0.3, 0.6), (0.6, 0.9)], 0.4)
     weights, owed = v3.weights[0].copy(), v3.state.total_liability()
     with pytest.raises(OutOfRange):
@@ -468,6 +469,35 @@ def test_bucket_and_slot_indices_outside_the_range_are_rejected(j):
     with pytest.raises(OutOfRange):
         book.modify_liquidity(1, j, 2.0)
     assert list(book.weights) == [0] and list(book.weights[0]) == [1.0, 2.0, 0.5]
+
+
+def test_the_v3_weights_are_copies_of_the_engine_book():
+    pool = v3_pool(1)
+    before = pool.weights, pool.aggregate_weight(), pool.state.snapshot()
+    weights = pool.weights
+    for w in weights.values():
+        w[:] = 7.0
+    weights[len(weights)] = np.ones(len(pool.buckets))
+    pool.aggregate_weight()[:] = 7.0
+    after = pool.weights, pool.aggregate_weight(), pool.state.snapshot()
+    assert after[0].keys() == before[0].keys()
+    assert all(after[0][lp].tobytes() == w.tobytes() for lp, w in before[0].items())
+    assert after[1].tobytes() == before[1].tobytes() and after[2] == before[2]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_v3_aggregate_weight_is_the_sum_of_the_lp_weights_bit_for_bit(seed):
+    # the engine's solve aggregate sums only the LPs that hold liquidity;
+    # the zeros of the others change no bit of the sum
+    pool = v3_pool(seed)
+    rng = np.random.default_rng(seed)
+    lps = len(pool.state.records)
+    for _ in range(40):
+        weight = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.5, 2.0))
+        pool.mint(int(rng.integers(lps)), int(rng.integers(len(pool.buckets))), weight)
+    want = np.sum(list(pool.weights.values()), axis=0)
+    assert pool.aggregate_curve() is pool.state._solver()
+    assert pool.aggregate_weight().tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
