@@ -441,7 +441,7 @@ def _build_parser():
     rep_p = sub.add_parser("report", help="summarize a trace")
     rep_p.add_argument("trace")
     rep_p.add_argument("--kind", required=True,
-                       choices=["price-path", "liquidity-profile", "table1-check", "equivalence"])
+                       choices=["price-path", "liquidity-profile", "table1-check"])
     rep_p.add_argument("--grid", type=int, default=99)
 
     eq_p = sub.add_parser("equivalence", help="run the randomized cross-check suite")
@@ -469,12 +469,6 @@ def main(argv=None) -> int:
             if args.kind == "table1-check":
                 worst = report_table1_check(sys.stdout)
                 return 0 if worst <= 1e-9 else 1
-            if args.kind == "equivalence":
-                with open(args.trace) as fh:
-                    report = json.load(fh)
-                json.dump(_round(report), sys.stdout, indent=2)
-                sys.stdout.write("\n")
-                return 0 if report.get("pass") else 1
             trace = _load_trace(args.trace)
             if args.kind == "price-path":
                 report_price_path(trace, sys.stdout)

@@ -54,8 +54,8 @@ _LEVEL_TOL = 1e-8
 
 
 def _check_rate(beta):
-    if not beta >= 0:
-        raise OutOfRange(f"fee rate {beta} is negative")
+    if not 0 <= beta < np.inf:
+        raise OutOfRange(f"fee rate {beta} is negative or not finite")
 
 
 @dataclass(frozen=True)

@@ -424,8 +424,8 @@ class UniswapV2Curve(Curve1D):
     """Constant-product shape g(p) = -2 a sqrt(p (1-p)); reserves x1 x2 = a^2."""
 
     def __init__(self, alpha: float):
-        if not alpha >= 0:
-            raise OutOfRange(f"liquidity {alpha} is negative")
+        if not 0 <= alpha < math.inf:
+            raise OutOfRange(f"liquidity {alpha} is negative or not finite")
         self.alpha = alpha
 
     @property
@@ -565,8 +565,8 @@ class BucketArrayCurve(Curve1D):
 
     def _set_weights(self, weights):
         w = np.array(weights, dtype=float)
-        if w.shape != (len(self.buckets),) or not np.all(w >= 0):
-            raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, or negative")
+        if w.shape != (len(self.buckets),) or not np.all((w >= 0) & (w < math.inf)):
+            raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, negative or not finite")
         self.weights = w
         self._w = w.tolist()
         self._clamp_slopes = None
@@ -638,9 +638,6 @@ class SoftBucketCurve(Curve1D):
     def __init__(self, knots, weights):
         knots = np.asarray(knots, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if len(knots) == len(weights) + 2:
-            # outer knots below 0 / above 1 carry no mass on [0, 1]
-            knots = knots[1:-1]
         if knots.ndim != 1 or knots.shape != weights.shape or len(knots) < 2:
             raise UnknownKind(f"{knots.shape} knots for {weights.shape} weights")
         if not (abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY and np.all(np.diff(knots) > 0)):
@@ -988,7 +985,7 @@ class ShiftedGenerator(Generator):
 
     def __init__(self, inner: Generator, shift):
         self.inner = inner
-        self.shift = np.asarray(shift, dtype=float)
+        self.shift = np.asarray(shift, dtype=float).reshape(inner.n)  # one per outcome, not broadcast
         self.n = inner.n
 
     @property
@@ -1032,49 +1029,63 @@ _UNIT_BASES = {
     for fam, base in [("v3_bucket", UniswapV2Curve(1.0)), ("lmsr_bucket", LmsrCurve(1.0)), ("brier_bucket", brier_curve(1.0))]
 }
 
+# a constructor's errors on a field of the wrong type or size; a missing field stays a KeyError
+_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
+
+
+def _family_name(d):
+    if not isinstance(d, dict):
+        raise UnknownKind(f"a descriptor must be an object, got {d!r}")
+    return d.get("family")
+
 
 def curve_from_descriptor(d: dict) -> Curve1D:
-    fam = d.get("family")
-    if fam in _UNIT_BASES:
-        return BucketCurve(_UNIT_BASES[fam][0], d["a"], d["b"], d.get("alpha", 1.0))
-    if fam == "lmsr":
-        return LmsrCurve(d["b"])
-    if fam == "uniswap_v2":
-        return UniswapV2Curve(d["alpha"])
-    if fam == "brier":
-        return brier_curve(d.get("scale", 1.0))
-    if fam == "piecewise_poly":
-        return PiecewisePolyCurve(d["breakpoints"], d["coefficients"])
-    if fam == "piecewise_liquidity":
-        return PiecewisePolyCurve.from_liquidity(d["breakpoints"], d["coefficients"])
-    if fam == "bucket":
-        return BucketCurve(curve_from_descriptor(d["base"]), d["a"], d["b"], d.get("weight", 1.0))
-    if fam == "soft_bucket":
-        return SoftBucketCurve(d["knots"], d["weights"])
-    if fam == "piecewise_linear":
-        return piecewise_linear_curve(d["grid"], d["weights"])
-    if fam == "tabulated_liquidity":
-        return tabulated_liquidity_curve(d["grid"], d["values"])
-    if fam == "bucket_array":
-        return BucketArrayCurve(curve_from_descriptor(d["base"]), d["buckets"], d["weights"])
+    fam = _family_name(d)
+    try:
+        if fam in _UNIT_BASES:
+            return BucketCurve(_UNIT_BASES[fam][0], d["a"], d["b"], d.get("alpha", 1.0))
+        if fam == "lmsr":
+            return LmsrCurve(d["b"])
+        if fam == "uniswap_v2":
+            return UniswapV2Curve(d["alpha"])
+        if fam == "brier":
+            return brier_curve(d.get("scale", 1.0))
+        if fam == "piecewise_poly":
+            return PiecewisePolyCurve(d["breakpoints"], d["coefficients"])
+        if fam == "piecewise_liquidity":
+            return PiecewisePolyCurve.from_liquidity(d["breakpoints"], d["coefficients"])
+        if fam == "bucket":
+            return BucketCurve(curve_from_descriptor(d["base"]), d["a"], d["b"], d.get("weight", 1.0))
+        if fam == "soft_bucket":
+            return SoftBucketCurve(d["knots"], d["weights"])
+        if fam == "piecewise_linear":
+            return piecewise_linear_curve(d["grid"], d["weights"])
+        if fam == "tabulated_liquidity":
+            return tabulated_liquidity_curve(d["grid"], d["values"])
+        if fam == "bucket_array":
+            return BucketArrayCurve(curve_from_descriptor(d["base"]), d["buckets"], d["weights"])
+    except _MALFORMED as exc:
+        raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
     raise UnknownKind(f"unknown family {fam!r}")
 
 
 def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
-    fam = d.get("family")
-    if fam == "lmsr":
-        return LmsrGenerator(d["b"], d.get("n", n or 2))
-    if fam == "constant_product":
-        return ConstantProductGenerator(d.get("n", n or 2), d.get("alpha", 1.0))
-    if fam == "pair_constant_product":
-        return PairConstantProductGenerator(d.get("n", n or 2), d["i"], d["j"], d.get("alpha", 1.0))
-    if fam == "trivial":
-        return TrivialGenerator(d.get("n", n or 2))
-    if fam == "sum":
-        terms = [generator_from_descriptor(t, n) for t in d["terms"]]
-        return SumGenerator(terms)
-    if fam == "shifted":
-        return ShiftedGenerator(generator_from_descriptor(d["inner"], n), d["shift"])
+    fam = _family_name(d)
+    try:
+        if fam == "lmsr":
+            return LmsrGenerator(d["b"], d.get("n", n or 2))
+        if fam == "constant_product":
+            return ConstantProductGenerator(d.get("n", n or 2), d.get("alpha", 1.0))
+        if fam == "pair_constant_product":
+            return PairConstantProductGenerator(d.get("n", n or 2), d["i"], d["j"], d.get("alpha", 1.0))
+        if fam == "trivial":
+            return TrivialGenerator(d.get("n", n or 2))
+        if fam == "sum":
+            return SumGenerator([generator_from_descriptor(t, n) for t in d["terms"]])
+        if fam == "shifted":
+            return ShiftedGenerator(generator_from_descriptor(d["inner"], n), d["shift"])
+    except _MALFORMED as exc:
+        raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
     # every other family is a two-outcome curve
     curve = curve_from_descriptor(d)
     if n not in (None, 2):

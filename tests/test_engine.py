@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,13 @@ from parmm import (
     PairConstantProductGenerator,
     PiecewisePolyCurve,
     PositivePartFee,
+    ShiftedGenerator,
+    SumGenerator,
     TrivialGenerator,
     UniswapV2Market,
     UniswapV3Market,
     audit_budget_balance,
+    brier_curve,
     compute_fees,
     initialize,
 )
@@ -84,7 +88,9 @@ def run_under_python_O(script):
     """Run a script with `python -O`, which strips `assert`, on this parmm."""
     src = str(Path(parmm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env)
+    # a numpy warning fails here as it fails a test run in-process
+    return subprocess.run([sys.executable, "-O", "-W", "error::RuntimeWarning", "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env)
 
 
 def test_check_coherent_raises_under_python_O():
@@ -331,6 +337,22 @@ def test_strict_mode_requires_pseudobarrier():
         st.modify_liquidity(0, TrivialGenerator(2))
 
 
+def test_strict_mode_reads_the_barrier_of_a_sum_and_of_a_shifted_generator():
+    # a sum is a pseudobarrier when one of its terms is, a shifted generator
+    # when its inner one is
+    flat, barrier = brier_curve(1.0), LmsrCurve(1.0)
+    for G in (SumGenerator([flat, brier_curve(2.0)]), ShiftedGenerator(flat, [0.1, -0.1])):
+        with pytest.raises(NotPseudobarrier):
+            initialize(G, price=[0.4, 0.6], strict=True)
+        st = initialize(barrier, price=[0.4, 0.6], strict=True)
+        before = st.snapshot()
+        with pytest.raises(NotPseudobarrier):
+            st.modify_liquidity(0, G)
+        assert st.snapshot() == before
+    for G in (SumGenerator([flat, barrier]), ShiftedGenerator(barrier, [0.1, -0.1])):
+        assert initialize(G, price=[0.4, 0.6], strict=True).price.tolist() == pytest.approx([0.4, 0.6])
+
+
 def test_initialize_rejects_off_level_set():
     with pytest.raises(LiabilityMismatch):
         initialize(LmsrGenerator(1.0, 3), liability=np.array([1.0, 0.0, 0.0]))
@@ -488,6 +510,7 @@ def _view(m):
 _BAD_LPS = [True, 1.5, -1, 2]
 _BAD_BUNDLES = [([0.1], UnknownKind), (0.1, UnknownKind), ([0.1, 0.1, 0.1], UnknownKind),
                 ([np.nan, 0.1], OutOfRange), ([np.inf, -0.1], OutOfRange)]
+_BAD_AMOUNTS = [-1.0, math.nan, math.inf]
 _REJECTIONS = [
     *[pytest.param(_two_lmsrs, lambda st, lp=lp: st.modify_liquidity(lp, LmsrCurve(3.0)), UnknownKind,
                    id=f"modify_liquidity-lp-{lp}") for lp in _BAD_LPS],
@@ -504,6 +527,17 @@ _REJECTIONS = [
     *[pytest.param(_v3_pool, lambda m, b=b: m.trade(b), error, id=f"v3-trade-{b}") for b, error in _BAD_BUNDLES],
     pytest.param(_two_lmsrs, lambda st: initialize(LmsrCurve(1.0), liability=[0.0]), UnknownKind,
                  id="initialize-short-liability"),
+    # rates and amounts are finite and nonnegative: an infinite weight used to
+    # reach numpy (a RuntimeWarning) before the engine refused it
+    *[pytest.param(_v2_pool, lambda m, x=x: m.mint(1, x), OutOfRange, id=f"v2-mint-alpha-{x}") for x in _BAD_AMOUNTS],
+    *[pytest.param(_v3_pool, lambda m, x=x: m.mint(1, 0, x), OutOfRange, id=f"v3-mint-weight-{x}")
+      for x in _BAD_AMOUNTS],
+    *[pytest.param(_v2_pool, lambda m, x=x: UniswapV2Market([4.0, 9.0], beta=x), OutOfRange, id=f"v2-beta-{x}")
+      for x in _BAD_AMOUNTS],
+    *[pytest.param(_v3_pool, lambda m, x=x: UniswapV3Market([(0.1, 0.9)], 0.5, beta=x), OutOfRange,
+                   id=f"v3-beta-{x}") for x in _BAD_AMOUNTS],
+    *[pytest.param(_two_lmsrs, lambda st, x=x, fee=fee: fee(x), OutOfRange, id=f"{fee.__name__}-{x}")
+      for x in _BAD_AMOUNTS for fee in (NormFee, PositivePartFee)],
 ]
 
 
@@ -512,8 +546,10 @@ def test_a_rejected_operation_raises_a_typed_error_and_changes_nothing(market, c
     m = market()
     assert len((m if isinstance(m, MarketState) else m.state).records) == 2
     before = _view(m)
-    with pytest.raises(error):
-        call(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(m)
     assert issubclass(error, ParmmError) and _view(m) == before
 
 

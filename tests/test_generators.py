@@ -1,7 +1,9 @@
 """Curve and generator families against independently derived values."""
 
+import collections
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from parmm import (
     brier_curve,
     compile_sum,
     conjugate_value,
+    curve_from_descriptor,
     generator_from_descriptor,
     liability_of,
     normalize_generator,
@@ -37,7 +40,15 @@ from parmm import (
 import parmm.convex_core
 from parmm.cli import main
 from parmm.convex_core import EPS
-from parmm.errors import BoundaryPrice, DivergentIntegral, NoGradient, OutOfRange, UnknownKind
+from parmm.errors import (
+    BoundaryPrice,
+    DivergentIntegral,
+    NoGradient,
+    OutOfRange,
+    ParmmError,
+    UnknownKind,
+    UnsupportedFamily,
+)
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -451,6 +462,92 @@ def test_descriptor_round_trip(family):
     for p in INTERIOR[G.n] + [np.linspace(1.0, 2.0, G.n)]:
         assert G2.value(p) == pytest.approx(G.value(p), rel=1e-12, abs=1e-12)
         assert np.allclose(G2.grad(p), G.grad(p), rtol=1e-12, atol=1e-12)
+
+
+_V2 = {"family": "uniswap_v2", "alpha": 1.0}
+_TWO_BUCKETS = [(0.1, 0.3), (0.3, 0.6)]
+# (build, error): each parameter out of range, or of the wrong shape
+_REJECTED = {
+    "lmsr-curve-b-0": (lambda: LmsrCurve(0.0), OutOfRange),
+    "lmsr-b-negative": (lambda: generator_from_descriptor({"family": "lmsr", "b": -1.0}), OutOfRange),
+    "lmsr-n-1": (lambda: LmsrGenerator(1.0, 1), OutOfRange),
+    "constant_product-n-1": (lambda: ConstantProductGenerator(1), OutOfRange),
+    "constant_product-alpha-0": (lambda: ConstantProductGenerator(3, 0.0), OutOfRange),
+    "pair-n-1": (lambda: PairConstantProductGenerator(1, 0, 1), OutOfRange),
+    "pair-i-equals-j": (lambda: PairConstantProductGenerator(3, 1, 1), OutOfRange),
+    "pair-j-beyond-n": (lambda: PairConstantProductGenerator(3, 0, 3), OutOfRange),
+    "pair-alpha-negative": (lambda: PairConstantProductGenerator(3, 0, 2, -1.0), OutOfRange),
+    "brier-scale-0": (lambda: generator_from_descriptor({"family": "brier", "scale": 0.0}), OutOfRange),
+    "bucket-a-0": (lambda: BucketCurve(UniswapV2Curve(1.0), 0.0, 0.5), OutOfRange),
+    "bucket-a-above-b": (lambda: BucketCurve(UniswapV2Curve(1.0), 0.6, 0.5), OutOfRange),
+    "bucket-b-1": (lambda: generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 1.0}), OutOfRange),
+    "bucket-weight-negative": (lambda: BucketCurve(UniswapV2Curve(1.0), 0.2, 0.5, -1.0), OutOfRange),
+    "bucket_array-overlap": (lambda: BucketArrayCurve(UniswapV2Curve(1.0), [(0.1, 0.4), (0.3, 0.6)], [1.0, 1.0]),
+                             OutOfRange),
+    "bucket_array-short-weights": (lambda: generator_from_descriptor(
+        {"family": "bucket_array", "base": _V2, "buckets": _TWO_BUCKETS, "weights": [1.0]}), OutOfRange),
+    "bucket_array-infinite-weight": (lambda: BucketArrayCurve(UniswapV2Curve(1.0), _TWO_BUCKETS, [1.0, np.inf]),
+                                     OutOfRange),
+    "soft_bucket-knots-from-0.1": (lambda: SoftBucketCurve([0.1, 0.5, 1.0], [0.0, 1.0, 0.0]), OutOfRange),
+    "soft_bucket-knots-falling": (lambda: SoftBucketCurve([0.0, 0.6, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0]), OutOfRange),
+    "soft_bucket-weight-negative": (lambda: SoftBucketCurve([0.0, 0.5, 1.0], [0.0, -1.0, 0.0]), OutOfRange),
+    # knots outside [0, 1] are not an input form: the knots run from 0 to 1
+    "soft_bucket-outer-knots": (lambda: SoftBucketCurve([-0.5, 0.0, 0.5, 1.0, 1.5], [0.0, 1.0, 0.0]), UnknownKind),
+    "piecewise_linear-grid-at-0": (lambda: generator_from_descriptor(
+        {"family": "piecewise_linear", "grid": [0.0, 0.5], "weights": [1.0, 1.0]}), OutOfRange),
+    "piecewise_linear-weight-negative": (lambda: piecewise_linear_curve([0.2, 0.5], [1.0, -1.0]), OutOfRange),
+    "piecewise_linear-short-weights": (lambda: piecewise_linear_curve([0.2, 0.5], [1.0]), UnknownKind),
+    "piecewise_poly-breakpoints-from-0.1": (lambda: generator_from_descriptor(
+        {"family": "piecewise_poly", "breakpoints": [0.1, 1.0], "coefficients": [[0.0, -1.0, 1.0]]}), OutOfRange),
+    "piecewise_poly-breakpoints-count": (lambda: PiecewisePolyCurve([0.0, 0.5, 1.0], [[0.0, -1.0, 1.0]]),
+                                         UnknownKind),
+    "piecewise_poly-coefficients-2d": (lambda: PiecewisePolyCurve([0.0, 1.0], [[[0.0, -1.0, 1.0]]]), UnknownKind),
+    "piecewise_poly-coefficients-empty": (lambda: PiecewisePolyCurve([0.0, 1.0], [[]]), UnknownKind),
+    "sum-empty": (lambda: generator_from_descriptor({"family": "sum", "terms": []}), UnknownKind),
+    "sum-mixed-n": (lambda: SumGenerator([LmsrGenerator(1.0, 2), LmsrGenerator(1.0, 3)]), UnsupportedFamily),
+    "curve-at-n-3": (lambda: generator_from_descriptor(_V2, 3), UnknownKind),
+    # a shift of another length used to load, then broadcast or fail in the solve
+    "shifted-short-shift": (lambda: generator_from_descriptor(
+        {"family": "shifted", "inner": {"family": "lmsr", "b": 1.0}, "shift": [1.0]}), UnknownKind),
+    "descriptor-not-an-object": (lambda: generator_from_descriptor([_V2]), UnknownKind),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_a_parameter_out_of_range_raises_its_typed_error(case):
+    build, error = _REJECTED[case]
+    with pytest.raises(error):
+        build()
+
+
+# values of the wrong type, size or range for a descriptor field; where a
+# constructor fails on one with TypeError, ValueError, AttributeError,
+# IndexError or OverflowError, the loaders report it as UnknownKind
+_MALFORMED_VALUES = ["x", None, True, math.inf, [1.0], {}, -1.0, 2 ** 1024]
+
+
+def test_a_malformed_descriptor_field_raises_a_typed_error():
+    # every field of every family's descriptor, and a descriptor that is not
+    # an object: a ParmmError (most are UnknownKind or OutOfRange), never a
+    # traceback of another type, and no numpy warning
+    cases = [(value, 2) for value in _MALFORMED_VALUES]
+    for G in (build() for build in FAMILIES.values()):
+        desc = G.descriptor()
+        cases += [({**desc, key: value}, G.n) for key in desc if key != "family" for value in _MALFORMED_VALUES]
+    seen = collections.Counter()
+    for bad, n in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                generator_from_descriptor(bad, n)
+                seen["loaded"] += 1
+            except ParmmError as exc:
+                seen[type(exc).__name__] += 1
+    assert seen["UnknownKind"] > 200 and seen["OutOfRange"] > 20
+    with pytest.raises(UnknownKind, match="^malformed lmsr descriptor: "):
+        generator_from_descriptor({"family": "lmsr", "b": "one"})
+    with pytest.raises(UnknownKind, match="^malformed bucket descriptor: "):
+        curve_from_descriptor({"family": "bucket", "base": _V2, "a": "x", "b": 0.5})
 
 
 @pytest.mark.parametrize("family", ["brier", "piecewise_liquidity", "piecewise_linear", "tabulated_liquidity"])

@@ -99,6 +99,41 @@ def test_no_assert_statements(name):
     assert assert_lines((SRC / name).read_text()) == []
 
 
+# besides a ParmmError, a raise may name these: an abstract method's error,
+# and TypeError for a call that misuses the API
+OTHER_RAISES = {"NotImplementedError", "TypeError"}
+
+
+def untyped_raises(source: str, typed: set[str]) -> list[int]:
+    """Line numbers of the `raise` statements that name neither a class in
+    `typed` nor one in OTHER_RAISES; a bare `raise` re-raises and passes."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in typed | OTHER_RAISES):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_raise_scan_finds_untyped_raises():
+    src = (
+        "def f(x):\n    if x:\n        raise ValueError(x)\n    try:\n        g()\n    except KeyError as e:\n"
+        "        raise E(x) from e\n    except OSError as e:\n        raise e\n    except Exception:\n"
+        "        raise\n    raise NotImplementedError\n    raise mod.E(x)\n    raise TypeError('x')\n"
+    )
+    assert untyped_raises(src, {"E"}) == [3, 9, 13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raise_names_a_typed_error(path):
+    # callers catch ParmmError; anything else is a traceback
+    from parmm import errors
+
+    typed = {name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.ParmmError)}
+    assert untyped_raises(path.read_text(), typed) == []
+
+
 def private_definitions(source: str) -> set[str]:
     """Module-level private names: `_x` functions, classes and constants."""
     names = set()

@@ -582,6 +582,17 @@ def test_book_rejects_out_of_range():
         book.trade(-0.5)
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+def test_book_rejects_a_weight_that_is_negative_or_not_finite(weight):
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
+    book.trade(0.5)
+    state, weights = book.t, book.weights[0].tolist()
+    for lp in (0, 1):  # LP 1 is new: it must not be registered either
+        with pytest.raises(OutOfRange, match="negative or not finite"):
+            book.modify_liquidity(lp, 1, weight)
+    assert book.t == state and list(book.weights) == [0] and book.weights[0].tolist() == weights
+
+
 def test_book_boundary_state_opens_higher_bucket():
     book = PiecewiseLinearMarket([0.3, 0.7], {0: [1.0, 1.0]})
     book.trade(1.0)  # exactly exhausts the first slot
