@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -32,7 +33,6 @@ from .errors import (
     OutOfRange,
     UnknownKind,
     UnsupportedFamily,
-    VertexUnbounded,
 )
 
 _TINY = 1e-12
@@ -82,7 +82,7 @@ class Generator:
         return None
 
     def vertex_values(self) -> np.ndarray:
-        """G at the simplex vertices; raises VertexUnbounded if infinite."""
+        """G at the simplex vertices; `normalize_generator` checks they are finite."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -146,10 +146,7 @@ class Curve1D(Generator):
         return self.d2g(t)
 
     def vertex_values(self):
-        g0, g1 = self.g(0.0), self.g(1.0)
-        if not (math.isfinite(g0) and math.isfinite(g1)):
-            raise VertexUnbounded("curve endpoint values are not finite")
-        return np.array([g1, g0])
+        return np.array([self.g(1.0), self.g(0.0)])
 
 
 class PiecewisePolyCurve(Curve1D):
@@ -318,8 +315,8 @@ def _polyadd(a, b):
 
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     """Quadratic-score curve g(p) = scale * (p^2 - p); liquidity 2 * scale."""
-    if not scale > 0:
-        raise OutOfRange(f"Brier scale {scale} is not positive")
+    if not 0 < scale < math.inf:
+        raise OutOfRange(f"Brier scale {scale} is not positive and finite")
     return PiecewisePolyCurve([0.0, 1.0], [[0.0, -scale, scale]])
 
 
@@ -332,8 +329,8 @@ def piecewise_linear_curve(grid, weights) -> PiecewisePolyCurve:
     grid, weights = np.asarray(grid, dtype=float), np.asarray(weights, dtype=float)
     if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
         raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
-    if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all(weights >= 0)):
-        raise OutOfRange("grid prices must increase strictly inside (0, 1), weights be nonnegative")
+    if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all((0 <= weights) & (weights < math.inf))):
+        raise OutOfRange("grid prices must increase strictly inside (0, 1), weights be nonnegative and finite")
     intercepts = np.r_[0.0, -np.cumsum(weights * grid)]
     unfilled = np.r_[np.cumsum((weights * (grid - 1.0))[::-1])[::-1], 0.0]
     return PiecewisePolyCurve(np.r_[0.0, grid, 1.0], [[c, u - c] for c, u in zip(intercepts, unfilled)])
@@ -368,8 +365,8 @@ class LmsrCurve(Curve1D):
     is_pseudobarrier = True
 
     def __init__(self, b: float):
-        if not b > 0:
-            raise OutOfRange(f"LMSR b {b} is not positive")
+        if not 0 < b < math.inf:
+            raise OutOfRange(f"LMSR b {b} is not positive and finite")
         self.b = b
 
     def g(self, p):
@@ -459,8 +456,8 @@ class BucketCurve(Curve1D):
     """
 
     def __init__(self, base: Curve1D, a: float, b: float, weight: float = 1.0):
-        if not (0.0 < a < b < 1.0 and weight >= 0):
-            raise OutOfRange(f"bucket [{a}, {b}] with weight {weight} needs 0 < a < b < 1 and weight >= 0")
+        if not (0.0 < a < b < 1.0 and 0 <= weight < math.inf):
+            raise OutOfRange(f"bucket [{a}, {b}] with weight {weight} needs 0 < a < b < 1 and a finite weight >= 0")
         self.base, self.a, self.b, self.weight = base, a, b, weight
         self._ga, self._gb = base.g(a), base.g(b)
         self._da, self._db = base.dg(a), base.dg(b)
@@ -624,14 +621,14 @@ class BucketArrayCurve(Curve1D):
 class SoftBucketCurve(Curve1D):
     """Liquidity f(p) * 2 (p (1-p))^{-3/2} with f piecewise linear on knots.
 
-    `knots` are the interior knots a_1 = 0 < ... < a_k = 1 and `weights` the
-    liquidity heights at those knots; f interpolates them linearly.  The double
-    integral has a closed form: with w = sqrt(p (1-p)) and base profile
-    lb = 2 w^{-3},
-        int lb dp        = 4 (2p - 1) / w
-        int p lb dp      = 4 sqrt(p / (1-p))
-        int^2 lb dp      = -8 w
-        int^2 p lb dp    = -4 w + 2 asin(2p - 1)
+    `knots` run 0 = a_1 < ... < a_k = 1 and `weights` are the liquidity
+    heights at them; f interpolates them linearly, f = u + v p on each piece.
+    The double integral has a closed form: with w = sqrt(p (1-p)) and base
+    profile lb = 2 w^{-3},
+        I0 = int lb dp        = 4 (2p - 1) / w
+        I1 = int p lb dp      = 4 sqrt(p / (1-p))
+        J0 = int^2 lb dp      = -8 w
+        J1 = int^2 p lb dp    = -4 w + 2 asin(2p - 1)
     so no quadrature is needed.
     """
 
@@ -642,86 +639,60 @@ class SoftBucketCurve(Curve1D):
             raise UnknownKind(f"{knots.shape} knots for {weights.shape} weights")
         if not (abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY and np.all(np.diff(knots) > 0)):
             raise OutOfRange("knots must increase strictly from 0 to 1")
-        if not np.all(weights >= 0):
-            raise OutOfRange("soft-bucket weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < math.inf)):
+            raise OutOfRange("soft-bucket weights must be nonnegative and finite")
         self.knots, self.weights = knots, weights
-        # per-interval affine pieces f = u + v p
-        v = np.diff(weights) / np.diff(knots)
-        u = weights[:-1] - v * knots[:-1]
-        self._u, self._v = u, v
-        # chain antiderivative constants; anchor at the piece containing 1/2
-        m = len(u)
-        j0 = min(max(int(np.searchsorted(knots, 0.5, side="right")) - 1, 0), m - 1)
-        CA = np.zeros(m)
-        CB = np.zeros(m)
-        CA[j0] = -(u[j0] * self._I0(0.5) + v[j0] * self._I1(0.5))
-        for j in range(j0 + 1, m):
-            t = knots[j]
-            CA[j] = (u[j - 1] - u[j]) * self._I0(t) + (v[j - 1] - v[j]) * self._I1(t) + CA[j - 1]
-        for j in range(j0 - 1, -1, -1):
-            t = knots[j + 1]
-            CA[j] = (u[j + 1] - u[j]) * self._I0(t) + (v[j + 1] - v[j]) * self._I1(t) + CA[j + 1]
-        self._CA = CA
-        CB[j0] = -(u[j0] * self._J0(0.5) + v[j0] * self._J1(0.5) + CA[j0] * 0.5)
-        for j in range(j0 + 1, m):
-            t = knots[j]
-            CB[j] = self._B_raw(j - 1, t) + CB[j - 1] - self._B_raw(j, t)
-        for j in range(j0 - 1, -1, -1):
-            t = knots[j + 1]
-            CB[j] = self._B_raw(j + 1, t) + CB[j + 1] - self._B_raw(j, t)
-        self._CB = CB
-        b0 = self._B(0.0)
-        b1 = self._B(1.0)
-        self._b0, self._slope = b0, b1 - b0
-
-    @staticmethod
-    def _I0(p):
-        return 4.0 * (2.0 * p - 1.0) / math.sqrt(p * (1.0 - p))
-
-    @staticmethod
-    def _I1(p):
-        return 4.0 * math.sqrt(p / (1.0 - p))
-
-    @staticmethod
-    def _J0(p):
-        return -8.0 * math.sqrt(p * (1.0 - p))
-
-    @staticmethod
-    def _J1(p):
-        return -4.0 * math.sqrt(p * (1.0 - p)) + 2.0 * math.asin(2.0 * p - 1.0)
-
-    def _piece(self, p):
-        j = int(np.searchsorted(self.knots, p, side="right")) - 1
-        return min(max(j, 0), len(self._u) - 1)
-
-    def _B_raw(self, j, p):
-        return self._u[j] * self._J0(p) + self._v[j] * self._J1(p) + self._CA[j] * p
-
-    def _B(self, p):
-        j = self._piece(p)
-        return self._B_raw(j, p) + self._CB[j]
-
-    def f(self, p):
-        return float(np.interp(p, self.knots, self.weights))
+        # Python floats: the interior knots, and per piece (u, v, c, e) with
+        # g' = u I0 + v I1 + c and g = u J0 + v J1 + c p + e, the constants
+        # chained from g(0) = 0 so both are continuous at the knots; g(1) = 0
+        # once the chord p g(1) is subtracted
+        x, w = knots.tolist(), weights.tolist()
+        self._x, self._pieces = x[1:-1], []
+        for k, (x0, x1, w0, w1) in enumerate(zip(x, x[1:], w, w[1:])):
+            v = (w1 - w0) / (x1 - x0)
+            u = w0 - v * x0
+            pu, pv, pc, pe = self._pieces[-1] if k else (0.0, 0.0, 0.0, 0.0)
+            c = _soft_dg((pu - u, pv - v, pc, 0.0), x0) if k else 0.0
+            self._pieces.append((u, v, c, _soft_g((pu - u, pv - v, pc - c, pe), x0)))
+        self._chord = _soft_g(self._pieces[-1], 1.0)
 
     def g(self, p):
-        return float(self._B(p) - self._b0 - self._slope * p)
+        return float(_soft_g(self._pieces[bisect_right(self._x, p)], p) - self._chord * p)
 
     def dg(self, p):
-        j = self._piece(p)
-        A = self._u[j] * self._I0(p) + self._v[j] * self._I1(p) + self._CA[j]
-        return float(A - self._slope)
+        return float(_soft_dg(self._pieces[bisect_right(self._x, p)], p) - self._chord)
 
     def d2g(self, p):
-        return float(self.f(p) * 2.0 * (p * (1.0 - p)) ** -1.5)
+        u, v, _, _ = self._pieces[bisect_right(self._x, p)]
+        return float((u + v * p) * 2.0 * (p * (1.0 - p)) ** -1.5)
 
     def descriptor(self):
         return {"family": "soft_bucket", "knots": list(self.knots), "weights": list(self.weights)}
 
 
+def _soft_g(piece, p):
+    """u J0(p) + v J1(p) + c p + e for a soft-bucket piece (u, v, c, e)."""
+    u, v, c, e = piece
+    w = math.sqrt(p * (1.0 - p))
+    return u * (-8.0 * w) + v * (-4.0 * w + 2.0 * math.asin(2.0 * p - 1.0)) + c * p + e
+
+
+def _soft_dg(piece, p):
+    """u I0(p) + v I1(p) + c, the derivative of `_soft_g`."""
+    u, v, c, _ = piece
+    return u * (4.0 * (2.0 * p - 1.0) / math.sqrt(p * (1.0 - p))) + v * (4.0 * math.sqrt(p / (1.0 - p))) + c
+
+
 # ---------------------------------------------------------------------------
 # n-asset generators
 # ---------------------------------------------------------------------------
+
+
+def _check_counts(**counts):
+    """Raise UnknownKind unless every count is an integer (a bool is not one)."""
+    for name, k in counts.items():
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise UnknownKind(f"{name} = {k!r} is not an integer")
 
 
 class LmsrGenerator(Generator):
@@ -730,8 +701,9 @@ class LmsrGenerator(Generator):
     is_pseudobarrier = True
 
     def __init__(self, b: float, n: int):
-        if not (b > 0 and n >= 2):
-            raise OutOfRange(f"LMSR needs b > 0 and n >= 2, got b = {b}, n = {n}")
+        _check_counts(n=n)
+        if not (0 < b < math.inf and n >= 2):
+            raise OutOfRange(f"LMSR needs a finite b > 0 and n >= 2, got b = {b}, n = {n}")
         self.b, self.n = b, n
 
     def value(self, x):
@@ -768,8 +740,9 @@ class ConstantProductGenerator(Generator):
     is_pseudobarrier = True
 
     def __init__(self, n: int, alpha: float = 1.0):
-        if not (n >= 2 and alpha > 0):
-            raise OutOfRange(f"constant product needs n >= 2 and alpha > 0, got n = {n}, alpha = {alpha}")
+        _check_counts(n=n)
+        if not (n >= 2 and 0 < alpha < math.inf):
+            raise OutOfRange(f"constant product needs n >= 2 and a finite alpha > 0, got n = {n}, alpha = {alpha}")
         self.n, self.alpha = n, alpha
 
     def _gm(self, x):
@@ -805,7 +778,8 @@ class PairConstantProductGenerator(Generator):
     """G(p) = -2 alpha sqrt(p_i p_j): constant-product liquidity on one pair."""
 
     def __init__(self, n: int, i: int, j: int, alpha: float = 1.0):
-        if not (n >= 2 and 0 <= i < j < n and alpha >= 0):
+        _check_counts(n=n, i=i, j=j)
+        if not (n >= 2 and 0 <= i < j < n and 0 <= alpha < math.inf):
             raise OutOfRange(f"pair ({i}, {j}) of {n} outcomes with alpha {alpha} is invalid")
         self.n, self.i, self.j, self.alpha = n, i, j, alpha
 
@@ -962,6 +936,7 @@ class TrivialGenerator(Generator):
     """The zero generator: no liquidity, liability always zero."""
 
     def __init__(self, n: int):
+        _check_counts(n=n)
         self.n = n
 
     def value(self, x):
@@ -1036,7 +1011,16 @@ _MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
 def _family_name(d):
     if not isinstance(d, dict):
         raise UnknownKind(f"a descriptor must be an object, got {d!r}")
+    if bad := [key for key, value in d.items() if _not_a_number(value)]:
+        raise UnknownKind(f"malformed {d.get('family')} descriptor: {bad[0]} holds a bool or an oversized integer")
     return d.get("family")
+
+
+def _not_a_number(v) -> bool:
+    """Whether v is a bool or an integer no float holds, or a list holding one."""
+    if isinstance(v, (list, tuple)):
+        return any(map(_not_a_number, v))
+    return isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
 
 
 def curve_from_descriptor(d: dict) -> Curve1D:

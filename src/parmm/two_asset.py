@@ -275,8 +275,8 @@ class PiecewiseLinearMarket:
         if weights:
             for lp_id, w in weights.items():
                 w = np.asarray(w, dtype=float)
-                if w.shape != self.grid.shape or not np.all(w >= 0):
-                    raise OutOfRange(f"weights of LP {lp_id} do not match the grid")
+                if w.shape != self.grid.shape or not np.all((w >= 0) & (w < math.inf)):
+                    raise OutOfRange(f"weights of LP {lp_id} do not match the grid, or are negative or not finite")
                 self.weights[lp_id] = w
         self.t = float(np.sum(self.total_weights() * (self.grid - 1.0)))  # all buckets unfilled
         self._fill = (0, 0.0)  # cached active (slot, fraction) matching self.t

@@ -1,5 +1,6 @@
 """CLI: scenario replay determinism, reports, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -299,6 +300,13 @@ _FAILURES = {
                     "UnknownKind", 2, "error: event 3 (modify_liquidity): malformed bucket_array descriptor: "),
     "generator-str": ({"op": "modify_liquidity", "lp": 1, "generator": "lmsr"}, "UnknownKind", 2,
                       "error: event 3 (modify_liquidity): a descriptor must be an object, got 'lmsr'\n"),
+    # counts are integers, and descriptor numbers are neither bools nor integers beyond the float range
+    "n-float": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "constant_product", "n": 2.0}},
+                "UnknownKind", 2, "error: event 3 (modify_liquidity): n = 2.0 is not an integer\n"),
+    "b-true": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": True}}, "UnknownKind", 2,
+               "error: event 3 (modify_liquidity): malformed lmsr descriptor: b holds a bool or an oversized integer\n"),
+    "b-huge-int": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 2 ** 1024}}, "UnknownKind",
+                   2, "error: event 3 (modify_liquidity): malformed lmsr descriptor: b holds a bool or an oversized integer\n"),
     "query-unknown": ({"op": "query", "what": "volume"}, "UnknownKind", 2,
                       "error: event 3 (query): unknown query 'volume'\n"),
 }
@@ -609,16 +617,20 @@ def _families(obj) -> set:
     return set()
 
 
+def _named_scenario(name: str) -> dict:
+    """A scenario file by its stem, `every-family-<seed>` or `three-outcome-<fee>`."""
+    if name.startswith("every-family"):
+        return every_family_scenario(int(name.rsplit("-", 1)[1]))
+    if name.startswith("three-outcome"):
+        return three_outcome_scenario(11, name[len("three-outcome-"):])
+    with open(os.path.join(SCEN, f"{name}.json")) as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", ["two_lp_walkthrough", "three_asset_fee_imbalance", "every-family-3", "every-family-8",
                                   "three-outcome-norm-l1", "three-outcome-norm-l2", "three-outcome-positive-part"])
 def test_trace_writer_matches_the_rounding_pass(name, tmp_path, capsys):
-    if name.startswith("every-family"):
-        scen = every_family_scenario(int(name.rsplit("-", 1)[1]))
-    elif name.startswith("three-outcome"):
-        scen = three_outcome_scenario(11, name[len("three-outcome-"):])
-    else:
-        with open(os.path.join(SCEN, f"{name}.json")) as fh:
-            scen = json.load(fh)
+    scen = _named_scenario(name)
     trace = run_scenario(scen)
     want = _oracle(trace)
     assert _written(trace) == want
@@ -727,6 +739,28 @@ def test_trace_descriptors_are_copies(tmp_path):
     assert st.snapshot()["lps"][lp]["generator"] == before
     st.modify_liquidity(lp, UniswapV2Curve(2.0))
     assert st.snapshot()["lps"][lp]["generator"] == {"family": "uniswap_v2", "alpha": 2.0}
+
+
+# sha256 of the trace `parmm run` writes for each scenario
+_TRACE_DIGESTS = {
+    "two_lp_walkthrough": "36a586ca01682b4f9c765ef5c0145e7da010cc21dd01488d67a7e58dadd0e9f6",
+    "three_asset_fee_imbalance": "2819df4b8e2416fefb9772bfc28a1d70f1ef2c2ad2e52062ea18fade690d5ce6",
+    "every-family-3": "e926537038f342aef04f7fa7ef84f3737ecf381a39934f8336d9792f98d05a32",
+    "every-family-5": "ffa24c1403f5dabfaccbe5531c0ceb07bbcca79d97eec927a2c27d30c3fda070",
+    "every-family-8": "c23b7cfc26eeeb923572c28af5dd74593ce759706bd5b8892ff0336968940cda",
+    "three-outcome-norm-l1": "9d4675bac04a23be3197156ce06dbb08ed8a4ea564530eb2ead63267826b162f",
+    "three-outcome-norm-l2": "6816efdc23e8efa17d01d5da78a4515f55d3db153d008aec4ef55c99393566ec",
+    "three-outcome-positive-part": "25f50d7c0ffe049a293c451a4eb9817ba7ba02332b6ae943c711edd4846622ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS))
+def test_successful_traces_keep_their_bytes(name, tmp_path):
+    scen = _named_scenario(name)
+    digest = hashlib.sha256(_replayed(scen, tmp_path).encode()).hexdigest()
+    assert digest == _TRACE_DIGESTS[name], (
+        f"the trace of {name} changed; re-record its digest only when the change is meant to move "
+        "outputs, and list that change in CHANGES.md")
 
 
 def test_run_under_python_O_writes_the_same_bytes(tmp_path):

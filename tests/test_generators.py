@@ -315,7 +315,7 @@ def test_soft_bucket_matches_quadrature():
     for p in [0.1, 0.3, 0.45, 0.6, 0.8]:
         assert crv.d2g(p) == pytest.approx(ell(p), rel=1e-12)
         num = gauss_legendre(ell, 0.45, p, knots=[0.3, 0.6])
-        assert crv.dg(p) - crv.dg(0.45) == pytest.approx(num, abs=1e-9)
+        assert crv.dg(p) - crv.dg(0.45) == pytest.approx(num, abs=1e-12)
     assert crv.g(0.0) == pytest.approx(0.0, abs=1e-12)
     assert crv.g(1.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -510,6 +510,26 @@ _REJECTED = {
     "shifted-short-shift": (lambda: generator_from_descriptor(
         {"family": "shifted", "inner": {"family": "lmsr", "b": 1.0}, "shift": [1.0]}), UnknownKind),
     "descriptor-not-an-object": (lambda: generator_from_descriptor([_V2]), UnknownKind),
+    # counts must be integers: a float or a bool is not one
+    "lmsr-n-float": (lambda: generator_from_descriptor({"family": "lmsr", "b": 1.0, "n": 3.0}, 3), UnknownKind),
+    "lmsr-n-bool": (lambda: LmsrGenerator(1.0, True), UnknownKind),
+    "constant_product-n-float": (lambda: generator_from_descriptor(
+        {"family": "constant_product", "n": 2.0, "alpha": 1.0}), UnknownKind),
+    "pair-i-float": (lambda: generator_from_descriptor(
+        {"family": "pair_constant_product", "i": 0.0, "j": 1, "alpha": 1.0}), UnknownKind),
+    "pair-j-bool": (lambda: PairConstantProductGenerator(2, 0, True), UnknownKind),
+    "trivial-n-float": (lambda: generator_from_descriptor({"family": "trivial", "n": 2.0}), UnknownKind),
+    # every weight and scale is finite, checked where it is set
+    "lmsr-curve-b-inf": (lambda: LmsrCurve(math.inf), OutOfRange),
+    "lmsr-b-inf": (lambda: LmsrGenerator(math.inf, 3), OutOfRange),
+    "brier-scale-inf": (lambda: generator_from_descriptor({"family": "brier", "scale": math.inf}), OutOfRange),
+    "constant_product-alpha-inf": (lambda: ConstantProductGenerator(3, math.inf), OutOfRange),
+    "pair-alpha-inf": (lambda: PairConstantProductGenerator(3, 0, 2, math.inf), OutOfRange),
+    "bucket-weight-inf": (lambda: generator_from_descriptor(
+        {"family": "v3_bucket", "a": 0.2, "b": 0.5, "alpha": math.inf}), OutOfRange),
+    "piecewise_linear-weight-inf": (lambda: generator_from_descriptor(
+        {"family": "piecewise_linear", "grid": [0.2, 0.5], "weights": [1.0, math.inf]}), OutOfRange),
+    "soft_bucket-weight-inf": (lambda: SoftBucketCurve([0.0, 0.5, 1.0], [0.0, math.inf, 0.0]), OutOfRange),
 }
 
 
@@ -518,6 +538,13 @@ def test_a_parameter_out_of_range_raises_its_typed_error(case):
     build, error = _REJECTED[case]
     with pytest.raises(error):
         build()
+
+
+def test_counts_may_be_numpy_integers():
+    assert LmsrGenerator(1.0, np.int64(3)).n == 3
+    assert ConstantProductGenerator(np.int32(3)).n == 3
+    assert PairConstantProductGenerator(np.int64(3), np.int64(0), np.int8(2)).j == 2
+    assert TrivialGenerator(np.int64(2)).n == 2
 
 
 # values of the wrong type, size or range for a descriptor field; where a
@@ -541,6 +568,8 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
             try:
                 generator_from_descriptor(bad, n)
                 seen["loaded"] += 1
+                # a bool or an integer beyond the float range is no number
+                assert not any(v is True or v == 2 ** 1024 for v in bad.values())
             except ParmmError as exc:
                 seen[type(exc).__name__] += 1
     assert seen["UnknownKind"] > 200 and seen["OutOfRange"] > 20

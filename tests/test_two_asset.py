@@ -449,6 +449,8 @@ def test_pools_reject_bad_arguments_with_typed_errors():
         PiecewiseLinearMarket([0.4, 0.2])
     with pytest.raises(OutOfRange):
         PiecewiseLinearMarket([0.2, 0.4], {0: [1.0]})
+    with pytest.raises(OutOfRange):
+        PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, math.inf]})
     book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
     with pytest.raises(OutOfRange):
         book.modify_liquidity(0, 0, -1.0)
