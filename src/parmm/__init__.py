@@ -71,7 +71,6 @@ from .generators import (
     UniswapV2Curve,
     brier_curve,
     compile_sum,
-    curve_from_descriptor,
     generator_from_descriptor,
     piecewise_linear_curve,
     tabulated_liquidity_curve,

@@ -21,10 +21,12 @@ curvature.  All curve families here are normalized so g(0) = g(1) = 0.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -152,8 +154,8 @@ class Curve1D(Generator):
 class PiecewisePolyCurve(Curve1D):
     """Piecewise-polynomial curve on breakpoints 0 = x_0 < ... < x_m = 1.
 
-    polys[k], the coefficients of the curve on [xs[k], xs[k+1]] (lowest
-    degree first, in the global coordinate p) or an object holding them as
+    coefficients[k], those of the curve on [breakpoints[k], breakpoints[k+1]]
+    (lowest degree first, in the global coordinate p) or an object holding them as
     `.coef`, such as a numpy Polynomial, gives each piece.  The constructor
     raises OutOfRange, to a relative 1e-9, where g' falls, inside a piece (g''
     below 0 at an end or where g''' vanishes, or a lower right-end slope) or
@@ -162,16 +164,16 @@ class PiecewisePolyCurve(Curve1D):
     `convex_core` solves it, as it solves every sum.
     """
 
-    def __init__(self, xs, polys):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1 or len(xs) != len(polys) + 1:
-            raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(polys)} pieces")
+    def __init__(self, breakpoints, coefficients):
+        xs = np.asarray(breakpoints, dtype=float)
+        if xs.ndim != 1 or len(xs) != len(coefficients) + 1:
+            raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(coefficients)} pieces")
         if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
             raise OutOfRange("breakpoints must increase strictly from 0 to 1")
         # g, g' and g'' run inside every price solve: their coefficients are
         # Python floats, evaluated by _horner, and the breakpoints a list
         self._x = xs.tolist()
-        self._c0 = [_coefficients(P) for P in polys]
+        self._c0 = [_coefficients(P) for P in coefficients]
         self._c1 = [_polyder(c, 1) for c in self._c0]
         self._c2 = [_polyder(c, 2) for c in self._c0]
         # g' and g'' at both ends of each piece
@@ -196,15 +198,15 @@ class PiecewisePolyCurve(Curve1D):
             self._dhi.append(top)
 
     @classmethod
-    def from_liquidity(cls, xs, liq_polys) -> "PiecewisePolyCurve":
+    def from_liquidity(cls, breakpoints, coefficients) -> "PiecewisePolyCurve":
         """Build the curve whose second derivative is the given piecewise
         polynomial liquidity profile, normalized so g(0) = g(1) = 0.
 
         Double antiderivative with continuity across breakpoints, then chord
         subtraction; any antiderivative choice gives the same curve.
         """
-        xs = np.asarray(xs, dtype=float)
-        B = _integrate(xs, _integrate(xs, [_coefficients(P) for P in liq_polys]))
+        xs = np.asarray(breakpoints, dtype=float)
+        B = _integrate(xs, _integrate(xs, [_coefficients(P) for P in coefficients]))
         chord = [0.0, _horner(B[-1], xs[-1])]  # B(1), with B(0) = 0
         return cls(xs, [_polyadd(Q, [-v for v in chord]) for Q in B])
 
@@ -500,12 +502,13 @@ class BucketCurve(Curve1D):
             return float(self.weight * self.base.d2g(p))
         return 0.0
 
-    _short = None  # the `_UNIT_BASES` shorthand for the base ("" if none), found on first use
+    _short = None  # the bucket shorthand whose unit base is equal to the base ("" if none), found on first use
 
     def descriptor(self):
         if self._short is None:
             base = self.base.descriptor()
-            self._short = next((short for short, (_, unit_desc) in _UNIT_BASES.items() if base == unit_desc), "")
+            self._short = next((fam for fam, build in _BUILDERS.items()
+                                if getattr(build, "func", None) is _unit_bucket and build.args[0].descriptor() == base), "")
         if self._short:
             return {"family": self._short, "a": self.a, "b": self.b, "alpha": self.weight}
         return {"family": "bucket", "base": self.base.descriptor(), "a": self.a, "b": self.b, "weight": self.weight}
@@ -998,22 +1001,40 @@ class ShiftedGenerator(Generator):
 # ---------------------------------------------------------------------------
 
 
-# the bucket shorthands: family -> (unit base curve, its descriptor)
-_UNIT_BASES = {
-    fam: (base, base.descriptor())
-    for fam, base in [("v3_bucket", UniswapV2Curve(1.0)), ("lmsr_bucket", LmsrCurve(1.0)), ("brier_bucket", brier_curve(1.0))]
+def _unit_bucket(base, a, b, alpha=1.0):
+    """A bucket shorthand: `base` at unit scale on [a, b], weighted by alpha."""
+    return BucketCurve(base, a, b, alpha)
+
+
+# The one descriptor table, family -> builder: a descriptor's other fields are
+# the builder's keyword arguments, and `descriptor()` writes them back.  A
+# field left out takes the builder's default, and a count n the market's n or
+# 2.  "inner" and "terms" load first as generators, "base" as a two-outcome
+# curve, in which "lmsr" is an `LmsrCurve`.
+_BUILDERS = {
+    "lmsr": LmsrGenerator,
+    "uniswap_v2": UniswapV2Curve,
+    "brier": brier_curve,
+    "piecewise_poly": PiecewisePolyCurve,
+    "piecewise_liquidity": PiecewisePolyCurve.from_liquidity,
+    "bucket": BucketCurve,
+    "v3_bucket": partial(_unit_bucket, UniswapV2Curve(1.0)),
+    "lmsr_bucket": partial(_unit_bucket, LmsrCurve(1.0)),
+    "brier_bucket": partial(_unit_bucket, brier_curve(1.0)),
+    "bucket_array": BucketArrayCurve,
+    "soft_bucket": SoftBucketCurve,
+    "piecewise_linear": piecewise_linear_curve,
+    "tabulated_liquidity": tabulated_liquidity_curve,
+    "constant_product": ConstantProductGenerator,
+    "pair_constant_product": PairConstantProductGenerator,
+    "trivial": TrivialGenerator,
+    "sum": SumGenerator,
+    "shifted": ShiftedGenerator,
 }
-
-# a constructor's errors on a field of the wrong type or size; a missing field stays a KeyError
+_CURVES = {**_BUILDERS, "lmsr": LmsrCurve}
+_COUNTED = {build for build in _BUILDERS.values() if "n" in inspect.signature(build).parameters}
+# a builder's errors on a field that is missing, unknown, or of the wrong type or size
 _MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
-
-
-def _family_name(d):
-    if not isinstance(d, dict):
-        raise UnknownKind(f"a descriptor must be an object, got {d!r}")
-    if bad := [key for key, value in d.items() if _not_a_number(value)]:
-        raise UnknownKind(f"malformed {d.get('family')} descriptor: {bad[0]} holds a bool or an oversized integer")
-    return d.get("family")
 
 
 def _not_a_number(v) -> bool:
@@ -1023,55 +1044,32 @@ def _not_a_number(v) -> bool:
     return isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
 
 
-def curve_from_descriptor(d: dict) -> Curve1D:
-    fam = _family_name(d)
-    try:
-        if fam in _UNIT_BASES:
-            return BucketCurve(_UNIT_BASES[fam][0], d["a"], d["b"], d.get("alpha", 1.0))
-        if fam == "lmsr":
-            return LmsrCurve(d["b"])
-        if fam == "uniswap_v2":
-            return UniswapV2Curve(d["alpha"])
-        if fam == "brier":
-            return brier_curve(d.get("scale", 1.0))
-        if fam == "piecewise_poly":
-            return PiecewisePolyCurve(d["breakpoints"], d["coefficients"])
-        if fam == "piecewise_liquidity":
-            return PiecewisePolyCurve.from_liquidity(d["breakpoints"], d["coefficients"])
-        if fam == "bucket":
-            return BucketCurve(curve_from_descriptor(d["base"]), d["a"], d["b"], d.get("weight", 1.0))
-        if fam == "soft_bucket":
-            return SoftBucketCurve(d["knots"], d["weights"])
-        if fam == "piecewise_linear":
-            return piecewise_linear_curve(d["grid"], d["weights"])
-        if fam == "tabulated_liquidity":
-            return tabulated_liquidity_curve(d["grid"], d["values"])
-        if fam == "bucket_array":
-            return BucketArrayCurve(curve_from_descriptor(d["base"]), d["buckets"], d["weights"])
-    except _MALFORMED as exc:
-        raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
-    raise UnknownKind(f"unknown family {fam!r}")
-
-
 def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
-    fam = _family_name(d)
+    """The generator a JSON descriptor names, for a market of n outcomes."""
+    return _load(d, n, _BUILDERS)
+
+
+def _load(d, n, builders) -> Generator:
+    if not isinstance(d, dict):
+        raise UnknownKind(f"a descriptor must be an object, got {d!r}")
+    fam = d.get("family")
+    if bad := [key for key, value in d.items() if _not_a_number(value)]:
+        raise UnknownKind(f"malformed {fam} descriptor: {bad[0]} holds a bool or an oversized integer")
+    if not isinstance(fam, str) or fam not in builders:
+        raise UnknownKind(f"unknown family {fam!r}")
+    build, fields = builders[fam], {key: value for key, value in d.items() if key != "family"}
     try:
-        if fam == "lmsr":
-            return LmsrGenerator(d["b"], d.get("n", n or 2))
-        if fam == "constant_product":
-            return ConstantProductGenerator(d.get("n", n or 2), d.get("alpha", 1.0))
-        if fam == "pair_constant_product":
-            return PairConstantProductGenerator(d.get("n", n or 2), d["i"], d["j"], d.get("alpha", 1.0))
-        if fam == "trivial":
-            return TrivialGenerator(d.get("n", n or 2))
-        if fam == "sum":
-            return SumGenerator([generator_from_descriptor(t, n) for t in d["terms"]])
-        if fam == "shifted":
-            return ShiftedGenerator(generator_from_descriptor(d["inner"], n), d["shift"])
+        if "base" in fields:
+            fields["base"] = _load(fields["base"], 2, _CURVES)
+        if "inner" in fields:
+            fields["inner"] = _load(fields["inner"], n, builders)
+        if "terms" in fields:
+            fields["terms"] = [_load(t, n, builders) for t in fields["terms"]]
+        if build in _COUNTED and "n" not in fields:
+            fields["n"] = n or 2
+        G = build(**fields)
     except _MALFORMED as exc:
         raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
-    # every other family is a two-outcome curve
-    curve = curve_from_descriptor(d)
-    if n not in (None, 2):
+    if n not in (None, 2) and isinstance(G, Curve1D):
         raise UnknownKind(f"curve family {fam!r} only supports two outcomes")
-    return curve
+    return G

@@ -29,6 +29,7 @@ from .errors import (
     InsufficientReserves,
     InvariantViolated,
     OutOfRange,
+    UnknownKind,
 )
 from .generators import (
     BucketArrayCurve,
@@ -133,7 +134,8 @@ class UniswapV2Market:
 
     def swap(self, amount_in: float, asset: int = 0) -> np.ndarray:
         """Bundle for a swap selling `amount_in` of one asset into the pool."""
-        if not amount_in > 0 or asset not in (0, 1):
+        _check_index(asset, 2)
+        if not amount_in > 0:
             raise OutOfRange(f"cannot swap {amount_in} of asset {asset}")
         x = self.reserves
         other = 1 - asset
@@ -286,9 +288,8 @@ class PiecewiseLinearMarket:
             return np.zeros_like(self.grid)
         return np.sum([w for w in self.weights.values()], axis=0)
 
-    def register_lp(self, lp_id: int | None = None) -> int:
-        if lp_id is None:
-            lp_id = max(self.weights, default=-1) + 1
+    def register_lp(self) -> int:
+        lp_id = max(self.weights, default=-1) + 1
         self.weights[lp_id] = np.zeros_like(self.grid)
         return lp_id
 
@@ -348,13 +349,14 @@ class PiecewiseLinearMarket:
         return a - 1.0 + y
 
     def modify_liquidity(self, lp_id: int, j: int, weight: float) -> float:
-        """Set one LP weight; returns the scalar deposit that keeps the book's
-        price and fill unchanged (exact, no rounding)."""
+        """Set one LP weight, opening the LP if its integer id is new; returns the
+        scalar deposit that keeps the book's price and fill unchanged (exact)."""
+        if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
+            raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
         _check_index(j, len(self.grid))
         if not 0 <= weight < math.inf:
             raise OutOfRange(f"weight {weight} is negative or not finite")
-        if lp_id not in self.weights:
-            self.register_lp(lp_id)
+        self.weights.setdefault(lp_id, np.zeros_like(self.grid))
         jstar, y = self.active
         delta = (weight - self.weights[lp_id][j]) * self.unit_liability(j)
         self.weights[lp_id][j] = weight

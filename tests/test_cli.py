@@ -298,6 +298,12 @@ _FAILURES = {
     "buckets-str": ({"op": "modify_liquidity", "lp": 1,
                      "generator": {"family": "bucket_array", "base": _LMSR, "buckets": "x", "weights": [1.0]}},
                     "UnknownKind", 2, "error: event 3 (modify_liquidity): malformed bucket_array descriptor: "),
+    # a field the family's builder needs and does not get, or does not take
+    "field-missing": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2"}}, "UnknownKind", 2,
+                      "error: event 3 (modify_liquidity): malformed uniswap_v2 descriptor: "),
+    "field-unknown": ({"op": "modify_liquidity", "lp": 1,
+                       "generator": {"family": "v3_bucket", "a": 0.2, "b": 0.5, "weight": 3.0}}, "UnknownKind", 2,
+                      "error: event 3 (modify_liquidity): malformed v3_bucket descriptor: "),
     "generator-str": ({"op": "modify_liquidity", "lp": 1, "generator": "lmsr"}, "UnknownKind", 2,
                       "error: event 3 (modify_liquidity): a descriptor must be an object, got 'lmsr'\n"),
     # counts are integers, and descriptor numbers are neither bools nor integers beyond the float range

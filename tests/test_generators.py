@@ -30,7 +30,6 @@ from parmm import (
     brier_curve,
     compile_sum,
     conjugate_value,
-    curve_from_descriptor,
     generator_from_descriptor,
     liability_of,
     normalize_generator,
@@ -462,6 +461,10 @@ def test_descriptor_round_trip(family):
     for p in INTERIOR[G.n] + [np.linspace(1.0, 2.0, G.n)]:
         assert G2.value(p) == pytest.approx(G.value(p), rel=1e-12, abs=1e-12)
         assert np.allclose(G2.grad(p), G.grad(p), rtol=1e-12, atol=1e-12)
+    # descriptor keys are the builder's arguments, so the load writes the same
+    # fields; an "lmsr" curve loads as the generator, which writes "n": 2 too
+    if family != "lmsr-curve":
+        assert G2.descriptor() == G.descriptor()
 
 
 _V2 = {"family": "uniswap_v2", "alpha": 1.0}
@@ -576,7 +579,25 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
     with pytest.raises(UnknownKind, match="^malformed lmsr descriptor: "):
         generator_from_descriptor({"family": "lmsr", "b": "one"})
     with pytest.raises(UnknownKind, match="^malformed bucket descriptor: "):
-        curve_from_descriptor({"family": "bucket", "base": _V2, "a": "x", "b": 0.5})
+        generator_from_descriptor({"family": "bucket", "base": _V2, "a": "x", "b": 0.5})
+    # a field left out loads on the builder's default or raises UnknownKind,
+    # never a KeyError; a field the builder does not take raises UnknownKind
+    for G in (build() for build in FAMILIES.values()):
+        desc = G.descriptor()
+        for key in desc:
+            try:
+                generator_from_descriptor({k: v for k, v in desc.items() if k != key}, G.n)
+            except UnknownKind:
+                pass
+        with pytest.raises(UnknownKind, match="unexpected keyword argument 'extra'"):
+            generator_from_descriptor({**desc, "extra": 1.0}, G.n)
+    with pytest.raises(UnknownKind, match="^malformed uniswap_v2 descriptor: .*'alpha'"):
+        generator_from_descriptor({"family": "uniswap_v2"})
+    # "weight" spells the long-form bucket's weight; the shorthand's is "alpha"
+    with pytest.raises(UnknownKind, match="^malformed v3_bucket descriptor: .*'weight'"):
+        generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 0.5, "weight": 3.0})
+    assert generator_from_descriptor({"family": "lmsr", "b": 1.0}, 3).n == 3
+    assert generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 0.5}).weight == 1.0
 
 
 @pytest.mark.parametrize("family", ["brier", "piecewise_liquidity", "piecewise_linear", "tabulated_liquidity"])

@@ -172,26 +172,6 @@ def test_every_private_name_is_read():
 
 TESTS = Path(__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
-LOADERS = ("curve_from_descriptor", "generator_from_descriptor")
-
-
-def loaded_families(source: str, tables: dict) -> set[str]:
-    """Families the descriptor loaders accept: the strings they compare
-    `fam` with, and the keys of each table (looked up in `tables`) that
-    they test `fam in`."""
-    found = set()
-    for fn in ast.parse(source).body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in LOADERS):
-            continue
-        for node in ast.walk(fn):
-            if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "fam"):
-                continue
-            for op, right in zip(node.ops, node.comparators):
-                if isinstance(op, ast.Eq) and isinstance(right, ast.Constant):
-                    found.add(right.value)
-                elif isinstance(op, ast.In) and isinstance(right, ast.Name):
-                    found.update(tables[right.id])
-    return found
 
 
 def round_trip_families(source: str) -> set[str]:
@@ -210,20 +190,15 @@ def readme_families(text: str) -> set[str]:
 
 
 def test_family_scans_read_their_sources():
-    src = (
-        'def curve_from_descriptor(d):\n    fam = d["family"]\n    if fam in _T:\n        return 1\n'
-        '    if fam == "a" or fam == "b":\n        return 2\ndef other(fam):\n    return fam == "c"\n'
-    )
-    assert loaded_families(src, {"_T": {"t": None}}) == {"a", "b", "t"}
     assert round_trip_families('FAMILIES = {"a-n2": f, "a-n3": f, "b": g}\nOTHER = {"c": h}\n') == {"a", "b"}
     assert readme_families("x `y`\n\nGenerator families: `a`, `b` (and\n`c`).\n\nNot `d`.\n") == {"a", "b", "c"}
 
 
 def test_descriptor_families_are_loaded_tested_and_documented():
-    # a family added to a loader needs a round trip and a README entry
-    from parmm import generators
+    # a family added to the descriptor table needs a round trip and a README entry
+    from parmm.generators import _BUILDERS
 
-    loaded = loaded_families((SRC / "generators.py").read_text(), vars(generators))
+    loaded = set(_BUILDERS)
     tested = round_trip_families((TESTS / "test_generators.py").read_text())
     documented = readme_families(README.read_text())
     assert loaded == tested == documented

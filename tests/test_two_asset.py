@@ -471,6 +471,9 @@ def test_bucket_and_slot_indices_outside_the_range_are_rejected(j):
     with pytest.raises(OutOfRange):
         book.modify_liquidity(1, j, 2.0)
     assert list(book.weights) == [0] and list(book.weights[0]) == [1.0, 2.0, 0.5]
+    v2 = UniswapV2Market([4.0, 9.0])
+    with pytest.raises(OutOfRange):
+        v2.swap(0.5, j)
 
 
 def test_the_v3_weights_are_copies_of_the_engine_book():
@@ -593,6 +596,28 @@ def test_book_rejects_a_weight_that_is_negative_or_not_finite(weight):
         with pytest.raises(OutOfRange, match="negative or not finite"):
             book.modify_liquidity(lp, 1, weight)
     assert book.t == state and list(book.weights) == [0] and book.weights[0].tolist() == weights
+
+
+@pytest.mark.parametrize("lp", [True, False, "x", 1.5, None])
+def test_book_rejects_an_lp_id_that_is_not_an_integer(lp):
+    # True would edit LP 1 and "x" would open an LP named "x"
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0], 1: [0.5, 0.5]})
+    book.trade(0.5)
+    state, weights = book.t, {k: w.tolist() for k, w in book.weights.items()}
+    with pytest.raises(UnknownKind, match="lp must be an integer"):
+        book.modify_liquidity(lp, 0, 2.0)
+    assert book.t == state and {k: w.tolist() for k, w in book.weights.items()} == weights
+
+
+def test_book_register_lp_opens_a_new_lp_and_modify_opens_a_new_integer_id():
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
+    book.trade(0.5)
+    price, state = book.price, book.t
+    with pytest.raises(TypeError):
+        book.register_lp(0)  # takes no id: one would zero a funded LP with no refund
+    assert book.register_lp() == 1 and book.weights[0].tolist() == [1.0, 1.0]
+    assert book.modify_liquidity(np.int64(5), 1, 0.0) == 0.0 and sorted(book.weights) == [0, 1, 5]
+    assert (book.price, book.t) == (price, state)
 
 
 def test_book_boundary_state_opens_higher_bucket():
