@@ -34,6 +34,8 @@ from .engine import (
     MarketState,
     NormFee,
     PositivePartFee,
+    _check_grid,
+    _check_number,
     audit_budget_balance,
     initialize,
 )
@@ -216,21 +218,34 @@ def _as_price(ev, key, n):
 def replay(scenario: dict, mode=None, fee_name=None, beta=None):
     """Check a scenario's configuration, then return a generator of its trace
     records: the meta record, then each event's record as the event succeeds.
-    A configuration error (mode, fee scheme, no event list) raises here,
-    before any record.  A failing event yields an error record
+    A configuration error raises `UnknownKind` here, before any record: a
+    scenario or fee that is not an object, an n that is not an integer >= 2,
+    an unknown mode or fee scheme, a fee rate that is not a number, or
+    events that are not a list.  A failing event yields an error record
     `{"event", "op", "error", "message"}` and then re-raises its exception,
     whose message names the event and op for a `ParmmError`."""
-    n = int(scenario.get("n", 2))
+    if not isinstance(scenario, dict):
+        raise UnknownKind(f"a scenario must be an object, got {type(scenario).__name__}")
+    n = scenario.get("n", 2)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise UnknownKind(f"n must be an integer >= 2, got {n!r}")
+    n = int(n)
     mode = mode or scenario.get("mode", "strict")
     if mode not in ("strict", "lenient"):
         raise UnknownKind(f"unknown mode {mode!r}")
     fee_cfg = scenario.get("fee", {})
+    if not isinstance(fee_cfg, dict):
+        raise UnknownKind(f"fee must be an object, got {fee_cfg!r}")
     fee_name = fee_name or fee_cfg.get("scheme")
     beta = beta if beta is not None else fee_cfg.get("beta", 0.0)
+    _check_number("fee rate", beta)
     fee = _fee_scheme(fee_name, beta)
+    events = scenario["events"]
+    if not isinstance(events, list):
+        raise UnknownKind(f"events must be a list, got {type(events).__name__}")
     meta = {"meta": {"version": __version__, "n": n, "mode": mode,
                      "fee": {"scheme": fee_name, "beta": beta} if fee else None}}
-    return _replay_events(meta, scenario["events"], n, mode == "strict", fee)
+    return _replay_events(meta, events, n, mode == "strict", fee)
 
 
 def _replay_events(meta, events, n, strict, fee):
@@ -361,6 +376,7 @@ def report_price_path(trace, out):
 
 
 def report_liquidity_profile(trace, out, grid=99):
+    _check_grid(grid)
     last = _states(trace)[-1]["state"]
     n = len(last["price"])
     if n != 2:

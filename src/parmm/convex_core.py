@@ -6,8 +6,10 @@ q = grad Gbar(p) is what the maker owes.  Trade bundles r are oriented toward
 the trader and valid net trades keep the aggregate cost C(q + r) = C(q).
 
 Conjugate solves: two-outcome makers reduce to a monotone scalar equation
-G.slope(p) = q_1 - q_2, solved by safeguarded Newton on the slope with
-G.curvature, warm-started at the caller's price hint; a bisection step is the
+G.slope(p) = q_1 - q_2, solved by safeguarded Newton (rtsafe, Numerical
+Recipes section 9.4), warm-started at the caller's price hint.  Each step
+evaluates G once: G.slope_curvature(p) gives the slope and g'' together,
+with the float operations of separate calls; a bisection step is the
 fallback whenever Newton would leave the bracket or stops halving its step, so
 the answer keeps the bisection's definition (the leftmost solution across
 flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
@@ -132,14 +134,14 @@ def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
     x = min(max(x, lo + _NUDGE), hi - _NUDGE)
     step = hi - lo
     while True:
-        f = G.slope(x) - t
+        f, d = G.slope_curvature(x)
+        f -= t
         if f >= 0.0:
             hi = x
         else:
             lo = x
         if hi - lo <= _XTOL:
             break
-        d = G.curvature(x)
         newton = d > 0.0 and lo <= x - f / d <= hi and abs(f / d) < 0.5 * step
         xn = x - f / d if newton else 0.5 * (lo + hi)
         xn = min(max(xn, lo + _NUDGE), hi - _NUDGE)

@@ -14,7 +14,8 @@ LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
 gives its kind.  Fees are tracked per LP and never touch the pricing math.
 `MarketState.records` is the only per-LP book, which the pools read too;
 its constructor, `initialize`, opens a market.  An LP id that is not an
-integer (bools included) or a bundle that is not an (n,) vector raises
+integer (bools included), a bundle that is not an (n,) vector, a fee rate
+that is not a number or an audit grid that is not a positive integer raises
 `UnknownKind`, a non-finite component `OutOfRange`, before any change.
 """
 
@@ -43,7 +44,7 @@ from .errors import (
     UnknownKind,
     UnsupportedFamily,
 )
-from .generators import Generator, TrivialGenerator, compile_sum
+from .generators import Generator, TrivialGenerator, _not_a_number, compile_sum
 
 _LEVEL_TOL = 1e-8
 
@@ -53,7 +54,27 @@ _LEVEL_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def _check_number(name: str, x):
+    """Raise UnknownKind unless x is a number a float holds: an int or a
+    float, numpy's included, and not a bool."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or _not_a_number(x):
+        raise UnknownKind(f"{name} must be a number, got {x!r}")
+
+
+def _check_lp(lp_id):
+    """Raise UnknownKind unless an LP id is an integer (a bool is not one)."""
+    if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
+        raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
+
+
+def _check_grid(grid):
+    """Raise UnknownKind unless the grid size is a positive integer (not a bool)."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise UnknownKind(f"grid must be a positive integer, got {grid!r}")
+
+
 def _check_rate(beta):
+    _check_number("fee rate", beta)
     if not 0 <= beta < np.inf:
         raise OutOfRange(f"fee rate {beta} is negative or not finite")
 
@@ -207,8 +228,7 @@ class MarketState:
         return self._compiled
 
     def _record(self, lp_id: int) -> LpRecord:
-        if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
-            raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
+        _check_lp(lp_id)
         if not 0 <= lp_id < len(self.records):
             raise UnknownKind(f"no LP with id {lp_id}")
         return self.records[lp_id]
@@ -322,8 +342,10 @@ class MarketState:
     def audit_no_liability(self, lp_id: int, grid: int = 10) -> float:
         """Worst-case component of the LP's liability over a price grid; a
         nonpositive generator never leaves the LP owing the trader, so the
-        audit value should never exceed ~0."""
+        audit value should never exceed ~0.  `grid` points per axis, a
+        positive integer."""
         rec = self._record(lp_id)
+        _check_grid(grid)
         worst = -np.inf
         for p in _simplex_grid(self.n, grid):
             worst = max(worst, float(liability_of(rec.generator, p).max()))

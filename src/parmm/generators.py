@@ -13,8 +13,12 @@ when built.  It is the one piecewise-polynomial family: the `brier`,
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
-does; it adds g, g' and g'' as `g`, `dg` and `d2g`, which give its slope and
-curvature.  All curve families here are normalized so g(0) = g(1) = 0.
+does; it adds g, g' and g'' as `g`, `dg` and `d2g`, which give its `slope`
+and, together with it, its `slope_curvature`: the two-outcome Newton step's
+one evaluation, which a family that finds g' and g'' from one lookup (a
+piece, the held buckets, a sum's terms) computes in one pass, with the float
+operations of `dg` and `d2g`.  All curve families here are normalized so
+g(0) = g(1) = 0.
 `compile_sum` merges the same-family terms of a sum for the solvers.
 """
 
@@ -50,7 +54,9 @@ class Generator:
 
     A family defines value, grad, hessian (the analytic Hessian of the
     extension at a simplex point), vertex_values and descriptor; conjugate is
-    optional.  value and grad accept any strictly positive vector x.
+    optional.  value and grad accept any strictly positive vector x.  At
+    n = 2, slope and slope_curvature follow from grad and hessian; curves,
+    sums and shifts define faster ones that return the same floats.
     """
 
     n: int
@@ -73,10 +79,13 @@ class Generator:
         gr = self.grad(np.array([t, 1.0 - t]))
         return float(gr[0] - gr[1])
 
-    def curvature(self, t: float) -> float:
-        """g''(t) of a two-outcome generator, (1, -1) H (1, -1) at (t, 1 - t)."""
+    def slope_curvature(self, t: float) -> tuple:
+        """(g'(t), g''(t)) of a two-outcome generator, for one Newton step:
+        the slope and (1, -1) H (1, -1) at (t, 1 - t).  A family that finds
+        both from one lookup computes them together, with the float
+        operations of its `slope` and its g'' alone."""
         H = self.hessian(np.array([t, 1.0 - t]))
-        return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
+        return self.slope(t), float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
 
     def conjugate(self, q):
         """Closed form of the cost C(q) = sup_p <p, q> - G(p): the pair
@@ -144,8 +153,8 @@ class Curve1D(Generator):
     def slope(self, t):
         return self.dg(t)
 
-    def curvature(self, t):
-        return self.d2g(t)
+    def slope_curvature(self, t):
+        return self.dg(t), self.d2g(t)
 
     def vertex_values(self):
         return np.array([self.g(1.0), self.g(0.0)])
@@ -220,16 +229,22 @@ class PiecewisePolyCurve(Curve1D):
     def _slope(self, k, p):
         return min(max(float(_horner(self._c1[k], p)), self._dlo[k]), self._dhi[k])
 
-    def dg(self, p):
-        k = self._piece(p)
+    def _dg(self, k, p):
         d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
         if 0 < k and p == self._x[k]:
             d = 0.5 * (d + self._slope(k - 1, p))
         return float(d)
 
+    def dg(self, p):
+        return self._dg(self._piece(p), p)
+
     def d2g(self, p):
         return float(_horner(self._c2[self._piece(p)], p))
+
+    def slope_curvature(self, p):
+        k = self._piece(p)
+        return self._dg(k, p), float(_horner(self._c2[k], p))
 
     def descriptor(self) -> dict:
         return {
@@ -442,6 +457,10 @@ class UniswapV2Curve(Curve1D):
         w = p * (1.0 - p)
         return float(self.alpha / (2.0 * w ** 1.5))
 
+    def slope_curvature(self, p):
+        w = p * (1.0 - p)
+        return float(self.alpha * (2.0 * p - 1.0) / math.sqrt(w)), float(self.alpha / (2.0 * w ** 1.5))
+
     def conjugate(self, q):
         return _constant_product_conjugate(q, 2.0 * self.alpha)
 
@@ -483,17 +502,20 @@ class BucketCurve(Curve1D):
             )
         return float(w * val)
 
+    def _inside(self, d):
+        """The unweighted slope in [a, b], given the base slope d there."""
+        val = d + self._ga - self._gb - self.a * self._da + self._db * (self.b - 1.0)
+        # at the edges the in-bucket sum can round past the tail slopes
+        return min(max(val, self._lo), self._hi)
+
     def dg(self, p):
-        a, b, w = self.a, self.b, self.weight
-        if p < a:
+        if p < self.a:
             val = self._lo
-        elif p > b:
+        elif p > self.b:
             val = self._hi
         else:
-            val = self.base.dg(p) + self._ga - self._gb - a * self._da + self._db * (b - 1.0)
-            # at the edges the in-bucket sum can round past the tail slopes
-            val = min(max(val, self._lo), self._hi)
-        return float(w * val)
+            val = self._inside(self.base.dg(p))
+        return float(self.weight * val)
 
     def d2g(self, p):
         # from the right at the edges, as a piecewise curve takes the piece
@@ -501,6 +523,15 @@ class BucketCurve(Curve1D):
         if self.a <= p < self.b:
             return float(self.weight * self.base.d2g(p))
         return 0.0
+
+    def slope_curvature(self, p):
+        w = self.weight
+        if p < self.a:
+            return float(w * self._lo), 0.0
+        if p > self.b:
+            return float(w * self._hi), 0.0
+        d, d2 = self.base.slope_curvature(p)
+        return float(w * self._inside(d)), (float(w * d2) if p < self.b else 0.0)
 
     _short = None  # the bucket shorthand whose unit base is equal to the base ("" if none), found on first use
 
@@ -612,6 +643,17 @@ class BucketArrayCurve(Curve1D):
         i0, i1 = self.holding(p)
         return float(sum(self._w[j] * self._units[j].d2g(p) for j in range(i0, i1)))
 
+    def slope_curvature(self, p):
+        # dg's sum and d2g's, from 0 as `sum` adds, over one pass
+        i0, i1 = self.holding(p)
+        acc, curv = self._H[i0], 0
+        for j in range(i0, i1):
+            d, d2 = self._units[j].slope_curvature(p)
+            acc += self._w[j] * d
+            curv += self._w[j] * d2
+        s = i0 + i1
+        return float(min(max(acc + self._L[i1], self._dlo[s]), self._dhi[s])), float(curv)
+
     def descriptor(self):
         return {
             "family": "bucket_array",
@@ -666,8 +708,11 @@ class SoftBucketCurve(Curve1D):
         return float(_soft_dg(self._pieces[bisect_right(self._x, p)], p) - self._chord)
 
     def d2g(self, p):
-        u, v, _, _ = self._pieces[bisect_right(self._x, p)]
-        return float((u + v * p) * 2.0 * (p * (1.0 - p)) ** -1.5)
+        return float(_soft_d2g(self._pieces[bisect_right(self._x, p)], p))
+
+    def slope_curvature(self, p):
+        piece = self._pieces[bisect_right(self._x, p)]
+        return float(_soft_dg(piece, p) - self._chord), float(_soft_d2g(piece, p))
 
     def descriptor(self):
         return {"family": "soft_bucket", "knots": list(self.knots), "weights": list(self.weights)}
@@ -684,6 +729,12 @@ def _soft_dg(piece, p):
     """u I0(p) + v I1(p) + c, the derivative of `_soft_g`."""
     u, v, c, _ = piece
     return u * (4.0 * (2.0 * p - 1.0) / math.sqrt(p * (1.0 - p))) + v * (4.0 * math.sqrt(p / (1.0 - p))) + c
+
+
+def _soft_d2g(piece, p):
+    """(u + v p) 2 (p (1 - p))^{-3/2}, the derivative of `_soft_dg`."""
+    u, v, _, _ = piece
+    return (u + v * p) * 2.0 * (p * (1.0 - p)) ** -1.5
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +896,14 @@ class SumGenerator(Generator):
     def slope(self, t):
         return sum(term.slope(t) for term in self.terms)
 
-    def curvature(self, t):
-        return sum([term.curvature(t) for term in self.terms])
+    def slope_curvature(self, t):
+        # both sums run in term order from 0, as `sum` adds
+        slope, curv = 0, 0
+        for term in self.terms:
+            d, d2 = term.slope_curvature(t)
+            slope += d
+            curv += d2
+        return slope, curv
 
     def hessian(self, p):
         return np.sum([t.hessian(p) for t in self.terms], axis=0)
@@ -980,8 +1037,9 @@ class ShiftedGenerator(Generator):
     def slope(self, t):
         return self.inner.slope(t) - float(self.shift[0] - self.shift[1])
 
-    def curvature(self, t):
-        return self.inner.curvature(t)
+    def slope_curvature(self, t):
+        d, d2 = self.inner.slope_curvature(t)
+        return d - float(self.shift[0] - self.shift[1]), d2
 
     def hessian(self, p):
         return self.inner.hessian(p)

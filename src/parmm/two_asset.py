@@ -12,8 +12,9 @@ is read from the engine's records, and the v3 aggregate is the engine's
 solve aggregate.  The v3 pool prices a swap once, with `price_trade`,
 checks its buckets at that price and books that same receipt with its
 bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
-Invalid arguments, bucket and slot indices among them (a bool is not an
-index), raise `ParmmError` subclasses, also under `python -O`.
+Invalid arguments raise `ParmmError` subclasses, also under `python -O`:
+bucket and slot indices among them (a bool is not an index), and amounts,
+weights, rates and prices that are not numbers (a bool is not one either).
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ import math
 import numpy as np
 
 from .convex_core import EPS, conjugate_value, liability_of
-from .engine import MarketState, PositivePartFee
+from .engine import MarketState, PositivePartFee, _check_lp, _check_number
 from .errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
     OutOfRange,
-    UnknownKind,
 )
 from .generators import (
     BucketArrayCurve,
@@ -90,8 +90,8 @@ class UniswapV2Market:
         x = np.asarray(reserves, dtype=float)
         if x.shape != (2,) or not np.all(x > 0):
             raise OutOfRange(f"reserves {x} are not two positive amounts")
-        fee = PositivePartFee(beta) if beta != 0 else None  # a negative or NaN rate is checked
-        self.state = MarketState(UniswapV2Curve(math.sqrt(x[0] * x[1])), liability=-x, fee=fee)
+        fee = PositivePartFee(beta)  # checks the rate
+        self.state = MarketState(UniswapV2Curve(math.sqrt(x[0] * x[1])), liability=-x, fee=fee if beta != 0 else None)
 
     @property
     def reserves(self) -> np.ndarray:
@@ -115,6 +115,7 @@ class UniswapV2Market:
     def mint(self, lp_id: int, alpha_new: float) -> np.ndarray:
         """Set an LP's liquidity share; returns the reserve bundle the LP must
         deposit (proportional to current reserves)."""
+        _check_number("liquidity", alpha_new)
         return self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
 
     def trade(self, r):
@@ -135,6 +136,7 @@ class UniswapV2Market:
     def swap(self, amount_in: float, asset: int = 0) -> np.ndarray:
         """Bundle for a swap selling `amount_in` of one asset into the pool."""
         _check_index(asset, 2)
+        _check_number("swap amount", amount_in)
         if not amount_in > 0:
             raise OutOfRange(f"cannot swap {amount_in} of asset {asset}")
         x = self.reserves
@@ -165,6 +167,7 @@ class UniswapV3Market:
         self._empty = BucketArrayCurve(UniswapV2Curve(1.0), buckets, np.zeros(len(buckets)))
         self.buckets = self._empty.buckets
         self.beta = PositivePartFee(beta).beta  # checks the rate
+        _check_number("opening price", price)
         j = self.locate(price)
         if j is None:
             raise OutOfRange(f"opening price {price} not inside any bucket")
@@ -215,6 +218,7 @@ class UniswapV3Market:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
         rec = self.state._record(lp_id)
         _check_index(j, len(self.buckets))
+        _check_number("bucket weight", weight)
         if not 0 <= weight < math.inf:
             raise OutOfRange(f"bucket weight {weight} is negative or not finite")
         w = self._weights(rec).copy()
@@ -276,6 +280,7 @@ class PiecewiseLinearMarket:
         self.weights: dict[int, np.ndarray] = {}
         if weights:
             for lp_id, w in weights.items():
+                _check_lp(lp_id)
                 w = np.asarray(w, dtype=float)
                 if w.shape != self.grid.shape or not np.all((w >= 0) & (w < math.inf)):
                     raise OutOfRange(f"weights of LP {lp_id} do not match the grid, or are negative or not finite")
@@ -351,9 +356,9 @@ class PiecewiseLinearMarket:
     def modify_liquidity(self, lp_id: int, j: int, weight: float) -> float:
         """Set one LP weight, opening the LP if its integer id is new; returns the
         scalar deposit that keeps the book's price and fill unchanged (exact)."""
-        if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
-            raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
+        _check_lp(lp_id)
         _check_index(j, len(self.grid))
+        _check_number("weight", weight)
         if not 0 <= weight < math.inf:
             raise OutOfRange(f"weight {weight} is negative or not finite")
         self.weights.setdefault(lp_id, np.zeros_like(self.grid))
@@ -369,6 +374,7 @@ class PiecewiseLinearMarket:
     def trade(self, r: float):
         """Move the scalar state by r; returns itemized fills
         [(slot j, filled weight, price a_j)], positive when the book sells."""
+        _check_number("trade", r)
         alpha = self.total_weights()
         j0, y0 = self.active
         j1, y1 = self._decode(self.t + r)  # raises OutOfRange before mutating

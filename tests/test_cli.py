@@ -16,7 +16,7 @@ import pytest
 
 import parmm
 from parmm import LmsrCurve, MarketState, PiecewisePolyCurve, UniswapV2Curve, initialize
-from parmm.cli import _build_parser, _write_trace, main, run_scenario
+from parmm.cli import _build_parser, _write_trace, main, replay, run_scenario
 from parmm.errors import UnknownKind, UnsupportedFamily
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -378,13 +378,44 @@ def test_an_unexpected_failure_also_ends_the_trace_with_an_error_record(tmp_path
     assert trace.read_text() == head + json.dumps(record, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("config", [{"mode": "bogus"}, {"fee": {"scheme": "bogus", "beta": 0.1}}])
-def test_configuration_error_leaves_no_trace_file(config, tmp_path, capsys):
+# a scenario whose configuration is malformed, and the error it raises;
+# n-str and the fee rates used to exit 1 with a traceback, n-fraction to run
+# as n = 2, and events-object to write only the meta line
+_MALFORMED_CONFIGS = {
+    "mode-unknown": ({"n": 2, "mode": "bogus", "events": _OPENING}, "unknown mode 'bogus'"),
+    "scheme-unknown": ({"n": 2, "fee": {"scheme": "bogus", "beta": 0.1}, "events": _OPENING},
+                       "unknown fee scheme 'bogus'"),
+    "not-an-object": ([{"n": 2, "events": _OPENING}], "a scenario must be an object, got list"),
+    "n-str": ({"n": "x", "events": _OPENING}, "n must be an integer >= 2, got 'x'"),
+    "n-fraction": ({"n": 2.5, "events": _OPENING}, "n must be an integer >= 2, got 2.5"),
+    "n-one": ({"n": 1, "events": _OPENING}, "n must be an integer >= 2, got 1"),
+    "n-bool": ({"n": True, "events": _OPENING}, "n must be an integer >= 2, got True"),
+    "events-object": ({"n": 2, "events": {}}, "events must be a list, got dict"),
+    "beta-str": ({"n": 2, "fee": {"scheme": "norm-l1", "beta": "x"}, "events": _OPENING},
+                 "fee rate must be a number, got 'x'"),
+    "beta-str-no-scheme": ({"n": 2, "fee": {"beta": "x"}, "events": _OPENING}, "fee rate must be a number, got 'x'"),
+    "fee-list": ({"n": 2, "fee": [], "events": _OPENING}, "fee must be an object, got []"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_CONFIGS))
+def test_configuration_error_leaves_no_trace_file(name, tmp_path, capsys):
+    scenario, message = _MALFORMED_CONFIGS[name]
     f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
-    f.write_text(json.dumps({"n": 2, **config, "events": _OPENING}))
-    code, out, err = run_cli(["run", str(f), "--out", str(trace)], capsys)
-    assert code == 2 and out == "" and err.startswith("error: unknown ")
+    f.write_text(json.dumps(scenario))
+    assert run_cli(["run", str(f), "--out", str(trace)], capsys) == (2, "", f"error: {message}\n")
     assert not trace.exists()
+    with pytest.raises(UnknownKind):
+        replay(scenario)
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_report_grid_must_be_positive(grid, tmp_path, capsys):
+    # --grid 0 wrote only the header and exited 0
+    trace = tmp_path / "t.jsonl"
+    main(["run", WALK, "--out", str(trace)])
+    assert run_cli(["report", str(trace), "--kind", "liquidity-profile", "--grid", grid], capsys) == (
+        2, "", f"error: grid must be a positive integer, got {grid}\n")
 
 
 def test_reports_read_a_trace_that_ends_in_an_error_record(tmp_path, capsys):

@@ -515,13 +515,15 @@ def test_conjugate_two_on_a_flat_reached_by_a_double_root():
 
 def test_warm_started_two_outcome_solve_needs_few_slope_calls():
     # the k = 16 mixed-family aggregate of the bundle-n2 benchmark workload;
-    # each solve starts from the price before, as the engine's trades do
+    # each solve starts from the price before, as the engine's trades do.
+    # Clamp slopes and Newton steps each evaluate the aggregate once
     inputs = bench_inputs()
     spec = inputs.n2_market(1)
     agg = SumGenerator([normalize_generator(generator_from_descriptor(d, 2)) for d in spec["lps"]])
     calls = []
-    slope = agg.slope
+    slope, fused = agg.slope, agg.slope_curvature
     agg.slope = lambda t: calls.append(t) or slope(t)
+    agg.slope_curvature = lambda t: calls.append(t) or fused(t)
     price = np.array([spec["price"], 1.0 - spec["price"]])
     for _, p1 in zip(range(30), inputs.n2_targets(1, spec["price"])):
         target = np.array([p1, 1.0 - p1])

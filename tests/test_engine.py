@@ -21,6 +21,7 @@ from parmm import (
     MarketState,
     NormFee,
     PairConstantProductGenerator,
+    PiecewiseLinearMarket,
     PiecewisePolyCurve,
     PositivePartFee,
     ShiftedGenerator,
@@ -462,6 +463,15 @@ def test_unknown_lp_ids_are_rejected_before_any_change(lp_id):
     _assert_books_equal(_books(st), before)
 
 
+@pytest.mark.parametrize("grid", [0, -3, 2.5, True, "7"])
+def test_audit_grid_must_be_a_positive_integer(grid):
+    # grid 0 audited no price and returned -inf, which reads as no liability
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    with pytest.raises(UnknownKind, match="grid must be a positive integer"):
+        st.audit_no_liability(0, grid)
+    assert st.audit_no_liability(0, np.int64(1)) == st.audit_no_liability(0, 1) <= 1e-9
+
+
 def test_trade_inputs_of_the_wrong_shape_are_rejected():
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     before = _books(st)
@@ -496,11 +506,20 @@ def _v3_pool():
     return pool
 
 
+def _book():
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0], 1: [0.5, 0.5]})
+    book.trade(0.5)
+    return book
+
+
 def _view(m):
     """What a rejected operation must leave as it was: the engine's snapshot
-    and, for a pool, its reserves and each LP's liquidity."""
+    and, for a pool, its reserves and each LP's liquidity; a book's state,
+    fill and weights."""
     if isinstance(m, MarketState):
         return m.snapshot()
+    if isinstance(m, PiecewiseLinearMarket):
+        return m.t, m.active, {lp: w.tolist() for lp, w in m.weights.items()}
     held = m.alpha if isinstance(m, UniswapV2Market) else {lp: w.tolist() for lp, w in m.weights.items()}
     return m.state.snapshot(), m.reserves.tolist(), held
 
@@ -511,6 +530,9 @@ _BAD_LPS = [True, 1.5, -1, 2]
 _BAD_BUNDLES = [([0.1], UnknownKind), (0.1, UnknownKind), ([0.1, 0.1, 0.1], UnknownKind),
                 ([np.nan, 0.1], OutOfRange), ([np.inf, -0.1], OutOfRange)]
 _BAD_AMOUNTS = [-1.0, math.nan, math.inf]
+# scalar arguments that are not numbers: a bool is not one, nor is an
+# integer no float holds
+_NOT_NUMBERS = ["x", None, True, 2 ** 1024, np.array([0.1, 0.2])]
 _REJECTIONS = [
     *[pytest.param(_two_lmsrs, lambda st, lp=lp: st.modify_liquidity(lp, LmsrCurve(3.0)), UnknownKind,
                    id=f"modify_liquidity-lp-{lp}") for lp in _BAD_LPS],
@@ -538,13 +560,27 @@ _REJECTIONS = [
                    id=f"v3-beta-{x}") for x in _BAD_AMOUNTS],
     *[pytest.param(_two_lmsrs, lambda st, x=x, fee=fee: fee(x), OutOfRange, id=f"{fee.__name__}-{x}")
       for x in _BAD_AMOUNTS for fee in (NormFee, PositivePartFee)],
+    *[pytest.param(market, call, UnknownKind, id=f"{name}-{type(x).__name__}") for x in _NOT_NUMBERS
+      for market, name, call in (
+          (_two_lmsrs, "NormFee", lambda st, x=x: NormFee(x)),
+          (_two_lmsrs, "PositivePartFee", lambda st, x=x: PositivePartFee(x)),
+          (_v2_pool, "v2-beta", lambda m, x=x: UniswapV2Market([4.0, 9.0], beta=x)),
+          (_v2_pool, "v2-mint", lambda m, x=x: m.mint(1, x)),
+          (_v2_pool, "v2-swap", lambda m, x=x: m.swap(x)),
+          (_v3_pool, "v3-beta", lambda m, x=x: UniswapV3Market([(0.1, 0.9)], 0.5, beta=x)),
+          (_v3_pool, "v3-price", lambda m, x=x: UniswapV3Market([(0.1, 0.9)], x)),
+          (_v3_pool, "v3-mint", lambda m, x=x: m.mint(1, 0, x)),
+          (_book, "book-modify", lambda m, x=x: m.modify_liquidity(1, 0, x)),
+          (_book, "book-trade", lambda m, x=x: m.trade(x)),
+      )],
 ]
 
 
 @pytest.mark.parametrize(("market", "call", "error"), _REJECTIONS)
 def test_a_rejected_operation_raises_a_typed_error_and_changes_nothing(market, call, error):
     m = market()
-    assert len((m if isinstance(m, MarketState) else m.state).records) == 2
+    lps = m.weights if isinstance(m, PiecewiseLinearMarket) else (m if isinstance(m, MarketState) else m.state).records
+    assert len(lps) == 2
     before = _view(m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

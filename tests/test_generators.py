@@ -623,7 +623,7 @@ def test_curvature_is_hessian_quadratic_form(family, t):
     G = FAMILIES[family]()
     v = np.array([1.0, -1.0])
     want = float(v @ G.hessian(np.array([t, 1.0 - t])) @ v)
-    assert abs(G.curvature(t) - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(G.slope_curvature(t)[1] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -702,18 +702,72 @@ JOINED = _joined_curves() + [
 ]
 
 
+def _walk(x) -> list:
+    """Sorted prices around the join x: 40 ulps either side, and 1e-13 to
+    1e-9 away."""
+    ps = [x]
+    for _ in range(40):
+        ps = [np.nextafter(ps[0], 0.0)] + ps + [np.nextafter(ps[-1], 1.0)]
+    ps = ps + [x + h for h in (1e-13, 1e-12, 2e-12, 1e-9)]
+    return sorted([x - h for h in (1e-13, 1e-12, 2e-12, 1e-9)] + ps)
+
+
 @pytest.mark.parametrize("curve,joins", JOINED)
 def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
     # the two-outcome price solve relies on it; the flats the joins border
     # would otherwise be cut off by a slope that rounds below their level
     for x in joins:
-        ps = [x]
-        for _ in range(40):
-            ps = [np.nextafter(ps[0], 0.0)] + ps + [np.nextafter(ps[-1], 1.0)]
-        ps = ps + [x + h for h in (1e-13, 1e-12, 2e-12, 1e-9)]
-        ps = sorted([x - h for h in (1e-13, 1e-12, 2e-12, 1e-9)] + ps)
-        slopes = [curve.dg(p) for p in ps]
+        slopes = [curve.dg(p) for p in _walk(x)]
         assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
+
+
+def _curvature(G, t) -> float:
+    """g''(t) as the solver read it before `slope_curvature`: d2g of a curve,
+    the terms' sum from 0 for a sum, the inner generator's for a shift, and
+    the Hessian quadratic form otherwise."""
+    if isinstance(G, Curve1D):
+        return G.d2g(t)
+    if isinstance(G, SumGenerator):
+        return sum([_curvature(T, t) for T in G.terms])
+    if isinstance(G, ShiftedGenerator):
+        return _curvature(G.inner, t)
+    H = G.hessian(np.array([t, 1.0 - t]))
+    return float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
+
+
+def _joins(G) -> list:
+    """The interior prices where G's pieces join, or its terms' do."""
+    if isinstance(G, SumGenerator):
+        return [x for T in G.terms for x in _joins(T)]
+    if isinstance(G, ShiftedGenerator):
+        return _joins(G.inner)
+    if isinstance(G, BucketCurve):
+        return [G.a, G.b]
+    if isinstance(G, BucketArrayCurve):
+        return G._a + G._b
+    if isinstance(G, (PiecewisePolyCurve, SoftBucketCurve)):
+        return [x for x in G._x if 0.0 < x < 1.0]
+    return []
+
+
+FUSED = {
+    **{family: FAMILIES[family] for family in TWO_OUTCOME},
+    "bench-n2": lambda: n2_market(1)._solver(),
+    "bench-v3-pool": lambda: v3_pool(1).state._solver(),
+    **{f"joined-{k}": (lambda c=case.values[0]: c) for k, case in enumerate(JOINED)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_slope_curvature_is_slope_and_curvature_bit_for_bit(name):
+    # one evaluation per Newton step gives the solver the numbers two gave
+    # it, so every price and trace stays the same
+    G = FUSED[name]()
+    joins = sorted(set(_joins(G)))
+    assert joins or name in TWO_OUTCOME
+    for t in np.concatenate([GRID] + [_walk(x) for x in joins]).tolist():
+        want = np.array([G.slope(t), _curvature(G, t)])
+        assert np.array(G.slope_curvature(t)).tobytes() == want.tobytes(), t
 
 
 @pytest.mark.parametrize("buckets", [40, 400])
@@ -724,13 +778,15 @@ def test_bucket_array_slope_evaluates_at_most_two_buckets(buckets, monkeypatch):
     agg = pool.state._solver()
     assert isinstance(agg, BucketArrayCurve)
     calls = []
-    dg = BucketCurve.dg
+    dg, fused = BucketCurve.dg, BucketCurve.slope_curvature
     monkeypatch.setattr(BucketCurve, "dg", lambda self, p: calls.append(p) or dg(self, p))
+    monkeypatch.setattr(BucketCurve, "slope_curvature", lambda self, p: calls.append(p) or fused(self, p))
     edges = sorted({x for ab in pool.buckets for x in ab})
     for p in edges + list(np.linspace(0.01, 0.99, 97)):
-        calls.clear()
-        agg.slope(p)
-        assert len(calls) <= 2
+        for f in (agg.slope, agg.slope_curvature):
+            calls.clear()
+            f(p)
+            assert len(calls) <= 2
 
 
 # two-outcome terms of every family, scaled by the draw (the bucket by its width,
@@ -773,7 +829,8 @@ def test_compiled_sum_matches_the_term_by_term_sum(terms, b, p1):
     assert kinds.count(BucketCurve) <= 1 and kinds.count(PiecewisePolyCurve) <= 1
     for t in (p1, 0.5, 0.03, 0.97):
         assert abs(got.slope(t) - want.slope(t)) <= 1e-12 * max(1.0, abs(want.slope(t)))
-        assert abs(got.curvature(t) - want.curvature(t)) <= 1e-12 * max(1.0, abs(want.curvature(t)))
+        curv = want.slope_curvature(t)[1]
+        assert abs(got.slope_curvature(t)[1] - curv) <= 1e-12 * max(1.0, abs(curv))
         x = np.array([t, 1.0 - t])
         assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
     q = want.grad(np.array([p1, 1.0 - p1]))
@@ -856,9 +913,9 @@ def _assert_sums_to(got, terms):
     want = SumGenerator(terms)
     for p in sorted(set(GRID) | {y for x in joins for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))}):
         x = np.array([p, 1.0 - p])
-        for f in ("slope", "curvature"):
-            b = getattr(want, f)(p)
-            assert abs(getattr(got, f)(p) - b) <= 1e-12 * max(1.0, abs(b))
+        for f in (lambda G: G.slope(p), lambda G: G.slope_curvature(p)[1]):
+            b = f(want)
+            assert abs(f(got) - b) <= 1e-12 * max(1.0, abs(b))
         assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
 
 
@@ -1019,7 +1076,7 @@ def test_curve_derivative_consistency(family):
         assert fd1 == pytest.approx(G.slope(p), rel=1e-5, abs=1e-5)
         h = 1e-5
         fd2 = (G.slope(p + h) - G.slope(p - h)) / (2 * h)
-        assert fd2 == pytest.approx(G.curvature(p), rel=1e-4, abs=1e-4)
+        assert fd2 == pytest.approx(G.slope_curvature(p)[1], rel=1e-4, abs=1e-4)
 
 
 def test_pair_generator_matches_two_outcome_shape():
@@ -1220,9 +1277,10 @@ def test_with_weights_after_a_solve_solves_as_a_fresh_curve():
 def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
     st = n2_market(1) if bench == "n2" else v3_pool(1).state
     agg = st._solver()
-    calls = []
-    slope = type(agg).slope
+    calls, steps = [], []
+    slope, fused = type(agg).slope, type(agg).slope_curvature
     monkeypatch.setattr(type(agg), "slope", lambda self, t: calls.append(t) or slope(self, t))
+    monkeypatch.setattr(type(agg), "slope_curvature", lambda self, t: steps.append(t) or fused(self, t))
     lo, hi = agg.slope(EPS), agg.slope(1.0 - EPS)
     calls.clear()
     price, ends = st.price, 0
@@ -1232,5 +1290,7 @@ def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
             res = conjugate_value(agg, q, price)
             price, ends = res.price, ends + res.at_boundary
     assert ends == 40
-    assert calls.count(EPS) == 1 and calls.count(1.0 - EPS) == 1
-    assert len(calls) > 60
+    # the clamp slopes are the only slope calls; each Newton step evaluates
+    # the aggregate once, through slope_curvature
+    assert calls == [EPS, 1.0 - EPS]
+    assert len(steps) > 60

@@ -609,6 +609,16 @@ def test_book_rejects_an_lp_id_that_is_not_an_integer(lp):
     assert book.t == state and {k: w.tolist() for k, w in book.weights.items()} == weights
 
 
+@pytest.mark.parametrize("lp", [True, "x", 1.5])
+def test_book_constructor_rejects_an_lp_id_that_is_not_an_integer(lp):
+    # "x" made register_lp fail on "x" + 1, True let modify_liquidity(1, ...)
+    # edit LP True, and 1.5 made register_lp return 2.5
+    with pytest.raises(UnknownKind, match="lp must be an integer"):
+        PiecewiseLinearMarket([0.2, 0.4], {lp: [1.0, 1.0]})
+    book = PiecewiseLinearMarket([0.2, 0.4], {np.int64(0): [1.0, 1.0]})
+    assert book.register_lp() == 1
+
+
 def test_book_register_lp_opens_a_new_lp_and_modify_opens_a_new_integer_id():
     book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
     book.trade(0.5)
