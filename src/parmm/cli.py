@@ -34,7 +34,7 @@ from .engine import (
     MarketState,
     NormFee,
     PositivePartFee,
-    _check_grid,
+    _check_integer,
     _check_number,
     audit_budget_balance,
     initialize,
@@ -227,8 +227,7 @@ def replay(scenario: dict, mode=None, fee_name=None, beta=None):
     if not isinstance(scenario, dict):
         raise UnknownKind(f"a scenario must be an object, got {type(scenario).__name__}")
     n = scenario.get("n", 2)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise UnknownKind(f"n must be an integer >= 2, got {n!r}")
+    _check_integer("n", n, 2)
     n = int(n)
     mode = mode or scenario.get("mode", "strict")
     if mode not in ("strict", "lenient"):
@@ -376,7 +375,7 @@ def report_price_path(trace, out):
 
 
 def report_liquidity_profile(trace, out, grid=99):
-    _check_grid(grid)
+    _check_integer("grid", grid, 1)
     last = _states(trace)[-1]["state"]
     n = len(last["price"])
     if n != 2:

@@ -6,16 +6,16 @@ q = grad Gbar(p) is what the maker owes.  Trade bundles r are oriented toward
 the trader and valid net trades keep the aggregate cost C(q + r) = C(q).
 
 Conjugate solves: two-outcome makers reduce to a monotone scalar equation
-G.slope(p) = q_1 - q_2, solved by safeguarded Newton (rtsafe, Numerical
-Recipes section 9.4), warm-started at the caller's price hint.  Each step
-evaluates G once: G.slope_curvature(p) gives the slope and g'' together,
-with the float operations of separate calls; a bisection step is the
-fallback whenever Newton would leave the bracket or stops halving its step, so
-the answer keeps the bisection's definition (the leftmost solution across
-flats and kinks, to a bracket of 1e-15), given a slope that is nondecreasing
-in floating point as `Curve1D.dg` promises.  The slopes at the two clamps,
-which tell whether the maximizer sits at one, depend on G alone: they are
-evaluated once per generator object and kept on it.
+g'(p) = q_1 - q_2, solved by safeguarded Newton (rtsafe, Numerical Recipes
+section 9.4), warm-started at the caller's price hint.  Each step evaluates G
+once: G.slope_curvature(p) gives the slope g'(p) and g''(p) together; a
+bisection step is the fallback whenever Newton would leave the bracket or
+stops halving its step, so the answer keeps the bisection's definition (the
+leftmost solution across flats and kinks, to a bracket of 1e-15), given a
+slope that is nondecreasing in floating point as `Curve1D.dg` promises.  The
+slopes at the two clamps, which tell whether the maximizer sits at one,
+depend on G alone: they are evaluated once per generator object and kept on
+it.
 This is the package's only scalar solver: `two_asset.price2` calls into
 `conjugate_value`.  Larger markets have one solver too:
 damped Newton on the KKT system of max <p, q> - G(p) over the clamped simplex,
@@ -108,7 +108,7 @@ def _clamp_slopes(G: Generator) -> tuple:
     on it as `Generator._clamp_slopes`."""
     ends = G._clamp_slopes
     if ends is None:
-        ends = G._clamp_slopes = (G.slope(EPS), G.slope(1.0 - EPS))
+        ends = G._clamp_slopes = (G.slope_curvature(EPS)[0], G.slope_curvature(1.0 - EPS)[0])
     return ends
 
 

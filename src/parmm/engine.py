@@ -61,16 +61,20 @@ def _check_number(name: str, x):
         raise UnknownKind(f"{name} must be a number, got {x!r}")
 
 
-def _check_lp(lp_id):
-    """Raise UnknownKind unless an LP id is an integer (a bool is not one)."""
-    if isinstance(lp_id, bool) or not isinstance(lp_id, (int, np.integer)):
-        raise UnknownKind(f"lp must be an integer, got {lp_id!r}")
+def _check_integer(name: str, k, least=None):
+    """Raise UnknownKind unless k is an integer, numpy's included and a bool
+    not one, and at least `least` if that is given: an LP id, a count."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or least is not None and k < least:
+        what = "an integer" if least is None else "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise UnknownKind(f"{name} must be {what}, got {k!r}")
 
 
-def _check_grid(grid):
-    """Raise UnknownKind unless the grid size is a positive integer (not a bool)."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise UnknownKind(f"grid must be a positive integer, got {grid!r}")
+def _floats(name: str, x) -> np.ndarray:
+    """x as a float array; UnknownKind if it holds what is not a number."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise UnknownKind(f"{name} is not numeric: {x!r}") from None
 
 
 def _check_rate(beta):
@@ -228,7 +232,7 @@ class MarketState:
         return self._compiled
 
     def _record(self, lp_id: int) -> LpRecord:
-        _check_lp(lp_id)
+        _check_integer("lp", lp_id)
         if not 0 <= lp_id < len(self.records):
             raise UnknownKind(f"no LP with id {lp_id}")
         return self.records[lp_id]
@@ -345,7 +349,7 @@ class MarketState:
         audit value should never exceed ~0.  `grid` points per axis, a
         positive integer."""
         rec = self._record(lp_id)
-        _check_grid(grid)
+        _check_integer("grid", grid, 1)
         worst = -np.inf
         for p in _simplex_grid(self.n, grid):
             worst = max(worst, float(liability_of(rec.generator, p).max()))
@@ -369,10 +373,7 @@ class MarketState:
 
 def _bundle(name: str, x, n: int) -> np.ndarray:
     """x as a finite float (n,) vector; UnknownKind or OutOfRange otherwise."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise UnknownKind(f"{name} is not numeric: {x!r}") from None
+    x = _floats(name, x)
     if x.shape != (n,):
         raise UnknownKind(f"{name} has shape {x.shape} on a {n}-outcome market")
     if not np.isfinite(x).all():

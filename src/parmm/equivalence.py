@@ -18,7 +18,7 @@ from .convex_core import (
     liability_of,
     price_of,
 )
-from .engine import initialize
+from .engine import _check_integer, initialize
 from .errors import InvariantViolated, ParmmError
 from .generators import (
     BucketCurve,
@@ -141,7 +141,11 @@ def _sample_price(rng, n: int) -> np.ndarray:
 
 def equivalence_suite(n: int, trials: int, seed: int) -> dict:
     """Random markets, random price moves; check that the engine split, the
-    scoring-rule split and per-LP coherence all agree."""
+    scoring-rule split and per-LP coherence all agree.  UnknownKind unless n
+    is an integer >= 2 and trials a positive integer: a suite that checked
+    nothing does not pass."""
+    _check_integer("n", n, 2)
+    _check_integer("trials", trials, 1)
     rng = np.random.default_rng(seed)
     tol = 1e-7 if n == 2 else 1e-6
     worst_net = worst_part = worst_price = worst_level = 0.0

@@ -13,11 +13,12 @@ when built.  It is the one piecewise-polynomial family: the `brier`,
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
-does; it adds g, g' and g'' as `g`, `dg` and `d2g`, which give its `slope`
-and, together with it, its `slope_curvature`: the two-outcome Newton step's
-one evaluation, which a family that finds g' and g'' from one lookup (a
-piece, the held buckets, a sum's terms) computes in one pass, with the float
-operations of `dg` and `d2g`.  All curve families here are normalized so
+does; it adds g and g' as `g` and `dg`, and writes g'' once, in
+`slope_curvature`: the pair (g', g''), the two-outcome Newton step's one
+evaluation, which a family finds from one lookup (a piece, the held buckets)
+with the float operations of its `dg`.  Its `hessian` reads g'' there.  At
+n = 2, every generator's slope g' is `slope_curvature(t)[0]`, q_1 - q_2 at
+the price (t, 1 - t).  All curve families here are normalized so
 g(0) = g(1) = 0.
 `compile_sum` merges the same-family terms of a sum for the solvers.
 """
@@ -55,8 +56,8 @@ class Generator:
     A family defines value, grad, hessian (the analytic Hessian of the
     extension at a simplex point), vertex_values and descriptor; conjugate is
     optional.  value and grad accept any strictly positive vector x.  At
-    n = 2, slope and slope_curvature follow from grad and hessian; curves,
-    sums and shifts define faster ones that return the same floats.
+    n = 2, slope_curvature follows from grad and hessian; sums and shifts
+    define faster ones that return the same floats, and curves define their own.
     """
 
     n: int
@@ -74,18 +75,12 @@ class Generator:
     def hessian(self, p) -> np.ndarray:
         raise NotImplementedError
 
-    def slope(self, t: float) -> float:
-        """g'(t) of a two-outcome generator: the gradient difference at (t, 1 - t)."""
-        gr = self.grad(np.array([t, 1.0 - t]))
-        return float(gr[0] - gr[1])
-
     def slope_curvature(self, t: float) -> tuple:
         """(g'(t), g''(t)) of a two-outcome generator, for one Newton step:
-        the slope and (1, -1) H (1, -1) at (t, 1 - t).  A family that finds
-        both from one lookup computes them together, with the float
-        operations of its `slope` and its g'' alone."""
+        the gradient difference and (1, -1) H (1, -1) at (t, 1 - t)."""
+        gr = self.grad(np.array([t, 1.0 - t]))
         H = self.hessian(np.array([t, 1.0 - t]))
-        return self.slope(t), float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
+        return float(gr[0] - gr[1]), float(H[0, 0] - H[0, 1] - H[1, 0] + H[1, 1])
 
     def conjugate(self, q):
         """Closed form of the cost C(q) = sup_p <p, q> - G(p): the pair
@@ -107,7 +102,8 @@ class Generator:
 
 class Curve1D(Generator):
     """Two-outcome generator G(p) = g(p_1) of a convex curve g on [0, 1];
-    g(0) and g(1) are finite for every family here."""
+    g(0) and g(1) are finite for every family here.  A family defines `g`,
+    `dg`, `slope_curvature` and `descriptor`."""
 
     n = 2
 
@@ -123,9 +119,10 @@ class Curve1D(Generator):
         """
         raise NotImplementedError
 
-    def d2g(self, p):
-        """Second derivative where defined, from the right at a kink (0 on flat
-        pieces)."""
+    def slope_curvature(self, p):
+        """(dg(p), g''(p)), g'' where defined, from the right at a kink (0 on
+        flat pieces).  The curve's only g''; the base has none, since the
+        generator default reads `hessian`, which reads this."""
         raise NotImplementedError
 
     # value and grad read x as two Python floats: numpy's scalar arithmetic
@@ -148,13 +145,7 @@ class Curve1D(Generator):
         s = p.sum()
         t = p[0] / s
         v = np.array([1.0 - t, -t])
-        return self.d2g(t) / s * np.outer(v, v)
-
-    def slope(self, t):
-        return self.dg(t)
-
-    def slope_curvature(self, t):
-        return self.dg(t), self.d2g(t)
+        return self.slope_curvature(t)[1] / s * np.outer(v, v)
 
     def vertex_values(self):
         return np.array([self.g(1.0), self.g(0.0)])
@@ -238,9 +229,6 @@ class PiecewisePolyCurve(Curve1D):
 
     def dg(self, p):
         return self._dg(self._piece(p), p)
-
-    def d2g(self, p):
-        return float(_horner(self._c2[self._piece(p)], p))
 
     def slope_curvature(self, p):
         k = self._piece(p)
@@ -392,8 +380,8 @@ class LmsrCurve(Curve1D):
     def dg(self, p):
         return float(self.b * (np.log(p) - np.log1p(-p)))
 
-    def d2g(self, p):
-        return float(self.b / (p * (1.0 - p)))
+    def slope_curvature(self, p):
+        return self.dg(p), float(self.b / (p * (1.0 - p)))
 
     def conjugate(self, q):
         t = q[0] - q[1]
@@ -452,10 +440,6 @@ class UniswapV2Curve(Curve1D):
     def dg(self, p):
         w = math.sqrt(p * (1.0 - p))
         return float(self.alpha * (2.0 * p - 1.0) / w)
-
-    def d2g(self, p):
-        w = p * (1.0 - p)
-        return float(self.alpha / (2.0 * w ** 1.5))
 
     def slope_curvature(self, p):
         w = p * (1.0 - p)
@@ -517,13 +501,6 @@ class BucketCurve(Curve1D):
             val = self._inside(self.base.dg(p))
         return float(self.weight * val)
 
-    def d2g(self, p):
-        # from the right at the edges, as a piecewise curve takes the piece
-        # right of a breakpoint: then buckets that tile [a, b] add up to it
-        if self.a <= p < self.b:
-            return float(self.weight * self.base.d2g(p))
-        return 0.0
-
     def slope_curvature(self, p):
         w = self.weight
         if p < self.a:
@@ -531,6 +508,8 @@ class BucketCurve(Curve1D):
         if p > self.b:
             return float(w * self._hi), 0.0
         d, d2 = self.base.slope_curvature(p)
+        # g'' from the right at the edges, as a piecewise curve takes the
+        # piece right of a breakpoint: then buckets that tile [a, b] add up to it
         return float(w * self._inside(d)), (float(w * d2) if p < self.b else 0.0)
 
     _short = None  # the bucket shorthand whose unit base is equal to the base ("" if none), found on first use
@@ -639,12 +618,8 @@ class BucketArrayCurve(Curve1D):
         s = i0 + i1
         return float(min(max(acc + self._L[i1], self._dlo[s]), self._dhi[s]))
 
-    def d2g(self, p):
-        i0, i1 = self.holding(p)
-        return float(sum(self._w[j] * self._units[j].d2g(p) for j in range(i0, i1)))
-
     def slope_curvature(self, p):
-        # dg's sum and d2g's, from 0 as `sum` adds, over one pass
+        # dg's sum, and g'' summed from 0 over the same held buckets
         i0, i1 = self.holding(p)
         acc, curv = self._H[i0], 0
         for j in range(i0, i1):
@@ -706,9 +681,6 @@ class SoftBucketCurve(Curve1D):
 
     def dg(self, p):
         return float(_soft_dg(self._pieces[bisect_right(self._x, p)], p) - self._chord)
-
-    def d2g(self, p):
-        return float(_soft_d2g(self._pieces[bisect_right(self._x, p)], p))
 
     def slope_curvature(self, p):
         piece = self._pieces[bisect_right(self._x, p)]
@@ -893,9 +865,6 @@ class SumGenerator(Generator):
     def grad(self, x):
         return np.sum([t.grad(x) for t in self.terms], axis=0)
 
-    def slope(self, t):
-        return sum(term.slope(t) for term in self.terms)
-
     def slope_curvature(self, t):
         # both sums run in term order from 0, as `sum` adds
         slope, curv = 0, 0
@@ -1033,9 +1002,6 @@ class ShiftedGenerator(Generator):
 
     def grad(self, x):
         return self.inner.grad(x) - self.shift
-
-    def slope(self, t):
-        return self.inner.slope(t) - float(self.shift[0] - self.shift[1])
 
     def slope_curvature(self, t):
         d, d2 = self.inner.slope_curvature(t)

@@ -13,8 +13,10 @@ solve aggregate.  The v3 pool prices a swap once, with `price_trade`,
 checks its buckets at that price and books that same receipt with its
 bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
 Invalid arguments raise `ParmmError` subclasses, also under `python -O`:
-bucket and slot indices among them (a bool is not an index), and amounts,
-weights, rates and prices that are not numbers (a bool is not one either).
+bucket and slot indices among them (a bool is not an index), amounts,
+weights, rates and prices that are not numbers (a bool is not one either),
+and reserves, trades, buckets, grids and weight vectors that hold what is
+not a number or have the wrong shape.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import math
 import numpy as np
 
 from .convex_core import EPS, conjugate_value, liability_of
-from .engine import MarketState, PositivePartFee, _check_lp, _check_number
+from .engine import MarketState, PositivePartFee, _bundle, _check_integer, _check_number, _floats
 from .errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
     OutOfRange,
+    UnknownKind,
 )
 from .generators import (
     BucketArrayCurve,
@@ -52,6 +55,7 @@ __all__ = [
 
 def liability2(curve: Curve1D, p: float) -> np.ndarray:
     """Scoring-rule liability of the curve maker quoting price p: `liability_of` at (p, 1 - p)."""
+    _check_number("price", p)
     if not EPS <= min(p, 1.0 - p):
         raise OutOfRange(f"price {p} outside the clamp")
     return liability_of(curve, [p, 1.0 - p])
@@ -87,7 +91,7 @@ class UniswapV2Market:
     """
 
     def __init__(self, reserves, beta: float = 0.0):
-        x = np.asarray(reserves, dtype=float)
+        x = _floats("reserves", reserves)
         if x.shape != (2,) or not np.all(x > 0):
             raise OutOfRange(f"reserves {x} are not two positive amounts")
         fee = PositivePartFee(beta)  # checks the rate
@@ -121,7 +125,7 @@ class UniswapV2Market:
     def trade(self, r):
         """Execute the bundle r (toward the trader); the pool keeps its
         product invariant and positive reserves or the trade is rejected."""
-        r = np.asarray(r, dtype=float)
+        r = _bundle("trade", r, 2)
         x = self.reserves
         x_new = x - r
         if np.any(x_new <= 0):
@@ -164,6 +168,9 @@ class UniswapV3Market:
 
     def __init__(self, buckets, price: float, beta: float = 0.0):
         # validates the buckets; every LP's curve shares its bucket constants
+        pairs = _floats("buckets", buckets)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise UnknownKind(f"buckets must be (a, b) pairs, got shape {pairs.shape}")
         self._empty = BucketArrayCurve(UniswapV2Curve(1.0), buckets, np.zeros(len(buckets)))
         self.buckets = self._empty.buckets
         self.beta = PositivePartFee(beta).beta  # checks the rate
@@ -229,6 +236,8 @@ class UniswapV3Market:
 
     def shifted_invariant_gap(self, j: int, p: float) -> float:
         """Deviation of bucket j's virtual reserves from its invariant at p."""
+        _check_index(j, len(self.buckets))
+        _check_number("price", p)
         A = float(self.aggregate_curve().weights[j])
         a, b = self.buckets[j]
         crv = BucketCurve(UniswapV2Curve(1.0), a, b, A)
@@ -274,14 +283,16 @@ class PiecewiseLinearMarket:
     """
 
     def __init__(self, grid, weights: dict | None = None):
-        self.grid = np.asarray(grid, dtype=float)
+        self.grid = _floats("grid", grid)
+        if self.grid.ndim != 1 or not self.grid.size:
+            raise UnknownKind(f"grid must be a nonempty vector of prices, got shape {self.grid.shape}")
         if not (np.all(np.diff(self.grid) > 0) and self.grid[0] > 0 and self.grid[-1] < 1):
             raise OutOfRange("grid prices must increase strictly inside (0, 1)")
         self.weights: dict[int, np.ndarray] = {}
         if weights:
             for lp_id, w in weights.items():
-                _check_lp(lp_id)
-                w = np.asarray(w, dtype=float)
+                _check_integer("lp", lp_id)
+                w = _floats(f"weight vector of LP {lp_id}", w)
                 if w.shape != self.grid.shape or not np.all((w >= 0) & (w < math.inf)):
                     raise OutOfRange(f"weights of LP {lp_id} do not match the grid, or are negative or not finite")
                 self.weights[lp_id] = w
@@ -356,7 +367,7 @@ class PiecewiseLinearMarket:
     def modify_liquidity(self, lp_id: int, j: int, weight: float) -> float:
         """Set one LP weight, opening the LP if its integer id is new; returns the
         scalar deposit that keeps the book's price and fill unchanged (exact)."""
-        _check_lp(lp_id)
+        _check_integer("lp", lp_id)
         _check_index(j, len(self.grid))
         _check_number("weight", weight)
         if not 0 <= weight < math.inf:

@@ -17,6 +17,7 @@ import pytest
 import parmm
 from parmm import LmsrCurve, MarketState, PiecewisePolyCurve, UniswapV2Curve, initialize
 from parmm.cli import _build_parser, _write_trace, main, replay, run_scenario
+from parmm.equivalence import equivalence_suite
 from parmm.errors import UnknownKind, UnsupportedFamily
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -134,6 +135,27 @@ def test_equivalence_out_writes_the_bytes_it_prints(tmp_path, capsys):
     out = tmp_path / "eq.json"
     assert code == 0 and run_cli(argv + ["--out", str(out)], capsys) == (0, "", "")
     assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("n, trials, line", [
+    (2, 0, "trials must be a positive integer, got 0"),
+    (2, -1, "trials must be a positive integer, got -1"),
+    (1, 5, "n must be an integer >= 2, got 1"),
+], ids=["trials-0", "trials-negative", "n-1"])
+def test_equivalence_that_would_check_nothing_exits_2(n, trials, line, tmp_path, capsys):
+    # no trials passed with "pass": true, and n = 1 failed as a market error
+    out = tmp_path / "eq.json"
+    argv = ["equivalence", "--n", str(n), "--trials", str(trials), "--out", str(out)]
+    assert run_cli(argv, capsys) == (2, "", f"error: {line}\n")
+    assert not out.exists()
+    with pytest.raises(UnknownKind, match=line):
+        equivalence_suite(n, trials, 0)
+
+
+@pytest.mark.parametrize("n, trials", [(True, 5), (2.0, 5), (2, 1.0), (2, True)])
+def test_equivalence_counts_must_be_integers(n, trials):
+    with pytest.raises(UnknownKind, match="must be"):
+        equivalence_suite(n, trials, 0)
 
 
 def test_report_kinds_are_checked(tmp_path, capsys):

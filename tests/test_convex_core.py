@@ -226,7 +226,7 @@ def test_inverse_duality_two_outcomes():
     for p in [0.2, 0.5, 0.8]:
         q = crv.dg(p)
         c2 = (crv.conjugate([q + h, 0.0])[1][0] - crv.conjugate([q - h, 0.0])[1][0]) / (2 * h)
-        assert c2 == pytest.approx(1.0 / crv.d2g(p), rel=1e-6)
+        assert c2 == pytest.approx(1.0 / crv.slope_curvature(p)[1], rel=1e-6)
 
 
 def test_directional_liquidity_uniform_values():
@@ -478,13 +478,13 @@ LEFTMOST = leftmost_families()
 @given(s=st.floats(0.02, 0.98), h=st.floats(0.02, 0.98))
 @settings(max_examples=40, deadline=None)
 def test_conjugate_two_returns_the_leftmost_point_whatever_the_hint(G, s, h):
-    t = G.slope(s)
+    t = G.slope_curvature(s)[0]
     q = np.array([t, 0.0])
     res = _conjugate_two(G, q, None)
     p = float(res.price[0])
     if not res.at_boundary:
-        assert G.slope(p) >= t
-        assert G.slope(p - 2e-15) < t
+        assert G.slope_curvature(p)[0] >= t
+        assert G.slope_curvature(p - 2e-15)[0] < t
     for hint in ([h, 1.0 - h], [EPS, 1.0 - EPS], [1.0 - EPS, EPS]):
         other = _conjugate_two(G, q, np.array(hint))
         assert abs(float(other.price[0]) - p) <= 1e-12
@@ -495,7 +495,7 @@ def test_conjugate_two_keeps_the_flat_when_newton_lands_on_its_right_end():
     # Newton from the right converges onto 0.6, the right end of the flat;
     # the bucket's slope there must not round below the flat's level
     G = two_bucket_gap()
-    q = np.array([G.slope(0.5), 0.0])
+    q = np.array([G.slope_curvature(0.5)[0], 0.0])
     for hint in (None, [0.75, 0.25], [0.3, 0.7]):
         res = _conjugate_two(G, q, None if hint is None else np.array(hint))
         assert res.price[0] == pytest.approx(0.4, abs=1e-15)
@@ -506,23 +506,22 @@ def test_conjugate_two_on_a_flat_reached_by_a_double_root():
     # flat's left end: g' sits within rounding of t over ~1e-8 left of 0.4 and
     # no evaluation order can resolve the point more finely than that
     G = SoftBucketCurve([0, 0.3, 0.4, 0.6, 0.7, 1], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-    q = np.array([G.slope(0.5), 0.0])
+    q = np.array([G.slope_curvature(0.5)[0], 0.0])
     for hint in (None, [0.1, 0.9], [0.39, 0.61], [0.5, 0.5], [0.65, 0.35], [0.9, 0.1]):
         p = float(_conjugate_two(G, q, None if hint is None else np.array(hint)).price[0])
-        assert G.slope(p) >= q[0]
+        assert G.slope_curvature(p)[0] >= q[0]
         assert abs(p - 0.4) < 1e-7
 
 
 def test_warm_started_two_outcome_solve_needs_few_slope_calls():
     # the k = 16 mixed-family aggregate of the bundle-n2 benchmark workload;
     # each solve starts from the price before, as the engine's trades do.
-    # Clamp slopes and Newton steps each evaluate the aggregate once
+    # Clamp slopes and Newton steps each evaluate the aggregate once, with
+    # slope_curvature
     inputs = bench_inputs()
     spec = inputs.n2_market(1)
     agg = SumGenerator([normalize_generator(generator_from_descriptor(d, 2)) for d in spec["lps"]])
-    calls = []
-    slope, fused = agg.slope, agg.slope_curvature
-    agg.slope = lambda t: calls.append(t) or slope(t)
+    calls, fused = [], agg.slope_curvature
     agg.slope_curvature = lambda t: calls.append(t) or fused(t)
     price = np.array([spec["price"], 1.0 - spec["price"]])
     for _, p1 in zip(range(30), inputs.n2_targets(1, spec["price"])):

@@ -33,6 +33,7 @@ from parmm import (
     brier_curve,
     compute_fees,
     initialize,
+    liability2,
 )
 from parmm.errors import (
     LiabilityMismatch,
@@ -573,6 +574,22 @@ _REJECTIONS = [
           (_book, "book-modify", lambda m, x=x: m.modify_liquidity(1, 0, x)),
           (_book, "book-trade", lambda m, x=x: m.trade(x)),
       )],
+    *[pytest.param(_v2_pool, lambda m, b=b: m.trade(b), error, id=f"v2-trade-{b}") for b, error in _BAD_BUNDLES],
+    # vector arguments that hold what is not a number, or have the wrong shape
+    *[pytest.param(market, call, UnknownKind, id=name) for market, name, call in (
+        (_v2_pool, "v2-reserves-str", lambda m: UniswapV2Market(["x", 1.0])),
+        (_v2_pool, "v2-trade-str", lambda m: m.trade(["x", 1.0])),
+        (_v3_pool, "v3-buckets-str", lambda m: UniswapV3Market([(0.1, "x")], 0.5)),
+        (_v3_pool, "v3-buckets-triple", lambda m: UniswapV3Market([(0.1, 0.2, 0.3)], 0.15)),
+        (_book, "book-grid-str", lambda m: PiecewiseLinearMarket(["x", 0.4])),
+        (_book, "book-grid-2d", lambda m: PiecewiseLinearMarket([[0.2, 0.4]])),
+        (_book, "book-weights-str", lambda m: PiecewiseLinearMarket([0.2, 0.4], {0: ["x", 1.0]})),
+    )],
+    # bucket -1 read the last bucket, 5 and True failed in numpy
+    *[pytest.param(_v3_pool, lambda m, j=j: m.shifted_invariant_gap(j, 0.4), OutOfRange, id=f"v3-gap-bucket-{j}")
+      for j in (-1, 5, True)],
+    pytest.param(_v3_pool, lambda m: m.shifted_invariant_gap(1, "x"), UnknownKind, id="v3-gap-price-str"),
+    pytest.param(_two_lmsrs, lambda st: liability2(LmsrCurve(1.0), "x"), UnknownKind, id="liability2-price-str"),
 ]
 
 

@@ -66,7 +66,7 @@ def test_constant_liquidity_two_is_quadratic_score():
     ref = brier_curve(1.0)
     for p in GRID:
         assert crv.g(p) == pytest.approx(ref.g(p), abs=1e-15)
-        assert crv.d2g(p) == 2.0
+        assert crv.slope_curvature(p)[1] == 2.0
 
 
 def test_walkthrough_curves_from_liquidity():
@@ -95,7 +95,7 @@ def test_from_liquidity_round_trip_random_profiles():
         for p in GRID:
             k = np.searchsorted(xs, p) - 1
             c = polys[min(max(k, 0), 2)]
-            assert crv.d2g(p) == pytest.approx(c[0] + c[2] * p * p, rel=1e-12, abs=1e-12)
+            assert crv.slope_curvature(p)[1] == pytest.approx(c[0] + c[2] * p * p, rel=1e-12, abs=1e-12)
             assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=1e-5, abs=1e-5)
 
 
@@ -279,8 +279,8 @@ def test_bucket_liquidity_restriction():
     base = LmsrCurve(1.0)
     crv = BucketCurve(base, 0.3, 0.7, 1.5)
     for p in GRID:
-        want = 1.5 * base.d2g(p) if 0.3 <= p < 0.7 else 0.0
-        assert crv.d2g(p) == want
+        want = 1.5 * base.slope_curvature(p)[1] if 0.3 <= p < 0.7 else 0.0
+        assert crv.slope_curvature(p)[1] == want
         assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=2e-5, abs=2e-5)
     assert crv.g(0.0) == 0.0 and crv.g(1.0) == 0.0
 
@@ -312,7 +312,7 @@ def test_soft_bucket_matches_quadrature():
         return f * 2.0 * (p * (1 - p)) ** -1.5
 
     for p in [0.1, 0.3, 0.45, 0.6, 0.8]:
-        assert crv.d2g(p) == pytest.approx(ell(p), rel=1e-12)
+        assert crv.slope_curvature(p)[1] == pytest.approx(ell(p), rel=1e-12)
         num = gauss_legendre(ell, 0.45, p, knots=[0.3, 0.6])
         assert crv.dg(p) - crv.dg(0.45) == pytest.approx(num, abs=1e-12)
     assert crv.g(0.0) == pytest.approx(0.0, abs=1e-12)
@@ -322,7 +322,7 @@ def test_soft_bucket_matches_quadrature():
 def test_soft_bucket_tent_peaks_at_its_knot():
     crv = SoftBucketCurve([0.0, 0.2, 0.3, 0.45, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0])
     ps = np.linspace(0.01, 0.99, 4901)
-    vals = np.array([crv.d2g(p) for p in ps])
+    vals = np.array([crv.slope_curvature(p)[1] for p in ps])
     assert ps[int(np.argmax(vals))] == pytest.approx(0.3, abs=1e-3)
     assert vals[ps < 0.2].max() == 0.0 and vals[ps > 0.45].max() == 0.0
 
@@ -369,8 +369,8 @@ def test_tabulated_liquidity_is_zero_off_its_grid(tmp_path, capsys):
     for p in list(GRID[::8]) + [0.05, 0.1, 0.9, 0.95]:
         assert fd_dg(crv, p) == pytest.approx(crv.dg(p), rel=1e-5, abs=1e-5)
     for p in (0.0, 0.1, 0.199, 0.8, 0.9, 1.0):
-        assert crv.d2g(p) == 0.0
-    assert crv.d2g(0.5) == pytest.approx(1.5, abs=1e-12)
+        assert crv.slope_curvature(p)[1] == 0.0
+    assert crv.slope_curvature(0.5)[1] == pytest.approx(1.5, abs=1e-12)
     # a grid outside [0, 1] is a typed error, named at the event that loads it
     for bad in ([0.0, 0.5, 1.0, 1.5], [-0.1, 0.5], [0.0, 0.5, 0.5, 1.0]):
         desc = {"family": "tabulated_liquidity", "grid": bad, "values": [1.0] * len(bad)}
@@ -613,7 +613,7 @@ def test_slope_is_gradient_difference(family, t):
     G = FAMILIES[family]()
     gr = G.grad(np.array([t, 1.0 - t]))
     scale = max(1.0, float(np.max(np.abs(gr))))
-    assert abs(G.slope(t) - (gr[0] - gr[1])) <= 1e-12 * scale
+    assert abs(G.slope_curvature(t)[0] - (gr[0] - gr[1])) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("family", TWO_OUTCOME)
@@ -640,9 +640,24 @@ def test_hessian_contract(family):
         assert np.abs(H @ p).max() <= 1e-12 * scale
 
 
+class _SlopeOnly(Curve1D):
+    """A curve that defines g and g' but not its g''."""
+
+    def g(self, p):
+        return p * p - p
+
+    def dg(self, p):
+        return 2.0 * p - 1.0
+
+
 def test_a_generator_must_define_its_hessian():
     with pytest.raises(NotImplementedError):
         Generator().hessian(np.array([0.5, 0.5]))
+    # a curve's hessian reads its slope_curvature, which the base leaves
+    # undefined: the two must not call each other
+    for f in (lambda G: G.hessian(np.array([0.5, 0.5])), lambda G: G.slope_curvature(0.5)):
+        with pytest.raises(NotImplementedError):
+            f(_SlopeOnly())
 
 
 def _kink(x):
@@ -721,12 +736,26 @@ def test_slope_is_nondecreasing_in_floating_point_across_joins(curve, joins):
         assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
 
 
-def _curvature(G, t) -> float:
-    """g''(t) as the solver read it before `slope_curvature`: d2g of a curve,
-    the terms' sum from 0 for a sum, the inner generator's for a shift, and
-    the Hessian quadratic form otherwise."""
+def _slope(G, t) -> float:
+    """g'(t) from the separate formulas: dg of a curve, the terms' sum from 0
+    for a sum, the inner generator's less the shift difference for a shift,
+    and the gradient difference otherwise."""
     if isinstance(G, Curve1D):
-        return G.d2g(t)
+        return G.dg(t)
+    if isinstance(G, SumGenerator):
+        return sum([_slope(T, t) for T in G.terms])
+    if isinstance(G, ShiftedGenerator):
+        return _slope(G.inner, t) - float(G.shift[0] - G.shift[1])
+    gr = G.grad(np.array([t, 1.0 - t]))
+    return float(gr[0] - gr[1])
+
+
+def _curvature(G, t) -> float:
+    """g''(t) from the separate formulas: the terms' sum from 0 for a sum, the
+    inner generator's for a shift, and the Hessian quadratic form otherwise.
+    A curve has no second formula: its g'' is its `slope_curvature`'s."""
+    if isinstance(G, Curve1D):
+        return G.slope_curvature(t)[1]
     if isinstance(G, SumGenerator):
         return sum([_curvature(T, t) for T in G.terms])
     if isinstance(G, ShiftedGenerator):
@@ -761,13 +790,17 @@ FUSED = {
 @pytest.mark.parametrize("name", sorted(FUSED))
 def test_slope_curvature_is_slope_and_curvature_bit_for_bit(name):
     # one evaluation per Newton step gives the solver the numbers two gave
-    # it, so every price and trace stays the same
+    # it, so every price and trace stays the same.  A lone curve's g'' has no
+    # second formula to compare with; test_curve_derivative_consistency and
+    # the finite-difference Hessians check it
     G = FUSED[name]()
     joins = sorted(set(_joins(G)))
     assert joins or name in TWO_OUTCOME
     for t in np.concatenate([GRID] + [_walk(x) for x in joins]).tolist():
-        want = np.array([G.slope(t), _curvature(G, t)])
-        assert np.array(G.slope_curvature(t)).tobytes() == want.tobytes(), t
+        got = G.slope_curvature(t)
+        assert np.float64(got[0]).tobytes() == np.float64(_slope(G, t)).tobytes(), t
+        if not isinstance(G, Curve1D):
+            assert np.float64(got[1]).tobytes() == np.float64(_curvature(G, t)).tobytes(), t
 
 
 @pytest.mark.parametrize("buckets", [40, 400])
@@ -783,7 +816,7 @@ def test_bucket_array_slope_evaluates_at_most_two_buckets(buckets, monkeypatch):
     monkeypatch.setattr(BucketCurve, "slope_curvature", lambda self, p: calls.append(p) or fused(self, p))
     edges = sorted({x for ab in pool.buckets for x in ab})
     for p in edges + list(np.linspace(0.01, 0.99, 97)):
-        for f in (agg.slope, agg.slope_curvature):
+        for f in (agg.dg, agg.slope_curvature):
             calls.clear()
             f(p)
             assert len(calls) <= 2
@@ -828,9 +861,8 @@ def test_compiled_sum_matches_the_term_by_term_sum(terms, b, p1):
     kinds = [type(T) for T in getattr(got, "terms", [got])]
     assert kinds.count(BucketCurve) <= 1 and kinds.count(PiecewisePolyCurve) <= 1
     for t in (p1, 0.5, 0.03, 0.97):
-        assert abs(got.slope(t) - want.slope(t)) <= 1e-12 * max(1.0, abs(want.slope(t)))
-        curv = want.slope_curvature(t)[1]
-        assert abs(got.slope_curvature(t)[1] - curv) <= 1e-12 * max(1.0, abs(curv))
+        for a, b in zip(got.slope_curvature(t), want.slope_curvature(t)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         x = np.array([t, 1.0 - t])
         assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
     q = want.grad(np.array([p1, 1.0 - p1]))
@@ -913,9 +945,8 @@ def _assert_sums_to(got, terms):
     want = SumGenerator(terms)
     for p in sorted(set(GRID) | {y for x in joins for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))}):
         x = np.array([p, 1.0 - p])
-        for f in (lambda G: G.slope(p), lambda G: G.slope_curvature(p)[1]):
-            b = f(want)
-            assert abs(f(got) - b) <= 1e-12 * max(1.0, abs(b))
+        for a, b in zip(got.slope_curvature(p), want.slope_curvature(p)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         assert abs(got.value(x) - want.value(x)) <= 1e-12 * max(1.0, abs(want.value(x)))
 
 
@@ -954,7 +985,7 @@ def test_piecewise_poly_conjugate_is_solved(name):
         res = conjugate_value(crv, q)
         assert res.cost == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(liability_of(crv, res.price), q, rtol=0.0, atol=1e-12)
-        if crv.d2g(p1) > 0:  # off the walkthrough's flat, the price is unique
+        if crv.slope_curvature(p1)[1] > 0:  # off the walkthrough's flat, the price is unique
             assert res.price[0] == pytest.approx(p1, abs=1e-12)
 
 
@@ -1073,9 +1104,9 @@ def test_curve_derivative_consistency(family):
     for p in OFF_BREAKPOINTS:
         h = 1e-6
         fd1 = (G.value([p + h, 1.0 - p - h]) - G.value([p - h, 1.0 - p + h])) / (2 * h)
-        assert fd1 == pytest.approx(G.slope(p), rel=1e-5, abs=1e-5)
+        assert fd1 == pytest.approx(G.slope_curvature(p)[0], rel=1e-5, abs=1e-5)
         h = 1e-5
-        fd2 = (G.slope(p + h) - G.slope(p - h)) / (2 * h)
+        fd2 = (G.slope_curvature(p + h)[0] - G.slope_curvature(p - h)[0]) / (2 * h)
         assert fd2 == pytest.approx(G.slope_curvature(p)[1], rel=1e-4, abs=1e-4)
 
 
@@ -1194,7 +1225,7 @@ def test_float_gradients_match_the_numpy_expressions_bit_for_bit(family, monkeyp
 
 def _fresh_clamp_slopes(G):
     """The clamp slopes evaluated on every call, as no generator keeps them."""
-    return G.slope(EPS), G.slope(1.0 - EPS)
+    return G.slope_curvature(EPS)[0], G.slope_curvature(1.0 - EPS)[0]
 
 
 def _solves(G, qs, hints) -> list:
@@ -1223,7 +1254,7 @@ def test_kept_clamp_slopes_solve_as_fresh_ones_bit_for_bit(name, monkeypatch):
     rng = np.random.default_rng(31)
     lo, hi = _fresh_clamp_slopes(G)
     # slopes inside, at both clamps, one ulp and one slack past them, and beyond
-    ts = [G.slope(p) for p in rng.uniform(0.01, 0.99, 30)]
+    ts = [G.slope_curvature(p)[0] for p in rng.uniform(0.01, 0.99, 30)]
     for s, out in ((lo, -math.inf), (hi, math.inf)):
         ts += [s, np.nextafter(s, out), np.nextafter(s, -out), s + math.copysign(2.0, out)]
         ts += [s + math.copysign(k * 1e-13 * max(1.0, abs(s)), out) for k in (0.5, 1.0, 2.0)]
@@ -1277,12 +1308,10 @@ def test_with_weights_after_a_solve_solves_as_a_fresh_curve():
 def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
     st = n2_market(1) if bench == "n2" else v3_pool(1).state
     agg = st._solver()
-    calls, steps = [], []
-    slope, fused = type(agg).slope, type(agg).slope_curvature
-    monkeypatch.setattr(type(agg), "slope", lambda self, t: calls.append(t) or slope(self, t))
-    monkeypatch.setattr(type(agg), "slope_curvature", lambda self, t: steps.append(t) or fused(self, t))
-    lo, hi = agg.slope(EPS), agg.slope(1.0 - EPS)
-    calls.clear()
+    assert agg._clamp_slopes is None
+    lo, hi = agg.slope_curvature(EPS)[0], agg.slope_curvature(1.0 - EPS)[0]
+    calls, fused = [], type(agg).slope_curvature
+    monkeypatch.setattr(type(agg), "slope_curvature", lambda self, t: calls.append(t) or fused(self, t))
     price, ends = st.price, 0
     for _, p1 in zip(range(20), bench_inputs().n2_targets(1, float(price[0]))):
         # an interior solve, then one past each clamp
@@ -1290,7 +1319,8 @@ def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
             res = conjugate_value(agg, q, price)
             price, ends = res.price, ends + res.at_boundary
     assert ends == 40
-    # the clamp slopes are the only slope calls; each Newton step evaluates
-    # the aggregate once, through slope_curvature
-    assert calls == [EPS, 1.0 - EPS]
-    assert len(steps) > 60
+    # the first solve evaluates the clamp slopes, once; each Newton step
+    # evaluates the aggregate once, strictly inside the clamps
+    assert calls[:2] == [EPS, 1.0 - EPS]
+    assert all(EPS < t < 1.0 - EPS for t in calls[2:])
+    assert len(calls) > 62

@@ -202,3 +202,16 @@ def test_descriptor_families_are_loaded_tested_and_documented():
     tested = round_trip_families((TESTS / "test_generators.py").read_text())
     documented = readme_families(README.read_text())
     assert loaded == tested == documented
+
+
+def test_each_curve_family_writes_its_second_derivative_once():
+    # g'' lives in slope_curvature alone, and g' in dg and slope_curvature:
+    # a second copy (d2g, slope) drifts when one copy is mended and not the other
+    from parmm import generators
+
+    classes = [c for c in vars(generators).values() if isinstance(c, type) and c.__module__ == generators.__name__]
+    curves = {c for c in classes if issubclass(c, generators.Curve1D) and c is not generators.Curve1D}
+    built = {b for b in generators._CURVES.values() if isinstance(b, type) and issubclass(b, generators.Curve1D)}
+    assert built and built <= curves
+    assert sorted(c.__name__ for c in curves if "slope_curvature" not in vars(c)) == []
+    assert sorted((c.__name__, m) for c in classes for m in ("d2g", "slope") if m in vars(c)) == []
