@@ -7,7 +7,8 @@ event completes, so a replay holds no trace in memory.  The writer encodes
 each distinct generator descriptor once per trace, not once per event, writes
 a snapshot's LPs by their known shape, checks exact types before the
 general isinstance chain, encodes a list in one pass, and writes the same
-bytes as `json.dumps` of the rounded records.  A failing event ends the
+bytes as `json.dumps` of the records with every float x, numpy's too, read
+as `float(_float_text(x))`.  A failing event ends the
 trace, after the lines of the events before it, with an error record
 `{"event", "op", "error", "message"}`, and is reported on stderr as
 `event k (<op>): ...`.  `report` derives CSV/JSON summaries from a trace,
@@ -30,17 +31,9 @@ import numpy as np
 
 from . import __version__
 from .convex_core import directional_liquidity, liquidity_matrix
-from .engine import (
-    MarketState,
-    NormFee,
-    PositivePartFee,
-    _check_integer,
-    _check_number,
-    audit_budget_balance,
-    initialize,
-)
+from .engine import MarketState, NormFee, PositivePartFee, audit_budget_balance, initialize
 from .equivalence import equivalence_suite
-from .errors import ParmmError, UnknownKind
+from .errors import ParmmError, UnknownKind, _check_integer, _check_number, _floats
 from .generators import (
     BucketCurve,
     LmsrCurve,
@@ -76,19 +69,6 @@ def _float_text(x) -> str:
     return repr(r)
 
 
-def _round(obj):
-    """Round floats to 12 significant digits, recursively."""
-    if isinstance(obj, (float, np.floating)):
-        return float(_float_text(obj))
-    if isinstance(obj, np.ndarray):
-        return [_round(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _round(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round(v) for v in obj]
-    return obj
-
-
 def _key(k) -> str:
     """A dict key as json.dumps writes it; keys are not rounded."""
     if isinstance(k, str):
@@ -99,8 +79,9 @@ def _key(k) -> str:
 
 
 def _json(obj) -> str:
-    """`json.dumps(_round(obj), separators=(",", ":"))` without building the
-    rounded copy: the same bytes, and the same TypeError on what JSON lacks."""
+    """`json.dumps(obj, separators=(",", ":"))` with each float x written as
+    `_float_text(x)`, arrays as lists and tuples as lists, without building a
+    rounded copy: the same TypeError on what JSON lacks."""
     t = type(obj)
     if t is float:
         return _float_text(obj)
@@ -167,9 +148,8 @@ def _lp_json(lp, texts: dict) -> str:
 
 
 def _trace_line(rec, texts: dict) -> str:
-    """A trace record as one JSON line, byte for byte
-    `json.dumps(_round(rec), separators=(",", ":"))`; a record shaped as
-    `replay` builds them is written by that shape."""
+    """A trace record as one JSON line, byte for byte `_json(rec)`; a record
+    shaped as `replay` builds them is written by that shape."""
     if type(rec) is dict and list(rec) == ["event", "op", "result", "state"]:
         state = rec["state"]
         if type(state) is dict and list(state) == ["price", "lps"] and type(state["lps"]) is list:
@@ -191,19 +171,12 @@ def _fee_scheme(name: str | None, beta: float):
     raise UnknownKind(f"unknown fee scheme {name!r}")
 
 
-def _is_number(x) -> bool:
-    """Whether x is a JSON number (not a bool) or a list of them, nested."""
-    return type(x) in (int, float) or type(x) is list and all(map(_is_number, x))
-
-
 def _numbers(ev, key):
-    """An event's price, bundle or liability `ev[key]` as floats: finite JSON numbers only."""
-    try:
-        if _is_number(ev[key]) and np.isfinite(x := np.asarray(ev[key], dtype=float)).all():
-            return x
-    except (ValueError, OverflowError):  # ragged lists, integers beyond float
-        pass
-    raise UnknownKind(f"{key} is not numeric: {ev[key]!r}")
+    """An event's price, bundle or liability `ev[key]` as floats: finite numbers only."""
+    x = _floats(key, ev[key])
+    if not np.isfinite(x).all():
+        raise UnknownKind(f"{key} is not numeric: {ev[key]!r}")
+    return x
 
 
 def _as_price(ev, key, n):
@@ -387,7 +360,7 @@ def report_liquidity_profile(trace, out, grid=99):
     for p1 in (np.arange(grid) + 0.5) / grid:
         p = np.array([p1, 1.0 - p1])
         vals = [directional_liquidity(G, p, v) for G in gens.values()]
-        w.writerow(_round([p1] + vals + [sum(vals)]))
+        w.writerow([_float_text(x) for x in [p1, *vals, sum(vals)]])
 
 
 def _table1_oracle(base: str, a: float, b: float, p: float, weight: float):
@@ -492,7 +465,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "equivalence":
             report = equivalence_suite(args.n, args.trials, args.seed)
-            payload = json.dumps(_round(report), indent=2) + "\n"
+            rounded = {k: float(_float_text(v)) if isinstance(v, float) else v for k, v in report.items()}
+            payload = json.dumps(rounded, indent=2) + "\n"
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(payload)
@@ -508,7 +482,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

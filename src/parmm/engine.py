@@ -13,10 +13,8 @@ fees read the same stacked fills.  A receipt is booked in one pass over the
 LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
 gives its kind.  Fees are tracked per LP and never touch the pricing math.
 `MarketState.records` is the only per-LP book, which the pools read too;
-its constructor, `initialize`, opens a market.  An LP id that is not an
-integer (bools included), a bundle that is not an (n,) vector, a fee rate
-that is not a number or an audit grid that is not a positive integer raises
-`UnknownKind`, a non-finite component `OutOfRange`, before any change.
+its constructor, `initialize`, opens a market.  LP ids, bundles, prices,
+fee rates and audit grids are checked by the rules of `errors`.
 """
 
 from __future__ import annotations
@@ -40,11 +38,13 @@ from .errors import (
     LiabilityMismatch,
     NotLevelSet,
     NotPseudobarrier,
-    OutOfRange,
     UnknownKind,
     UnsupportedFamily,
+    _bundle,
+    _check_amount,
+    _check_integer,
 )
-from .generators import Generator, TrivialGenerator, _not_a_number, compile_sum
+from .generators import Generator, TrivialGenerator, compile_sum
 
 _LEVEL_TOL = 1e-8
 
@@ -52,35 +52,6 @@ _LEVEL_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # fee schemes
 # ---------------------------------------------------------------------------
-
-
-def _check_number(name: str, x):
-    """Raise UnknownKind unless x is a number a float holds: an int or a
-    float, numpy's included, and not a bool."""
-    if not isinstance(x, (int, float, np.integer, np.floating)) or _not_a_number(x):
-        raise UnknownKind(f"{name} must be a number, got {x!r}")
-
-
-def _check_integer(name: str, k, least=None):
-    """Raise UnknownKind unless k is an integer, numpy's included and a bool
-    not one, and at least `least` if that is given: an LP id, a count."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or least is not None and k < least:
-        what = "an integer" if least is None else "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise UnknownKind(f"{name} must be {what}, got {k!r}")
-
-
-def _floats(name: str, x) -> np.ndarray:
-    """x as a float array; UnknownKind if it holds what is not a number."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise UnknownKind(f"{name} is not numeric: {x!r}") from None
-
-
-def _check_rate(beta):
-    _check_number("fee rate", beta)
-    if not 0 <= beta < np.inf:
-        raise OutOfRange(f"fee rate {beta} is negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -94,7 +65,7 @@ class NormFee:
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
             raise UnknownKind(f"unknown fee norm {self.norm!r}")
-        _check_rate(self.beta)
+        _check_amount("fee rate", self.beta)
 
     def _norm(self, r):
         # np.linalg.norm's own expression for l1, without its dispatch
@@ -112,7 +83,7 @@ class PositivePartFee:
     beta: float
 
     def __post_init__(self):
-        _check_rate(self.beta)
+        _check_amount("fee rate", self.beta)
 
 
 def compute_fees(scheme, r, parts):
@@ -369,16 +340,6 @@ class MarketState:
                 for rec in self.records
             ],
         }
-
-
-def _bundle(name: str, x, n: int) -> np.ndarray:
-    """x as a finite float (n,) vector; UnknownKind or OutOfRange otherwise."""
-    x = _floats(name, x)
-    if x.shape != (n,):
-        raise UnknownKind(f"{name} has shape {x.shape} on a {n}-outcome market")
-    if not np.isfinite(x).all():
-        raise OutOfRange(f"{name} {x.tolist()} is not finite")
-    return x
 
 
 def _simplex_grid(n: int, m: int):

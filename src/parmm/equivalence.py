@@ -18,8 +18,8 @@ from .convex_core import (
     liability_of,
     price_of,
 )
-from .engine import _check_integer, initialize
-from .errors import InvariantViolated, ParmmError
+from .engine import initialize
+from .errors import InvariantViolated, ParmmError, _check_integer
 from .generators import (
     BucketCurve,
     ConstantProductGenerator,

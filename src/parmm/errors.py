@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check per input
+kind for the arguments that arrive from outside it:
+
+- a number is an int or a float, numpy's included, that a float holds: not
+  a bool, a string, None or an integer beyond the float range;
+- an integer is an int, numpy's included, not a bool;
+- a vector is a number or a list, tuple or array of them, nested, of the
+  shape its call needs;
+- an amount (a rate, a weight, a liquidity) is a finite nonnegative number.
+
+A wrong kind or shape raises `UnknownKind` and a value out of range
+`OutOfRange`, also under `python -O`, before any change.
+"""
+
+import sys
+
+import numpy as np
 
 
 class ParmmError(Exception):
@@ -58,4 +74,69 @@ class UnsupportedFamily(ParmmError):
 
 
 class UnknownKind(ParmmError):
-    """Unrecognized descriptor, report kind, scenario op or LP id, or an input of the wrong shape."""
+    """Unrecognized descriptor, report kind, scenario op or LP id, or an input of the wrong kind or shape."""
+
+
+def _not_a_number(v) -> bool:
+    """Whether v is a bool or an integer no float holds, or a list holding one."""
+    if isinstance(v, (list, tuple)):
+        return any(map(_not_a_number, v))
+    return isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
+
+
+def _numbers_only(x) -> bool:
+    """Whether x is a number or a list, tuple or array of numbers, nested."""
+    if type(x) is float:  # the common entry, tested first
+        return True
+    if isinstance(x, (list, tuple)):
+        return all(map(_numbers_only, x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(map(_numbers_only, x.flat))
+    return isinstance(x, (int, float, np.integer, np.floating)) and not _not_a_number(x)
+
+
+def _check_number(name: str, x):
+    """Raise UnknownKind unless x is a number (a vector is not)."""
+    if isinstance(x, (list, tuple, np.ndarray)) or not _numbers_only(x):
+        raise UnknownKind(f"{name} must be a number, got {x!r}")
+
+
+def _check_integer(name: str, k, least=None):
+    """Raise UnknownKind unless k is an integer, and at least `least` if that
+    is given: an LP id, a count."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or least is not None and k < least:
+        what = "an integer" if least is None else "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise UnknownKind(f"{name} must be {what}, got {k!r}")
+
+
+def _check_index(j, size: int):
+    """Raise OutOfRange unless j is an integer in range(size), not a bool (a numpy mask)."""
+    if isinstance(j, bool) or not (isinstance(j, (int, np.integer)) and 0 <= j < size):
+        raise OutOfRange(f"index {j!r} outside range({size})")
+
+
+def _check_amount(name: str, x):
+    """Raise UnknownKind unless x is a number, OutOfRange unless it is an amount."""
+    _check_number(name, x)
+    if not 0 <= x < np.inf:
+        raise OutOfRange(f"{name} {x} is negative or not finite")
+
+
+def _floats(name: str, x) -> np.ndarray:
+    """x as a float array; UnknownKind unless it is a vector of numbers, not ragged."""
+    if _numbers_only(x):
+        try:
+            return np.asarray(x, dtype=float)
+        except ValueError:  # ragged
+            pass
+    raise UnknownKind(f"{name} is not numeric: {x!r}")
+
+
+def _bundle(name: str, x, n: int) -> np.ndarray:
+    """x as a finite float (n,) vector; UnknownKind or OutOfRange otherwise."""
+    x = _floats(name, x)
+    if x.shape != (n,):
+        raise UnknownKind(f"{name} has shape {x.shape}, not ({n},)")
+    if not np.isfinite(x).all():
+        raise OutOfRange(f"{name} {x.tolist()} is not finite")
+    return x

@@ -29,7 +29,6 @@ import copy
 import inspect
 import json
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from functools import partial
 
@@ -40,6 +39,11 @@ from .errors import (
     OutOfRange,
     UnknownKind,
     UnsupportedFamily,
+    _check_amount,
+    _check_integer,
+    _check_number,
+    _floats,
+    _not_a_number,
 )
 
 _TINY = 1e-12
@@ -165,7 +169,7 @@ class PiecewisePolyCurve(Curve1D):
     """
 
     def __init__(self, breakpoints, coefficients):
-        xs = np.asarray(breakpoints, dtype=float)
+        xs = _floats("breakpoints", breakpoints)
         if xs.ndim != 1 or len(xs) != len(coefficients) + 1:
             raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(coefficients)} pieces")
         if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
@@ -205,7 +209,7 @@ class PiecewisePolyCurve(Curve1D):
         Double antiderivative with continuity across breakpoints, then chord
         subtraction; any antiderivative choice gives the same curve.
         """
-        xs = np.asarray(breakpoints, dtype=float)
+        xs = _floats("breakpoints", breakpoints)
         B = _integrate(xs, _integrate(xs, [_coefficients(P) for P in coefficients]))
         chord = [0.0, _horner(B[-1], xs[-1])]  # B(1), with B(0) = 0
         return cls(xs, [_polyadd(Q, [-v for v in chord]) for Q in B])
@@ -264,7 +268,7 @@ def _turning_values(c2, a, b):
 
 def _coefficients(P) -> list:
     """The coefficients of a piece, given as a sequence or as `.coef`."""
-    c = np.array(getattr(P, "coef", P), dtype=float, ndmin=1)
+    c = np.atleast_1d(_floats("piece coefficients", getattr(P, "coef", P)))
     if c.ndim != 1 or not c.size:
         raise UnknownKind(f"piece coefficients of shape {c.shape}")
     return c.tolist()
@@ -320,6 +324,7 @@ def _polyadd(a, b):
 
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     """Quadratic-score curve g(p) = scale * (p^2 - p); liquidity 2 * scale."""
+    _check_number("Brier scale", scale)
     if not 0 < scale < math.inf:
         raise OutOfRange(f"Brier scale {scale} is not positive and finite")
     return PiecewisePolyCurve([0.0, 1.0], [[0.0, -scale, scale]])
@@ -331,7 +336,7 @@ def piecewise_linear_curve(grid, weights) -> PiecewisePolyCurve:
     it, so its maker quotes a_j for every state inside its capacity.  On
     (a_j, a_{j+1}), with a_0 = 0, the sum's slope is sum_{i<=j} w_i a_i +
     sum_{i>j} w_i (a_i - 1) and its intercept -sum_{i<=j} w_i a_i."""
-    grid, weights = np.asarray(grid, dtype=float), np.asarray(weights, dtype=float)
+    grid, weights = _floats("grid", grid), _floats("weights", weights)
     if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
         raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
     if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all((0 <= weights) & (weights < math.inf))):
@@ -345,7 +350,7 @@ def tabulated_liquidity_curve(grid, values) -> PiecewisePolyCurve:
     """Curve whose liquidity g'' interpolates `values` at the prices `grid`
     linearly and is 0 off the grid, which lies inside [0, 1];
     `from_liquidity` integrates it exactly, so g, g' and g'' agree."""
-    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    grid, values = _floats("grid", grid), _floats("values", values)
     if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
         raise UnknownKind(f"grid of shape {grid.shape} for samples of shape {values.shape}")
     if not (np.all(np.diff(grid) > 0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
@@ -370,6 +375,7 @@ class LmsrCurve(Curve1D):
     is_pseudobarrier = True
 
     def __init__(self, b: float):
+        _check_number("LMSR b", b)
         if not 0 < b < math.inf:
             raise OutOfRange(f"LMSR b {b} is not positive and finite")
         self.b = b
@@ -426,8 +432,7 @@ class UniswapV2Curve(Curve1D):
     """Constant-product shape g(p) = -2 a sqrt(p (1-p)); reserves x1 x2 = a^2."""
 
     def __init__(self, alpha: float):
-        if not 0 <= alpha < math.inf:
-            raise OutOfRange(f"liquidity {alpha} is negative or not finite")
+        _check_amount("liquidity", alpha)
         self.alpha = alpha
 
     @property
@@ -442,8 +447,7 @@ class UniswapV2Curve(Curve1D):
         return float(self.alpha * (2.0 * p - 1.0) / w)
 
     def slope_curvature(self, p):
-        w = p * (1.0 - p)
-        return float(self.alpha * (2.0 * p - 1.0) / math.sqrt(w)), float(self.alpha / (2.0 * w ** 1.5))
+        return self.dg(p), float(self.alpha / (2.0 * (p * (1.0 - p)) ** 1.5))
 
     def conjugate(self, q):
         return _constant_product_conjugate(q, 2.0 * self.alpha)
@@ -539,7 +543,10 @@ class BucketArrayCurve(Curve1D):
     """
 
     def __init__(self, base: Curve1D, buckets, weights):
-        buckets = [(float(a), float(b)) for a, b in buckets]
+        pairs = _floats("buckets", buckets)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise UnknownKind(f"buckets must be (a, b) pairs, got shape {pairs.shape}")
+        buckets = [(a, b) for a, b in pairs.reshape(-1, 2).tolist()]
         if not buckets or not all(0.0 < a < b < 1.0 for a, b in buckets):
             raise OutOfRange("every bucket needs 0 < a < b < 1")
         pairs = zip(buckets, buckets[1:])
@@ -574,7 +581,7 @@ class BucketArrayCurve(Curve1D):
         self._set_weights(weights)
 
     def _set_weights(self, weights):
-        w = np.array(weights, dtype=float)
+        w = _floats("weights", weights).copy()
         if w.shape != (len(self.buckets),) or not np.all((w >= 0) & (w < math.inf)):
             raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, negative or not finite")
         self.weights = w
@@ -653,8 +660,7 @@ class SoftBucketCurve(Curve1D):
     """
 
     def __init__(self, knots, weights):
-        knots = np.asarray(knots, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        knots, weights = _floats("knots", knots), _floats("weights", weights)
         if knots.ndim != 1 or knots.shape != weights.shape or len(knots) < 2:
             raise UnknownKind(f"{knots.shape} knots for {weights.shape} weights")
         if not (abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY and np.all(np.diff(knots) > 0)):
@@ -714,20 +720,13 @@ def _soft_d2g(piece, p):
 # ---------------------------------------------------------------------------
 
 
-def _check_counts(**counts):
-    """Raise UnknownKind unless every count is an integer (a bool is not one)."""
-    for name, k in counts.items():
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise UnknownKind(f"{name} = {k!r} is not an integer")
-
-
 class LmsrGenerator(Generator):
     """G(p) = b * sum_i p_i log p_i."""
 
     is_pseudobarrier = True
 
     def __init__(self, b: float, n: int):
-        _check_counts(n=n)
+        _check_integer("n", n)
         if not (0 < b < math.inf and n >= 2):
             raise OutOfRange(f"LMSR needs a finite b > 0 and n >= 2, got b = {b}, n = {n}")
         self.b, self.n = b, n
@@ -766,7 +765,7 @@ class ConstantProductGenerator(Generator):
     is_pseudobarrier = True
 
     def __init__(self, n: int, alpha: float = 1.0):
-        _check_counts(n=n)
+        _check_integer("n", n)
         if not (n >= 2 and 0 < alpha < math.inf):
             raise OutOfRange(f"constant product needs n >= 2 and a finite alpha > 0, got n = {n}, alpha = {alpha}")
         self.n, self.alpha = n, alpha
@@ -804,7 +803,8 @@ class PairConstantProductGenerator(Generator):
     """G(p) = -2 alpha sqrt(p_i p_j): constant-product liquidity on one pair."""
 
     def __init__(self, n: int, i: int, j: int, alpha: float = 1.0):
-        _check_counts(n=n, i=i, j=j)
+        for name, k in (("n", n), ("i", i), ("j", j)):
+            _check_integer(name, k)
         if not (n >= 2 and 0 <= i < j < n and 0 <= alpha < math.inf):
             raise OutOfRange(f"pair ({i}, {j}) of {n} outcomes with alpha {alpha} is invalid")
         self.n, self.i, self.j, self.alpha = n, i, j, alpha
@@ -965,7 +965,7 @@ class TrivialGenerator(Generator):
     """The zero generator: no liquidity, liability always zero."""
 
     def __init__(self, n: int):
-        _check_counts(n=n)
+        _check_integer("n", n)
         self.n = n
 
     def value(self, x):
@@ -989,7 +989,7 @@ class ShiftedGenerator(Generator):
 
     def __init__(self, inner: Generator, shift):
         self.inner = inner
-        self.shift = np.asarray(shift, dtype=float).reshape(inner.n)  # one per outcome, not broadcast
+        self.shift = _floats("shift", shift).reshape(inner.n)  # one per outcome, not broadcast
         self.n = inner.n
 
     @property
@@ -1059,13 +1059,6 @@ _CURVES = {**_BUILDERS, "lmsr": LmsrCurve}
 _COUNTED = {build for build in _BUILDERS.values() if "n" in inspect.signature(build).parameters}
 # a builder's errors on a field that is missing, unknown, or of the wrong type or size
 _MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
-
-
-def _not_a_number(v) -> bool:
-    """Whether v is a bool or an integer no float holds, or a list holding one."""
-    if isinstance(v, (list, tuple)):
-        return any(map(_not_a_number, v))
-    return isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
 
 
 def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:

@@ -12,11 +12,8 @@ is read from the engine's records, and the v3 aggregate is the engine's
 solve aggregate.  The v3 pool prices a swap once, with `price_trade`,
 checks its buckets at that price and books that same receipt with its
 bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
-Invalid arguments raise `ParmmError` subclasses, also under `python -O`:
-bucket and slot indices among them (a bool is not an index), amounts,
-weights, rates and prices that are not numbers (a bool is not one either),
-and reserves, trades, buckets, grids and weight vectors that hold what is
-not a number or have the wrong shape.
+Arguments are checked by the rules of `errors`; a bucket or slot index
+that is not an integer in range (a bool is not one) raises `OutOfRange`.
 """
 
 from __future__ import annotations
@@ -26,13 +23,19 @@ import math
 import numpy as np
 
 from .convex_core import EPS, conjugate_value, liability_of
-from .engine import MarketState, PositivePartFee, _bundle, _check_integer, _check_number, _floats
+from .engine import MarketState, PositivePartFee
 from .errors import (
     EmptyBucket,
     InsufficientReserves,
     InvariantViolated,
     OutOfRange,
     UnknownKind,
+    _bundle,
+    _check_amount,
+    _check_index,
+    _check_integer,
+    _check_number,
+    _floats,
 )
 from .generators import (
     BucketArrayCurve,
@@ -71,12 +74,6 @@ def price2(curve: Curve1D, q) -> float:
     return float(res.price[0])
 
 
-def _check_index(j, size: int):
-    """Raise OutOfRange unless j is an integer in range(size), not a bool (a numpy mask)."""
-    if isinstance(j, bool) or not (isinstance(j, (int, np.integer)) and 0 <= j < size):
-        raise OutOfRange(f"index {j!r} outside range({size})")
-
-
 # ---------------------------------------------------------------------------
 # constant-product pool
 # ---------------------------------------------------------------------------
@@ -91,8 +88,8 @@ class UniswapV2Market:
     """
 
     def __init__(self, reserves, beta: float = 0.0):
-        x = _floats("reserves", reserves)
-        if x.shape != (2,) or not np.all(x > 0):
+        x = _bundle("reserves", reserves, 2)
+        if not np.all(x > 0):
             raise OutOfRange(f"reserves {x} are not two positive amounts")
         fee = PositivePartFee(beta)  # checks the rate
         self.state = MarketState(UniswapV2Curve(math.sqrt(x[0] * x[1])), liability=-x, fee=fee if beta != 0 else None)
@@ -119,7 +116,6 @@ class UniswapV2Market:
     def mint(self, lp_id: int, alpha_new: float) -> np.ndarray:
         """Set an LP's liquidity share; returns the reserve bundle the LP must
         deposit (proportional to current reserves)."""
-        _check_number("liquidity", alpha_new)
         return self.state.modify_liquidity(lp_id, UniswapV2Curve(alpha_new))
 
     def trade(self, r):
@@ -169,9 +165,7 @@ class UniswapV3Market:
     def __init__(self, buckets, price: float, beta: float = 0.0):
         # validates the buckets; every LP's curve shares its bucket constants
         pairs = _floats("buckets", buckets)
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
-            raise UnknownKind(f"buckets must be (a, b) pairs, got shape {pairs.shape}")
-        self._empty = BucketArrayCurve(UniswapV2Curve(1.0), buckets, np.zeros(len(buckets)))
+        self._empty = BucketArrayCurve(UniswapV2Curve(1.0), pairs, np.zeros(pairs.shape[:1]))
         self.buckets = self._empty.buckets
         self.beta = PositivePartFee(beta).beta  # checks the rate
         _check_number("opening price", price)
@@ -225,9 +219,7 @@ class UniswapV3Market:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
         rec = self.state._record(lp_id)
         _check_index(j, len(self.buckets))
-        _check_number("bucket weight", weight)
-        if not 0 <= weight < math.inf:
-            raise OutOfRange(f"bucket weight {weight} is negative or not finite")
+        _check_amount("bucket weight", weight)
         w = self._weights(rec).copy()
         w[j] = weight
         # engine deposits are in liability space; reserves are the negation,
@@ -292,9 +284,9 @@ class PiecewiseLinearMarket:
         if weights:
             for lp_id, w in weights.items():
                 _check_integer("lp", lp_id)
-                w = _floats(f"weight vector of LP {lp_id}", w)
-                if w.shape != self.grid.shape or not np.all((w >= 0) & (w < math.inf)):
-                    raise OutOfRange(f"weights of LP {lp_id} do not match the grid, or are negative or not finite")
+                w = _bundle(f"weights of LP {lp_id}", w, len(self.grid))
+                if np.any(w < 0):
+                    raise OutOfRange(f"weights of LP {lp_id} are negative")
                 self.weights[lp_id] = w
         self.t = float(np.sum(self.total_weights() * (self.grid - 1.0)))  # all buckets unfilled
         self._fill = (0, 0.0)  # cached active (slot, fraction) matching self.t
@@ -369,9 +361,7 @@ class PiecewiseLinearMarket:
         scalar deposit that keeps the book's price and fill unchanged (exact)."""
         _check_integer("lp", lp_id)
         _check_index(j, len(self.grid))
-        _check_number("weight", weight)
-        if not 0 <= weight < math.inf:
-            raise OutOfRange(f"weight {weight} is negative or not finite")
+        _check_amount("weight", weight)
         self.weights.setdefault(lp_id, np.zeros_like(self.grid))
         jstar, y = self.active
         delta = (weight - self.weights[lp_id][j]) * self.unit_liability(j)

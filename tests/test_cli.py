@@ -319,7 +319,7 @@ _FAILURES = {
                        "UnknownKind", 2, "error: event 3 (modify_liquidity): malformed lmsr descriptor: "),
     "buckets-str": ({"op": "modify_liquidity", "lp": 1,
                      "generator": {"family": "bucket_array", "base": _LMSR, "buckets": "x", "weights": [1.0]}},
-                    "UnknownKind", 2, "error: event 3 (modify_liquidity): malformed bucket_array descriptor: "),
+                    "UnknownKind", 2, "error: event 3 (modify_liquidity): buckets is not numeric: 'x'\n"),
     # a field the family's builder needs and does not get, or does not take
     "field-missing": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2"}}, "UnknownKind", 2,
                       "error: event 3 (modify_liquidity): malformed uniswap_v2 descriptor: "),
@@ -330,7 +330,7 @@ _FAILURES = {
                       "error: event 3 (modify_liquidity): a descriptor must be an object, got 'lmsr'\n"),
     # counts are integers, and descriptor numbers are neither bools nor integers beyond the float range
     "n-float": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "constant_product", "n": 2.0}},
-                "UnknownKind", 2, "error: event 3 (modify_liquidity): n = 2.0 is not an integer\n"),
+                "UnknownKind", 2, "error: event 3 (modify_liquidity): n must be an integer, got 2.0\n"),
     "b-true": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": True}}, "UnknownKind", 2,
                "error: event 3 (modify_liquidity): malformed lmsr descriptor: b holds a bool or an oversized integer\n"),
     "b-huge-int": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 2 ** 1024}}, "UnknownKind",

@@ -15,6 +15,7 @@ import parmm
 import parmm.engine
 from bench_pools import n2_market, v3_pool
 from parmm import (
+    BucketArrayCurve,
     ConstantProductGenerator,
     LmsrCurve,
     LmsrGenerator,
@@ -25,15 +26,20 @@ from parmm import (
     PiecewisePolyCurve,
     PositivePartFee,
     ShiftedGenerator,
+    SoftBucketCurve,
     SumGenerator,
     TrivialGenerator,
+    UniswapV2Curve,
     UniswapV2Market,
     UniswapV3Market,
     audit_budget_balance,
     brier_curve,
     compute_fees,
+    generator_from_descriptor,
     initialize,
     liability2,
+    piecewise_linear_curve,
+    tabulated_liquidity_curve,
 )
 from parmm.errors import (
     LiabilityMismatch,
@@ -513,6 +519,13 @@ def _book():
     return book
 
 
+def _lenient():
+    """A lenient market whose one funded LP is LP 0."""
+    st = initialize(LmsrCurve(1.0), price=[0.4, 0.6], strict=False)
+    st.register_lp()
+    return st
+
+
 def _view(m):
     """What a rejected operation must leave as it was: the engine's snapshot
     and, for a pool, its reserves and each LP's liquidity; a book's state,
@@ -590,6 +603,61 @@ _REJECTIONS = [
       for j in (-1, 5, True)],
     pytest.param(_v3_pool, lambda m: m.shifted_invariant_gap(1, "x"), UnknownKind, id="v3-gap-price-str"),
     pytest.param(_two_lmsrs, lambda st: liability2(LmsrCurve(1.0), "x"), UnknownKind, id="liability2-price-str"),
+    # a wrong shape is a kind error; a reserve or weight out of range is not
+    pytest.param(_v2_pool, lambda m: UniswapV2Market([[4.0, 9.0]]), UnknownKind, id="v2-reserves-2d"),
+    pytest.param(_book, lambda m: PiecewiseLinearMarket([0.2, 0.4], {0: [1.0]}), UnknownKind, id="book-weights-short"),
+    pytest.param(_v2_pool, lambda m: UniswapV2Market([4.0, 0.0]), OutOfRange, id="v2-reserves-zero"),
+    pytest.param(_book, lambda m: PiecewiseLinearMarket([0.2, 0.4], {0: [-1.0, 1.0]}), OutOfRange,
+                 id="book-weights-negative"),
+    # every entry of a vector is a number: a bool is not, nor is a numeric string
+    *[pytest.param(market, call, UnknownKind, id=f"{name}-entry-{type(x).__name__}") for x in (True, "0.5")
+      for market, name, call in (
+          (_two_lmsrs, "price_trade-bundle", lambda st, x=x: st.price_trade(bundle=[x, -0.1])),
+          (_two_lmsrs, "price_trade-target", lambda st, x=x: st.price_trade(target_price=[x, 0.5])),
+          (_two_lmsrs, "quote_completion", lambda st, x=x: st.quote_completion([x, 0.1])),
+          (_two_lmsrs, "initialize-liability", lambda st, x=x: initialize(LmsrCurve(1.0), liability=[x, -1.0])),
+          (_v2_pool, "v2-reserves", lambda m, x=x: UniswapV2Market([x, x])),
+          (_v2_pool, "v2-trade", lambda m, x=x: m.trade([x, -0.1])),
+          (_v3_pool, "v3-buckets", lambda m, x=x: UniswapV3Market([(0.1, x)], 0.3)),
+          (_book, "book-grid", lambda m, x=x: PiecewiseLinearMarket([0.2, x])),
+          (_book, "book-weights", lambda m, x=x: PiecewiseLinearMarket([0.2, 0.4], {0: [x, x]})),
+      )],
+    # scalar generator parameters are numbers too
+    *[pytest.param(_two_lmsrs, call, UnknownKind, id=name) for name, call in (
+        ("LmsrCurve-bool", lambda st: LmsrCurve(True)),
+        ("LmsrCurve-str", lambda st: LmsrCurve("x")),
+        ("UniswapV2Curve-bool", lambda st: UniswapV2Curve(True)),
+        ("brier_curve-str", lambda st: brier_curve("x")),
+    )],
+    # so are the vector fields of the generator families, built directly or
+    # from a descriptor
+    *[pytest.param(_two_lmsrs, call, UnknownKind, id=name) for name, call in (
+        ("soft_bucket-knots", lambda st: SoftBucketCurve([0, "0.5", 1], [1, 1, 1])),
+        ("soft_bucket-weights", lambda st: SoftBucketCurve([0, 0.5, 1], [1, "1", 1])),
+        ("piecewise_poly-breakpoints", lambda st: PiecewisePolyCurve(["0", 1], [[0.0, -1.0, 1.0]])),
+        ("piecewise_poly-coefficients", lambda st: PiecewisePolyCurve([0, 1], [[0.0, "-1", 1.0]])),
+        ("bucket_array-weights", lambda st: BucketArrayCurve(UniswapV2Curve(1.0), [(0.1, 0.3)], ["1"])),
+        ("bucket_array-buckets", lambda st: BucketArrayCurve(UniswapV2Curve(1.0), [("0.1", 0.3)], [1.0])),
+        ("shifted-shift", lambda st: ShiftedGenerator(LmsrCurve(1.0), ["0", 0])),
+        ("piecewise_linear-weights", lambda st: piecewise_linear_curve([0.5], ["1"])),
+        ("tabulated_liquidity-grid", lambda st: tabulated_liquidity_curve(["0", 1], [1, 1])),
+    )],
+    *[pytest.param(_two_lmsrs, lambda st, d=d: generator_from_descriptor(d, 2), UnknownKind, id=f"descriptor-{name}")
+      for name, d in (
+          ("soft_bucket-knots", {"family": "soft_bucket", "knots": [0, "0.5", 1], "weights": [1, 1, 1]}),
+          ("piecewise_poly-breakpoints", {"family": "piecewise_poly", "breakpoints": ["0", 1],
+                                          "coefficients": [[0.0, -1.0, 1.0]]}),
+          ("bucket_array-weights", {"family": "bucket_array", "base": {"family": "uniswap_v2", "alpha": 1.0},
+                                    "buckets": [[0.1, 0.3]], "weights": ["1"]}),
+          ("shifted-shift", {"family": "shifted", "inner": {"family": "lmsr", "b": 1.0}, "shift": ["0", 0]}),
+          ("piecewise_linear-weights", {"family": "piecewise_linear", "grid": [0.5], "weights": ["1"]}),
+          ("tabulated_liquidity-grid", {"family": "tabulated_liquidity", "grid": ["0", 1], "values": [1, 1]}),
+      )],
+    # a market with no liquidity has no level set to price on
+    pytest.param(_two_lmsrs, lambda st: initialize(TrivialGenerator(2), price=[0.5, 0.5], strict=False), NotLevelSet,
+                 id="initialize-trivial"),
+    pytest.param(_lenient, lambda st: st.modify_liquidity(0, TrivialGenerator(2)), NotLevelSet,
+                 id="modify-last-funded-lp-to-trivial"),
 ]
 
 
@@ -604,6 +672,19 @@ def test_a_rejected_operation_raises_a_typed_error_and_changes_nothing(market, c
         with pytest.raises(error):
             call(m)
     assert issubclass(error, ParmmError) and _view(m) == before
+
+
+@pytest.mark.parametrize("x", [np.float64(4.0), np.float32(4.0), np.int64(4), 2 ** 70], ids=repr)
+def test_a_vector_entry_may_be_any_number_a_float_holds(x):
+    # numpy's scalars are numbers, and so is an integer beyond int64, which
+    # numpy holds in an object array
+    pool = UniswapV2Market([x, x])
+    assert pool.reserves.tolist() == [float(x), float(x)] and pool.price == 0.5
+    book = PiecewiseLinearMarket([0.2, 0.4], {0: [x, 1.0]})
+    assert book.weights[0].tolist() == [float(x), 1.0]
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
+    assert st.price_trade(target_price=np.array([x, x], dtype=object) / (2 * x)).price_after.tolist() == [0.5, 0.5]
+    assert SoftBucketCurve([0, 0.5, 1], [1, x, 1]).weights.tolist() == [1.0, float(x), 1.0]
 
 
 def test_lp_without_liquidity_audits_to_zero_and_stays_coherent():

@@ -215,3 +215,30 @@ def test_each_curve_family_writes_its_second_derivative_once():
     assert built and built <= curves
     assert sorted(c.__name__ for c in curves if "slope_curvature" not in vars(c)) == []
     assert sorted((c.__name__, m) for c in classes for m in ("d2g", "slope") if m in vars(c)) == []
+
+
+# one rule per input kind, written once, beside the errors it raises: a copy
+# elsewhere drifts apart from it, as four "is this a number" checks once did
+CHECKS = {"_check_number", "_check_integer", "_check_index", "_check_amount", "_floats", "_bundle", "_not_a_number"}
+
+
+def check_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each name a module imports that is a check:
+    `_check*`, `_floats`, `_bundle` or `_not_a_number`."""
+    return [(node.module or "", a.name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name.startswith("_check") or a.name in CHECKS]
+
+
+def test_check_import_scan_finds_imported_checks():
+    src = ("from .engine import MarketState, _check_rate\nfrom .errors import UnknownKind, _floats\n"
+           "def f():\n    from parmm.engine import _bundle\n")
+    assert check_imports(src) == [("engine", "_check_rate"), ("errors", "_floats"), ("parmm.engine", "_bundle")]
+
+
+def test_the_argument_checks_are_defined_in_errors_and_imported_from_there():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    defined = {name: sorted(CHECKS & private_definitions(s)) for name, s in sources.items()}
+    assert {name: checks for name, checks in defined.items() if checks} == {"errors.py": sorted(CHECKS)}
+    imported = {name: [m for m, _ in check_imports(s) if m not in ("errors", "parmm.errors")]
+                for name, s in sources.items()}
+    assert {name: modules for name, modules in imported.items() if modules} == {}

@@ -426,8 +426,12 @@ def test_v3_off_level_bundle_is_rejected_before_the_bucket_checks():
 
 
 def test_pools_reject_bad_arguments_with_typed_errors():
-    for reserves in ([1.0, -1.0], [1.0, 2.0, 3.0]):
+    for reserves in ([1.0, -1.0], [1.0, math.inf], [1.0, math.nan]):
         with pytest.raises(OutOfRange):
+            UniswapV2Market(reserves)
+    # a wrong shape is a kind error, as for every vector argument
+    for reserves in ([1.0, 2.0, 3.0], [[4.0, 9.0]]):
+        with pytest.raises(UnknownKind, match="shape"):
             UniswapV2Market(reserves)
     v2 = UniswapV2Market([1.0, 4.0])
     with pytest.raises(OutOfRange):
@@ -447,10 +451,11 @@ def test_pools_reject_bad_arguments_with_typed_errors():
         v3.mint(0, 0, -1.0)
     with pytest.raises(OutOfRange):
         PiecewiseLinearMarket([0.4, 0.2])
-    with pytest.raises(OutOfRange):
+    with pytest.raises(UnknownKind, match="shape"):
         PiecewiseLinearMarket([0.2, 0.4], {0: [1.0]})
-    with pytest.raises(OutOfRange):
-        PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, math.inf]})
+    for w in ([1.0, math.inf], [1.0, -1.0]):
+        with pytest.raises(OutOfRange):
+            PiecewiseLinearMarket([0.2, 0.4], {0: w})
     book = PiecewiseLinearMarket([0.2, 0.4], {0: [1.0, 1.0]})
     with pytest.raises(OutOfRange):
         book.modify_liquidity(0, 0, -1.0)
