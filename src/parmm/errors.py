@@ -9,7 +9,8 @@ kind for the arguments that arrive from outside it:
 - an amount (a rate, a weight, a liquidity) is a finite nonnegative number.
 
 A wrong kind or shape raises `UnknownKind` and a value out of range
-`OutOfRange`, also under `python -O`, before any change.
+`OutOfRange`, also under `python -O`, before any change.  The seven kinds of
+a generator descriptor's fields (`generators._KINDS`) are built from these.
 """
 
 import sys
@@ -77,13 +78,6 @@ class UnknownKind(ParmmError):
     """Unrecognized descriptor, report kind, scenario op or LP id, or an input of the wrong kind or shape."""
 
 
-def _not_a_number(v) -> bool:
-    """Whether v is a bool or an integer no float holds, or a list holding one."""
-    if isinstance(v, (list, tuple)):
-        return any(map(_not_a_number, v))
-    return isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
-
-
 def _numbers_only(x) -> bool:
     """Whether x is a number or a list, tuple or array of numbers, nested."""
     if type(x) is float:  # the common entry, tested first
@@ -92,7 +86,9 @@ def _numbers_only(x) -> bool:
         return all(map(_numbers_only, x))
     if isinstance(x, np.ndarray):
         return x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(map(_numbers_only, x.flat))
-    return isinstance(x, (int, float, np.integer, np.floating)) and not _not_a_number(x)
+    if isinstance(x, int):  # a bool is none, nor an integer no float holds
+        return not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    return isinstance(x, (float, np.integer, np.floating))
 
 
 def _check_number(name: str, x):

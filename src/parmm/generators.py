@@ -21,6 +21,14 @@ n = 2, every generator's slope g' is `slope_curvature(t)[0]`, q_1 - q_2 at
 the price (t, 1 - t).  All curve families here are normalized so
 g(0) = g(1) = 0.
 `compile_sum` merges the same-family terms of a sum for the solvers.
+
+A family's descriptor is `{"family": ..., field: value, ...}`, its fields the
+keyword arguments of its builder in `_BUILDERS`.  Each field name has one
+kind in `_KINDS`, whose rule checks it whether it comes from a descriptor or
+a call: every constructor and builder runs `_checked` on its arguments
+first, which keeps numbers as Python's ints and floats and vectors as float
+arrays of their own, and records a generator's fields once, for the one
+`Generator.descriptor` to write back in containers of their own.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from functools import partial
+from operator import methodcaller
 
 import numpy as np
 
@@ -43,7 +52,6 @@ from .errors import (
     _check_integer,
     _check_number,
     _floats,
-    _not_a_number,
 )
 
 _TINY = 1e-12
@@ -58,10 +66,12 @@ class Generator:
     """Convex nonpositive generator on the n-simplex, 1-homogeneously extended.
 
     A family defines value, grad, hessian (the analytic Hessian of the
-    extension at a simplex point), vertex_values and descriptor; conjugate is
-    optional.  value and grad accept any strictly positive vector x.  At
-    n = 2, slope_curvature follows from grad and hessian; sums and shifts
-    define faster ones that return the same floats, and curves define their own.
+    extension at a simplex point) and vertex_values; conjugate is optional.
+    value and grad accept any strictly positive vector x.  At n = 2,
+    slope_curvature follows from grad and hessian; sums and shifts define
+    faster ones that return the same floats, and curves define their own.
+    Its constructor checks its arguments with `_checked`, which records them
+    under its `family`, a class keyword, for `descriptor`.
     """
 
     n: int
@@ -69,6 +79,10 @@ class Generator:
     # g' at the two price clamps, kept by `convex_core._clamp_slopes`; code
     # that changes a generator's parameters in place resets it to None
     _clamp_slopes = None
+
+    def __init_subclass__(cls, family: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.family = family
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -96,7 +110,14 @@ class Generator:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """{"family": ..., field: value, ...}: the fields recorded when the
+        generator was built, in signature order and in containers of their
+        own, so that editing the result leaves the generator as it was."""
+        record, nested = self._descriptor
+        d = record.copy()
+        for key, write in nested:  # empty for most families
+            d[key] = write(d[key])
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +128,7 @@ class Generator:
 class Curve1D(Generator):
     """Two-outcome generator G(p) = g(p_1) of a convex curve g on [0, 1];
     g(0) and g(1) are finite for every family here.  A family defines `g`,
-    `dg`, `slope_curvature` and `descriptor`."""
+    `dg` and `slope_curvature`."""
 
     n = 2
 
@@ -155,7 +176,7 @@ class Curve1D(Generator):
         return np.array([self.g(1.0), self.g(0.0)])
 
 
-class PiecewisePolyCurve(Curve1D):
+class PiecewisePolyCurve(Curve1D, family="piecewise_poly"):
     """Piecewise-polynomial curve on breakpoints 0 = x_0 < ... < x_m = 1.
 
     coefficients[k], those of the curve on [breakpoints[k], breakpoints[k+1]]
@@ -169,21 +190,19 @@ class PiecewisePolyCurve(Curve1D):
     """
 
     def __init__(self, breakpoints, coefficients):
-        xs = _floats("breakpoints", breakpoints)
-        if xs.ndim != 1 or len(xs) != len(coefficients) + 1:
-            raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(coefficients)} pieces")
+        xs, coefficients = _checked(self, breakpoints=breakpoints, coefficients=coefficients)
+        _check_pieces(xs, coefficients)
         if not (abs(xs[0]) < _TINY and abs(xs[-1] - 1.0) < _TINY and np.all(np.diff(xs) > 0)):
             raise OutOfRange("breakpoints must increase strictly from 0 to 1")
         # g, g' and g'' run inside every price solve: their coefficients are
         # Python floats, evaluated by _horner, and the breakpoints a list
-        self._x = xs.tolist()
-        self._c0 = [_coefficients(P) for P in coefficients]
-        self._c1 = [_polyder(c, 1) for c in self._c0]
-        self._c2 = [_polyder(c, 2) for c in self._c0]
+        self.breakpoints, self.coefficients = xs.tolist(), coefficients
+        self._c1 = [_polyder(c, 1) for c in coefficients]
+        self._c2 = [_polyder(c, 2) for c in coefficients]
         # g' and g'' at both ends of each piece
         ends = [
             (_horner(c1, a), _horner(c1, b), _horner(c2, a), _horner(c2, b))
-            for c1, c2, a, b in zip(self._c1, self._c2, self._x, self._x[1:])
+            for c1, c2, a, b in zip(self._c1, self._c2, self.breakpoints, self.breakpoints[1:])
         ]
         tol = 1e-9 * max([1.0] + [abs(v) for e in ends for v in e if math.isfinite(v)])
         # slope bounds per piece, nondecreasing across the breakpoints, so a
@@ -191,12 +210,13 @@ class PiecewisePolyCurve(Curve1D):
         self._dlo, self._dhi = [], []
         top = -math.inf
         for k, (sl, sr, cl, cr) in enumerate(ends):
-            if min([cl, cr] + _turning_values(self._c2[k], *self._x[k : k + 2])) < -tol or sr < sl - tol:
+            x = self.breakpoints[k]
+            if min([cl, cr] + _turning_values(self._c2[k], x, self.breakpoints[k + 1])) < -tol or sr < sl - tol:
                 raise OutOfRange(f"piece {k} is not convex: g' falls inside it")
             if sl < top - tol:
-                raise OutOfRange(f"g' falls at breakpoint {self._x[k]}: the curve is not convex")
-            if k and abs(_horner(self._c0[k - 1], self._x[k]) - _horner(self._c0[k], self._x[k])) > tol:
-                raise OutOfRange(f"g jumps at breakpoint {self._x[k]}: the curve is not continuous")
+                raise OutOfRange(f"g' falls at breakpoint {x}: the curve is not convex")
+            if k and abs(_horner(coefficients[k - 1], x) - _horner(coefficients[k], x)) > tol:
+                raise OutOfRange(f"g jumps at breakpoint {x}: the curve is not continuous")
             self._dlo.append(max(sl, top))
             top = max(sr, self._dlo[-1])
             self._dhi.append(top)
@@ -209,17 +229,18 @@ class PiecewisePolyCurve(Curve1D):
         Double antiderivative with continuity across breakpoints, then chord
         subtraction; any antiderivative choice gives the same curve.
         """
-        xs = _floats("breakpoints", breakpoints)
-        B = _integrate(xs, _integrate(xs, [_coefficients(P) for P in coefficients]))
+        xs, liquidity = _checked(breakpoints=breakpoints, coefficients=coefficients)
+        _check_pieces(xs, liquidity)
+        B = _integrate(xs, _integrate(xs, liquidity))
         chord = [0.0, _horner(B[-1], xs[-1])]  # B(1), with B(0) = 0
         return cls(xs, [_polyadd(Q, [-v for v in chord]) for Q in B])
 
     def _piece(self, p):
-        k = bisect_right(self._x, p) - 1
-        return min(max(k, 0), len(self._c0) - 1)
+        k = bisect_right(self.breakpoints, p) - 1
+        return min(max(k, 0), len(self.coefficients) - 1)
 
     def g(self, p):
-        return float(_horner(self._c0[self._piece(p)], p))
+        return float(_horner(self.coefficients[self._piece(p)], p))
 
     def _slope(self, k, p):
         return min(max(float(_horner(self._c1[k], p)), self._dlo[k]), self._dhi[k])
@@ -227,7 +248,7 @@ class PiecewisePolyCurve(Curve1D):
     def _dg(self, k, p):
         d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
-        if 0 < k and p == self._x[k]:
+        if 0 < k and p == self.breakpoints[k]:
             d = 0.5 * (d + self._slope(k - 1, p))
         return float(d)
 
@@ -238,12 +259,11 @@ class PiecewisePolyCurve(Curve1D):
         k = self._piece(p)
         return self._dg(k, p), float(_horner(self._c2[k], p))
 
-    def descriptor(self) -> dict:
-        return {
-            "family": "piecewise_poly",
-            "breakpoints": list(self._x),
-            "coefficients": [list(c) for c in self._c0],
-        }
+
+def _check_pieces(xs, coefficients):
+    """Raise UnknownKind unless the breakpoints xs bound the pieces."""
+    if xs.ndim != 1 or len(xs) != len(coefficients) + 1:
+        raise UnknownKind(f"breakpoints of shape {xs.shape} for {len(coefficients)} pieces")
 
 
 def _integrate(xs, polys):
@@ -264,14 +284,6 @@ def _turning_values(c2, a, b):
     if len(c2) < 3:
         return []
     return [_horner(c2, r) for r in np.roots(_polyder(c2, 1)[::-1]).real.tolist() if a < r < b]
-
-
-def _coefficients(P) -> list:
-    """The coefficients of a piece, given as a sequence or as `.coef`."""
-    c = np.atleast_1d(_floats("piece coefficients", getattr(P, "coef", P)))
-    if c.ndim != 1 or not c.size:
-        raise UnknownKind(f"piece coefficients of shape {c.shape}")
-    return c.tolist()
 
 
 # Coefficient lists, lowest degree first, hold the pieces.  These helpers are
@@ -324,7 +336,7 @@ def _polyadd(a, b):
 
 def brier_curve(scale: float = 1.0) -> PiecewisePolyCurve:
     """Quadratic-score curve g(p) = scale * (p^2 - p); liquidity 2 * scale."""
-    _check_number("Brier scale", scale)
+    (scale,) = _checked(scale=scale)
     if not 0 < scale < math.inf:
         raise OutOfRange(f"Brier scale {scale} is not positive and finite")
     return PiecewisePolyCurve([0.0, 1.0], [[0.0, -scale, scale]])
@@ -336,7 +348,7 @@ def piecewise_linear_curve(grid, weights) -> PiecewisePolyCurve:
     it, so its maker quotes a_j for every state inside its capacity.  On
     (a_j, a_{j+1}), with a_0 = 0, the sum's slope is sum_{i<=j} w_i a_i +
     sum_{i>j} w_i (a_i - 1) and its intercept -sum_{i<=j} w_i a_i."""
-    grid, weights = _floats("grid", grid), _floats("weights", weights)
+    grid, weights = _checked(grid=grid, weights=weights)
     if grid.ndim != 1 or grid.shape != weights.shape or len(grid) == 0:
         raise UnknownKind(f"grid of shape {grid.shape} for weights of shape {weights.shape}")
     if not (np.all(np.diff(grid) > 0) and grid[0] > 0 and grid[-1] < 1 and np.all((0 <= weights) & (weights < math.inf))):
@@ -350,7 +362,7 @@ def tabulated_liquidity_curve(grid, values) -> PiecewisePolyCurve:
     """Curve whose liquidity g'' interpolates `values` at the prices `grid`
     linearly and is 0 off the grid, which lies inside [0, 1];
     `from_liquidity` integrates it exactly, so g, g' and g'' agree."""
-    grid, values = _floats("grid", grid), _floats("values", values)
+    grid, values = _checked(grid=grid, values=values)
     if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
         raise UnknownKind(f"grid of shape {grid.shape} for samples of shape {values.shape}")
     if not (np.all(np.diff(grid) > 0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
@@ -364,7 +376,7 @@ def tabulated_liquidity_curve(grid, values) -> PiecewisePolyCurve:
     return PiecewisePolyCurve.from_liquidity(xs, liq)
 
 
-class LmsrCurve(Curve1D):
+class LmsrCurve(Curve1D, family="lmsr"):
     """Two-outcome LMSR shape g(p) = b (p log p + (1-p) log(1-p)).
 
     `LmsrGenerator(b, 2)` is the same maker; this curve stays as the scalar
@@ -375,10 +387,9 @@ class LmsrCurve(Curve1D):
     is_pseudobarrier = True
 
     def __init__(self, b: float):
-        _check_number("LMSR b", b)
-        if not 0 < b < math.inf:
+        (self.b,) = _checked(self, b=b)
+        if not 0 < self.b < math.inf:
             raise OutOfRange(f"LMSR b {b} is not positive and finite")
-        self.b = b
 
     def g(self, p):
         return float(self.b * (_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)))
@@ -394,9 +405,6 @@ class LmsrCurve(Curve1D):
         cost = float(self.b * np.logaddexp(0.0, t / self.b)) + q[1]
         p1 = _expit(t / self.b)
         return cost, np.array([p1, 1.0 - p1])
-
-    def descriptor(self):
-        return {"family": "lmsr", "b": self.b}
 
 
 def _xlogy(x, y):
@@ -428,12 +436,12 @@ def _constant_product_conjugate(q, width):
     return 0.5 * (t + r) + q[1], np.array([p1, 1.0 - p1])
 
 
-class UniswapV2Curve(Curve1D):
+class UniswapV2Curve(Curve1D, family="uniswap_v2"):
     """Constant-product shape g(p) = -2 a sqrt(p (1-p)); reserves x1 x2 = a^2."""
 
     def __init__(self, alpha: float):
-        _check_amount("liquidity", alpha)
-        self.alpha = alpha
+        (self.alpha,) = _checked(self, alpha=alpha)
+        _check_amount("liquidity", self.alpha)
 
     @property
     def is_pseudobarrier(self):
@@ -452,11 +460,8 @@ class UniswapV2Curve(Curve1D):
     def conjugate(self, q):
         return _constant_product_conjugate(q, 2.0 * self.alpha)
 
-    def descriptor(self):
-        return {"family": "uniswap_v2", "alpha": self.alpha}
 
-
-class BucketCurve(Curve1D):
+class BucketCurve(Curve1D, family="bucket"):
     """Liquidity of a base curve restricted to [a, b], scaled by `weight`.
 
     The base maker's liquidity profile is zeroed outside [a, b] and the
@@ -465,6 +470,7 @@ class BucketCurve(Curve1D):
     """
 
     def __init__(self, base: Curve1D, a: float, b: float, weight: float = 1.0):
+        base, a, b, weight = _checked(self, base=base, a=a, b=b, weight=weight)
         if not (0.0 < a < b < 1.0 and 0 <= weight < math.inf):
             raise OutOfRange(f"bucket [{a}, {b}] with weight {weight} needs 0 < a < b < 1 and a finite weight >= 0")
         self.base, self.a, self.b, self.weight = base, a, b, weight
@@ -525,10 +531,10 @@ class BucketCurve(Curve1D):
                                 if getattr(build, "func", None) is _unit_bucket and build.args[0].descriptor() == base), "")
         if self._short:
             return {"family": self._short, "a": self.a, "b": self.b, "alpha": self.weight}
-        return {"family": "bucket", "base": self.base.descriptor(), "a": self.a, "b": self.b, "weight": self.weight}
+        return super().descriptor()
 
 
-class BucketArrayCurve(Curve1D):
+class BucketArrayCurve(Curve1D, family="bucket_array"):
     """Sum of BucketCurve(base, a_j, b_j, w_j) over sorted buckets that do not
     overlap; zero weights are allowed.
 
@@ -543,7 +549,7 @@ class BucketArrayCurve(Curve1D):
     """
 
     def __init__(self, base: Curve1D, buckets, weights):
-        pairs = _floats("buckets", buckets)
+        base, pairs, weights = _checked(self, base=base, buckets=buckets, weights=weights)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise UnknownKind(f"buckets must be (a, b) pairs, got shape {pairs.shape}")
         buckets = [(a, b) for a, b in pairs.reshape(-1, 2).tolist()]
@@ -580,10 +586,12 @@ class BucketArrayCurve(Curve1D):
             self._held_at.append((held, j, np.array(ux), np.array(uy)))
         self._set_weights(weights)
 
-    def _set_weights(self, weights):
-        w = _floats("weights", weights).copy()
+    def _set_weights(self, w):
         if w.shape != (len(self.buckets),) or not np.all((w >= 0) & (w < math.inf)):
             raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, negative or not finite")
+        # a copy shares the recorded descriptor: replace it, never edit it
+        record, nested = self._descriptor
+        self._descriptor = {**record, "weights": w}, nested
         self.weights = w
         self._w = w.tolist()
         self._clamp_slopes = None
@@ -603,7 +611,7 @@ class BucketArrayCurve(Curve1D):
     def with_weights(self, weights) -> "BucketArrayCurve":
         """The same buckets over the same base, with other weights."""
         arr = copy.copy(self)
-        arr._set_weights(weights)
+        arr._set_weights(*_checked(weights=weights))
         return arr
 
     def holding(self, p):
@@ -636,16 +644,8 @@ class BucketArrayCurve(Curve1D):
         s = i0 + i1
         return float(min(max(acc + self._L[i1], self._dlo[s]), self._dhi[s])), float(curv)
 
-    def descriptor(self):
-        return {
-            "family": "bucket_array",
-            "base": self.base.descriptor(),
-            "buckets": [list(ab) for ab in self.buckets],
-            "weights": list(self._w),
-        }
 
-
-class SoftBucketCurve(Curve1D):
+class SoftBucketCurve(Curve1D, family="soft_bucket"):
     """Liquidity f(p) * 2 (p (1-p))^{-3/2} with f piecewise linear on knots.
 
     `knots` run 0 = a_1 < ... < a_k = 1 and `weights` are the liquidity
@@ -660,9 +660,9 @@ class SoftBucketCurve(Curve1D):
     """
 
     def __init__(self, knots, weights):
-        knots, weights = _floats("knots", knots), _floats("weights", weights)
+        knots, weights = _checked(self, knots=knots, weights=weights)
         if knots.ndim != 1 or knots.shape != weights.shape or len(knots) < 2:
-            raise UnknownKind(f"{knots.shape} knots for {weights.shape} weights")
+            raise UnknownKind(f"knots of shape {knots.shape} for weights of shape {weights.shape}")
         if not (abs(knots[0]) < _TINY and abs(knots[-1] - 1.0) < _TINY and np.all(np.diff(knots) > 0)):
             raise OutOfRange("knots must increase strictly from 0 to 1")
         if not np.all((weights >= 0) & (weights < math.inf)):
@@ -692,9 +692,6 @@ class SoftBucketCurve(Curve1D):
         piece = self._pieces[bisect_right(self._x, p)]
         return float(_soft_dg(piece, p) - self._chord), float(_soft_d2g(piece, p))
 
-    def descriptor(self):
-        return {"family": "soft_bucket", "knots": list(self.knots), "weights": list(self.weights)}
-
 
 def _soft_g(piece, p):
     """u J0(p) + v J1(p) + c p + e for a soft-bucket piece (u, v, c, e)."""
@@ -720,16 +717,15 @@ def _soft_d2g(piece, p):
 # ---------------------------------------------------------------------------
 
 
-class LmsrGenerator(Generator):
+class LmsrGenerator(Generator, family="lmsr"):
     """G(p) = b * sum_i p_i log p_i."""
 
     is_pseudobarrier = True
 
     def __init__(self, b: float, n: int):
-        _check_integer("n", n)
-        if not (0 < b < math.inf and n >= 2):
+        self.b, self.n = _checked(self, b=b, n=n)
+        if not (0 < self.b < math.inf and self.n >= 2):
             raise OutOfRange(f"LMSR needs a finite b > 0 and n >= 2, got b = {b}, n = {n}")
-        self.b, self.n = b, n
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -755,20 +751,16 @@ class LmsrGenerator(Generator):
     def vertex_values(self):
         return np.zeros(self.n)
 
-    def descriptor(self):
-        return {"family": "lmsr", "b": self.b, "n": self.n}
 
-
-class ConstantProductGenerator(Generator):
+class ConstantProductGenerator(Generator, family="constant_product"):
     """G(p) = -n (alpha * prod_i p_i)^{1/n}; reserves satisfy prod x_i = alpha."""
 
     is_pseudobarrier = True
 
     def __init__(self, n: int, alpha: float = 1.0):
-        _check_integer("n", n)
-        if not (n >= 2 and 0 < alpha < math.inf):
+        self.n, self.alpha = _checked(self, n=n, alpha=alpha)
+        if not (self.n >= 2 and 0 < self.alpha < math.inf):
             raise OutOfRange(f"constant product needs n >= 2 and a finite alpha > 0, got n = {n}, alpha = {alpha}")
-        self.n, self.alpha = n, alpha
 
     def _gm(self, x):
         return math.exp((math.log(self.alpha) + np.sum(np.log(x))) / self.n)
@@ -795,19 +787,14 @@ class ConstantProductGenerator(Generator):
     def vertex_values(self):
         return np.zeros(self.n)
 
-    def descriptor(self):
-        return {"family": "constant_product", "n": self.n, "alpha": self.alpha}
 
-
-class PairConstantProductGenerator(Generator):
+class PairConstantProductGenerator(Generator, family="pair_constant_product"):
     """G(p) = -2 alpha sqrt(p_i p_j): constant-product liquidity on one pair."""
 
     def __init__(self, n: int, i: int, j: int, alpha: float = 1.0):
-        for name, k in (("n", n), ("i", i), ("j", j)):
-            _check_integer(name, k)
-        if not (n >= 2 and 0 <= i < j < n and 0 <= alpha < math.inf):
+        self.n, self.i, self.j, self.alpha = _checked(self, n=n, i=i, j=j, alpha=alpha)
+        if not (self.n >= 2 and 0 <= self.i < self.j < self.n and 0 <= self.alpha < math.inf):
             raise OutOfRange(f"pair ({i}, {j}) of {n} outcomes with alpha {alpha} is invalid")
-        self.n, self.i, self.j, self.alpha = n, i, j, alpha
 
     @property
     def is_pseudobarrier(self):
@@ -839,20 +826,12 @@ class PairConstantProductGenerator(Generator):
     def vertex_values(self):
         return np.zeros(self.n)
 
-    def descriptor(self):
-        return {"family": "pair_constant_product", "n": self.n, "i": self.i, "j": self.j, "alpha": self.alpha}
 
-
-class SumGenerator(Generator):
+class SumGenerator(Generator, family="sum"):
     def __init__(self, terms):
-        flat = []
-        for t in terms:
-            flat.extend(t.terms if isinstance(t, SumGenerator) else [t])
-        if not flat:
-            raise UnknownKind("a sum needs at least one term")
-        self.terms = flat
-        self.n = flat[0].n
-        if any(t.n != self.n for t in flat):
+        (self.terms,) = _checked(self, terms=terms)
+        self.n = self.terms[0].n
+        if any(t.n != self.n for t in self.terms):
             raise UnsupportedFamily("terms of a sum have different outcome counts")
 
     @property
@@ -880,28 +859,17 @@ class SumGenerator(Generator):
     def vertex_values(self):
         return np.sum([t.vertex_values() for t in self.terms], axis=0)
 
-    def descriptor(self):
-        return {"family": "sum", "terms": [t.descriptor() for t in self.terms]}
-
 
 def _family(G) -> tuple | None:
     """Key shared by the terms `compile_sum` merges with G; None for a family
     that does not merge."""
-    if isinstance(G, LmsrCurve):
-        return ("lmsr", 2)
-    if isinstance(G, LmsrGenerator):
-        return ("lmsr", G.n)
-    if type(G) is UniswapV2Curve:
-        return ("uniswap_v2",)
-    if isinstance(G, ConstantProductGenerator):
-        return ("constant_product", G.n)
-    if isinstance(G, BucketArrayCurve):
-        return ("bucket_array", id(G._units))
-    if type(G) is BucketCurve:
-        # equal bases merge, however they were built
-        return ("bucket", json.dumps(G.base.descriptor(), sort_keys=True))
-    if type(G) is PiecewisePolyCurve:
-        return ("piecewise_poly",)
+    kind = type(G)
+    if kind in (LmsrCurve, LmsrGenerator, ConstantProductGenerator, UniswapV2Curve, PiecewisePolyCurve):
+        return (G.family, G.n)
+    if kind is BucketArrayCurve:
+        return (G.family, id(G._units))
+    if kind is BucketCurve:  # equal bases merge, however they were built
+        return (G.family, json.dumps(G.base.descriptor(), sort_keys=True))
     return None
 
 
@@ -930,11 +898,11 @@ def _merge(kind: str, terms) -> Generator:
         return BucketArrayCurve(terms[0].base, [(a, b) for a, b, _ in subs], [w for _, _, w in subs])
     if kind == "piecewise_poly":
         # each refined piece adds the coefficients of the pieces covering it
-        xs = sorted({x for T in terms for x in T._x})
-        coefs = [[0.0] * max(len(c) for T in terms for c in T._c0) for _ in xs[1:]]
+        xs = sorted({x for T in terms for x in T.breakpoints})
+        coefs = [[0.0] * max(len(c) for T in terms for c in T.coefficients) for _ in xs[1:]]
         for c, a, b in zip(coefs, xs, xs[1:]):
             for T in terms:
-                for i, v in enumerate(T._c0[T._piece(0.5 * (a + b))]):
+                for i, v in enumerate(T.coefficients[T._piece(0.5 * (a + b))]):
                     c[i] += v
         return PiecewisePolyCurve(xs, coefs)
     return terms[0].with_weights(np.sum([T.weights for T in terms], axis=0))
@@ -961,12 +929,11 @@ def compile_sum(generators) -> Generator:
     return terms[0] if len(terms) == 1 else SumGenerator(terms)
 
 
-class TrivialGenerator(Generator):
+class TrivialGenerator(Generator, family="trivial"):
     """The zero generator: no liquidity, liability always zero."""
 
     def __init__(self, n: int):
-        _check_integer("n", n)
-        self.n = n
+        (self.n,) = _checked(self, n=n)
 
     def value(self, x):
         return 0.0
@@ -980,17 +947,15 @@ class TrivialGenerator(Generator):
     def vertex_values(self):
         return np.zeros(self.n)
 
-    def descriptor(self):
-        return {"family": "trivial", "n": self.n}
 
-
-class ShiftedGenerator(Generator):
+class ShiftedGenerator(Generator, family="shifted"):
     """inner minus the linear function <x, shift>; zero at the vertices."""
 
     def __init__(self, inner: Generator, shift):
-        self.inner = inner
-        self.shift = _floats("shift", shift).reshape(inner.n)  # one per outcome, not broadcast
-        self.n = inner.n
+        inner, shift = _checked(self, inner=inner, shift=shift)
+        if shift.shape != (inner.n,):  # one per outcome, not broadcast
+            raise UnknownKind(f"shift has shape {shift.shape}, not ({inner.n},)")
+        self.inner, self.shift, self.n = inner, shift, inner.n
 
     @property
     def is_pseudobarrier(self):
@@ -1016,25 +981,94 @@ class ShiftedGenerator(Generator):
     def vertex_values(self):
         return self.inner.vertex_values() - self.shift
 
-    def descriptor(self):
-        return {"family": "shifted", "inner": self.inner.descriptor(), "shift": list(self.shift)}
-
 
 # ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
 
+def _number(name, x):
+    if type(x) is float:  # the common field, tested first
+        return x
+    _check_number(name, x)
+    return int(x) if isinstance(x, (int, np.integer)) else float(x)
+
+
+def _integer(name, k):
+    _check_integer(name, k)
+    return _number(name, k)  # a number too: not beyond the float range
+
+
+def _vectors(name, x):
+    if not (isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim) or not len(x):
+        raise UnknownKind(f"{name} must be a nonempty list of vectors, got {x!r}")
+    pieces = []
+    for P in x:
+        c = np.atleast_1d(_floats(name, getattr(P, "coef", P)))
+        if c.ndim != 1 or not c.size:
+            raise UnknownKind(f"{name} holds a piece of shape {c.shape}")
+        pieces.append(c.tolist())
+    return pieces
+
+
+def _instance(kind, what):
+    def rule(name, x):
+        if not isinstance(x, kind):  # a generator's repr holds its address: name its type
+            raise UnknownKind(f"{name} must be {what}, got {type(x).__name__ if isinstance(x, Generator) else repr(x)}")
+        return x
+    return rule
+
+
+_curve, _generator = _instance(Curve1D, "a two-outcome curve"), _instance(Generator, "a generator")
+
+
+def _generators(name, x):
+    if not isinstance(x, (list, tuple)) or not x:
+        raise UnknownKind(f"{name} must be a nonempty list of generators, got {x!r}")
+    for k, t in enumerate(x):
+        if not isinstance(t, Generator):
+            _generator(f"{name}[{k}]", t)  # raises, naming the entry
+    return [u for t in x for u in (t.terms if isinstance(t, SumGenerator) else [t])]
+
+
+_DESCRIBED = methodcaller("descriptor")
+_KINDS = {  # field -> (rule, writer of a recorded value; None for a number)
+    **dict.fromkeys(["a", "b", "alpha", "scale", "weight"], (_number, None)),
+    **dict.fromkeys(["n", "i", "j"], (_integer, None)),
+    **dict.fromkeys(["breakpoints", "buckets", "grid", "knots", "shift", "values", "weights"],
+                    (lambda name, x: _floats(name, x).copy(), np.ndarray.tolist)),
+    "coefficients": (_vectors, lambda pieces: [c.copy() for c in pieces]),
+    "base": (_curve, _DESCRIBED),
+    "inner": (_generator, _DESCRIBED),
+    "terms": (_generators, lambda terms: [t.descriptor() for t in terms]),
+}
+
+
+def _checked(G=None, **fields) -> list:
+    """The fields, each checked and converted by the rule of its kind; given
+    a generator G, also record them under its family for `descriptor()`."""
+    values, nested = [], []
+    for key, value in fields.items():
+        rule, write = _KINDS[key]
+        values.append(rule(key, value))
+        if write:
+            nested.append((key, write))
+    if G is not None:
+        record = {"family": G.family}
+        record.update(zip(fields, values))
+        G._descriptor = record, nested
+    return values
+
+
 def _unit_bucket(base, a, b, alpha=1.0):
-    """A bucket shorthand: `base` at unit scale on [a, b], weighted by alpha."""
-    return BucketCurve(base, a, b, alpha)
+    """A bucket shorthand: `base` at unit scale on [a, b], weighted by alpha.
+    Its own field is alpha; `BucketCurve` checks a and b by the same names."""
+    return BucketCurve(base, a, b, *_checked(alpha=alpha))
 
 
-# The one descriptor table, family -> builder: a descriptor's other fields are
-# the builder's keyword arguments, and `descriptor()` writes them back.  A
-# field left out takes the builder's default, and a count n the market's n or
-# 2.  "inner" and "terms" load first as generators, "base" as a two-outcome
-# curve, in which "lmsr" is an `LmsrCurve`.
+# The one descriptor table, family -> builder.  A field left out takes the
+# builder's default, and a count n the market's n or 2; "base" loads as a
+# two-outcome curve, in which "lmsr" is an `LmsrCurve`.
 _BUILDERS = {
     "lmsr": LmsrGenerator,
     "uniswap_v2": UniswapV2Curve,
@@ -1056,9 +1090,9 @@ _BUILDERS = {
     "shifted": ShiftedGenerator,
 }
 _CURVES = {**_BUILDERS, "lmsr": LmsrCurve}
-_COUNTED = {build for build in _BUILDERS.values() if "n" in inspect.signature(build).parameters}
-# a builder's errors on a field that is missing, unknown, or of the wrong type or size
-_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
+_PARAMETERS = {build: inspect.signature(build).parameters for build in [*_BUILDERS.values(), LmsrCurve]}
+_REQUIRED = {build: {key for key, par in params.items() if par.default is par.empty}
+             for build, params in _PARAMETERS.items()}
 
 
 def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
@@ -1070,22 +1104,27 @@ def _load(d, n, builders) -> Generator:
     if not isinstance(d, dict):
         raise UnknownKind(f"a descriptor must be an object, got {d!r}")
     fam = d.get("family")
-    if bad := [key for key, value in d.items() if _not_a_number(value)]:
-        raise UnknownKind(f"malformed {fam} descriptor: {bad[0]} holds a bool or an oversized integer")
     if not isinstance(fam, str) or fam not in builders:
         raise UnknownKind(f"unknown family {fam!r}")
     build, fields = builders[fam], {key: value for key, value in d.items() if key != "family"}
+    params, required = _PARAMETERS[build], _REQUIRED[build]
+    if "n" in params and "n" not in fields:
+        fields["n"] = n or 2
+    if not required <= fields.keys() <= params.keys():
+        unknown = [key for key in fields if key not in params]
+        missing = [key for key in params if key in required and key not in fields]
+        raise UnknownKind(f"malformed {fam} descriptor: " + (
+            f"{unknown[0]} is not one of its fields ({', '.join(params)})" if unknown else f"{missing[0]} is missing"))
+    # a nested descriptor loads on its own, and its errors name its family
+    if isinstance(fields.get("base"), dict):
+        fields["base"] = _load(fields["base"], 2, _CURVES)
+    if isinstance(fields.get("inner"), dict):
+        fields["inner"] = _load(fields["inner"], n, builders)
+    if isinstance(fields.get("terms"), list):
+        fields["terms"] = [_load(t, n, builders) if isinstance(t, dict) else t for t in fields["terms"]]
     try:
-        if "base" in fields:
-            fields["base"] = _load(fields["base"], 2, _CURVES)
-        if "inner" in fields:
-            fields["inner"] = _load(fields["inner"], n, builders)
-        if "terms" in fields:
-            fields["terms"] = [_load(t, n, builders) for t in fields["terms"]]
-        if build in _COUNTED and "n" not in fields:
-            fields["n"] = n or 2
         G = build(**fields)
-    except _MALFORMED as exc:
+    except UnknownKind as exc:
         raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
     if n not in (None, 2) and isinstance(G, Curve1D):
         raise UnknownKind(f"curve family {fam!r} only supports two outcomes")

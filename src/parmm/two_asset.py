@@ -67,8 +67,10 @@ def liability2(curve: Curve1D, p: float) -> np.ndarray:
 def price2(curve: Curve1D, q) -> float:
     """Leftmost price consistent with liability q (scalar t = q1 - q2 also
     accepted).  Flat stretches and kinks of g' resolve to their left end."""
-    q = [float(q), 0.0] if np.ndim(q) == 0 else q
-    res = conjugate_value(curve, q)
+    if not isinstance(q, (list, tuple, np.ndarray)):
+        _check_number("liability", q)
+        q = [q, 0.0]
+    res = conjugate_value(curve, _bundle("liability", q, 2))
     if res.at_boundary:
         raise OutOfRange(f"slope {q[0] - q[1]} outside the reachable range")
     return float(res.price[0])

@@ -314,27 +314,36 @@ _FAILURES = {
                    "error: event 3 (execute_trade): bundle is not numeric: [nan, 0.1]\n"),
     "liability-huge-int": ({"op": "initialize", "generator": _LMSR, "liability": [2 ** 1024, 0]}, "UnknownKind", 2,
                            f"error: event 3 (initialize): liability is not numeric: {[2 ** 1024, 0]!r}\n"),
-    # a descriptor field of the wrong type, or a descriptor that is not an object
+    # a descriptor field of the wrong kind, missing or unknown: one message
+    # shape, "malformed {family} descriptor: {field} ...", whichever check catches it
     "descriptor-str": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": "one"}},
-                       "UnknownKind", 2, "error: event 3 (modify_liquidity): malformed lmsr descriptor: "),
+                       "UnknownKind", 2,
+                       "error: event 3 (modify_liquidity): malformed lmsr descriptor: b must be a number, got 'one'\n"),
     "buckets-str": ({"op": "modify_liquidity", "lp": 1,
                      "generator": {"family": "bucket_array", "base": _LMSR, "buckets": "x", "weights": [1.0]}},
-                    "UnknownKind", 2, "error: event 3 (modify_liquidity): buckets is not numeric: 'x'\n"),
-    # a field the family's builder needs and does not get, or does not take
+                    "UnknownKind", 2,
+                    "error: event 3 (modify_liquidity): malformed bucket_array descriptor: buckets is not numeric: 'x'\n"),
     "field-missing": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2"}}, "UnknownKind", 2,
-                      "error: event 3 (modify_liquidity): malformed uniswap_v2 descriptor: "),
+                      "error: event 3 (modify_liquidity): malformed uniswap_v2 descriptor: alpha is missing\n"),
     "field-unknown": ({"op": "modify_liquidity", "lp": 1,
                        "generator": {"family": "v3_bucket", "a": 0.2, "b": 0.5, "weight": 3.0}}, "UnknownKind", 2,
-                      "error: event 3 (modify_liquidity): malformed v3_bucket descriptor: "),
+                      "error: event 3 (modify_liquidity): malformed v3_bucket descriptor: "
+                      "weight is not one of its fields (a, b, alpha)\n"),
+    # a nested descriptor reports its own family, once: a base is a curve, whose lmsr takes b alone
+    "base-field-unknown": ({"op": "modify_liquidity", "lp": 1, "generator": {
+                               "family": "bucket", "base": {"family": "lmsr", "b": 1.0, "n": 3}, "a": 0.2, "b": 0.5}},
+                           "UnknownKind", 2,
+                           "error: event 3 (modify_liquidity): malformed lmsr descriptor: n is not one of its fields (b)\n"),
     "generator-str": ({"op": "modify_liquidity", "lp": 1, "generator": "lmsr"}, "UnknownKind", 2,
                       "error: event 3 (modify_liquidity): a descriptor must be an object, got 'lmsr'\n"),
     # counts are integers, and descriptor numbers are neither bools nor integers beyond the float range
     "n-float": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "constant_product", "n": 2.0}},
-                "UnknownKind", 2, "error: event 3 (modify_liquidity): n must be an integer, got 2.0\n"),
+                "UnknownKind", 2,
+                "error: event 3 (modify_liquidity): malformed constant_product descriptor: n must be an integer, got 2.0\n"),
     "b-true": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": True}}, "UnknownKind", 2,
-               "error: event 3 (modify_liquidity): malformed lmsr descriptor: b holds a bool or an oversized integer\n"),
+               "error: event 3 (modify_liquidity): malformed lmsr descriptor: b must be a number, got True\n"),
     "b-huge-int": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "lmsr", "b": 2 ** 1024}}, "UnknownKind",
-                   2, "error: event 3 (modify_liquidity): malformed lmsr descriptor: b holds a bool or an oversized integer\n"),
+                   2, f"error: event 3 (modify_liquidity): malformed lmsr descriptor: b must be a number, got {2 ** 1024}\n"),
     "query-unknown": ({"op": "query", "what": "volume"}, "UnknownKind", 2,
                       "error: event 3 (query): unknown query 'volume'\n"),
 }

@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_pools import bench_inputs, n2_market, tiled_pool, v3_pool
+from test_engine import run_under_python_O
 from parmm import (
     BucketArrayCurve,
     BucketCurve,
@@ -48,6 +50,7 @@ from parmm.errors import (
     UnknownKind,
     UnsupportedFamily,
 )
+from parmm.generators import _BUILDERS
 
 GRID = np.linspace(0.004, 0.996, 249)
 
@@ -153,7 +156,7 @@ def test_piecewise_coefficients_match_numpy_polynomial_bit_for_bit():
         cases.append((tabulated_liquidity_curve(grid, values), xs, liq, True))
         grid = np.unique(rng.uniform(0.01, 0.99, n))
         crv = piecewise_linear_curve(grid, rng.uniform(0.0, 1.0, len(grid)) * (rng.random(len(grid)) < 0.8))
-        cases.append((crv, crv._x, crv._c0, False))
+        cases.append((crv, crv.breakpoints, crv.coefficients, False))
     for scale in [0.3, 1.0, 2.5]:
         cases.append((brier_curve(scale), [0.0, 1.0], [[0.0, -scale, scale]], False))
     # the middle piece's slope is the chord's, so numpy trims its difference
@@ -162,7 +165,7 @@ def test_piecewise_coefficients_match_numpy_polynomial_bit_for_bit():
     cases.append((PiecewisePolyCurve.from_liquidity(xs, liq), xs, liq, True))
     for crv, xs, pieces, integrate in cases:
         # compared as JSON, where -0.0 and 0.0 differ, so signs of zeros match too
-        assert json.dumps([crv._c0, crv._c1, crv._c2]) == json.dumps(polynomial_reference(xs, pieces, integrate))
+        assert json.dumps([crv.coefficients, crv._c1, crv._c2]) == json.dumps(polynomial_reference(xs, pieces, integrate))
 
 
 def test_piecewise_curves_accept_numpy_polynomials():
@@ -170,10 +173,10 @@ def test_piecewise_curves_accept_numpy_polynomials():
 
     crv = PiecewisePolyCurve([0.0, 1.0], [Polynomial([0.0, -1.5, 1.5])])
     ref = brier_curve(1.5)
-    assert [crv._c0, crv._c1, crv._c2] == [ref._c0, ref._c1, ref._c2]
+    assert [crv.coefficients, crv._c1, crv._c2] == [ref.coefficients, ref._c1, ref._c2]
     crv = PiecewisePolyCurve.from_liquidity([0.0, 0.6, 1.0], [Polynomial([5.0]), Polynomial([0.0])])
     ref = PiecewisePolyCurve.from_liquidity([0.0, 0.6, 1.0], [[5.0], [0.0]])
-    assert [crv._c0, crv._c1, crv._c2] == [ref._c0, ref._c1, ref._c2]
+    assert [crv.coefficients, crv._c1, crv._c2] == [ref.coefficients, ref._c1, ref._c2]
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +553,8 @@ def test_counts_may_be_numpy_integers():
     assert TrivialGenerator(np.int64(2)).n == 2
 
 
-# values of the wrong type, size or range for a descriptor field; where a
-# constructor fails on one with TypeError, ValueError, AttributeError,
-# IndexError or OverflowError, the loaders report it as UnknownKind
+# values of the wrong kind, size or range for a descriptor field or a
+# constructor argument
 _MALFORMED_VALUES = ["x", None, True, math.inf, [1.0], {}, -1.0, 2 ** 1024]
 
 
@@ -560,12 +562,12 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
     # every field of every family's descriptor, and a descriptor that is not
     # an object: a ParmmError (most are UnknownKind or OutOfRange), never a
     # traceback of another type, and no numpy warning
-    cases = [(value, 2) for value in _MALFORMED_VALUES]
+    cases = [(value, 2, None) for value in _MALFORMED_VALUES]
     for G in (build() for build in FAMILIES.values()):
         desc = G.descriptor()
-        cases += [({**desc, key: value}, G.n) for key in desc if key != "family" for value in _MALFORMED_VALUES]
+        cases += [({**desc, key: value}, G.n, key) for key in desc if key != "family" for value in _MALFORMED_VALUES]
     seen = collections.Counter()
-    for bad, n in cases:
+    for bad, n, key in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -575,10 +577,15 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
                 assert not any(v is True or v == 2 ** 1024 for v in bad.values())
             except ParmmError as exc:
                 seen[type(exc).__name__] += 1
+                # a field of the wrong kind or shape names the family and a
+                # field of it; a nested descriptor names its own family
+                if isinstance(exc, UnknownKind) and key not in (None, "base", "inner", "terms"):
+                    family, field = re.match(r"malformed (\w+) descriptor: (\w+)", str(exc)).groups()
+                    assert family == bad["family"] and field in bad
     assert seen["UnknownKind"] > 200 and seen["OutOfRange"] > 20
-    with pytest.raises(UnknownKind, match="^malformed lmsr descriptor: "):
+    with pytest.raises(UnknownKind, match="^malformed lmsr descriptor: b must be a number, got 'one'$"):
         generator_from_descriptor({"family": "lmsr", "b": "one"})
-    with pytest.raises(UnknownKind, match="^malformed bucket descriptor: "):
+    with pytest.raises(UnknownKind, match="^malformed bucket descriptor: a must be a number, got 'x'$"):
         generator_from_descriptor({"family": "bucket", "base": _V2, "a": "x", "b": 0.5})
     # a field left out loads on the builder's default or raises UnknownKind,
     # never a KeyError; a field the builder does not take raises UnknownKind
@@ -589,15 +596,133 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
                 generator_from_descriptor({k: v for k, v in desc.items() if k != key}, G.n)
             except UnknownKind:
                 pass
-        with pytest.raises(UnknownKind, match="unexpected keyword argument 'extra'"):
+        with pytest.raises(UnknownKind, match=f"^malformed {desc['family']} descriptor: extra is not one of its fields"):
             generator_from_descriptor({**desc, "extra": 1.0}, G.n)
-    with pytest.raises(UnknownKind, match="^malformed uniswap_v2 descriptor: .*'alpha'"):
+    with pytest.raises(UnknownKind, match="^malformed uniswap_v2 descriptor: alpha is missing$"):
         generator_from_descriptor({"family": "uniswap_v2"})
     # "weight" spells the long-form bucket's weight; the shorthand's is "alpha"
-    with pytest.raises(UnknownKind, match="^malformed v3_bucket descriptor: .*'weight'"):
+    with pytest.raises(UnknownKind, match=r"^malformed v3_bucket descriptor: weight is not one of its fields \(a, b, alpha\)$"):
         generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 0.5, "weight": 3.0})
     assert generator_from_descriptor({"family": "lmsr", "b": 1.0}, 3).n == 3
     assert generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 0.5}).weight == 1.0
+
+
+# arguments each builder of the descriptor table takes, by field
+_ARGUMENTS = {
+    "lmsr": {"b": 1.0, "n": 3},
+    "uniswap_v2": {"alpha": 1.0},
+    "brier": {"scale": 1.0},
+    "piecewise_poly": {"breakpoints": [0.0, 1.0], "coefficients": [[0.0, -1.0, 1.0]]},
+    "piecewise_liquidity": {"breakpoints": [0.0, 0.6, 1.0], "coefficients": [[5.0], [0.0]]},
+    "bucket": {"base": UniswapV2Curve(1.0), "a": 0.2, "b": 0.5, "weight": 1.0},
+    "v3_bucket": {"a": 0.2, "b": 0.5, "alpha": 1.0},
+    "lmsr_bucket": {"a": 0.2, "b": 0.5, "alpha": 1.0},
+    "brier_bucket": {"a": 0.2, "b": 0.5, "alpha": 1.0},
+    "bucket_array": {"base": UniswapV2Curve(1.0), "buckets": _TWO_BUCKETS, "weights": [1.0, 2.0]},
+    "soft_bucket": {"knots": [0.0, 0.4, 1.0], "weights": [0.0, 1.0, 0.0]},
+    "piecewise_linear": {"grid": [0.2, 0.6], "weights": [1.0, 2.0]},
+    "tabulated_liquidity": {"grid": [0.0, 0.5, 1.0], "values": [1.0, 2.0, 1.0]},
+    "constant_product": {"n": 3, "alpha": 1.0},
+    "pair_constant_product": {"n": 3, "i": 0, "j": 2, "alpha": 1.0},
+    "trivial": {"n": 2},
+    "sum": {"terms": [LmsrGenerator(1.0, 2), UniswapV2Curve(1.0)]},
+    "shifted": {"inner": LmsrGenerator(1.0, 3), "shift": [0.1, -0.2, 0.3]},
+}
+
+
+def test_a_malformed_constructor_argument_raises_a_typed_error():
+    # the twin of the descriptor test above, on the builders called directly:
+    # a ParmmError, never a TypeError, ValueError or AttributeError, and a
+    # bool, a string or None is never of a field's kind
+    assert set(_ARGUMENTS) == set(_BUILDERS)
+    for family, fields in _ARGUMENTS.items():
+        build = _BUILDERS[family]
+        assert build(**fields).n in (2, 3)
+        for key in fields:
+            for value in _MALFORMED_VALUES:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if value is True or value is None or isinstance(value, str):
+                        with pytest.raises(UnknownKind, match=f"^{key}"):
+                            build(**{**fields, key: value})
+                    else:
+                        try:
+                            build(**{**fields, key: value})
+                        except ParmmError:
+                            pass
+
+
+_LMSR_BASE = {"family": "lmsr", "b": 1.0}
+# arguments that once built and wrote `true`, or raised a bare TypeError,
+# ValueError or AttributeError: (direct call, the same as a descriptor)
+_WRONG_KIND = {
+    "lmsr-b-bool": (lambda: LmsrGenerator(True, 2), {"family": "lmsr", "b": True, "n": 2}),
+    "constant_product-alpha-bool": (lambda: ConstantProductGenerator(2, True),
+                                    {"family": "constant_product", "n": 2, "alpha": True}),
+    "bucket-weight-bool": (lambda: BucketCurve(LmsrCurve(1.0), 0.2, 0.5, True),
+                           {"family": "bucket", "base": _LMSR_BASE, "a": 0.2, "b": 0.5, "weight": True}),
+    "lmsr-b-str": (lambda: LmsrGenerator("x", 2), {"family": "lmsr", "b": "x", "n": 2}),
+    "bucket-a-str": (lambda: BucketCurve(LmsrCurve(1.0), "0.2", 0.5),
+                     {"family": "bucket", "base": _LMSR_BASE, "a": "0.2", "b": 0.5}),
+    "shifted-shift-long": (lambda: ShiftedGenerator(LmsrCurve(1.0), [0, 0, 0]),
+                           {"family": "shifted", "inner": _LMSR_BASE, "shift": [0, 0, 0]}),
+    "bucket-base-str": (lambda: BucketCurve("x", 0.2, 0.5), {"family": "bucket", "base": "x", "a": 0.2, "b": 0.5}),
+    "bucket-base-n3": (lambda: BucketCurve(LmsrGenerator(1.0, 3), 0.2, 0.5),
+                       {"family": "bucket", "base": {**_LMSR_BASE, "n": 3}, "a": 0.2, "b": 0.5}),
+    "sum-term-str": (lambda: SumGenerator(["x"]), {"family": "sum", "terms": ["x"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_KIND))
+def test_an_argument_of_the_wrong_kind_raises_unknown_kind(case):
+    build, desc = _WRONG_KIND[case]
+    with pytest.raises(UnknownKind):
+        build()
+    with pytest.raises(UnknownKind, match=r"^malformed \w+ descriptor: \w+"):
+        generator_from_descriptor(desc, 2)
+
+
+def test_the_constructor_checks_hold_under_python_O():
+    out = run_under_python_O("""
+        from parmm import BucketCurve, LmsrCurve, LmsrGenerator, ShiftedGenerator, SumGenerator
+        from parmm.errors import UnknownKind
+        builds = [lambda: LmsrGenerator(True, 2), lambda: BucketCurve(LmsrCurve(1.0), "0.2", 0.5),
+                  lambda: ShiftedGenerator(LmsrCurve(1.0), [0, 0, 0]), lambda: BucketCurve("x", 0.2, 0.5),
+                  lambda: SumGenerator(["x"])]
+        for build in builds:
+            try:
+                build()
+                print("built")
+            except UnknownKind as exc:
+                print(str(exc).split()[0])
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["b", "a", "shift", "base", "terms[0]"]
+
+
+# numpy scalars the constructors take; a descriptor holds them as Python's
+_NUMPY_ARGUMENTS = {
+    "lmsr-n-int64": lambda: LmsrGenerator(1.0, np.int64(3)),
+    "lmsr-b-float32": lambda: LmsrGenerator(np.float32(0.1), 2),
+    "trivial-n-int64": lambda: TrivialGenerator(np.int64(2)),
+    "pair-int64-int8": lambda: PairConstantProductGenerator(np.int64(3), np.int64(0), np.int8(2)),
+}
+
+
+def _leaves(x) -> list:
+    """The values inside the lists and dicts of x."""
+    if type(x) is list:
+        return [leaf for v in x for leaf in _leaves(v)]
+    if type(x) is dict:
+        return [leaf for v in x.values() for leaf in _leaves(v)]
+    return [x]
+
+
+@pytest.mark.parametrize("family", sorted({**FAMILIES, **_NUMPY_ARGUMENTS}))
+def test_descriptors_hold_plain_json_types(family):
+    d = {**FAMILIES, **_NUMPY_ARGUMENTS}[family]().descriptor()
+    assert {type(leaf) for leaf in _leaves(d)} <= {str, int, float}
+    assert json.loads(json.dumps(d)) == d
 
 
 @pytest.mark.parametrize("family", ["brier", "piecewise_liquidity", "piecewise_linear", "tabulated_liquidity"])
@@ -683,14 +808,14 @@ def _joined_curves():
             ([0, 0.1, 0.35, 0.8, 1], [[0.0], [3.0], [0.0], [0.25]]),
         )
     ]
-    cases += [(c, c._x[1:-1]) for c in flats]
+    cases += [(c, c.breakpoints[1:-1]) for c in flats]
     # bucket arrays with gaps and an empty bucket, on an LMSR base
     gaps = [(0.1, 0.25), (0.4, 0.5), (0.5, 0.8)]
     cases.append((BucketArrayCurve(LmsrCurve(0.7), gaps, [1.3, 0.0, 2.0]), [0.1, 0.25, 0.4, 0.5, 0.8]))
     # merged by compile_sum: the piecewise curves above with two kinks 1e-13
     # apart, and overlapping, nested and separate LMSR buckets
     pieces = flats + [_kink(0.4), _kink(0.4 + 1e-13)]
-    cases.append((compile_sum(pieces), sorted({x for c in pieces for x in c._x[1:-1]})))
+    cases.append((compile_sum(pieces), sorted({x for c in pieces for x in c.breakpoints[1:-1]})))
     buckets = [(0.1, 0.4, 1.3), (0.25, 0.75, 0.6), (0.3, 0.35, 2.0), (0.8, 0.9, 1.0)]
     cases.append((compile_sum([BucketCurve(LmsrCurve(0.7), a, b, w) for a, b, w in buckets]),
                   sorted({x for a, b, _ in buckets for x in (a, b)})))
@@ -775,7 +900,7 @@ def _joins(G) -> list:
     if isinstance(G, BucketArrayCurve):
         return G._a + G._b
     if isinstance(G, (PiecewisePolyCurve, SoftBucketCurve)):
-        return [x for x in G._x if 0.0 < x < 1.0]
+        return [x for x in (G.breakpoints if isinstance(G, PiecewisePolyCurve) else G.knots.tolist()) if 0.0 < x < 1.0]
     return []
 
 
@@ -921,12 +1046,12 @@ def test_compile_sum_merges_same_family_terms():
     # padded to the longest: a kink (degree 1) and a quartic
     unequal = [_kink(0.6), PiecewisePolyCurve.from_liquidity([0, 0.25, 0.75, 1], [[1.0], [0.0, 0.0, 3.0], [2.0]])]
     pw = compile_sum(unequal)
-    assert pw._x == [0.0, 0.25, 0.6, 0.75, 1.0] and {len(c) for c in pw._c0} == {5}
+    assert pw.breakpoints == [0.0, 0.25, 0.6, 0.75, 1.0] and {len(c) for c in pw.coefficients} == {5}
     _assert_sums_to(pw, unequal)
     # breakpoints 1e-13 apart stay two, and the subgradient at each is the sum's
     close = [_kink(0.4), _kink(0.4 + 1e-13)]
     pw = compile_sum(close)
-    assert pw._x == [0.0, 0.4, 0.4 + 1e-13, 1.0]
+    assert pw.breakpoints == [0.0, 0.4, 0.4 + 1e-13, 1.0]
     _assert_sums_to(pw, close)
     # a brier curve and piecewise_liquidity curves, loaded from descriptors
     liq = [generator_from_descriptor({"family": "brier", "scale": 2.0})] + [
@@ -934,14 +1059,14 @@ def test_compile_sum_merges_same_family_terms():
         for xs, prof in (([0, 0.3, 0.7, 1], [[1.0], [4.0], [2.0]]), ([0, 0.45, 0.6, 1], [[3.0], [0.5], [1.5]]))
     ]
     pw = compile_sum(liq)
-    assert type(pw) is PiecewisePolyCurve and pw._x == [0.0, 0.3, 0.45, 0.6, 0.7, 1.0]
+    assert type(pw) is PiecewisePolyCurve and pw.breakpoints == [0.0, 0.3, 0.45, 0.6, 0.7, 1.0]
     _assert_sums_to(pw, liq)
 
 
 def _assert_sums_to(got, terms):
     """got's value, slope and curvature are the term-by-term sum's, to a
     relative 1e-12, on the grid and within an ulp of every join."""
-    joins = {x for T in terms for x in (T._x[1:-1] if isinstance(T, PiecewisePolyCurve) else (T.a, T.b))}
+    joins = {x for T in terms for x in (T.breakpoints[1:-1] if isinstance(T, PiecewisePolyCurve) else (T.a, T.b))}
     want = SumGenerator(terms)
     for p in sorted(set(GRID) | {y for x in joins for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))}):
         x = np.array([p, 1.0 - p])
@@ -1176,7 +1301,7 @@ def _edges(G) -> list:
     if isinstance(G, ShiftedGenerator):
         return _edges(G.inner)
     if isinstance(G, PiecewisePolyCurve):
-        return list(G._x)
+        return list(G.breakpoints)
     if isinstance(G, BucketCurve):
         return [G.a, G.b]
     if isinstance(G, BucketArrayCurve):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no extra tools."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -219,12 +220,12 @@ def test_each_curve_family_writes_its_second_derivative_once():
 
 # one rule per input kind, written once, beside the errors it raises: a copy
 # elsewhere drifts apart from it, as four "is this a number" checks once did
-CHECKS = {"_check_number", "_check_integer", "_check_index", "_check_amount", "_floats", "_bundle", "_not_a_number"}
+CHECKS = {"_check_number", "_check_integer", "_check_index", "_check_amount", "_floats", "_bundle"}
 
 
 def check_imports(source: str) -> list[tuple[str, str]]:
     """(module, name) for each name a module imports that is a check:
-    `_check*`, `_floats`, `_bundle` or `_not_a_number`."""
+    `_check*`, `_floats` or `_bundle`."""
     return [(node.module or "", a.name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
             for a in node.names if a.name.startswith("_check") or a.name in CHECKS]
 
@@ -242,3 +243,15 @@ def test_the_argument_checks_are_defined_in_errors_and_imported_from_there():
     imported = {name: [m for m, _ in check_imports(s) if m not in ("errors", "parmm.errors")]
                 for name, s in sources.items()}
     assert {name: modules for name, modules in imported.items() if modules} == {}
+
+
+def test_one_descriptor_writes_every_family_from_one_table_of_field_kinds():
+    # `descriptor()` is written once, on Generator, from the fields recorded
+    # at build; BucketCurve's adds only its shorthand name.  Each field name a
+    # builder takes has one kind, so one rule checks it in every family
+    from parmm import generators
+
+    classes = [c for c in vars(generators).values() if isinstance(c, type) and c.__module__ == generators.__name__]
+    assert sorted(c.__name__ for c in classes if "descriptor" in vars(c)) == ["BucketCurve", "Generator"]
+    fields = {name for build in generators._BUILDERS.values() for name in inspect.signature(build).parameters}
+    assert fields == set(generators._KINDS)

@@ -1,6 +1,7 @@
 """Two-outcome makers: scalar reductions, AMM adapters, bucket algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_price2_out_of_range():
         price2(crv, np.array([2.0, 0.0]))
     with pytest.raises(OutOfRange):
         price2(crv, np.array([-2.0, 0.0]))
+
+
+# a liability that is not a number or a pair of them, or is not finite; each
+# once raised a bare ValueError or IndexError, priced, or warned and gave NaN
+@pytest.mark.parametrize(("q", "error"), [
+    ("x", UnknownKind), ([1.0], UnknownKind), (True, UnknownKind), ([True, 0.0], UnknownKind), (None, UnknownKind),
+    ([1.0, 0.0, 0.0], UnknownKind), (math.nan, OutOfRange), (math.inf, OutOfRange), ([0.0, math.nan], OutOfRange),
+], ids=repr)
+def test_price2_rejects_a_malformed_liability_with_a_typed_error(q, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^liability"):
+            price2(LmsrCurve(1.0), q)
+    assert price2(LmsrCurve(1.0), np.float64(0.0)) == price2(LmsrCurve(1.0), (0.5, 0.5)) == 0.5
 
 
 def test_cost_zero_on_level_set():
