@@ -163,6 +163,7 @@ class MarketState:
     """
 
     def __init__(self, generator: Generator, liability=None, price=None, fee=None, strict: bool = True):
+        generator = normalize_generator(generator)  # as `modify_liquidity` books it
         n = generator.n
         hint = None
         if liability is None:

@@ -587,8 +587,10 @@ class BucketArrayCurve(Curve1D, family="bucket_array"):
         self._set_weights(weights)
 
     def _set_weights(self, w):
-        if w.shape != (len(self.buckets),) or not np.all((w >= 0) & (w < math.inf)):
-            raise OutOfRange(f"weights of shape {w.shape} for {len(self.buckets)} buckets, negative or not finite")
+        if w.shape != (len(self.buckets),):
+            raise UnknownKind(f"weights of shape {w.shape} for {len(self.buckets)} buckets")
+        if not np.all((w >= 0) & (w < math.inf)):
+            raise OutOfRange(f"weights of {len(self.buckets)} buckets, some negative or not finite")
         # a copy shares the recorded descriptor: replace it, never edit it
         record, nested = self._descriptor
         self._descriptor = {**record, "weights": w}, nested
@@ -1100,32 +1102,35 @@ def generator_from_descriptor(d: dict, n: int | None = None) -> Generator:
     return _load(d, n, _BUILDERS)
 
 
-def _load(d, n, builders) -> Generator:
+def _load(d, n, builders, prefix="") -> Generator:
+    """Load d; `prefix` names the outer field a nested d of no known family is."""
     if not isinstance(d, dict):
         raise UnknownKind(f"a descriptor must be an object, got {d!r}")
     fam = d.get("family")
     if not isinstance(fam, str) or fam not in builders:
-        raise UnknownKind(f"unknown family {fam!r}")
+        raise UnknownKind(f"{prefix}unknown family {fam!r}")
     build, fields = builders[fam], {key: value for key, value in d.items() if key != "family"}
+    malformed = f"malformed {fam} descriptor: "
     params, required = _PARAMETERS[build], _REQUIRED[build]
     if "n" in params and "n" not in fields:
         fields["n"] = n or 2
     if not required <= fields.keys() <= params.keys():
         unknown = [key for key in fields if key not in params]
         missing = [key for key in params if key in required and key not in fields]
-        raise UnknownKind(f"malformed {fam} descriptor: " + (
+        raise UnknownKind(malformed + (
             f"{unknown[0]} is not one of its fields ({', '.join(params)})" if unknown else f"{missing[0]} is missing"))
     # a nested descriptor loads on its own, and its errors name its family
     if isinstance(fields.get("base"), dict):
-        fields["base"] = _load(fields["base"], 2, _CURVES)
+        fields["base"] = _load(fields["base"], 2, _CURVES, f"{malformed}base of ")
     if isinstance(fields.get("inner"), dict):
-        fields["inner"] = _load(fields["inner"], n, builders)
+        fields["inner"] = _load(fields["inner"], n, builders, f"{malformed}inner of ")
     if isinstance(fields.get("terms"), list):
-        fields["terms"] = [_load(t, n, builders) if isinstance(t, dict) else t for t in fields["terms"]]
+        fields["terms"] = [_load(t, n, builders, f"{malformed}terms[{k}] of ") if isinstance(t, dict) else t
+                           for k, t in enumerate(fields["terms"])]
     try:
         G = build(**fields)
     except UnknownKind as exc:
-        raise UnknownKind(f"malformed {fam} descriptor: {exc}") from None
+        raise UnknownKind(f"{malformed}{exc}") from None
     if n not in (None, 2) and isinstance(G, Curve1D):
-        raise UnknownKind(f"curve family {fam!r} only supports two outcomes")
+        raise UnknownKind(f"{malformed}a curve family only supports two outcomes, not {n}")
     return G

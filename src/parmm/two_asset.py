@@ -29,7 +29,6 @@ from .errors import (
     InsufficientReserves,
     InvariantViolated,
     OutOfRange,
-    UnknownKind,
     _bundle,
     _check_amount,
     _check_index,
@@ -271,27 +270,23 @@ class UniswapV3Market:
 class PiecewiseLinearMarket:
     """Limit-order-book-like maker: weight alpha_j posted at grid price a_j.
 
-    State is the scalar liability t = q_1 - q_2.  The quoted price is the grid
-    price of the active bucket j*, with fractional fill y in [0, 1); a state
-    landing exactly on a bucket boundary opens the higher bucket with y = 0.
+    The state is the fill `active` = (j*, y): the quoted price is the grid
+    price of the active slot j*, filled to the fraction y in [0, 1), and the
+    scalar liability t = q_1 - q_2 is what the fill encodes.  A state landing
+    exactly on a slot boundary opens the higher slot with y = 0.  The grid and
+    each LP's weights obey the rule of `piecewise_linear_curve`, this book's
+    curve.
     """
 
     def __init__(self, grid, weights: dict | None = None):
-        self.grid = _floats("grid", grid)
-        if self.grid.ndim != 1 or not self.grid.size:
-            raise UnknownKind(f"grid must be a nonempty vector of prices, got shape {self.grid.shape}")
-        if not (np.all(np.diff(self.grid) > 0) and self.grid[0] > 0 and self.grid[-1] < 1):
-            raise OutOfRange("grid prices must increase strictly inside (0, 1)")
+        self.grid = _floats("grid", grid).copy()
+        piecewise_linear_curve(self.grid, np.zeros_like(self.grid))  # the curve's rule checks the grid
         self.weights: dict[int, np.ndarray] = {}
-        if weights:
-            for lp_id, w in weights.items():
-                _check_integer("lp", lp_id)
-                w = _bundle(f"weights of LP {lp_id}", w, len(self.grid))
-                if np.any(w < 0):
-                    raise OutOfRange(f"weights of LP {lp_id} are negative")
-                self.weights[lp_id] = w
-        self.t = float(np.sum(self.total_weights() * (self.grid - 1.0)))  # all buckets unfilled
-        self._fill = (0, 0.0)  # cached active (slot, fraction) matching self.t
+        for lp_id, w in (weights or {}).items():
+            _check_integer("lp", lp_id)
+            piecewise_linear_curve(self.grid, w)  # ... and each LP's weights
+            self.weights[lp_id] = np.array(w, dtype=float)
+        self.active = (0, 0.0)  # all slots unfilled
 
     def total_weights(self) -> np.ndarray:
         if not self.weights:
@@ -306,41 +301,36 @@ class PiecewiseLinearMarket:
     def curve(self) -> PiecewisePolyCurve:
         return piecewise_linear_curve(self.grid, self.total_weights())
 
-    # -- state decoding ---------------------------------------------------
+    # -- state ------------------------------------------------------------
 
-    def _decode(self, t: float):
-        """(j*, y) for scalar state t; OutOfRange outside the book."""
+    def _base(self, alpha) -> float:
+        """Scalar state with every slot unfilled."""
+        return float(np.sum(alpha * (self.grid - 1.0)))
+
+    @property
+    def t(self) -> float:
+        """The scalar liability q_1 - q_2 that the fill encodes; setting it
+        decodes the fill, or raises OutOfRange outside the book and changes
+        nothing."""
+        j, y = self.active
         alpha = self.total_weights()
-        R = t - float(np.sum(alpha * (self.grid - 1.0)))
+        return self._base(alpha) + float(np.sum(alpha[:j])) + y * float(alpha[j])
+
+    @t.setter
+    def t(self, t: float):
+        alpha = self.total_weights()
+        R = t - self._base(alpha)
         total = float(alpha.sum())
         tol = 1e-12 * max(1.0, total)
-        if R < -tol or R >= total:
+        if not -tol <= R < total:
             raise OutOfRange(f"state {t} outside the book")
+        # slot 0 always qualifies, its prefix being 0
         prefix = np.concatenate([[0.0], np.cumsum(alpha)[:-1]])
-        feasible = np.nonzero(R - prefix >= -tol)[0]
-        if len(feasible) == 0:
-            raise OutOfRange(f"state {t} outside the book")
-        j = int(feasible[-1])
+        j = int(np.nonzero(R - prefix >= -tol)[0][-1])
         y = 0.0 if alpha[j] <= 0 else max(0.0, (R - prefix[j]) / alpha[j])
         if y >= 1.0:
             raise OutOfRange(f"state {t} outside the book")
-        return j, y
-
-    def _encode(self, j: int, y: float) -> float:
-        alpha = self.total_weights()
-        return (
-            float(np.sum(alpha * (self.grid - 1.0)))
-            + float(np.sum(alpha[:j]))
-            + y * float(alpha[j])
-        )
-
-    @property
-    def active(self):
-        # the cached fill is authoritative while it still encodes to the
-        # current scalar state bit-for-bit; this keeps deposits exact
-        if self._fill is not None and self._encode(*self._fill) == self.t:
-            return self._fill
-        return self._decode(self.t)
+        self.active = (j, y)
 
     @property
     def price(self) -> float:
@@ -364,14 +354,9 @@ class PiecewiseLinearMarket:
         _check_integer("lp", lp_id)
         _check_index(j, len(self.grid))
         _check_amount("weight", weight)
-        self.weights.setdefault(lp_id, np.zeros_like(self.grid))
-        jstar, y = self.active
-        delta = (weight - self.weights[lp_id][j]) * self.unit_liability(j)
-        self.weights[lp_id][j] = weight
-        # re-encode the state from the preserved fill so that a matching
-        # reverse modification refunds the deposit exactly
-        self.t = self._encode(jstar, y)
-        self._fill = (jstar, y)
+        w = self.weights.setdefault(lp_id, np.zeros_like(self.grid))
+        delta = (weight - w[j]) * self.unit_liability(j)
+        w[j] = weight
         return delta
 
     def trade(self, r: float):
@@ -380,20 +365,14 @@ class PiecewiseLinearMarket:
         _check_number("trade", r)
         alpha = self.total_weights()
         j0, y0 = self.active
-        j1, y1 = self._decode(self.t + r)  # raises OutOfRange before mutating
+        self.t += r  # raises OutOfRange before any change
+        j1, y1 = self.active
+        # walk from the old fill to the new one, one slot at a time
+        step = 1 if r >= 0 else -1
         fills = []
-        if r >= 0:
-            for j in range(j0, j1 + 1):
-                start = y0 if j == j0 else 0.0
-                end = y1 if j == j1 else 1.0
-                if end > start and alpha[j] > 0:
-                    fills.append((j, float((end - start) * alpha[j]), float(self.grid[j])))
-        else:
-            for j in range(j0, j1 - 1, -1):
-                start = y0 if j == j0 else 1.0
-                end = y1 if j == j1 else 0.0
-                if start > end and alpha[j] > 0:
-                    fills.append((j, float((end - start) * alpha[j]), float(self.grid[j])))
-        self.t += r
-        self._fill = (j1, y1) if self._encode(j1, y1) == self.t else None
+        for j in range(j0, j1 + step, step):
+            start = y0 if j == j0 else float(step < 0)
+            end = y1 if j == j1 else float(step > 0)
+            if (end - start) * step > 0 and alpha[j] > 0:
+                fills.append((j, float((end - start) * alpha[j]), float(self.grid[j])))
         return fills

@@ -334,6 +334,13 @@ _FAILURES = {
                                "family": "bucket", "base": {"family": "lmsr", "b": 1.0, "n": 3}, "a": 0.2, "b": 0.5}},
                            "UnknownKind", 2,
                            "error: event 3 (modify_liquidity): malformed lmsr descriptor: n is not one of its fields (b)\n"),
+    # ... and one of no known family is a malformed field of the outer descriptor
+    "base-no-family": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "bucket", "base": {}, "a": 0.2, "b": 0.5}},
+                       "UnknownKind", 2,
+                       "error: event 3 (modify_liquidity): malformed bucket descriptor: base of unknown family None\n"),
+    "terms-no-family": ({"op": "modify_liquidity", "lp": 1, "generator": {"family": "sum", "terms": [_LMSR, {}]}},
+                        "UnknownKind", 2,
+                        "error: event 3 (modify_liquidity): malformed sum descriptor: terms[1] of unknown family None\n"),
     "generator-str": ({"op": "modify_liquidity", "lp": 1, "generator": "lmsr"}, "UnknownKind", 2,
                       "error: event 3 (modify_liquidity): a descriptor must be an object, got 'lmsr'\n"),
     # counts are integers, and descriptor numbers are neither bools nor integers beyond the float range

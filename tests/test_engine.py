@@ -42,6 +42,7 @@ from parmm import (
     tabulated_liquidity_curve,
 )
 from parmm.errors import (
+    InvariantViolated,
     LiabilityMismatch,
     NoGradient,
     NotLevelSet,
@@ -373,6 +374,27 @@ def test_initialize_accepts_coherent_liability():
     assert np.max(np.abs(st.price - p)) < 1e-9
 
 
+def test_reposting_the_opening_generator_deposits_nothing():
+    # the opening generator is normalized as a modified one is, so the same
+    # curve posted again is the same maker at the same price
+    curve = PiecewisePolyCurve([0, 1], [[1.0, -4.0, 4.0]])
+    st = initialize(curve, price=[0.3, 0.7], strict=False)
+    assert st.modify_liquidity(0, curve).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolated, reason=(
+    "ROADMAP item 7: spread_residual spreads the O(1) residual of a trade ending on a kink "
+    "equally over every LP, so the LPs leave their level sets"))
+def test_a_bundle_trade_ending_on_a_kink_leaves_every_lp_coherent():
+    st = MarketState(LmsrCurve(0.01), price=[0.3, 0.7], strict=False)
+    for w in ([1, 0], [0, 1]):
+        st.modify_liquidity(st.register_lp(), piecewise_linear_curve([0.2, 0.4], w))
+    full, _ = st.quote_completion([0.3, 0.0])
+    st.execute_trade(bundle=full)
+    assert st.price[0] == pytest.approx(0.4)  # on the kink both books share
+    st.check_coherent()
+
+
 def test_execute_rejects_off_level_set_bundle():
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     with pytest.raises(NotLevelSet):
@@ -609,6 +631,9 @@ _REJECTIONS = [
     pytest.param(_v2_pool, lambda m: UniswapV2Market([4.0, 0.0]), OutOfRange, id="v2-reserves-zero"),
     pytest.param(_book, lambda m: PiecewiseLinearMarket([0.2, 0.4], {0: [-1.0, 1.0]}), OutOfRange,
                  id="book-weights-negative"),
+    # a trade that is not finite lands outside the book
+    *[pytest.param(_book, lambda m, x=x: m.trade(x), OutOfRange, id=f"book-trade-{x}")
+      for x in (math.nan, math.inf, -math.inf)],
     # every entry of a vector is a number: a bool is not, nor is a numeric string
     *[pytest.param(market, call, UnknownKind, id=f"{name}-entry-{type(x).__name__}") for x in (True, "0.5")
       for market, name, call in (

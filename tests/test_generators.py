@@ -491,7 +491,7 @@ _REJECTED = {
     "bucket_array-overlap": (lambda: BucketArrayCurve(UniswapV2Curve(1.0), [(0.1, 0.4), (0.3, 0.6)], [1.0, 1.0]),
                              OutOfRange),
     "bucket_array-short-weights": (lambda: generator_from_descriptor(
-        {"family": "bucket_array", "base": _V2, "buckets": _TWO_BUCKETS, "weights": [1.0]}), OutOfRange),
+        {"family": "bucket_array", "base": _V2, "buckets": _TWO_BUCKETS, "weights": [1.0]}), UnknownKind),
     "bucket_array-infinite-weight": (lambda: BucketArrayCurve(UniswapV2Curve(1.0), _TWO_BUCKETS, [1.0, np.inf]),
                                      OutOfRange),
     "soft_bucket-knots-from-0.1": (lambda: SoftBucketCurve([0.1, 0.5, 1.0], [0.0, 1.0, 0.0]), OutOfRange),
@@ -600,6 +600,8 @@ def test_a_malformed_descriptor_field_raises_a_typed_error():
             generator_from_descriptor({**desc, "extra": 1.0}, G.n)
     with pytest.raises(UnknownKind, match="^malformed uniswap_v2 descriptor: alpha is missing$"):
         generator_from_descriptor({"family": "uniswap_v2"})
+    with pytest.raises(UnknownKind, match="^malformed uniswap_v2 descriptor: a curve family only supports two outcomes, not 3$"):
+        generator_from_descriptor(_V2, 3)
     # "weight" spells the long-form bucket's weight; the shorthand's is "alpha"
     with pytest.raises(UnknownKind, match=r"^malformed v3_bucket descriptor: weight is not one of its fields \(a, b, alpha\)$"):
         generator_from_descriptor({"family": "v3_bucket", "a": 0.2, "b": 0.5, "weight": 3.0})
@@ -670,6 +672,9 @@ _WRONG_KIND = {
     "bucket-base-n3": (lambda: BucketCurve(LmsrGenerator(1.0, 3), 0.2, 0.5),
                        {"family": "bucket", "base": {**_LMSR_BASE, "n": 3}, "a": 0.2, "b": 0.5}),
     "sum-term-str": (lambda: SumGenerator(["x"]), {"family": "sum", "terms": ["x"]}),
+    # a nested descriptor of no known family is a malformed field of the outer one
+    "bucket-base-no-family": (lambda: BucketCurve({}, 0.2, 0.5), {"family": "bucket", "base": {}, "a": 0.2, "b": 0.5}),
+    "sum-term-no-family": (lambda: SumGenerator([{}]), {"family": "sum", "terms": [{}]}),
 }
 
 

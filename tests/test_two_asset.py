@@ -656,3 +656,14 @@ def test_book_boundary_state_opens_higher_bucket():
     j, y = book.active
     assert j == 1 and y == 0.0
     assert book.price == pytest.approx(0.7)
+
+
+def test_book_weights_are_copies_both_ways():
+    # an edit made after construction leaks neither from the caller into the
+    # book nor from the book into the caller
+    grid, w = np.array([0.2, 0.4]), np.array([1.0, 1.0])
+    book = PiecewiseLinearMarket(grid, {0: w})
+    book.modify_liquidity(0, 0, 3.0)
+    assert w.tolist() == [1.0, 1.0]
+    w[1], grid[0] = 5.0, 0.3
+    assert book.weights[0].tolist() == [3.0, 1.0] and book.grid.tolist() == [0.2, 0.4]
