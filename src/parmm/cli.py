@@ -159,16 +159,21 @@ def _trace_line(rec, texts: dict) -> str:
     return _json(rec) + "\n"
 
 
+_MODES = ("strict", "lenient")
+# fee scheme name -> its constructor, given the rate
+_FEES = {
+    "norm-l1": functools.partial(NormFee, norm="l1"),
+    "norm-l2": functools.partial(NormFee, norm="l2"),
+    "positive-part": PositivePartFee,
+}
+
+
 def _fee_scheme(name: str | None, beta: float):
     if name is None or beta == 0:
         return None
-    if name == "norm-l1":
-        return NormFee(beta, "l1")
-    if name == "norm-l2":
-        return NormFee(beta, "l2")
-    if name == "positive-part":
-        return PositivePartFee(beta)
-    raise UnknownKind(f"unknown fee scheme {name!r}")
+    if not isinstance(name, str) or name not in _FEES:  # a list is not hashable
+        raise UnknownKind(f"unknown fee scheme {name!r}")
+    return _FEES[name](beta)
 
 
 def _numbers(ev, key):
@@ -177,15 +182,6 @@ def _numbers(ev, key):
     if not np.isfinite(x).all():
         raise UnknownKind(f"{key} is not numeric: {ev[key]!r}")
     return x
-
-
-def _as_price(ev, key, n):
-    p = _numbers(ev, key)
-    if p.ndim == 0:
-        if n != 2:
-            raise UnknownKind("scalar prices only make sense for two outcomes")
-        return np.array([float(p), 1.0 - float(p)])
-    return p
 
 
 def replay(scenario: dict, mode=None, fee_name=None, beta=None):
@@ -203,7 +199,7 @@ def replay(scenario: dict, mode=None, fee_name=None, beta=None):
     _check_integer("n", n, 2)
     n = int(n)
     mode = mode or scenario.get("mode", "strict")
-    if mode not in ("strict", "lenient"):
+    if mode not in _MODES:
         raise UnknownKind(f"unknown mode {mode!r}")
     fee_cfg = scenario.get("fee", {})
     if not isinstance(fee_cfg, dict):
@@ -235,7 +231,7 @@ def _replay_events(meta, events, n, strict, fee):
                 gen = generator_from_descriptor(ev["generator"], n)
                 kwargs = {"fee": fee, "strict": strict}
                 if "price" in ev:
-                    state = initialize(gen, price=_as_price(ev, "price", n), **kwargs)
+                    state = initialize(gen, price=_numbers(ev, "price"), **kwargs)
                 else:
                     state = initialize(gen, liability=_numbers(ev, "liability"), **kwargs)
                 result = {"price": state.price}
@@ -247,7 +243,7 @@ def _replay_events(meta, events, n, strict, fee):
                 result = {"lp": ev["lp"], "deposit": deposit}
             elif op == "execute_trade":
                 if "target_price" in ev:
-                    receipt = state.execute_trade(target_price=_as_price(ev, "target_price", n))
+                    receipt = state.execute_trade(target_price=_numbers(ev, "target_price"))
                 else:
                     receipt = state.execute_trade(bundle=_numbers(ev, "bundle"))
                 last_receipt = receipt
@@ -422,9 +418,9 @@ def _build_parser():
     run_p = sub.add_parser("run", help="replay a scenario file")
     run_p.add_argument("scenario")
     run_p.add_argument("--out", default=None, help="trace path (default stdout)")
-    run_p.add_argument("--mode", choices=["strict", "lenient"], default=None)
+    run_p.add_argument("--mode", choices=_MODES, default=None)
     run_p.add_argument("--beta", type=float, default=None)
-    run_p.add_argument("--fee", choices=["norm-l1", "norm-l2", "positive-part"], default=None)
+    run_p.add_argument("--fee", choices=list(_FEES), default=None)
 
     rep_p = sub.add_parser("report", help="summarize a trace")
     rep_p.add_argument("trace")

@@ -1,9 +1,12 @@
 """Core convex operations: liabilities, conjugates, prices, liquidity.
 
 Conventions.  Prices live in the relative interior of the simplex, clamped at
-EPS from the boundary.  Liabilities are oriented toward the maker: the bundle
-q = grad Gbar(p) is what the maker owes.  Trade bundles r are oriented toward
-the trader and valid net trades keep the aggregate cost C(q + r) = C(q).
+EPS from the boundary; `simplex_price` checks every price that comes from
+outside, a number t at n = 2 as (t, 1 - t), and the other entry points check
+the length of each vector they take.  Liabilities are oriented toward the
+maker: the bundle q = grad Gbar(p) is what the maker owes.  Trade bundles r
+are oriented toward the trader and valid net trades keep the aggregate cost
+C(q + r) = C(q).
 
 Conjugate solves: two-outcome makers reduce to a monotone scalar equation
 g'(p) = q_1 - q_2, solved by safeguarded Newton (rtsafe, Numerical Recipes
@@ -40,7 +43,11 @@ from .errors import (
     NotLevelSet,
     OutOfRange,
     SolverDiverged,
+    UnknownKind,
     VertexUnbounded,
+    _bundle,
+    _floats,
+    _shaped,
 )
 from .generators import (
     Generator,
@@ -59,13 +66,17 @@ _NUDGE = 4e-16  # two-outcome iterates stay this far inside the bracket
 
 
 def simplex_price(values, n: int | None = None) -> np.ndarray:
-    """Validate a point of the (relative interior of the) price simplex.
-
-    A price whose components do not sum to 1 (to 1e-9) is rejected, not
-    renormalised; one that passes is divided by its sum."""
-    p = np.asarray(values, dtype=float)
+    """The one rule for a price from outside: a point of the relative
+    interior of the simplex or, for n = 2 or None, a number t read as
+    (t, 1 - t).  An entry that is not a number or a wrong shape raises
+    UnknownKind, a value not finite or components not summing to 1 (to
+    1e-9) OutOfRange, not renormalised, and a price at the clamp
+    BoundaryPrice.  One that passes is divided by its sum."""
+    p = _floats("price", values)
+    if p.ndim == 0 and n in (2, None):
+        p = np.array([p, 1.0 - p])
     if p.ndim != 1 or len(p) < 2 or (n is not None and len(p) != n):
-        raise OutOfRange(f"price must be a vector of {n or '>= 2'} components, got shape {p.shape}")
+        raise UnknownKind(f"price must be a vector of {n or '>= 2'} components, got shape {p.shape}")
     # scalar checks on the list cost less than numpy's reductions, as in liability_of
     xs = p.tolist()
     if not all(map(math.isfinite, xs)):
@@ -81,7 +92,7 @@ def simplex_price(values, n: int | None = None) -> np.ndarray:
 
 def liability_of(G: Generator, p) -> np.ndarray:
     """Bundle the maker owes when quoting price p: grad Gbar(p)."""
-    p = np.asarray(p, dtype=float)
+    p = _shaped("price", p, G.n)
     # scalar checks on the lists cost less than most gradients; as p.min()
     # propagates NaN, a NaN coordinate does not read as a boundary price
     xs = p.tolist()
@@ -210,7 +221,7 @@ def _conjugate_kkt(G: Generator, q, p0) -> ConjugateResult:
 
 def conjugate_value(G: Generator, q, p0=None) -> ConjugateResult:
     """Cost C(q) = sup_p <p, q> - G(p) together with the maximizing price."""
-    q = np.asarray(q, dtype=float)
+    q = _shaped("liability", q, G.n)
     closed = G.conjugate(q)
     if closed is not None:
         cost, p = closed
@@ -242,8 +253,9 @@ def infimal_convolution_split(generators, q, p0=None):
     gens = list(generators)
     if not gens:
         raise NotLevelSet("no makers to split the liability across")
-    q = np.asarray(q, dtype=float)
-    res = conjugate_value(compile_sum(gens), q, p0)
+    agg = compile_sum(gens)
+    q = _shaped("liability", q, agg.n)
+    res = conjugate_value(agg, q, p0)
     if res.at_boundary:
         raise BoundaryPrice("aggregate maximizer reached the boundary clamp")
     p = res.price
@@ -262,15 +274,15 @@ def spread_residual(parts, total) -> np.ndarray:
 
 def liquidity_matrix(G: Generator, p) -> np.ndarray:
     """Hessian of the 1-homogeneous extension at p: PSD with p in its null
-    space; the inverse metric of price impact."""
-    p = np.asarray(p, dtype=float)
+    space; the inverse metric of price impact.  p is not renormalised."""
+    p = _bundle("price", p, G.n)
     if p.min() < EPS:
         raise BoundaryPrice("liquidity queried at the boundary clamp")
     return G.hessian(p)
 
 
 def directional_liquidity(G: Generator, p, v) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _bundle("direction", v, G.n)
     return float(v @ liquidity_matrix(G, p) @ v)
 
 

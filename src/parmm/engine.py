@@ -13,8 +13,9 @@ fees read the same stacked fills.  A receipt is booked in one pass over the
 LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
 gives its kind.  Fees are tracked per LP and never touch the pricing math.
 `MarketState.records` is the only per-LP book, which the pools read too;
-its constructor, `initialize`, opens a market.  LP ids, bundles, prices,
-fee rates and audit grids are checked by the rules of `errors`.
+its constructor, `initialize`, opens a market.  LP ids, bundles, fee rates
+and audit grids are checked by the rules of `errors`, and prices by
+`simplex_price`.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ class MarketState:
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
-            p_new = simplex_price(_bundle("target_price", target_price, self.n), self.n)
+            p_new = simplex_price(target_price, self.n)
             if not nontrivial:
                 raise NotLevelSet("market holds no liquidity")
             # one gradient per LP: the aggregate's liability is the sum of theirs

@@ -10,9 +10,12 @@ kind for the arguments that arrive from outside it:
 
 A wrong kind or shape raises `UnknownKind` and a value out of range
 `OutOfRange`, also under `python -O`, before any change.  The seven kinds of
-a generator descriptor's fields (`generators._KINDS`) are built from these.
+a generator descriptor's fields (`generators._KINDS`) are built from these,
+and so is the fifth input kind, a price: `convex_core.simplex_price` is the
+one price rule, beside the clamp it checks.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -128,11 +131,24 @@ def _floats(name: str, x) -> np.ndarray:
     raise UnknownKind(f"{name} is not numeric: {x!r}")
 
 
+def _shaped(name: str, x, n: int) -> np.ndarray:
+    """x as a float (n,) array; UnknownKind if numpy cannot convert it or
+    its shape is not (n,).  The core's check on its hot paths: it leaves
+    entry kinds (numpy reads a bool as 0 or 1 and None as NaN) and
+    finiteness to its caller."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise UnknownKind(f"{name} is not numeric: {x!r}") from None
+    if x.ndim != 1 or len(x) != n:  # cheaper than building x.shape
+        raise UnknownKind(f"{name} has shape {x.shape}, not ({n},)")
+    return x
+
+
 def _bundle(name: str, x, n: int) -> np.ndarray:
     """x as a finite float (n,) vector; UnknownKind or OutOfRange otherwise."""
-    x = _floats(name, x)
-    if x.shape != (n,):
-        raise UnknownKind(f"{name} has shape {x.shape}, not ({n},)")
-    if not np.isfinite(x).all():
+    x = _shaped(name, _floats(name, x), n)
+    # a scalar test on the list costs less than numpy's reduction
+    if not all(map(math.isfinite, x.tolist())):
         raise OutOfRange(f"{name} {x.tolist()} is not finite")
     return x

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .convex_core import EPS, conjugate_value, liability_of
+from .convex_core import conjugate_value, liability_of, simplex_price
 from .engine import MarketState, PositivePartFee
 from .errors import (
     EmptyBucket,
@@ -58,9 +58,7 @@ __all__ = [
 def liability2(curve: Curve1D, p: float) -> np.ndarray:
     """Scoring-rule liability of the curve maker quoting price p: `liability_of` at (p, 1 - p)."""
     _check_number("price", p)
-    if not EPS <= min(p, 1.0 - p):
-        raise OutOfRange(f"price {p} outside the clamp")
-    return liability_of(curve, [p, 1.0 - p])
+    return liability_of(curve, simplex_price(p, 2))
 
 
 def price2(curve: Curve1D, q) -> float:

@@ -226,7 +226,7 @@ def test_scalar_price_needs_two_outcomes():
         "n": 3,
         "events": [{"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": 0.5}],
     }
-    with pytest.raises(UnknownKind):
+    with pytest.raises(UnknownKind, match=r"price must be a vector of 3 components, got shape \(\)$"):
         run_scenario(scen)
 
 
@@ -353,6 +353,18 @@ _FAILURES = {
                    2, f"error: event 3 (modify_liquidity): malformed lmsr descriptor: b must be a number, got {2 ** 1024}\n"),
     "query-unknown": ({"op": "query", "what": "volume"}, "UnknownKind", 2,
                       "error: event 3 (query): unknown query 'volume'\n"),
+    # bad prices, at both events that take one, with the library's error
+    # types; a NaN is not a JSON number, so exits 2 before the price rule
+    **{f"{op}-{label}": ({"op": op, **extra, key: x}, error, code, f"error: event 3 ({op}): {message}\n")
+       for op, key, extra in (("initialize", "price", {"generator": _LMSR}), ("execute_trade", "target_price", {}))
+       for label, x, error, code, message in (
+           ("entry-null", [None, 0.5], "UnknownKind", 2, f"{key} is not numeric: [None, 0.5]"),
+           ("entry-true", [True, 0.5], "UnknownKind", 2, f"{key} is not numeric: [True, 0.5]"),
+           ("short", [1.0], "UnknownKind", 2, "price must be a vector of 2 components, got shape (1,)"),
+           ("sum", [0.5, 0.6], "OutOfRange", 1, "price components sum to 1.1, not 1"),
+           ("nan", [float("nan"), 0.5], "UnknownKind", 2, f"{key} is not numeric: [nan, 0.5]"),
+           ("clamp", 1e-10, "BoundaryPrice", 1, "price touches the boundary clamp"),
+       )},
 }
 
 
@@ -423,6 +435,8 @@ _MALFORMED_CONFIGS = {
     "mode-unknown": ({"n": 2, "mode": "bogus", "events": _OPENING}, "unknown mode 'bogus'"),
     "scheme-unknown": ({"n": 2, "fee": {"scheme": "bogus", "beta": 0.1}, "events": _OPENING},
                        "unknown fee scheme 'bogus'"),
+    "scheme-list": ({"n": 2, "fee": {"scheme": ["x"], "beta": 0.1}, "events": _OPENING},
+                    "unknown fee scheme ['x']"),
     "not-an-object": ([{"n": 2, "events": _OPENING}], "a scenario must be an object, got list"),
     "n-str": ({"n": "x", "events": _OPENING}, "n must be an integer >= 2, got 'x'"),
     "n-fraction": ({"n": 2.5, "events": _OPENING}, "n must be an integer >= 2, got 2.5"),

@@ -1,6 +1,7 @@
 """Duality, liquidity matrices, and infimal convolution."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,15 @@ from parmm import (
     price_of,
 )
 from parmm.convex_core import _MAXIT, EPS, _conjugate_two, simplex_price, spread_residual
-from parmm.errors import BoundaryPrice, NoGradient, NotLevelSet, OutOfRange, SolverDiverged, VertexUnbounded
+from parmm.errors import (
+    BoundaryPrice,
+    NoGradient,
+    NotLevelSet,
+    OutOfRange,
+    SolverDiverged,
+    UnknownKind,
+    VertexUnbounded,
+)
 
 
 def families_n2():
@@ -628,8 +637,38 @@ def test_inconsistent_gradient_fails_fast_with_its_residual():
 
 def test_simplex_price_rejects_instead_of_renormalising():
     assert np.array_equal(simplex_price([0.25, 0.75], 2), [0.25, 0.75])
-    for bad in ([0.5, 0.6], [0.5, np.nan], [1.0], [[0.5, 0.5]], [0.2, 0.3, 0.5]):
+    for bad in ([0.5, 0.6], [0.5, np.nan]):
         with pytest.raises(OutOfRange):
+            simplex_price(bad, 2)
+    # a wrong shape is a kind error
+    for bad in ([1.0], [[0.5, 0.5]], [0.2, 0.3, 0.5]):
+        with pytest.raises(UnknownKind):
             simplex_price(bad, 2)
     with pytest.raises(BoundaryPrice):
         simplex_price([0.0, 1.0])
+
+
+# the core's entry points check a vector's length, and its kind where numpy
+# cannot convert it: each of these returned a vector of the wrong length or a
+# NaN matrix, or raised numpy's own error
+_MISSHAPEN = {
+    "liability_of-short": (lambda: liability_of(LmsrGenerator(1.0, 3), [0.5, 0.5]), UnknownKind),
+    "liability_of-long": (lambda: liability_of(LmsrCurve(1.0), [0.5, 0.3, 0.2]), UnknownKind),
+    "liability_of-str": (lambda: liability_of(LmsrCurve(1.0), ["x", 0.5]), UnknownKind),
+    "price_of-short": (lambda: price_of(LmsrGenerator(1.0, 3), [0, 0]), UnknownKind),
+    "conjugate_value-short": (lambda: conjugate_value(LmsrCurve(1.0), [1.0]), UnknownKind),
+    "infimal_convolution_split-long": (lambda: infimal_convolution_split([LmsrCurve(1.0)], [0, 0, 0]), UnknownKind),
+    "liquidity_matrix-nan": (lambda: liquidity_matrix(LmsrCurve(1.0), [np.nan, 0.5]), OutOfRange),
+    "liquidity_matrix-long": (lambda: liquidity_matrix(LmsrCurve(1.0), [0.2, 0.3, 0.5]), UnknownKind),
+    "directional_liquidity-long": (lambda: directional_liquidity(LmsrCurve(1.0), [0.5, 0.5], [1, -1, 0]), UnknownKind),
+    "directional_liquidity-inf": (lambda: directional_liquidity(LmsrCurve(1.0), [0.5, 0.5], [np.inf, -1]), OutOfRange),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN))
+def test_core_entry_points_reject_a_vector_of_the_wrong_length_or_kind(name):
+    call, error = _MISSHAPEN[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()

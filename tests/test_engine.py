@@ -39,9 +39,11 @@ from parmm import (
     initialize,
     liability2,
     piecewise_linear_curve,
+    simplex_price,
     tabulated_liquidity_curve,
 )
 from parmm.errors import (
+    BoundaryPrice,
     InvariantViolated,
     LiabilityMismatch,
     NoGradient,
@@ -569,7 +571,33 @@ _BAD_AMOUNTS = [-1.0, math.nan, math.inf]
 # scalar arguments that are not numbers: a bool is not one, nor is an
 # integer no float holds
 _NOT_NUMBERS = ["x", None, True, 2 ** 1024, np.array([0.1, 0.2])]
+# one table of bad prices, run at every entry point that takes a price: each
+# fault raises one error type everywhere.  A number t is the price (t, 1 - t);
+# a price of None means no price was given, so only the number-only entry
+# points below read None as a bad price
+_BAD_NUMBER_PRICES = [("str", "x", UnknownKind), ("bool", True, UnknownKind), ("nan", math.nan, OutOfRange),
+                      ("clamp", 1e-10, BoundaryPrice)]
+_BAD_PRICES = [*_BAD_NUMBER_PRICES, ("entry-str", ["x", 0.5], UnknownKind), ("entry-None", [None, 0.5], UnknownKind),
+               ("entry-bool", [True, 0.5], UnknownKind), ("short", [1.0], UnknownKind),
+               ("2d", [[0.5, 0.5]], UnknownKind), ("long", [0.2, 0.3, 0.5], UnknownKind),
+               ("sum", [0.5, 0.6], OutOfRange), ("entry-nan", [math.nan, 0.5], OutOfRange),
+               ("entry-clamp", [0.0, 1.0], BoundaryPrice)]
 _REJECTIONS = [
+    *[pytest.param(_two_lmsrs, lambda st, x=x, call=call: call(st, x), error, id=f"{name}-bad-price-{label}")
+      for label, x, error in _BAD_PRICES for name, call in (
+          ("simplex_price", lambda st, x: simplex_price(x, 2)),
+          ("initialize", lambda st, x: initialize(LmsrCurve(1.0), price=x)),
+          ("price_trade", lambda st, x: st.price_trade(target_price=x)),
+          ("execute_trade", lambda st, x: st.execute_trade(target_price=x)),
+      )],
+    # liability2 and the v3 pool take a number, so a vector is a wrong kind;
+    # the v3 pool's one bucket reaches the clamp
+    *[pytest.param(market, lambda m, x=x, call=call: call(m, x), error, id=f"{name}-bad-price-{label}")
+      for label, x, error in [*_BAD_NUMBER_PRICES, ("None", None, UnknownKind), ("list", [0.3, 0.7], UnknownKind)]
+      for market, name, call in (
+          (_two_lmsrs, "liability2", lambda st, x: liability2(LmsrCurve(1.0), x)),
+          (_v3_pool, "v3", lambda m, x: UniswapV3Market([(1e-12, 1.0 - 1e-12)], x)),
+      )],
     *[pytest.param(_two_lmsrs, lambda st, lp=lp: st.modify_liquidity(lp, LmsrCurve(3.0)), UnknownKind,
                    id=f"modify_liquidity-lp-{lp}") for lp in _BAD_LPS],
     *[pytest.param(_v2_pool, lambda m, lp=lp: m.mint(lp, 1.0), UnknownKind, id=f"v2-mint-lp-{lp}") for lp in _BAD_LPS],
@@ -710,6 +738,17 @@ def test_a_vector_entry_may_be_any_number_a_float_holds(x):
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     assert st.price_trade(target_price=np.array([x, x], dtype=object) / (2 * x)).price_after.tolist() == [0.5, 0.5]
     assert SoftBucketCurve([0, 0.5, 1], [1, x, 1]).weights.tolist() == [1.0, float(x), 1.0]
+
+
+def test_a_number_is_the_two_outcome_price():
+    by_number = initialize(LmsrCurve(1.0), price=0.3)
+    by_vector = initialize(LmsrCurve(1.0), price=[0.3, 0.7])
+    assert by_number.snapshot() == by_vector.snapshot()
+    assert by_number.price.tobytes() == by_vector.price.tobytes()
+    assert by_number.records[0].liability.tobytes() == by_vector.records[0].liability.tobytes()
+    r_number, r_vector = by_number.execute_trade(target_price=0.6), by_vector.execute_trade(target_price=[0.6, 0.4])
+    assert r_number.bundle.tobytes() == r_vector.bundle.tobytes()
+    assert by_number.snapshot() == by_vector.snapshot()
 
 
 def test_lp_without_liquidity_audits_to_zero_and_stays_coherent():

@@ -220,12 +220,12 @@ def test_each_curve_family_writes_its_second_derivative_once():
 
 # one rule per input kind, written once, beside the errors it raises: a copy
 # elsewhere drifts apart from it, as four "is this a number" checks once did
-CHECKS = {"_check_number", "_check_integer", "_check_index", "_check_amount", "_floats", "_bundle"}
+CHECKS = {"_check_number", "_check_integer", "_check_index", "_check_amount", "_floats", "_shaped", "_bundle"}
 
 
 def check_imports(source: str) -> list[tuple[str, str]]:
     """(module, name) for each name a module imports that is a check:
-    `_check*`, `_floats` or `_bundle`."""
+    `_check*`, `_floats`, `_shaped` or `_bundle`."""
     return [(node.module or "", a.name) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
             for a in node.names if a.name.startswith("_check") or a.name in CHECKS]
 
@@ -255,3 +255,28 @@ def test_one_descriptor_writes_every_family_from_one_table_of_field_kinds():
     assert sorted(c.__name__ for c in classes if "descriptor" in vars(c)) == ["BucketCurve", "Generator"]
     fields = {name for build in generators._BUILDERS.values() for name in inspect.signature(build).parameters}
     assert fields == set(generators._KINDS)
+
+
+def eps_readers(source: str) -> list[str]:
+    """The top-level functions and classes of a module that read `EPS`, and
+    "<module>" if its top-level statements do."""
+    readers = []
+    for node in ast.parse(source).body:
+        if any(isinstance(n, ast.Name) and n.id == "EPS" and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            readers.append(node.name if named else "<module>")
+    return readers
+
+
+def test_eps_scan_finds_readers():
+    src = ("from .core import EPS\nLO = EPS\ndef f(p):\n    return p > EPS\ndef g(EPS):\n    return 0\n"
+           "class C:\n    def h(self):\n        return EPS\n")
+    assert eps_readers(src) == ["<module>", "f", "C"]
+
+
+def test_the_price_clamp_is_read_where_prices_are_checked():
+    # `simplex_price` is the one price rule: a second clamp test elsewhere
+    # can disagree with it about the same price
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "convex_core.py"}
+    readers = {name: eps_readers(s) for name, s in sources.items()}
+    assert {name: names for name, names in readers.items() if names} == {"engine.py": ["_simplex_grid"]}
