@@ -169,11 +169,13 @@ _FEES = {
 
 
 def _fee_scheme(name: str | None, beta: float):
-    if name is None or beta == 0:
+    """The fee scheme `name` at rate beta, None for no scheme or a rate of
+    0; the name is checked first, whatever the rate."""
+    if name is None:
         return None
     if not isinstance(name, str) or name not in _FEES:  # a list is not hashable
         raise UnknownKind(f"unknown fee scheme {name!r}")
-    return _FEES[name](beta)
+    return None if beta == 0 else _FEES[name](beta)
 
 
 def _numbers(ev, key):

@@ -50,6 +50,7 @@ from .errors import (
     _shaped,
 )
 from .generators import (
+    Curve1D,
     Generator,
     ShiftedGenerator,
     compile_sum,
@@ -90,21 +91,43 @@ def simplex_price(values, n: int | None = None) -> np.ndarray:
     return p
 
 
-def liability_of(G: Generator, p) -> np.ndarray:
-    """Bundle the maker owes when quoting price p: grad Gbar(p)."""
-    p = _shaped("price", p, G.n)
-    # scalar checks on the lists cost less than most gradients; as p.min()
-    # propagates NaN, a NaN coordinate does not read as a boundary price
-    xs = p.tolist()
-    if min(xs) < EPS and not any(map(math.isnan, xs)):
+def liability_of(G, p) -> np.ndarray:
+    """Bundle the maker owes when quoting price p: grad Gbar(p).
+
+    G is a generator, or a non-empty list or tuple of generators with one n,
+    whose (k, n) liabilities come back stacked: the price is checked once and
+    each curve read as `Curve1D.grad_pair` floats.  One generator is a batch
+    of one, whose row comes back.  A first argument of
+    another kind, or a price of a wrong kind or shape (a bool entry among
+    them) raises UnknownKind, a price entry that is not finite (numpy reads
+    None as NaN) OutOfRange, and one below the clamp BoundaryPrice.
+    """
+    single = isinstance(G, Generator)
+    gens = [G] if single else G
+    generators = isinstance(gens, (list, tuple)) and gens and all(isinstance(Gi, Generator) for Gi in gens)
+    if not generators or len({Gi.n for Gi in gens}) != 1:
+        raise UnknownKind(f"liability_of takes a generator or a list of them with one n, not {type(G).__name__}")
+    n = gens[0].n
+    x = _shaped("price", p, n)
+    if not (isinstance(p, np.ndarray) and p.dtype.kind == "f") and any(isinstance(v, (bool, np.bool_)) for v in p):
+        raise UnknownKind(f"price is not numeric: {p!r}")
+    # scalar checks on the lists cost less than numpy's reductions
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
+        raise OutOfRange("price components must be finite")
+    if min(xs) < EPS:
         raise BoundaryPrice("liability queried at the boundary clamp")
-    try:
-        q = G.grad(p)
+    try:  # the rows as one list of floats, which numpy reads fastest
+        t = xs[0] / (xs[0] + xs[1])  # a curve's price, as `Curve1D.grad` reads it
+        flat = []
+        for Gi in gens:
+            flat.extend(Gi.grad_pair(t) if isinstance(Gi, Curve1D) else Gi.grad(x).tolist())
     except (FloatingPointError, ZeroDivisionError) as exc:  # pragma: no cover
         raise NoGradient(str(exc))
-    if not all(map(math.isfinite, q.tolist())):
+    if not all(map(math.isfinite, flat)):
         raise NoGradient("gradient is not finite at this price")
-    return q
+    q = np.array(flat, dtype=float).reshape(len(gens), n)
+    return q[0] if single else q
 
 
 @dataclass
@@ -260,7 +283,7 @@ def infimal_convolution_split(generators, q, p0=None):
         raise BoundaryPrice("aggregate maximizer reached the boundary clamp")
     p = res.price
     # the residual equals cost * 1 in exact arithmetic
-    parts = spread_residual(np.array([liability_of(Gi, p) for Gi in gens]), q)
+    parts = spread_residual(liability_of(gens, p), q)
     return float(res.cost), parts, p
 
 

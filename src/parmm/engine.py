@@ -7,15 +7,15 @@ the zero level set of its own cost function.  Conjugate solves run on the
 aggregate compiled by `generators.compile_sum`, which merges same-family
 terms: LMSR, V2 and constant-product makers by their scale, buckets over equal
 bases into one bucket array, and piecewise curves into one on the union of
-their breakpoints.  Liabilities take one gradient per LP; the split stacks
-them in one (k, n) array and spreads the residual across its rows, and the
-fees read the same stacked fills.  A receipt is booked in one pass over the
-LPs: cash fees are Python floats and bundle fees arrays, so a fee's type
-gives its kind.  Fees are tracked per LP and never touch the pricing math.
-`MarketState.records` is the only per-LP book, which the pools read too;
-its constructor, `initialize`, opens a market.  LP ids, bundles, fee rates
-and audit grids are checked by the rules of `errors`, and prices by
-`simplex_price`.
+their breakpoints.  The LP book is arrays: the LPs' liabilities at a price
+are one `liability_of` batch, a (k, n) array; the split spreads the residual
+across its rows, the fees read the same fills, and a receipt is booked with
+one add per book array.  Cash fees are Python floats and bundle fees arrays,
+so a fee's type gives its kind.  Fees are tracked per LP and never touch the
+pricing math.  `MarketState` holds the only per-LP book, which the pools
+read too through `MarketState.records`; its constructor, `initialize`, opens
+a market.  LP ids, bundles, fee rates and audit grids are checked by the
+rules of `errors`, and prices by `simplex_price`.
 """
 
 from __future__ import annotations
@@ -97,12 +97,12 @@ def compute_fees(scheme, r, parts):
     if isinstance(scheme, NormFee):
         trader = scheme.beta * scheme._norm(r)
         if scheme.norm == "l1":
-            norms = np.abs(parts).sum(axis=-1)
+            norms = np.add.reduce(np.abs(parts), axis=-1)
         else:
             # per row: np.linalg.norm(P, 2, axis=1) and sqrt(einsum) both
             # differ from the row norm in the last ulp on most fills
             norms = np.array([scheme._norm(ri) for ri in parts])
-        total = norms.sum()
+        total = np.add.reduce(norms)  # the reduction of ndarray.sum, without its wrapper
         if total <= 0.0:
             return 0.0, [0.0 for _ in parts]
         return trader, (trader * norms / total).tolist()
@@ -134,13 +134,52 @@ def audit_budget_balance(scheme, receipt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _row(name: str, read=None):
+    """A read/write view of row `lp_id` of the book array `name`.  A write
+    replaces the array with a copy, as every operation does, so a row read
+    earlier keeps its value."""
+
+    def get(rec):
+        row = getattr(rec._state, name)[rec.lp_id]
+        return row if read is None else read(row)
+
+    def put(rec, value):
+        book = getattr(rec._state, name).copy()
+        book[rec.lp_id] = value
+        setattr(rec._state, name, book)
+
+    return property(get, put)
+
+
 class LpRecord:
-    lp_id: int
-    generator: Generator
-    liability: np.ndarray
-    cash_fees: float
-    bundle_fees: np.ndarray
+    """One LP of a `MarketState`: its id, and its generator, liability, cash
+    fees (a Python float) and bundle fees read from and written to the
+    market's book.  A record is a view, not a value: it compares by identity
+    and refers to its market."""
+
+    __slots__ = ("_state", "lp_id")
+
+    def __init__(self, state, lp_id: int):
+        self._state, self.lp_id = state, lp_id
+
+    def __repr__(self) -> str:
+        return (
+            f"LpRecord(lp_id={self.lp_id}, generator={self.generator!r}, liability={self.liability!r}, "
+            f"cash_fees={self.cash_fees!r}, bundle_fees={self.bundle_fees!r})"
+        )
+
+    liability = _row("_liabilities")
+    cash_fees = _row("_cash_fees", float)
+    bundle_fees = _row("_bundle_fees")
+
+    @property
+    def generator(self) -> Generator:
+        return self._state._generators[self.lp_id]
+
+    @generator.setter
+    def generator(self, G: Generator):
+        self._state._generators[self.lp_id] = G
+        self._state._compiled = self._state._live = None
 
 
 @dataclass
@@ -154,13 +193,17 @@ class TradeReceipt:
 
 
 class MarketState:
-    """Protocol state: LP records, shared price, fee scheme.
+    """Protocol state: the LP book, shared price, fee scheme.
 
-    strict mode requires the aggregate generator to be a pseudobarrier (its
-    gradient blows up at the boundary), which keeps every price query interior.
-    Conjugate solves run on `compile_sum` of the LPs' generators, built on the
-    first solve after a change; liabilities and target-price trades take one
-    gradient per LP, and the split works on them stacked.
+    The book is one generator list and three arrays: liabilities (k, n),
+    cash fees (k,) and bundle fees (k, n), row i for LP i, which `records`
+    views.  Every operation replaces an array instead of writing into it, so
+    a row read earlier keeps its value.  strict mode requires the aggregate
+    generator to be a pseudobarrier (its gradient blows up at the boundary),
+    which keeps every price query interior.  Conjugate solves run on
+    `compile_sum` of the LPs' generators, built on the first solve after a
+    change; liabilities at a price are one `liability_of` batch over the LPs
+    that hold liquidity, whose list is kept until a generator changes too.
     """
 
     def __init__(self, generator: Generator, liability=None, price=None, fee=None, strict: bool = True):
@@ -178,8 +221,12 @@ class MarketState:
         self.n = n
         self.fee = fee
         self.strict = strict
-        self.records: list[LpRecord] = [LpRecord(0, generator, q0.copy(), 0.0, np.zeros(n))]
-        self._compiled = None
+        self._generators = [generator]
+        self._liabilities = np.array([q0])
+        self._cash_fees = np.zeros(1)
+        self._bundle_fees = np.zeros((1, n))
+        self.records: list[LpRecord] = [LpRecord(self, 0)]
+        self._compiled = self._live = None
         p = price_of(self._solver(), q0, hint)
         if np.max(np.abs(liability_of(generator, p) - q0)) > 1e-8:
             raise LiabilityMismatch("q0 is not on the zero level set of the cost function")
@@ -187,13 +234,20 @@ class MarketState:
 
     # -- helpers ----------------------------------------------------------
 
-    def _nontrivial(self):
-        return [rec for rec in self.records if not isinstance(rec.generator, TrivialGenerator)]
+    def _nontrivial(self) -> tuple[list, list]:
+        """The rows and generators of the LPs that hold liquidity, kept
+        until an LP's generator changes."""
+        if self._live is None:
+            rows = [i for i, G in enumerate(self._generators) if not isinstance(G, TrivialGenerator)]
+            self._live = rows, [self._generators[i] for i in rows]
+        return self._live
 
     def _terms(self, generators=None) -> list:
         """The nontrivial generators among `generators`, the LPs' by default."""
-        gens = [rec.generator for rec in self.records] if generators is None else generators
-        gens = [G for G in gens if not isinstance(G, TrivialGenerator)]
+        if generators is None:
+            gens = self._nontrivial()[1]
+        else:
+            gens = [G for G in generators if not isinstance(G, TrivialGenerator)]
         if not gens:
             raise NotLevelSet("market holds no liquidity")
         return gens
@@ -211,13 +265,10 @@ class MarketState:
         return self.records[lp_id]
 
     def total_liability(self) -> np.ndarray:
-        return np.add.reduce([rec.liability for rec in self.records], axis=0)
+        return np.add.reduce(self._liabilities, axis=0)
 
     def check_coherent(self, tol=1e-6) -> float:
-        worst = 0.0
-        for rec in self.records:
-            dev = np.max(np.abs(rec.liability - liability_of(rec.generator, self.price)))
-            worst = max(worst, float(dev))
+        worst = float(np.max(np.abs(self._liabilities - liability_of(self._generators, self.price))))
         if not worst <= tol:
             raise InvariantViolated(f"incoherent state: liability deviation {worst:.3e}")
         return worst
@@ -226,7 +277,11 @@ class MarketState:
 
     def register_lp(self) -> int:
         lp_id = len(self.records)
-        self.records.append(LpRecord(lp_id, TrivialGenerator(self.n), np.zeros(self.n), 0.0, np.zeros(self.n)))
+        self._generators.append(TrivialGenerator(self.n))
+        self._liabilities = np.concatenate([self._liabilities, np.zeros((1, self.n))])
+        self._cash_fees = np.append(self._cash_fees, 0.0)
+        self._bundle_fees = np.concatenate([self._bundle_fees, np.zeros((1, self.n))])
+        self.records.append(LpRecord(self, lp_id))
         return lp_id
 
     def modify_liquidity(self, lp_id: int, generator: Generator) -> np.ndarray:
@@ -237,13 +292,12 @@ class MarketState:
             raise UnsupportedFamily(f"{generator.n}-outcome generator on a {self.n}-outcome market")
         rec = self._record(lp_id)
         generator = normalize_generator(generator)
-        terms = self._terms([generator if other is rec else other.generator for other in self.records])
+        terms = self._terms([generator if i == lp_id else G for i, G in enumerate(self._generators)])
         if self.strict and not any(G.is_pseudobarrier for G in terms):
             raise NotPseudobarrier("modification would remove the last pseudobarrier")
         target = liability_of(generator, self.price)
         deposit = rec.liability - target
-        rec.generator, rec.liability = generator, target
-        self._compiled = None
+        rec.generator, rec.liability = generator, target  # the generator's write drops the aggregate
         return deposit
 
     def quote_completion(self, partial) -> tuple[np.ndarray, float]:
@@ -261,15 +315,15 @@ class MarketState:
         """Price a trade by bundle or by target price without booking it;
         `execute_trade` books the receipt this returns."""
         q = self.total_liability()
-        nontrivial = self._nontrivial()
+        rows, live = self._nontrivial()
         if bundle is None:
             if target_price is None:
                 raise TypeError("price_trade needs a bundle or a target_price")
             p_new = simplex_price(target_price, self.n)
-            if not nontrivial:
+            if not live:
                 raise NotLevelSet("market holds no liquidity")
-            # one gradient per LP: the aggregate's liability is the sum of theirs
-            held = np.array([liability_of(rec.generator, p_new) for rec in nontrivial])
+            # one gradient batch: the aggregate's liability is the sum of the LPs'
+            held = liability_of(live, p_new)
             bundle = np.add.reduce(held, axis=0) - q
         else:
             bundle = _bundle("bundle", bundle, self.n)
@@ -279,14 +333,14 @@ class MarketState:
             if abs(res.cost - c0) > _LEVEL_TOL * max(1.0, float(np.abs(q).max())):
                 raise NotLevelSet(f"trade moves the aggregate cost by {res.cost - c0:.3e}")
             p_new = price_of(agg, q + bundle, self.price)
-            held = np.array([liability_of(rec.generator, p_new) for rec in nontrivial])
-        # fills by record index (= lp_id), zero for LPs without liquidity
-        fills = np.zeros((len(self.records), self.n))
-        rows = [rec.lp_id for rec in nontrivial]
-        fills[rows] = spread_residual(held - np.array([rec.liability for rec in nontrivial]), bundle)
+            held = liability_of(live, p_new)
+        # fills by row (= lp_id), zero for LPs without liquidity
+        k = len(self.records)
+        fills = np.zeros((k, self.n))
+        fills[rows] = spread_residual(held - self._liabilities[rows], bundle)
         parts = {i: fills[i] for i in rows}
-        parts.update((rec.lp_id, fills[rec.lp_id]) for rec in self.records if rec.lp_id not in parts)
-        trader_fee, lp_fee_list = (0.0, [0.0] * len(self.records))
+        parts.update((i, fills[i]) for i in range(k) if i not in parts)
+        trader_fee, lp_fee_list = (0.0, [0.0] * k)
         if self.fee is not None:
             trader_fee, lp_fee_list = compute_fees(self.fee, bundle, fills)
         return TradeReceipt(
@@ -295,20 +349,23 @@ class MarketState:
             price_before=self.price.copy(),
             price_after=p_new.copy(),
             trader_fee=trader_fee,
-            lp_fees={rec.lp_id: lp_fee_list[k] for k, rec in enumerate(self.records)},
+            lp_fees=dict(enumerate(lp_fee_list)),
         )
 
     def _settle(self, receipt: TradeReceipt):
         """Book a receipt from `price_trade`: fills, fees and the new price,
-        in one pass over the LPs.  A fee is cash if it is a float (as
-        `compute_fees` returns cash fees) and a bundle otherwise."""
-        for rec in self.records:
-            rec.liability = rec.liability + receipt.parts[rec.lp_id]
-            fee = receipt.lp_fees[rec.lp_id]
-            if isinstance(fee, float):
-                rec.cash_fees += fee
-            else:
-                rec.bundle_fees = rec.bundle_fees + fee
+        one add per array into a new array.  A fee is cash if it is a float
+        (as `compute_fees` returns cash fees) and a bundle otherwise; a row
+        without a fee of one kind adds zero to that array."""
+        k = len(self.records)
+        self._liabilities = self._liabilities + [receipt.parts[i] for i in range(k)]
+        fees = [receipt.lp_fees[i] for i in range(k)]
+        cash = [isinstance(fee, float) for fee in fees]
+        if any(cash):
+            self._cash_fees = self._cash_fees + [fee if c else 0.0 for fee, c in zip(fees, cash)]
+        if not all(cash):
+            zero = np.zeros(self.n)
+            self._bundle_fees = self._bundle_fees + [zero if c else fee for fee, c in zip(fees, cash)]
         self.price = receipt.price_after.copy()
 
     def execute_trade(self, bundle=None, target_price=None) -> TradeReceipt:
@@ -329,17 +386,12 @@ class MarketState:
         return worst
 
     def snapshot(self) -> dict:
+        book = zip(self._generators, self._liabilities.tolist(), self._cash_fees.tolist(), self._bundle_fees.tolist())
         return {
             "price": self.price.tolist(),
             "lps": [
-                {
-                    "id": rec.lp_id,
-                    "generator": rec.generator.descriptor(),
-                    "liability": rec.liability.tolist(),
-                    "cash_fees": rec.cash_fees,
-                    "bundle_fees": rec.bundle_fees.tolist(),
-                }
-                for rec in self.records
+                {"id": i, "generator": G.descriptor(), "liability": q, "cash_fees": cash, "bundle_fees": fees}
+                for i, (G, q, cash, fees) in enumerate(book)
             ],
         }
 

@@ -41,17 +41,14 @@ class ScoringMarket:
     def __init__(self, generators, price):
         self.generators = list(generators)
         self.price = np.asarray(price, dtype=float)
-        self.liabilities = [liability_of(G, self.price) for G in self.generators]
+        self.liabilities = liability_of(self.generators, self.price)  # (k, n)
 
     def scoring_trade(self, target):
         """Move every maker to the target price; returns (net bundle, parts)."""
         target = np.asarray(target, dtype=float)
-        parts = []
-        for k, G in enumerate(self.generators):
-            new_q = liability_of(G, target)
-            parts.append(new_q - self.liabilities[k])
-            self.liabilities[k] = new_q
-        self.price = target
+        held = liability_of(self.generators, target)
+        parts = list(held - self.liabilities)
+        self.liabilities, self.price = held, target
         return np.sum(parts, axis=0), parts
 
 
@@ -165,7 +162,7 @@ def equivalence_suite(n: int, trials: int, seed: int) -> dict:
                 engine.modify_liquidity(lp, G)
             net, parts = scoring.scoring_trade(target)
             receipt = engine.execute_trade(bundle=net)
-            worst_level = max(worst_level, interp1_validate(gens, [liability_of(G, p0) for G in gens], parts, tol=1e-7))
+            worst_level = max(worst_level, interp1_validate(gens, liability_of(gens, p0), parts, tol=1e-7))
             worst_price = max(worst_price, float(np.max(np.abs(receipt.price_after - target))))
             for idx, G in enumerate(gens):
                 dev = np.max(np.abs(receipt.parts[idx] - parts[idx]))

@@ -159,11 +159,16 @@ class Curve1D(Generator):
 
     def grad(self, x):
         x0, x1 = np.asarray(x, dtype=float).tolist()
-        p = x0 / (x0 + x1)
+        return np.array(self.grad_pair(x0 / (x0 + x1)))
+
+    def grad_pair(self, p):
+        """The gradient at the price (p, 1 - p) as two floats, from g and
+        dg: `grad`'s one formula, which `convex_core.liability_of` also reads
+        for a batch of curves at one price."""
         gp = self.g(p)
         dp = self.dg(p)
         base = gp - p * dp
-        return np.array([dp + base, base])
+        return dp + base, base
 
     def hessian(self, p):
         p = np.asarray(p, dtype=float)
@@ -736,7 +741,7 @@ class LmsrGenerator(Generator, family="lmsr"):
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return self.b * np.log(x / x.sum())
+        return self.b * np.log(x / np.add.reduce(x))  # x.sum() without its wrapper
 
     def hessian(self, p):
         p = np.asarray(p, dtype=float)

@@ -103,7 +103,7 @@ class UniswapV2Market:
 
     @property
     def alpha(self) -> float:
-        return sum(rec.generator.alpha for rec in self.state._nontrivial())
+        return sum(G.alpha for G in self.state._nontrivial()[1])
 
     def invariant(self) -> float:
         x = self.reserves

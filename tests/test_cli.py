@@ -437,6 +437,10 @@ _MALFORMED_CONFIGS = {
                        "unknown fee scheme 'bogus'"),
     "scheme-list": ({"n": 2, "fee": {"scheme": ["x"], "beta": 0.1}, "events": _OPENING},
                     "unknown fee scheme ['x']"),
+    # the name is checked before a missing or zero rate turns the fee off
+    "scheme-unknown-no-rate": ({"n": 2, "fee": {"scheme": "bogus"}, "events": _OPENING}, "unknown fee scheme 'bogus'"),
+    "scheme-unknown-zero-rate": ({"n": 2, "fee": {"scheme": "bogus", "beta": 0}, "events": _OPENING},
+                                 "unknown fee scheme 'bogus'"),
     "not-an-object": ([{"n": 2, "events": _OPENING}], "a scenario must be an object, got list"),
     "n-str": ({"n": "x", "events": _OPENING}, "n must be an integer >= 2, got 'x'"),
     "n-fraction": ({"n": 2.5, "events": _OPENING}, "n must be an integer >= 2, got 2.5"),
@@ -459,6 +463,13 @@ def test_configuration_error_leaves_no_trace_file(name, tmp_path, capsys):
     assert not trace.exists()
     with pytest.raises(UnknownKind):
         replay(scenario)
+
+
+def test_a_known_scheme_at_a_zero_rate_writes_no_fee(tmp_path):
+    f, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    f.write_text(json.dumps({"n": 2, "fee": {"scheme": "norm-l1", "beta": 0}, "events": _OPENING}))
+    assert main(["run", str(f), "--out", str(trace)]) == 0
+    assert json.loads(trace.read_text().splitlines()[0])["meta"]["fee"] is None
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])

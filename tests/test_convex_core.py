@@ -71,6 +71,12 @@ def families_n3():
     ]
 
 
+def family_cases():
+    """families_n2() and families_n3() as parameters with ids that stay the
+    same from run to run: the family and the index."""
+    return [pytest.param(G, id=f"{G.family}-{i}") for i, G in enumerate(families_n2() + families_n3())]
+
+
 def random_prices(rng, n, count):
     ps = rng.dirichlet(np.ones(n), size=count)
     ps = np.clip(ps, 0.01, None)
@@ -82,7 +88,7 @@ def random_prices(rng, n, count):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("G", families_n2() + families_n3(), ids=lambda G: type(G).__name__ + str(id(G) % 97))
+@pytest.mark.parametrize("G", family_cases())
 def test_duality_round_trip(G):
     rng = np.random.default_rng(5)
     for p in random_prices(rng, G.n, 200):
@@ -196,10 +202,91 @@ def test_non_finite_gradient_raises(g):
 
 
 def test_nan_price_is_not_a_boundary_price():
-    # the boundary check propagates NaN, as p.min() does; the gradient then fails
+    # a price entry that is not finite is out of range before any clamp test
     for p in ([math.nan, 1e-20], [1e-20, math.nan], [math.nan, 1e-20, 0.5]):
-        with np.errstate(invalid="ignore"), pytest.raises(NoGradient):
+        with pytest.raises(OutOfRange):
             liability_of(LmsrGenerator(1.0, len(p)), np.array(p))
+
+
+# ---------------------------------------------------------------------------
+# liability batches
+# ---------------------------------------------------------------------------
+
+
+def _batch_books(n):
+    """Generators for one liability batch at n outcomes: every family of
+    `families_n2` or `families_n3`, a trivial, a shifted and a sum generator,
+    and two whose liabilities hold -0.0 entries."""
+    if n == 2:
+        return families_n2() + [
+            TrivialGenerator(2),
+            ShiftedGenerator(UniswapV2Curve(1.0), [0.3, -0.2]),
+            SumGenerator([LmsrCurve(0.5), BucketCurve(UniswapV2Curve(1.0), 0.2, 0.6, 1.0)]),
+            BucketCurve(UniswapV2Curve(1.0), 0.3, 0.7, 0.0),
+            PairConstantProductGenerator(2, 0, 1, 0.0),
+        ]
+    return families_n3() + [
+        TrivialGenerator(3),
+        ShiftedGenerator(LmsrGenerator(1.0, 3), [0.1, 0.0, -0.4]),
+        SumGenerator([ConstantProductGenerator(3, 2.0), LmsrGenerator(0.3, 3)]),
+        PairConstantProductGenerator(3, 0, 2, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_liability_batch_is_the_one_lp_calls_stacked_bit_for_bit(n):
+    gens = _batch_books(n)
+    rng = np.random.default_rng(31)
+    # on the simplex, off it (the extension is 0-homogeneous), and at the clamp
+    prices = list(random_prices(rng, n, 60)) + list(random_prices(rng, n, 20) * 2.5)
+    prices.append(np.array([EPS] + [(1.0 - EPS) / (n - 1)] * (n - 1)))
+    signed = False
+    for p in prices:
+        got = liability_of(gens, p)
+        want = np.array([liability_of(G, p) for G in gens])
+        assert got.shape == (len(gens), n) and got.tobytes() == want.tobytes()
+        # and each row is the generator's own gradient
+        assert np.array([G.grad(np.asarray(p, dtype=float)) for G in gens]).tobytes() == want.tobytes()
+        assert liability_of(tuple(gens), p).tobytes() == want.tobytes()
+        signed |= bool((np.signbit(got) & (got == 0.0)).any())
+    assert signed  # some rows hold -0.0, whose sign the batch keeps
+
+
+_BAD_PRICES = {
+    "nan": ([math.nan, 0.5], OutOfRange),
+    "none": ([None, 0.5], OutOfRange),
+    "inf": ([math.inf, 0.5], OutOfRange),
+    "bool": ([True, 0.5], UnknownKind),
+    "bool-array": (np.array([True, False]), UnknownKind),
+    "str": (["x", 0.5], UnknownKind),
+    "long": ([0.2, 0.3, 0.5], UnknownKind),
+    "clamp": ([0.0, 1.0], BoundaryPrice),
+}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+@pytest.mark.parametrize("name", sorted(_BAD_PRICES))
+def test_liability_of_checks_a_price_by_the_errors_rules(name, batch):
+    price, error = _BAD_PRICES[name]
+    G = LmsrCurve(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            liability_of([G, UniswapV2Curve(1.0)] if batch else G, price)
+
+
+@pytest.mark.parametrize(
+    "makers",
+    [[], [LmsrCurve(1.0), LmsrGenerator(1.0, 3)], [LmsrCurve(1.0), "lmsr"], [None], "lmsr", None, 2.0,
+     iter([LmsrCurve(1.0)]), {LmsrCurve(1.0)}],
+    ids=["empty", "mixed-n", "str-entry", "none-entry", "str", "none", "number", "iterator", "set"],
+)
+def test_liability_of_takes_a_generator_or_a_list_of_generators_with_one_n(makers):
+    with pytest.raises(UnknownKind):
+        liability_of(makers, [0.4, 0.6])
+    # the price's n is the makers' n
+    with pytest.raises(UnknownKind):
+        liability_of([LmsrGenerator(1.0, 3)] * 2, [0.4, 0.6])
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +294,7 @@ def test_nan_price_is_not_a_boundary_price():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("G", families_n2() + families_n3(), ids=lambda G: type(G).__name__ + str(id(G) % 97))
+@pytest.mark.parametrize("G", family_cases())
 def test_hessian_analytic_vs_finite_difference(G):
     rng = np.random.default_rng(8)
     for p in random_prices(rng, G.n, 50):

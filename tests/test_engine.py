@@ -433,6 +433,44 @@ def test_withdraw_round_trip():
     assert np.max(np.abs(d1 + d2)) < 1e-12
 
 
+@pytest.mark.parametrize("fee", [NormFee(0.02, "l1"), PositivePartFee(0.05)], ids=["cash", "bundle"])
+def test_an_lp_field_read_before_an_operation_keeps_its_value(fee):
+    # every operation replaces the book's arrays instead of writing into them
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5], fee=fee)
+    lp = st.register_lp()
+    st.modify_liquidity(lp, UniswapV2Curve(0.8))
+    operations = [
+        lambda: st.execute_trade(target_price=[0.6, 0.4]),
+        lambda: st.execute_trade(bundle=st.quote_completion([0.1, 0.0])[0]),
+        lambda: st.modify_liquidity(lp, LmsrCurve(0.5)),
+        st.register_lp,
+    ]
+    for op in operations:
+        read = [(rec.generator, rec.liability, rec.cash_fees, rec.bundle_fees) for rec in st.records]
+        kept = [(G, q.tobytes(), cash, fees.tobytes()) for G, q, cash, fees in read]
+        before = st.snapshot()
+        op()
+        assert st.snapshot() != before
+        assert [(G, q.tobytes(), cash, fees.tobytes()) for G, q, cash, fees in read] == kept
+        assert all(type(rec.cash_fees) is float for rec in st.records)
+    # a write through a record replaces the array too
+    row = st.records[0].liability
+    want = row.tobytes()
+    st.records[0].liability = np.zeros(2)
+    assert row.tobytes() == want and np.array_equal(st.records[0].liability, [0.0, 0.0])
+
+
+def test_an_lp_record_shows_its_fields():
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5], fee=NormFee(0.1, "l1"))
+    st.execute_trade(target_price=[0.6, 0.4])
+    rec = st.records[0]
+    assert repr(rec) == (
+        f"LpRecord(lp_id=0, generator={rec.generator!r}, liability={rec.liability!r}, "
+        f"cash_fees={rec.cash_fees!r}, bundle_fees={rec.bundle_fees!r})"
+    )
+    assert repr(rec.cash_fees) in repr(rec) and "array([0., 0.])" in repr(rec)
+
+
 def test_trade_and_inverse_trade_restore_books():
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     lp = st.register_lp()
@@ -896,7 +934,7 @@ def _trades(name, seed):
             yield lambda st: st.execute_trade(target_price=p)
         else:
             yield lambda st: st.execute_trade(
-                bundle=np.add.reduce([parmm.liability_of(r.generator, p) for r in st._nontrivial()])
+                bundle=np.add.reduce([parmm.liability_of(G, p) for G in st._nontrivial()[1]])
                 - st.total_liability()
             )
 

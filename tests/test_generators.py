@@ -1289,8 +1289,11 @@ def _numpy_grad(self, x):
 
 
 def _numpy_liability(G, p):
-    """`liability_of` with the clamp checked by np.minimum, which propagates NaN."""
+    """`liability_of` with its price checks as numpy reductions: an entry
+    that is not finite, then the clamp."""
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise OutOfRange("not finite")
     if np.minimum.reduce(p) < EPS:
         raise BoundaryPrice("clamp")
     q = G.grad(p)
@@ -1337,7 +1340,7 @@ def test_float_gradients_match_the_numpy_expressions_bit_for_bit(family, monkeyp
     # on the simplex, and off it: grad is 0-homogeneous, value 1-homogeneous
     points = [np.array([t, 1.0 - t]) for t in p1s]
     points += [np.array([t, 1.0 - t]) * s for t, s in zip(p1s, rng.uniform(0.5, 3.0, len(p1s)))]
-    # a NaN coordinate is no boundary price, whichever coordinate it is
+    # a NaN coordinate is out of range, not a boundary price, whichever coordinate it is
     points += [np.array(x) for x in ([math.nan, 1e-20], [1e-20, math.nan], [math.nan, 0.5], [0.5, math.nan])]
     with np.errstate(all="ignore"):
         got = [(_outcome(G.value, x), _outcome(G.grad, x), _outcome(liability_of, G, x)) for x in points]

@@ -280,3 +280,21 @@ def test_the_price_clamp_is_read_where_prices_are_checked():
     sources = {p.name: p.read_text() for p in MODULES if p.name != "convex_core.py"}
     readers = {name: eps_readers(s) for name, s in sources.items()}
     assert {name: names for name, names in readers.items() if names} == {"engine.py": ["_simplex_grid"]}
+
+
+def grad_calls(source: str) -> list[int]:
+    """Line numbers of the calls to a method named `grad` in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "grad"]
+
+
+def test_grad_call_scan_finds_calls():
+    src = "def f(G, p):\n    q = G.grad(p)\n    grad = G.grad\n    return q + self.inner.grad(p) + grad(p)\n"
+    assert grad_calls(src) == [2, 4]
+
+
+def test_the_market_layers_read_liabilities_only_through_liability_of():
+    # `liability_of` checks a price once for a whole batch of LPs; a `.grad(`
+    # in these modules would be an LP liability with no price check
+    calls = {name: grad_calls((SRC / name).read_text()) for name in ("engine.py", "two_asset.py", "cli.py")}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
