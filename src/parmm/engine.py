@@ -7,21 +7,22 @@ the zero level set of its own cost function.  Conjugate solves run on the
 aggregate compiled by `generators.compile_sum`, which merges same-family
 terms: LMSR, V2 and constant-product makers by their scale, buckets over equal
 bases into one bucket array, and piecewise curves into one on the union of
-their breakpoints.  The LP book is arrays: the LPs' liabilities at a price
-are one `liability_of` batch, a (k, n) array; the split spreads the residual
-across its rows, the fees read the same fills, and a receipt is booked with
-one add per book array.  Cash fees are Python floats and bundle fees arrays,
-so a fee's type gives its kind.  Fees are tracked per LP and never touch the
-pricing math.  `MarketState` holds the only per-LP book, which the pools
-read too through `MarketState.records`; its constructor, `initialize`, opens
-a market.  LP ids, bundles, fee rates and audit grids are checked by the
-rules of `errors`, and prices by `simplex_price`.
+their breakpoints.  The LP book is arrays end to end, row i for LP i: the
+LPs' liabilities at a price are one `liability_of` batch; the split spreads
+the residual across its rows; the fees of those fills are one array, (k,)
+in cash or (k, n) in bundles; a receipt carries the fill and fee arrays and
+booking adds each to the book's.  Fees never touch the pricing math.
+`MarketState` holds the only per-LP book, which the pools read too, and
+`records` hands out copies of its rows as values; its constructor,
+`initialize`, opens a market.  LP ids, bundles, fee rates and audit grids
+are checked by the rules of `errors`, and prices by `simplex_price`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,28 +88,30 @@ class PositivePartFee:
         _check_amount("fee rate", self.beta)
 
 
-def compute_fees(scheme, r, parts):
-    """Fees for a net trade r split into per-LP fills.
+def compute_fees(scheme, r, fills):
+    """Fees for a net trade r split into the fills, a (k, n) array with row i
+    for LP i.
 
-    Returns (trader_fee, lp_fees): Python floats (cash) for NormFee,
-    bundles for PositivePartFee.
+    Returns (trader_fee, lp_fees): a Python float and a (k,) array of cash
+    fees for NormFee, a bundle and a (k, n) array of bundle fees for
+    PositivePartFee.
     """
     r = np.asarray(r, dtype=float)
+    fills = np.asarray(fills, dtype=float)
     if isinstance(scheme, NormFee):
         trader = scheme.beta * scheme._norm(r)
         if scheme.norm == "l1":
-            norms = np.add.reduce(np.abs(parts), axis=-1)
+            norms = np.add.reduce(np.abs(fills), axis=-1)
         else:
             # per row: np.linalg.norm(P, 2, axis=1) and sqrt(einsum) both
             # differ from the row norm in the last ulp on most fills
-            norms = np.array([scheme._norm(ri) for ri in parts])
+            norms = np.array([scheme._norm(ri) for ri in fills])
         total = np.add.reduce(norms)  # the reduction of ndarray.sum, without its wrapper
         if total <= 0.0:
-            return 0.0, [0.0 for _ in parts]
-        return trader, (trader * norms / total).tolist()
+            return 0.0, np.zeros(len(fills))
+        return trader, trader * norms / total
     if isinstance(scheme, PositivePartFee):
-        trader = scheme.beta * np.maximum(-r, 0.0)
-        return trader, [scheme.beta * np.maximum(-np.asarray(ri, float), 0.0) for ri in parts]
+        return scheme.beta * np.maximum(-r, 0.0), scheme.beta * np.maximum(-fills, 0.0)
     raise UnknownKind(f"unknown fee scheme {scheme!r}")
 
 
@@ -119,14 +122,10 @@ def audit_budget_balance(scheme, receipt):
     one unit of cash).  Zero for NormFee; can be strictly positive for
     PositivePartFee with three or more outcomes.
     """
-    n = len(receipt.bundle)
-    ones = np.ones(n)
-
-    def lift(x):
-        return x * ones if np.isscalar(x) or np.ndim(x) == 0 else np.asarray(x, float)
-
-    total_lp = sum(lift(f) for f in receipt.lp_fees.values())
-    return total_lp - lift(receipt.trader_fee)
+    ones = np.ones(len(receipt.bundle))
+    fees = receipt.fees if receipt.fees.ndim == 2 else np.outer(receipt.fees, ones)
+    # row by row, in LP order; times ones leaves a bundle's bits as they are
+    return np.add.reduce(fees, axis=0) - receipt.trader_fee * ones
 
 
 # ---------------------------------------------------------------------------
@@ -134,85 +133,67 @@ def audit_budget_balance(scheme, receipt):
 # ---------------------------------------------------------------------------
 
 
-def _row(name: str, read=None):
-    """A read/write view of row `lp_id` of the book array `name`.  A write
-    replaces the array with a copy, as every operation does, so a row read
-    earlier keeps its value."""
-
-    def get(rec):
-        row = getattr(rec._state, name)[rec.lp_id]
-        return row if read is None else read(row)
-
-    def put(rec, value):
-        book = getattr(rec._state, name).copy()
-        book[rec.lp_id] = value
-        setattr(rec._state, name, book)
-
-    return property(get, put)
-
-
+@dataclass(frozen=True)
 class LpRecord:
-    """One LP of a `MarketState`: its id, and its generator, liability, cash
-    fees (a Python float) and bundle fees read from and written to the
-    market's book.  A record is a view, not a value: it compares by identity
-    and refers to its market."""
+    """One LP of a market, as a value: its id, generator, liability, cash fees
+    (a Python float) and bundle fees, copied from the market's book when
+    `MarketState.records` is read.  Writing into its arrays leaves the market
+    as it was."""
 
-    __slots__ = ("_state", "lp_id")
-
-    def __init__(self, state, lp_id: int):
-        self._state, self.lp_id = state, lp_id
-
-    def __repr__(self) -> str:
-        return (
-            f"LpRecord(lp_id={self.lp_id}, generator={self.generator!r}, liability={self.liability!r}, "
-            f"cash_fees={self.cash_fees!r}, bundle_fees={self.bundle_fees!r})"
-        )
-
-    liability = _row("_liabilities")
-    cash_fees = _row("_cash_fees", float)
-    bundle_fees = _row("_bundle_fees")
-
-    @property
-    def generator(self) -> Generator:
-        return self._state._generators[self.lp_id]
-
-    @generator.setter
-    def generator(self, G: Generator):
-        self._state._generators[self.lp_id] = G
-        self._state._compiled = self._state._live = None
+    lp_id: int
+    generator: Generator
+    liability: np.ndarray
+    cash_fees: float
+    bundle_fees: np.ndarray
 
 
 @dataclass
 class TradeReceipt:
+    """A priced trade.  `fills` is a (k, n) array, row i for LP i, summing to
+    `bundle`; `fees` holds the LPs' fees, a (k,) array of cash fees or a
+    (k, n) array of bundle fees, its shape giving their kind, and
+    `trader_fee` what the trader pays: a float in cash or a bundle."""
+
     bundle: np.ndarray
-    parts: dict  # lp_id -> fill bundle
+    fills: np.ndarray
     price_before: np.ndarray
     price_after: np.ndarray
-    trader_fee: object  # float (cash) or ndarray (bundle)
-    lp_fees: dict  # lp_id -> float or ndarray
+    trader_fee: object
+    fees: np.ndarray
+
+    @property
+    def parts(self) -> MappingProxyType:
+        """lp_id -> fill bundle, in LP id order; read only."""
+        return MappingProxyType(dict(enumerate(self.fills)))
+
+    @property
+    def lp_fees(self) -> MappingProxyType:
+        """lp_id -> fee, a Python float in cash or a bundle, in LP id order; read only."""
+        return MappingProxyType(dict(enumerate(self.fees.tolist() if self.fees.ndim == 1 else self.fees)))
 
 
 class MarketState:
     """Protocol state: the LP book, shared price, fee scheme.
 
     The book is one generator list and three arrays: liabilities (k, n),
-    cash fees (k,) and bundle fees (k, n), row i for LP i, which `records`
-    views.  Every operation replaces an array instead of writing into it, so
-    a row read earlier keeps its value.  strict mode requires the aggregate
-    generator to be a pseudobarrier (its gradient blows up at the boundary),
-    which keeps every price query interior.  Conjugate solves run on
-    `compile_sum` of the LPs' generators, built on the first solve after a
-    change; liabilities at a price are one `liability_of` batch over the LPs
-    that hold liquidity, whose list is kept until a generator changes too.
+    cash fees (k,) and bundle fees (k, n), row i for LP i; `records` copies
+    them out as one value per LP.  Every operation replaces an array instead
+    of writing into it, so a row read earlier keeps its value.  strict mode
+    requires the aggregate generator to be a pseudobarrier (its gradient
+    blows up at the boundary), which keeps every price query interior.
+    Conjugate solves run on `compile_sum` of the LPs' generators, built on
+    the first solve after a change; liabilities at a price are one
+    `liability_of` batch over the LPs that hold liquidity, whose list is kept
+    until a generator changes too.
     """
 
     def __init__(self, generator: Generator, liability=None, price=None, fee=None, strict: bool = True):
+        if (liability is None) == (price is None):
+            raise TypeError("initialize takes a liability or a price, one of the two")
         generator = normalize_generator(generator)  # as `modify_liquidity` books it
         n = generator.n
         hint = None
         if liability is None:
-            if price is None:
-                raise TypeError("initialize needs a liability or a price")
             hint = simplex_price(price, n)
             liability = liability_of(generator, hint)
         q0 = _bundle("liability", liability, n)
@@ -225,12 +206,18 @@ class MarketState:
         self._liabilities = np.array([q0])
         self._cash_fees = np.zeros(1)
         self._bundle_fees = np.zeros((1, n))
-        self.records: list[LpRecord] = [LpRecord(self, 0)]
         self._compiled = self._live = None
         p = price_of(self._solver(), q0, hint)
         if np.max(np.abs(liability_of(generator, p) - q0)) > 1e-8:
             raise LiabilityMismatch("q0 is not on the zero level set of the cost function")
         self.price = p
+
+    @property
+    def records(self) -> list[LpRecord]:
+        """The book as one value per LP, in LP id order, built from copies of
+        its arrays."""
+        book = zip(self._generators, self._liabilities.copy(), self._cash_fees.tolist(), self._bundle_fees.copy())
+        return [LpRecord(i, G, q, cash, fees) for i, (G, q, cash, fees) in enumerate(book)]
 
     # -- helpers ----------------------------------------------------------
 
@@ -258,11 +245,10 @@ class MarketState:
             self._compiled = compile_sum(self._terms())
         return self._compiled
 
-    def _record(self, lp_id: int) -> LpRecord:
+    def _check_lp(self, lp_id: int):
         _check_integer("lp", lp_id)
-        if not 0 <= lp_id < len(self.records):
+        if not 0 <= lp_id < len(self._generators):
             raise UnknownKind(f"no LP with id {lp_id}")
-        return self.records[lp_id]
 
     def total_liability(self) -> np.ndarray:
         return np.add.reduce(self._liabilities, axis=0)
@@ -276,12 +262,11 @@ class MarketState:
     # -- operations -------------------------------------------------------
 
     def register_lp(self) -> int:
-        lp_id = len(self.records)
+        lp_id = len(self._generators)
         self._generators.append(TrivialGenerator(self.n))
         self._liabilities = np.concatenate([self._liabilities, np.zeros((1, self.n))])
         self._cash_fees = np.append(self._cash_fees, 0.0)
         self._bundle_fees = np.concatenate([self._bundle_fees, np.zeros((1, self.n))])
-        self.records.append(LpRecord(self, lp_id))
         return lp_id
 
     def modify_liquidity(self, lp_id: int, generator: Generator) -> np.ndarray:
@@ -290,14 +275,17 @@ class MarketState:
         succeeds."""
         if generator.n != self.n:
             raise UnsupportedFamily(f"{generator.n}-outcome generator on a {self.n}-outcome market")
-        rec = self._record(lp_id)
+        self._check_lp(lp_id)
         generator = normalize_generator(generator)
         terms = self._terms([generator if i == lp_id else G for i, G in enumerate(self._generators)])
         if self.strict and not any(G.is_pseudobarrier for G in terms):
             raise NotPseudobarrier("modification would remove the last pseudobarrier")
         target = liability_of(generator, self.price)
-        deposit = rec.liability - target
-        rec.generator, rec.liability = generator, target  # the generator's write drops the aggregate
+        liabilities = self._liabilities.copy()
+        deposit = liabilities[lp_id] - target
+        liabilities[lp_id] = target
+        self._generators[lp_id], self._liabilities = generator, liabilities
+        self._compiled = self._live = None  # the aggregate and the LPs holding liquidity change
         return deposit
 
     def quote_completion(self, partial) -> tuple[np.ndarray, float]:
@@ -314,11 +302,11 @@ class MarketState:
     def price_trade(self, bundle=None, target_price=None) -> TradeReceipt:
         """Price a trade by bundle or by target price without booking it;
         `execute_trade` books the receipt this returns."""
+        if (bundle is None) == (target_price is None):
+            raise TypeError("price_trade takes a bundle or a target_price, one of the two")
         q = self.total_liability()
         rows, live = self._nontrivial()
         if bundle is None:
-            if target_price is None:
-                raise TypeError("price_trade needs a bundle or a target_price")
             p_new = simplex_price(target_price, self.n)
             if not live:
                 raise NotLevelSet("market holds no liquidity")
@@ -335,37 +323,21 @@ class MarketState:
             p_new = price_of(agg, q + bundle, self.price)
             held = liability_of(live, p_new)
         # fills by row (= lp_id), zero for LPs without liquidity
-        k = len(self.records)
+        k = len(self._generators)
         fills = np.zeros((k, self.n))
         fills[rows] = spread_residual(held - self._liabilities[rows], bundle)
-        parts = {i: fills[i] for i in rows}
-        parts.update((i, fills[i]) for i in range(k) if i not in parts)
-        trader_fee, lp_fee_list = (0.0, [0.0] * k)
-        if self.fee is not None:
-            trader_fee, lp_fee_list = compute_fees(self.fee, bundle, fills)
-        return TradeReceipt(
-            bundle=bundle,
-            parts=parts,
-            price_before=self.price.copy(),
-            price_after=p_new.copy(),
-            trader_fee=trader_fee,
-            lp_fees=dict(enumerate(lp_fee_list)),
-        )
+        trader_fee, fees = (0.0, np.zeros(k)) if self.fee is None else compute_fees(self.fee, bundle, fills)
+        return TradeReceipt(bundle, fills, self.price.copy(), p_new.copy(), trader_fee, fees)
 
     def _settle(self, receipt: TradeReceipt):
-        """Book a receipt from `price_trade`: fills, fees and the new price,
-        one add per array into a new array.  A fee is cash if it is a float
-        (as `compute_fees` returns cash fees) and a bundle otherwise; a row
-        without a fee of one kind adds zero to that array."""
-        k = len(self.records)
-        self._liabilities = self._liabilities + [receipt.parts[i] for i in range(k)]
-        fees = [receipt.lp_fees[i] for i in range(k)]
-        cash = [isinstance(fee, float) for fee in fees]
-        if any(cash):
-            self._cash_fees = self._cash_fees + [fee if c else 0.0 for fee, c in zip(fees, cash)]
-        if not all(cash):
-            zero = np.zeros(self.n)
-            self._bundle_fees = self._bundle_fees + [zero if c else fee for fee, c in zip(fees, cash)]
+        """Book a receipt from `price_trade`: one add for its fills, one for
+        its fees into the cash or the bundle fees, as their shape says, each
+        into a new array, and the new price."""
+        self._liabilities = self._liabilities + receipt.fills
+        if receipt.fees.ndim == 1:
+            self._cash_fees = self._cash_fees + receipt.fees
+        else:
+            self._bundle_fees = self._bundle_fees + receipt.fees
         self.price = receipt.price_after.copy()
 
     def execute_trade(self, bundle=None, target_price=None) -> TradeReceipt:
@@ -378,11 +350,11 @@ class MarketState:
         nonpositive generator never leaves the LP owing the trader, so the
         audit value should never exceed ~0.  `grid` points per axis, a
         positive integer."""
-        rec = self._record(lp_id)
+        self._check_lp(lp_id)
         _check_integer("grid", grid, 1)
         worst = -np.inf
         for p in _simplex_grid(self.n, grid):
-            worst = max(worst, float(liability_of(rec.generator, p).max()))
+            worst = max(worst, float(liability_of(self._generators[lp_id], p).max()))
         return worst
 
     def snapshot(self) -> dict:

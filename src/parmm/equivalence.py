@@ -164,10 +164,8 @@ def equivalence_suite(n: int, trials: int, seed: int) -> dict:
             receipt = engine.execute_trade(bundle=net)
             worst_level = max(worst_level, interp1_validate(gens, liability_of(gens, p0), parts, tol=1e-7))
             worst_price = max(worst_price, float(np.max(np.abs(receipt.price_after - target))))
-            for idx, G in enumerate(gens):
-                dev = np.max(np.abs(receipt.parts[idx] - parts[idx]))
-                worst_part = max(worst_part, float(dev))
-            engine_net = np.sum([receipt.parts[i] for i in receipt.parts], axis=0)
+            worst_part = max(worst_part, float(np.max(np.abs(receipt.fills - parts))))
+            engine_net = np.sum(receipt.fills, axis=0)
             worst_net = max(worst_net, float(np.max(np.abs(engine_net - net))))
         except ParmmError:
             failures += 1

@@ -8,10 +8,11 @@ The curve is itself the maker's generator: `price2` is a scalar view of
 constant-product and concentrated-liquidity pools below are the general
 engine plus reserve bookkeeping x = -q, and keep no LP book of their own:
 each LP's liquidity, a V2 alpha or a `BucketArrayCurve` of bucket weights,
-is read from the engine's records, and the v3 aggregate is the engine's
+is read from the engine's generators, and the v3 aggregate is the engine's
 solve aggregate.  The v3 pool prices a swap once, with `price_trade`,
 checks its buckets at that price and books that same receipt with its
-bucket-share fees written in, so pool fees land in the LPs' `bundle_fees`.
+bucket-share fees written in as a (k, n) array, so pool fees land in the
+LPs' `bundle_fees`.
 Arguments are checked by the rules of `errors`; a bucket or slot index
 that is not an integer in range (a bool is not one) raises `OutOfRange`.
 """
@@ -182,14 +183,14 @@ class UniswapV3Market:
         """The constant-product buckets carrying weights w; trivial if none."""
         return self._empty.with_weights(w) if np.any(w > 0) else TrivialGenerator(2)
 
-    def _weights(self, rec) -> np.ndarray:
-        """An LP's bucket weights as its curve holds them, not copied."""
-        return self._empty.weights if isinstance(rec.generator, TrivialGenerator) else rec.generator.weights
+    def _weights(self, G) -> np.ndarray:
+        """The bucket weights an LP's generator G holds, not copied."""
+        return self._empty.weights if isinstance(G, TrivialGenerator) else G.weights
 
     @property
     def weights(self) -> dict:
         """Each LP's bucket weights, copied from its curve in the engine."""
-        return {rec.lp_id: self._weights(rec).copy() for rec in self.state.records}
+        return {lp_id: self._weights(G).copy() for lp_id, G in enumerate(self.state._generators)}
 
     def aggregate_curve(self) -> BucketArrayCurve:
         """The engine's solve aggregate: the LPs' weights summed in LP order."""
@@ -216,10 +217,10 @@ class UniswapV3Market:
 
     def mint(self, lp_id: int, j: int, weight: float) -> np.ndarray:
         """Set an LP's weight on bucket j; returns the reserve deposit."""
-        rec = self.state._record(lp_id)
+        self.state._check_lp(lp_id)
         _check_index(j, len(self.buckets))
         _check_amount("bucket weight", weight)
-        w = self._weights(rec).copy()
+        w = self._weights(self.state._generators[lp_id]).copy()
         w[j] = weight
         # engine deposits are in liability space; reserves are the negation,
         # and the two agree because deposit = q_old - q_new = x_new - x_old
@@ -252,10 +253,8 @@ class UniswapV3Market:
         if self.beta > 0:
             receipt.trader_fee = self.beta * np.maximum(-receipt.bundle, 0.0)
             denom = float(W[crossed].sum())
-            receipt.lp_fees = {
-                rec.lp_id: float(self._weights(rec)[crossed].sum()) / denom * receipt.trader_fee
-                for rec in self.state.records
-            }
+            shares = [float(self._weights(G)[crossed].sum()) / denom for G in self.state._generators]
+            receipt.fees = np.array(shares)[:, None] * receipt.trader_fee
         self.state._settle(receipt)
         return receipt
 

@@ -841,6 +841,35 @@ def test_trace_descriptors_are_copies(tmp_path):
     assert st.snapshot()["lps"][lp]["generator"] == {"family": "uniswap_v2", "alpha": 2.0}
 
 
+def test_trace_parts_run_in_lp_id_order():
+    # an LP never filled and one emptied mid-run sit before the LPs holding
+    # liquidity; every trade lists each LP's fill and fee in id order
+    scen = {
+        "n": 2,
+        "fee": {"scheme": "norm-l1", "beta": 0.01},
+        "events": [
+            {"op": "initialize", "generator": {"family": "lmsr", "b": 1.0}, "price": [0.5, 0.5]},
+            {"op": "register_lp"},
+            {"op": "register_lp"},
+            {"op": "modify_liquidity", "lp": 2, "generator": {"family": "lmsr", "b": 2.0}},
+            {"op": "register_lp"},
+            {"op": "modify_liquidity", "lp": 3, "generator": {"family": "uniswap_v2", "alpha": 1.5}},
+            {"op": "execute_trade", "target_price": [0.6, 0.4]},
+            {"op": "modify_liquidity", "lp": 0, "generator": {"family": "trivial"}},
+            {"op": "execute_trade", "target_price": [0.45, 0.55]},
+            {"op": "execute_trade", "target_price": [0.7, 0.3]},
+        ],
+    }
+    lines = [json.loads(line) for line in _written(run_scenario(scen)).splitlines()]
+    trades = [rec for rec in lines if rec.get("op") == "execute_trade"]
+    assert len(trades) == 3
+    for rec in trades:
+        assert list(rec["result"]["parts"]) == list(rec["result"]["lp_fees"]) == ["0", "1", "2", "3"]
+    for rec in trades[1:]:
+        assert rec["result"]["parts"]["0"] == rec["result"]["parts"]["1"] == [0.0, 0.0]
+        assert rec["result"]["parts"]["2"] != [0.0, 0.0]
+
+
 # sha256 of the trace `parmm run` writes for each scenario
 _TRACE_DIGESTS = {
     "two_lp_walkthrough": "36a586ca01682b4f9c765ef5c0145e7da010cc21dd01488d67a7e58dadd0e9f6",

@@ -466,8 +466,8 @@ def test_engine_split_matches_the_sequential_loop_bit_for_bit():
             receipt = st.execute_trade(target_price=p)
         held = [liability_of(rec.generator, receipt.price_after) for rec in live]
         want = _sequential_spread([h - before[rec.lp_id] for h, rec in zip(held, live)], receipt.bundle)
-        # the LPs with liquidity first, in record order, then the others
-        assert list(receipt.parts) == [rec.lp_id for rec in live] + [3, idle]
+        # every LP in id order, those without liquidity among them
+        assert list(receipt.parts) == list(range(idle + 1))
         assert np.array([receipt.parts[rec.lp_id] for rec in live]).tobytes() == np.array(want).tobytes()
         assert np.array([receipt.parts[3], receipt.parts[idle]]).tobytes() == np.zeros((2, 2)).tobytes()
 

@@ -1,5 +1,6 @@
 """Engine behavior: the two-LP walkthrough, fees, audits, guard rails."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -262,8 +263,8 @@ def test_three_outcome_pair_pools_fee_imbalance():
 
 
 class _Receipt:
-    def __init__(self, bundle, trader_fee, lp_fees):
-        self.bundle, self.trader_fee, self.lp_fees = bundle, trader_fee, lp_fees
+    def __init__(self, bundle, trader_fee, fees):
+        self.bundle, self.trader_fee, self.fees = bundle, trader_fee, fees
 
 
 def test_positive_part_fee_arithmetic():
@@ -276,7 +277,7 @@ def test_positive_part_fee_arithmetic():
     assert np.allclose(trader, [0.0, 0.0, 1 - SQH], atol=1e-12)
     assert np.allclose(lp[0], [0.0, 0.0, 1 - SQH], atol=1e-12)
     assert np.allclose(lp[1], [0.0, SQ2 - 1, 0.0], atol=1e-12)
-    rec = _Receipt(r, trader, {0: lp[0], 1: lp[1]})
+    rec = _Receipt(r, trader, lp)
     imbalance = audit_budget_balance(PositivePartFee(beta), rec)
     assert np.allclose(imbalance, [0.0, SQ2 - 1, 0.0], atol=1e-12)
 
@@ -297,7 +298,7 @@ def test_norm_fee_budget_balance_always():
         r = rng.normal(size=3)
         parts = [rng.normal(size=3) for _ in range(3)]
         trader, lp = compute_fees(NormFee(0.2, "l2"), r, parts)
-        rec = _Receipt(r, trader, dict(enumerate(lp)))
+        rec = _Receipt(r, trader, lp)
         assert np.max(np.abs(audit_budget_balance(NormFee(0.2, "l2"), rec))) < 1e-12
 
 
@@ -311,7 +312,7 @@ def test_norm_fee_l1_shares_match_the_row_norms_exactly():
             parts = list(rng.normal(size=(16, n)) * 10.0 ** rng.uniform(-6, 3, size=(16, 1)))
             trader, shares = compute_fees(fee, np.sum(parts, axis=0), parts)
             norms = np.array([np.linalg.norm(part, 1) for part in parts])
-            assert shares == list(trader * norms / norms.sum())
+            assert shares.tobytes() == (trader * norms / norms.sum()).tobytes()
 
 
 def test_target_trade_takes_one_gradient_per_lp(monkeypatch):
@@ -453,11 +454,23 @@ def test_an_lp_field_read_before_an_operation_keeps_its_value(fee):
         assert st.snapshot() != before
         assert [(G, q.tobytes(), cash, fees.tobytes()) for G, q, cash, fees in read] == kept
         assert all(type(rec.cash_fees) is float for rec in st.records)
-    # a write through a record replaces the array too
-    row = st.records[0].liability
-    want = row.tobytes()
-    st.records[0].liability = np.zeros(2)
-    assert row.tobytes() == want and np.array_equal(st.records[0].liability, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("fee", [NormFee(0.02, "l1"), PositivePartFee(0.05)], ids=["cash", "bundle"])
+def test_writing_into_a_record_leaves_the_market_as_it_was(fee):
+    # a record is a value copied from the book, and holds no reference to it
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5], fee=fee)
+    st.modify_liquidity(st.register_lp(), UniswapV2Curve(0.8))
+    st.execute_trade(target_price=[0.6, 0.4])
+    before = st.snapshot()
+    st.records[0].liability[0] += 1.0
+    st.records[1].bundle_fees[:] = 7.0
+    assert st.snapshot() == before
+    assert st.check_coherent(1e-12) <= 1e-12
+    rec = st.records[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.cash_fees = 7.0
+    assert not any(isinstance(getattr(rec, f.name), MarketState) for f in dataclasses.fields(rec))
 
 
 def test_an_lp_record_shows_its_fields():
@@ -516,6 +529,23 @@ def test_price_trade_books_nothing_and_returns_the_executed_receipt(fee):
         assert np.array_equal(st.price, booked.price_after)
         assert st.price is not booked.price_after
         st.execute_trade(target_price=[0.3, 0.7])
+
+
+def test_a_call_given_both_or_neither_of_its_two_inputs_is_refused():
+    # a second input was once ignored without a word
+    G = LmsrCurve(1.0)
+    q = initialize(G, price=[0.5, 0.5]).records[0].liability
+    for kwargs in ({"liability": q, "price": [0.4, 0.6]}, {}):
+        with pytest.raises(TypeError, match="a liability or a price, one of the two"):
+            initialize(G, **kwargs)
+    st = initialize(G, price=[0.5, 0.5], fee=NormFee(0.1, "l1"))
+    bundle = st.price_trade(target_price=[0.6, 0.4]).bundle
+    before = st.snapshot()
+    for call in (st.price_trade, st.execute_trade):
+        for kwargs in ({"bundle": bundle, "target_price": [0.3, 0.7]}, {}):
+            with pytest.raises(TypeError, match="a bundle or a target_price, one of the two"):
+                call(**kwargs)
+    assert st.snapshot() == before
 
 
 @pytest.mark.parametrize("lp_id", [-1, 2, 7])
@@ -849,8 +879,8 @@ def test_one_generator_object_may_back_several_lps(base, make):
 
 
 def _old_compute_fees(scheme, r, parts):
-    """`compute_fees` with every norm from np.linalg.norm and LP cash fees
-    left as numpy floats."""
+    """`compute_fees` with every norm from np.linalg.norm and each LP's fee
+    computed alone, stacked into one array."""
     r = np.asarray(r, dtype=float)
     if isinstance(scheme, NormFee):
         order = 1 if scheme.norm == "l1" else 2
@@ -861,35 +891,34 @@ def _old_compute_fees(scheme, r, parts):
             norms = np.array([float(np.linalg.norm(ri, 2)) for ri in parts])
         total = norms.sum()
         if total <= 0.0:
-            return 0.0, [0.0 for _ in parts]
-        return trader, list(trader * norms / total)
+            return 0.0, np.array([0.0 for _ in parts])
+        return trader, np.array(list(trader * norms / total))
     trader = scheme.beta * np.maximum(-r, 0.0)
-    return trader, [scheme.beta * np.maximum(-np.asarray(ri, float), 0.0) for ri in parts]
+    return trader, np.array([scheme.beta * np.maximum(-np.asarray(ri, float), 0.0) for ri in parts])
 
 
 def _old_settle(self, receipt):
-    """`MarketState._settle` testing each fee's kind with np.isscalar/np.ndim."""
-    for rec in self.records:
-        rec.liability = rec.liability + receipt.parts[rec.lp_id]
-        fee = receipt.lp_fees[rec.lp_id]
+    """`MarketState._settle` as a loop over the LPs, testing each fee's kind
+    with np.isscalar/np.ndim and adding it alone."""
+    liabilities, cash, bundles = self._liabilities.copy(), self._cash_fees.copy(), self._bundle_fees.copy()
+    for lp_id, fee in receipt.lp_fees.items():
+        liabilities[lp_id] = liabilities[lp_id] + receipt.fills[lp_id]
         if np.isscalar(fee) or np.ndim(fee) == 0:
-            rec.cash_fees += float(fee)
+            cash[lp_id] = float(cash[lp_id]) + float(fee)
         else:
-            rec.bundle_fees = rec.bundle_fees + np.asarray(fee, float)
+            bundles[lp_id] = bundles[lp_id] + np.asarray(fee, float)
+    self._liabilities, self._cash_fees, self._bundle_fees = liabilities, cash, bundles
     self.price = receipt.price_after.copy()
 
 
 def _bits(x):
-    """The float bits of a fee, a receipt field or a list or dict of them."""
-    if isinstance(x, dict):
-        return {k: _bits(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_bits(v) for v in x]
-    return np.asarray(x, dtype=float).tobytes()
+    """The float bits and shape of a fee, a receipt field or an array of them."""
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
 
 
 def _receipt_bits(rec):
-    return [_bits(getattr(rec, f)) for f in ("bundle", "parts", "price_before", "price_after", "trader_fee", "lp_fees")]
+    return [_bits(getattr(rec, f)) for f in ("bundle", "fills", "price_before", "price_after", "trader_fee", "fees")]
 
 
 def _booked_bits(st):
@@ -940,10 +969,11 @@ def _trades(name, seed):
 
     def signed_zero(st):
         # the LP without liquidity gets a -0.0 fill onto a -0.0 liability
-        empty = st.records[-1]
-        empty.liability = np.full(n, -0.0)
+        liabilities = st._liabilities.copy()
+        liabilities[-1] = -0.0
+        st._liabilities = liabilities
         receipt = st.price_trade(target_price=p)
-        receipt.parts[empty.lp_id] = np.full(n, -0.0)
+        receipt.fills[-1] = -0.0
         st._settle(receipt)
         return receipt
 
@@ -984,7 +1014,8 @@ def test_fees_match_np_linalg_norm_bit_for_bit(n):
             old_trader, old_shares = _old_compute_fees(scheme, r, parts)
             assert _bits(trader) == _bits(old_trader) and _bits(shares) == _bits(old_shares)
             if isinstance(scheme, NormFee):
-                assert type(trader) is float and all(type(f) is float for f in shares)
-    # all fills zero: no fee, in cash floats
+                assert type(trader) is float and shares.shape == (k,)
+    # all fills zero: no fee, in cash
     for scheme in (NormFee(0.02, "l1"), NormFee(0.03, "l2")):
-        assert compute_fees(scheme, np.full(n, -0.0), np.full((3, n), -0.0)) == (0.0, [0.0, 0.0, 0.0])
+        trader, shares = compute_fees(scheme, np.full(n, -0.0), np.full((3, n), -0.0))
+        assert type(trader) is float and _bits(trader) == _bits(0.0) and _bits(shares) == _bits(np.zeros(3))

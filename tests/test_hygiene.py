@@ -298,3 +298,72 @@ def test_the_market_layers_read_liabilities_only_through_liability_of():
     # in these modules would be an LP liability with no price check
     calls = {name: grad_calls((SRC / name).read_text()) for name in ("engine.py", "two_asset.py", "cli.py")}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+# the LP book: its generators and its liability and fee arrays, row i for LP i
+BOOK = {"_generators", "_liabilities", "_cash_fees", "_bundle_fees"}
+
+
+def _book_target(target) -> bool:
+    """Whether an assignment target is a book attribute, an item of one, or
+    holds one in a tuple or list."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_book_target(t) for t in target.elts)
+    if isinstance(target, (ast.Starred, ast.Subscript)):
+        return _book_target(target.value)
+    return isinstance(target, ast.Attribute) and target.attr in BOOK
+
+
+def book_writes(source: str) -> list[int]:
+    """Line numbers of the assignments to a book attribute (`x._liabilities`
+    and the like) or into one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_book_target(t) for t in targets):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_book_write_scan_finds_writes():
+    src = ("def f(st, G):\n    st._liabilities = st._liabilities + 1\n    st._generators[0] = G\n"
+           "    a, st._cash_fees = 1, 2\n    st._bundle_fees += 1\n    q = st._liabilities\n"
+           "    st.price = q[st._cash_fees]\n    self._generators: list = []\n")
+    assert book_writes(src) == [2, 3, 4, 5, 8]
+
+
+def test_only_the_engine_writes_the_lp_book():
+    # the engine replaces an array instead of writing into it and drops its
+    # caches when a generator changes; a write from elsewhere would skip both
+    writes = {p.name: book_writes(p.read_text()) for p in MODULES}
+    assert sorted(name for name, lines in writes.items() if lines) == ["engine.py"]
+
+
+def fee_float_tests(source: str) -> list[int]:
+    """Line numbers of the calls `isinstance(x, float)` (float alone or in a
+    tuple) whose x names a fee: a name or attribute containing "fee"."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2):
+            continue
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        names = [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[0])
+                 if isinstance(n, (ast.Name, ast.Attribute))]
+        if any(isinstance(k, ast.Name) and k.id == "float" for k in kinds) and any("fee" in n for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fee_float_scan_finds_calls():
+    src = ("cash = [isinstance(fee, float) for fee in fees]\nisinstance(r.lp_fees[0], (int, float))\n"
+           "isinstance(v, float)\nisinstance(fee, np.ndarray)\nisinstance(trader_fee, np.floating)\n")
+    assert fee_float_tests(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_fee_kind_is_read_from_a_python_type(path):
+    # a fee's kind is the shape of the receipt's fee array, (k,) cash or
+    # (k, n) bundles; a float test breaks when a cash fee is a numpy float
+    assert fee_float_tests(path.read_text()) == []
