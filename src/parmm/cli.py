@@ -210,7 +210,7 @@ def replay(scenario: dict, mode=None, fee_name=None, beta=None):
     beta = beta if beta is not None else fee_cfg.get("beta", 0.0)
     _check_number("fee rate", beta)
     fee = _fee_scheme(fee_name, beta)
-    events = scenario["events"]
+    events = scenario.get("events")
     if not isinstance(events, list):
         raise UnknownKind(f"events must be a list, got {type(events).__name__}")
     meta = {"meta": {"version": __version__, "n": n, "mode": mode,

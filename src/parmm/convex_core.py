@@ -57,6 +57,7 @@ from .generators import (
 )
 
 EPS = 1e-9  # boundary clamp for simplex prices
+_AT_CLAMP = EPS * (1 + 1e-6)  # a solved price component at most this is at the clamp
 # the simplex solver stops at a KKT residual below _GTOL, or below _GREL times
 # the largest |q_i| + |grad_i G| when that is larger: the residual's rounding floor
 _GTOL = 1e-12
@@ -183,7 +184,7 @@ def _conjugate_two(G: Generator, q, p0) -> ConjugateResult:
     p1 = hi
     p = np.array([p1, 1.0 - p1])
     cost = float(p @ q - G.value(p))
-    return ConjugateResult(cost, p, p1 <= EPS * (1 + 1e-6) or p1 >= 1.0 - EPS * (1 + 1e-6))
+    return ConjugateResult(cost, p, p1 <= _AT_CLAMP or p1 >= 1.0 - _AT_CLAMP)
 
 
 def _free_residual(p, v):
@@ -191,7 +192,7 @@ def _free_residual(p, v):
     because their reduced gradient v_i - c points outward, and the KKT
     residual max |v_i - c| over the rest, with c the p-weighted mean of v off
     the clamp."""
-    at = p <= EPS * (1 + 1e-6)
+    at = p <= _AT_CLAMP
     c = p[~at] @ v[~at] / p[~at].sum()
     held = at & (v < c)
     return held, float(np.max(np.abs(v[~held] - c)))
@@ -250,7 +251,7 @@ def conjugate_value(G: Generator, q, p0=None) -> ConjugateResult:
         cost, p = closed
         p = np.clip(np.asarray(p, dtype=float), EPS, None)
         p = p / p.sum()
-        return ConjugateResult(float(cost), p, bool(p.min() <= EPS * (1 + 1e-6)))
+        return ConjugateResult(float(cost), p, bool(p.min() <= _AT_CLAMP))
     if G.n == 2:
         return _conjugate_two(G, q, p0)
     return _conjugate_kkt(G, q, p0)

@@ -138,13 +138,20 @@ class LpRecord:
     """One LP of a market, as a value: its id, generator, liability, cash fees
     (a Python float) and bundle fees, copied from the market's book when
     `MarketState.records` is read.  Writing into its arrays leaves the market
-    as it was."""
+    as it was.  Two records are equal when they hold the same LP id and
+    generator object, equal cash fees and equal arrays."""
 
     lp_id: int
     generator: Generator
     liability: np.ndarray
     cash_fees: float
     bundle_fees: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, LpRecord):
+            return NotImplemented
+        return (self.lp_id == other.lp_id and self.generator is other.generator and self.cash_fees == other.cash_fees
+                and np.array_equal(self.liability, other.liability) and np.array_equal(self.bundle_fees, other.bundle_fees))
 
 
 @dataclass

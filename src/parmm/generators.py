@@ -13,13 +13,13 @@ when built.  It is the one piecewise-polynomial family: the `brier`,
 
 A two-outcome maker is a `Curve1D`: the generator G(p) = g(p_1) of a scalar
 curve g on [0, 1].  A curve is a `Generator` with n = 2 and goes wherever one
-does; it adds g and g' as `g` and `dg`, and writes g'' once, in
+does.  A family defines g as `g` and writes g' and g'' once, in
 `slope_curvature`: the pair (g', g''), the two-outcome Newton step's one
-evaluation, which a family finds from one lookup (a piece, the held buckets)
-with the float operations of its `dg`.  Its `hessian` reads g'' there.  At
-n = 2, every generator's slope g' is `slope_curvature(t)[0]`, q_1 - q_2 at
-the price (t, 1 - t).  All curve families here are normalized so
-g(0) = g(1) = 0.
+evaluation, which a family finds from one lookup (a piece, the held
+buckets).  `dg`, the liability's g', and `hessian`, the g'' of the
+liquidity, read it there.  At n = 2, every generator's slope g' is
+`slope_curvature(t)[0]`, q_1 - q_2 at the price (t, 1 - t).  All curve
+families here are normalized so g(0) = g(1) = 0.
 `compile_sum` merges the same-family terms of a sum for the solvers.
 
 A family's descriptor is `{"family": ..., field: value, ...}`, its fields the
@@ -127,8 +127,8 @@ class Generator:
 
 class Curve1D(Generator):
     """Two-outcome generator G(p) = g(p_1) of a convex curve g on [0, 1];
-    g(0) and g(1) are finite for every family here.  A family defines `g`,
-    `dg` and `slope_curvature`."""
+    g(0) and g(1) are finite for every family here.  A family defines `g`
+    and `slope_curvature`."""
 
     n = 2
 
@@ -136,18 +136,20 @@ class Curve1D(Generator):
         raise NotImplementedError
 
     def dg(self, p):
-        """Derivative; midpoint of the two one-sided slopes at a kink.
+        """Derivative, the g' of `slope_curvature`; midpoint of the two
+        one-sided slopes at a kink.
 
         Nondecreasing in floating point too, also where pieces join: the
         two-outcome price solve takes the leftmost p with dg(p) >= t, and a
         join that rounds below a flat it borders would cut the flat off.
         """
-        raise NotImplementedError
+        return self.slope_curvature(p)[0]
 
     def slope_curvature(self, p):
-        """(dg(p), g''(p)), g'' where defined, from the right at a kink (0 on
-        flat pieces).  The curve's only g''; the base has none, since the
-        generator default reads `hessian`, which reads this."""
+        """(g'(p), g''(p)): g' as `dg` promises it, and g'' where defined,
+        from the right at a kink (0 on flat pieces).  The curve's only g' and
+        g''; the base has none, since the generator default reads `hessian`,
+        which reads this."""
         raise NotImplementedError
 
     # value and grad read x as two Python floats: numpy's scalar arithmetic
@@ -250,19 +252,13 @@ class PiecewisePolyCurve(Curve1D, family="piecewise_poly"):
     def _slope(self, k, p):
         return min(max(float(_horner(self._c1[k], p)), self._dlo[k]), self._dhi[k])
 
-    def _dg(self, k, p):
+    def slope_curvature(self, p):
+        k = self._piece(p)
         d = self._slope(k, p)
         # midpoint subgradient at interior breakpoints
         if 0 < k and p == self.breakpoints[k]:
             d = 0.5 * (d + self._slope(k - 1, p))
-        return float(d)
-
-    def dg(self, p):
-        return self._dg(self._piece(p), p)
-
-    def slope_curvature(self, p):
-        k = self._piece(p)
-        return self._dg(k, p), float(_horner(self._c2[k], p))
+        return float(d), float(_horner(self._c2[k], p))
 
 
 def _check_pieces(xs, coefficients):
@@ -399,11 +395,8 @@ class LmsrCurve(Curve1D, family="lmsr"):
     def g(self, p):
         return float(self.b * (_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)))
 
-    def dg(self, p):
-        return float(self.b * (np.log(p) - np.log1p(-p)))
-
     def slope_curvature(self, p):
-        return self.dg(p), float(self.b / (p * (1.0 - p)))
+        return float(self.b * (np.log(p) - np.log1p(-p))), float(self.b / (p * (1.0 - p)))
 
     def conjugate(self, q):
         t = q[0] - q[1]
@@ -455,12 +448,9 @@ class UniswapV2Curve(Curve1D, family="uniswap_v2"):
     def g(self, p):
         return float(-2.0 * self.alpha * math.sqrt(max(p * (1.0 - p), 0.0)))
 
-    def dg(self, p):
-        w = math.sqrt(p * (1.0 - p))
-        return float(self.alpha * (2.0 * p - 1.0) / w)
-
     def slope_curvature(self, p):
-        return self.dg(p), float(self.alpha / (2.0 * (p * (1.0 - p)) ** 1.5))
+        w = math.sqrt(p * (1.0 - p))
+        return float(self.alpha * (2.0 * p - 1.0) / w), float(self.alpha / (2.0 * (p * (1.0 - p)) ** 1.5))
 
     def conjugate(self, q):
         return _constant_product_conjugate(q, 2.0 * self.alpha)
@@ -501,21 +491,6 @@ class BucketCurve(Curve1D, family="bucket"):
             )
         return float(w * val)
 
-    def _inside(self, d):
-        """The unweighted slope in [a, b], given the base slope d there."""
-        val = d + self._ga - self._gb - self.a * self._da + self._db * (self.b - 1.0)
-        # at the edges the in-bucket sum can round past the tail slopes
-        return min(max(val, self._lo), self._hi)
-
-    def dg(self, p):
-        if p < self.a:
-            val = self._lo
-        elif p > self.b:
-            val = self._hi
-        else:
-            val = self._inside(self.base.dg(p))
-        return float(self.weight * val)
-
     def slope_curvature(self, p):
         w = self.weight
         if p < self.a:
@@ -523,9 +498,11 @@ class BucketCurve(Curve1D, family="bucket"):
         if p > self.b:
             return float(w * self._hi), 0.0
         d, d2 = self.base.slope_curvature(p)
+        # at the edges the in-bucket sum can round past the tail slopes
+        d = min(max(d + self._ga - self._gb - self.a * self._da + self._db * (self.b - 1.0), self._lo), self._hi)
         # g'' from the right at the edges, as a piecewise curve takes the
         # piece right of a breakpoint: then buckets that tile [a, b] add up to it
-        return float(w * self._inside(d)), (float(w * d2) if p < self.b else 0.0)
+        return float(w * d), (float(w * d2) if p < self.b else 0.0)
 
     _short = None  # the bucket shorthand whose unit base is equal to the base ("" if none), found on first use
 
@@ -604,8 +581,8 @@ class BucketArrayCurve(Curve1D, family="bucket_array"):
         self._clamp_slopes = None
         H = np.concatenate(([0.0], np.cumsum(w * self._hi)))
         L = np.concatenate((np.cumsum((w * self._lo)[::-1])[::-1], [0.0]))
-        # g' at the two ends of each state, summed in dg's order; the clamp
-        # bounds make it nondecreasing from state to state
+        # g' at the two ends of each state, summed in slope_curvature's
+        # order; the clamp bounds make it nondecreasing from state to state
         lo, hi = H[self._i0], H[self._i0]
         for held, j, ux, uy in self._held_at:
             lo = np.where(held, lo + w[j] * ux, lo)
@@ -632,16 +609,9 @@ class BucketArrayCurve(Curve1D, family="bucket_array"):
             val += self._w[j] * self._units[j].g(p)
         return float(val)
 
-    def dg(self, p):
-        i0, i1 = self.holding(p)
-        acc = self._H[i0]
-        for j in range(i0, i1):
-            acc += self._w[j] * self._units[j].dg(p)
-        s = i0 + i1
-        return float(min(max(acc + self._L[i1], self._dlo[s]), self._dhi[s]))
-
     def slope_curvature(self, p):
-        # dg's sum, and g'' summed from 0 over the same held buckets
+        # g' from the prefix sums and the held buckets, g'' summed from 0
+        # over the same buckets
         i0, i1 = self.holding(p)
         acc, curv = self._H[i0], 0
         for j in range(i0, i1):
@@ -691,9 +661,6 @@ class SoftBucketCurve(Curve1D, family="soft_bucket"):
 
     def g(self, p):
         return float(_soft_g(self._pieces[bisect_right(self._x, p)], p) - self._chord * p)
-
-    def dg(self, p):
-        return float(_soft_dg(self._pieces[bisect_right(self._x, p)], p) - self._chord)
 
     def slope_curvature(self, p):
         piece = self._pieces[bisect_right(self._x, p)]

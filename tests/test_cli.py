@@ -447,6 +447,7 @@ _MALFORMED_CONFIGS = {
     "n-one": ({"n": 1, "events": _OPENING}, "n must be an integer >= 2, got 1"),
     "n-bool": ({"n": True, "events": _OPENING}, "n must be an integer >= 2, got True"),
     "events-object": ({"n": 2, "events": {}}, "events must be a list, got dict"),
+    "events-missing": ({"n": 2}, "events must be a list, got NoneType"),
     "beta-str": ({"n": 2, "fee": {"scheme": "norm-l1", "beta": "x"}, "events": _OPENING},
                  "fee rate must be a number, got 'x'"),
     "beta-str-no-scheme": ({"n": 2, "fee": {"beta": "x"}, "events": _OPENING}, "fee rate must be a number, got 'x'"),

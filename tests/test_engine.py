@@ -484,6 +484,21 @@ def test_an_lp_record_shows_its_fields():
     assert repr(rec.cash_fees) in repr(rec) and "array([0., 0.])" in repr(rec)
 
 
+@pytest.mark.parametrize("fee", [NormFee(0.02, "l1"), PositivePartFee(0.05)], ids=["cash", "bundle"])
+def test_lp_records_compare_by_value(fee):
+    st = initialize(LmsrCurve(1.0), price=[0.5, 0.5], fee=fee)
+    st.modify_liquidity(st.register_lp(), UniswapV2Curve(0.8))
+    st.execute_trade(target_price=[0.6, 0.4])
+    assert (st.records == st.records) is True
+    rec = st.records[1]
+    changed = dataclasses.replace(rec, liability=rec.liability.copy())
+    assert (rec == changed) is True
+    changed.liability[0] += 1.0
+    assert (rec == changed) is False and rec != changed
+    assert (rec == dataclasses.replace(rec, generator=UniswapV2Curve(0.8))) is False
+    assert (st.records[0] == rec) is False
+
+
 def test_trade_and_inverse_trade_restore_books():
     st = initialize(LmsrCurve(1.0), price=[0.5, 0.5])
     lp = st.register_lp()

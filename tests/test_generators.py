@@ -1443,14 +1443,16 @@ def test_repeated_solves_evaluate_each_clamp_slope_once(bench, monkeypatch):
     agg = st._solver()
     assert agg._clamp_slopes is None
     lo, hi = agg.slope_curvature(EPS)[0], agg.slope_curvature(1.0 - EPS)[0]
+    # an interior solve, then one past each clamp; the liabilities are read
+    # before the count starts, as `grad` reads slope_curvature too
+    price, ends = st.price, 0
+    liabilities = [q for _, p1 in zip(range(20), bench_inputs().n2_targets(1, float(price[0])))
+                   for q in (agg.grad(np.array([p1, 1.0 - p1])), np.array([lo - 1.0, 0.0]), np.array([hi + 1.0, 0.0]))]
     calls, fused = [], type(agg).slope_curvature
     monkeypatch.setattr(type(agg), "slope_curvature", lambda self, t: calls.append(t) or fused(self, t))
-    price, ends = st.price, 0
-    for _, p1 in zip(range(20), bench_inputs().n2_targets(1, float(price[0]))):
-        # an interior solve, then one past each clamp
-        for q in (agg.grad(np.array([p1, 1.0 - p1])), np.array([lo - 1.0, 0.0]), np.array([hi + 1.0, 0.0])):
-            res = conjugate_value(agg, q, price)
-            price, ends = res.price, ends + res.at_boundary
+    for q in liabilities:
+        res = conjugate_value(agg, q, price)
+        price, ends = res.price, ends + res.at_boundary
     assert ends == 40
     # the first solve evaluates the clamp slopes, once; each Newton step
     # evaluates the aggregate once, strictly inside the clamps
