@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 market/validation failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -178,12 +179,38 @@ def _fee_scheme(name: str | None, beta: float):
     return None if beta == 0 else _FEES[name](beta)
 
 
-def _numbers(ev, key):
-    """An event's price, bundle or liability `ev[key]` as floats: finite numbers only."""
-    x = _floats(key, ev[key])
-    if not np.isfinite(x).all():
-        raise UnknownKind(f"{key} is not numeric: {ev[key]!r}")
-    return x
+def _field(rec, name, alt=None):
+    """rec[name] of a scenario event or a trace record, or with an alternative
+    name alt, the value of the one of the two that rec holds.  UnknownKind
+    naming them unless rec is a JSON object holding exactly one."""
+    names = name if alt is None else f"{name} or {alt}"
+    if not isinstance(rec, dict):
+        raise UnknownKind(f"expected a JSON object with {names}, got {type(rec).__name__}")
+    has_alt = alt is not None and alt in rec
+    if (name in rec) == has_alt:
+        raise UnknownKind(f"{name} and {alt} are both given; give one" if has_alt else f"{names} is missing")
+    return rec[alt] if has_alt else rec[name]
+
+
+def _numbers(ev, name, alt=None):
+    """An event's price, bundle or liability, or the one of two alternatives
+    it holds, as {its name: floats}: finite numbers only."""
+    x = _field(ev, name, alt)
+    key = name if name in ev else alt
+    floats = _floats(key, x)
+    if not np.isfinite(floats).all():
+        raise UnknownKind(f"{key} is not numeric: {x!r}")
+    return {key: floats}
+
+
+_OPS = ("initialize", "register_lp", "modify_liquidity", "execute_trade", "quote_completion", "query")
+# a query of one value per LP -> (its result key, that value, given the state and the LP's record)
+_PER_LP = {
+    "liabilities": ("liabilities", lambda state, r: r.liability),
+    "fees": ("fees", lambda state, r: {"cash": r.cash_fees, "bundle": r.bundle_fees}),
+    "liquidity": ("liquidity", lambda state, r: liquidity_matrix(r.generator, state.price)),
+    "no_liability": ("worst_liability", lambda state, r: state.audit_no_liability(r.lp_id)),
+}
 
 
 def replay(scenario: dict, mode=None, fee_name=None, beta=None):
@@ -225,75 +252,42 @@ def _replay_events(meta, events, n, strict, fee):
     for idx, ev in enumerate(events):
         op = None
         try:
-            op = ev["op"]
+            op = _field(ev, "op")
+            if op not in _OPS:
+                raise UnknownKind(f"unknown op {op!r}")
             if state is None and op != "initialize":
                 raise UnknownKind("the market is not initialized yet")
-            result: dict = {}
             if op == "initialize":
-                gen = generator_from_descriptor(ev["generator"], n)
-                kwargs = {"fee": fee, "strict": strict}
-                if "price" in ev:
-                    state = initialize(gen, price=_numbers(ev, "price"), **kwargs)
-                else:
-                    state = initialize(gen, liability=_numbers(ev, "liability"), **kwargs)
+                gen = generator_from_descriptor(_field(ev, "generator"), n)
+                state = initialize(gen, fee=fee, strict=strict, **_numbers(ev, "price", "liability"))
                 result = {"price": state.price}
             elif op == "register_lp":
                 result = {"lp": state.register_lp()}
             elif op == "modify_liquidity":
-                gen = generator_from_descriptor(ev["generator"], n)
-                deposit = state.modify_liquidity(ev["lp"], gen)
-                result = {"lp": ev["lp"], "deposit": deposit}
+                gen = generator_from_descriptor(_field(ev, "generator"), n)
+                lp = _field(ev, "lp")
+                result = {"lp": lp, "deposit": state.modify_liquidity(lp, gen)}
             elif op == "execute_trade":
-                if "target_price" in ev:
-                    receipt = state.execute_trade(target_price=_numbers(ev, "target_price"))
-                else:
-                    receipt = state.execute_trade(bundle=_numbers(ev, "bundle"))
-                last_receipt = receipt
-                result = {
-                    "bundle": receipt.bundle,
-                    "parts": {str(k): v for k, v in receipt.parts.items()},
-                    "price_after": receipt.price_after,
-                    "trader_fee": receipt.trader_fee,
-                    "lp_fees": {str(k): v for k, v in receipt.lp_fees.items()},
-                }
+                receipt = last_receipt = state.execute_trade(**_numbers(ev, "target_price", "bundle"))
+                result = {"bundle": receipt.bundle, "parts": {str(k): v for k, v in receipt.parts.items()},
+                          "price_after": receipt.price_after, "trader_fee": receipt.trader_fee,
+                          "lp_fees": {str(k): v for k, v in receipt.lp_fees.items()}}
             elif op == "quote_completion":
-                full, cash = state.quote_completion(_numbers(ev, "bundle"))
+                full, cash = state.quote_completion(_numbers(ev, "bundle")["bundle"])
                 result = {"bundle": full, "cash": cash}
-            elif op == "query":
-                what = ev.get("what")
+            else:
+                what = _field(ev, "what")
                 if what == "price":
                     result = {"price": state.price}
-                elif what == "liabilities":
-                    result = {"liabilities": {str(r.lp_id): r.liability for r in state.records}}
-                elif what == "fees":
-                    result = {
-                        "fees": {
-                            str(r.lp_id): {"cash": r.cash_fees, "bundle": r.bundle_fees}
-                            for r in state.records
-                        }
-                    }
-                elif what == "liquidity":
-                    result = {
-                        "liquidity": {
-                            str(r.lp_id): liquidity_matrix(r.generator, state.price)
-                            for r in state.records
-                        }
-                    }
-                elif what == "no_liability":
-                    result = {
-                        "worst_liability": {
-                            str(r.lp_id): state.audit_no_liability(r.lp_id)
-                            for r in state.records
-                        }
-                    }
                 elif what == "budget_imbalance":
                     if last_receipt is None:
                         raise UnknownKind("budget_imbalance queried before any trade")
                     result = {"imbalance": audit_budget_balance(state.fee, last_receipt)}
+                elif isinstance(what, str) and what in _PER_LP:
+                    key, per_lp = _PER_LP[what]
+                    result = {key: {str(r.lp_id): per_lp(state, r) for r in state.records}}
                 else:
                     raise UnknownKind(f"unknown query {what!r}")
-            else:
-                raise UnknownKind(f"unknown op {op!r}")
             record = {"event": idx, "op": op, "result": result, "state": state.snapshot()}
         except Exception as exc:
             # every failed event ends the trace with an error record; for the
@@ -317,20 +311,22 @@ def _write_trace(trace, out):
     out.writelines(_trace_line(rec, texts) for rec in trace)
 
 
-def _load_trace(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
 
 def _states(trace):
-    """The records of a trace that carry a market state: all but the meta
-    record and a failed event's error record."""
-    states = [rec for rec in trace if "state" in rec]
+    """The records of a trace that carry a market state: after the meta
+    record, each event's record holds its state or, ending a failed run, its
+    error."""
+    if trace:
+        _field(trace[0], "meta")
+    states = []
+    for rec in trace[1:]:
+        _field(rec, "state", "error")
+        if "state" in rec:
+            states.append(rec)
     if not states:
         raise UnknownKind("the trace has no market state")
     return states
@@ -338,20 +334,19 @@ def _states(trace):
 
 def report_price_path(trace, out):
     states = _states(trace)
-    n = len(states[0]["state"]["price"])
+    n = len(_field(states[0]["state"], "price"))
     w = csv.writer(out)
     w.writerow(["event"] + [f"p{i + 1}" for i in range(n)])
     for rec in states:
-        w.writerow([rec["event"]] + rec["state"]["price"])
+        w.writerow([_field(rec, "event")] + _field(rec["state"], "price"))
 
 
 def report_liquidity_profile(trace, out, grid=99):
     _check_integer("grid", grid, 1)
     last = _states(trace)[-1]["state"]
-    n = len(last["price"])
-    if n != 2:
+    if len(_field(last, "price")) != 2:
         raise UnknownKind("liquidity profiles are only defined for two outcomes")
-    gens = {lp["id"]: generator_from_descriptor(lp["generator"], 2) for lp in last["lps"]}
+    gens = {_field(lp, "id"): generator_from_descriptor(_field(lp, "generator"), 2) for lp in _field(last, "lps")}
     v = np.array([1.0, -1.0])
     w = csv.writer(out)
     w.writerow(["p"] + [f"lp{k}" for k in gens] + ["aggregate"])
@@ -371,22 +366,16 @@ def _table1_oracle(base: str, a: float, b: float, p: float, weight: float):
     elif base == "lmsr":
         q1 = np.log(pc / b)
         q2 = np.log((1 - pc) / (1 - a))
-    elif base == "brier":
+    else:  # brier
         q1 = -((1 - pc) ** 2) + (1 - b) ** 2
         q2 = -(pc ** 2) + a ** 2
-    else:  # pragma: no cover
-        raise UnknownKind(base)
     return weight * np.array([q1, q2])
 
 
 def report_table1_check(out, samples=200, seed=7):
     """Bucketed curves against the closed-form liability columns."""
     rng = np.random.default_rng(seed)
-    bases = {
-        "v2": UniswapV2Curve(1.0),
-        "lmsr": LmsrCurve(1.0),
-        "brier": brier_curve(1.0),
-    }
+    bases = {"v2": UniswapV2Curve(1.0), "lmsr": LmsrCurve(1.0), "brier": brier_curve(1.0)}
     w = csv.writer(out)
     w.writerow(["base", "max_deviation"])
     worst_all = 0.0
@@ -425,7 +414,7 @@ def _build_parser():
     run_p.add_argument("--fee", choices=list(_FEES), default=None)
 
     rep_p = sub.add_parser("report", help="summarize a trace")
-    rep_p.add_argument("trace")
+    rep_p.add_argument("trace", nargs="?", help="trace path (not read by table1-check)")
     rep_p.add_argument("--kind", required=True,
                        choices=["price-path", "liquidity-profile", "table1-check"])
     rep_p.add_argument("--grid", type=int, default=99)
@@ -438,6 +427,11 @@ def _build_parser():
     return ap
 
 
+def _output(path):
+    """The file at path, opened for writing, or without a path stdout, which stays open."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -445,41 +439,30 @@ def main(argv=None) -> int:
             with open(args.scenario) as fh:
                 scenario = json.load(fh)
             records = replay(scenario, args.mode, args.fee, args.beta)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    _write_trace(records, fh)
-            else:
-                _write_trace(records, sys.stdout)
+            with _output(args.out) as out:
+                _write_trace(records, out)
             return 0
         if args.command == "report":
             if args.kind == "table1-check":
-                worst = report_table1_check(sys.stdout)
-                return 0 if worst <= 1e-9 else 1
-            trace = _load_trace(args.trace)
+                return 0 if report_table1_check(sys.stdout) <= 1e-9 else 1
+            if args.trace is None:
+                raise UnknownKind(f"report --kind {args.kind} reads a trace: give its path")
+            with open(args.trace) as fh:
+                trace = [json.loads(line) for line in fh if line.strip()]
             if args.kind == "price-path":
                 report_price_path(trace, sys.stdout)
             else:
                 report_liquidity_profile(trace, sys.stdout, args.grid)
             return 0
-        if args.command == "equivalence":
-            report = equivalence_suite(args.n, args.trials, args.seed)
-            rounded = {k: float(_float_text(v)) if isinstance(v, float) else v for k, v in report.items()}
-            payload = json.dumps(rounded, indent=2) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
-            return 0 if report["pass"] else 1
-    except (UnknownKind, KeyError, json.JSONDecodeError) as exc:
+        report = equivalence_suite(args.n, args.trials, args.seed)
+        rounded = {k: float(_float_text(v)) if isinstance(v, float) else v for k, v in report.items()}
+        with _output(args.out) as out:
+            out.write(json.dumps(rounded, indent=2) + "\n")
+        return 0 if report["pass"] else 1
+    except (ParmmError, json.JSONDecodeError, OSError) as exc:
+        # malformed input exits 2, a failed market operation or check 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ParmmError) and not isinstance(exc, UnknownKind) else 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .convex_core import (
     price_of,
 )
 from .engine import initialize
-from .errors import InvariantViolated, ParmmError, _check_integer
+from .errors import InvariantViolated, ParmmError, _check_amount, _check_integer
 from .generators import (
     BucketCurve,
     ConstantProductGenerator,
@@ -73,7 +73,10 @@ def interp2_greedy(generators, liabilities, v, duration=1.0, steps=100):
     Each finite slice overpays its quote by a Bregman gap of order dt^2, so
     the summed residual sum_i C_i(q_i) decays like 1/steps.  The returned
     cleanup split rebalances the books at the shared coherent price.
+    `steps` is a positive integer and `duration` an amount, by the `errors` rules.
     """
+    _check_integer("steps", steps, 1)
+    _check_amount("duration", duration)
     gens = list(generators)
     qs = [np.asarray(q, dtype=float).copy() for q in liabilities]
     ones = np.ones(len(v))

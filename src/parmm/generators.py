@@ -658,13 +658,23 @@ class SoftBucketCurve(Curve1D, family="soft_bucket"):
             c = _soft_dg((pu - u, pv - v, pc, 0.0), x0) if k else 0.0
             self._pieces.append((u, v, c, _soft_g((pu - u, pv - v, pc - c, pe), x0)))
         self._chord = _soft_g(self._pieces[-1], 1.0)
+        # slope bounds per piece from g' at its ends, nondecreasing across the
+        # knots as `PiecewisePolyCurve`'s are: the two sides' closed forms can
+        # round past each other at a knot
+        self._dlo, self._dhi = [], []
+        top = -math.inf
+        for k, piece in enumerate(self._pieces):
+            self._dlo.append(max(_soft_dg(piece, x[k]) - self._chord if k else -math.inf, top))
+            top = max(_soft_dg(piece, x[k + 1]) - self._chord if k < len(x) - 2 else math.inf, self._dlo[-1])
+            self._dhi.append(top)
 
     def g(self, p):
         return float(_soft_g(self._pieces[bisect_right(self._x, p)], p) - self._chord * p)
 
     def slope_curvature(self, p):
-        piece = self._pieces[bisect_right(self._x, p)]
-        return float(_soft_dg(piece, p) - self._chord), float(_soft_d2g(piece, p))
+        k = bisect_right(self._x, p)
+        d = min(max(_soft_dg(self._pieces[k], p) - self._chord, self._dlo[k]), self._dhi[k])
+        return float(d), float(_soft_d2g(self._pieces[k], p))
 
 
 def _soft_g(piece, p):

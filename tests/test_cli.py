@@ -1,5 +1,6 @@
 """CLI: scenario replay determinism, reports, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,11 +9,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parmm
 from parmm import LmsrCurve, MarketState, PiecewisePolyCurve, UniswapV2Curve, initialize
@@ -120,6 +124,18 @@ def test_report_table1_check(capsys):
     assert len(rows) == 4  # header + one line per base maker
     worst = max(float(r.split(",")[-1]) for r in rows[1:])
     assert worst <= 1e-9
+
+
+def test_report_table1_check_takes_no_trace(capsys):
+    # it never read one: the path given was accepted and ignored
+    code, out, _ = run_cli(["report", "--kind", "table1-check"], capsys)
+    assert code == 0 and out == run_cli(["report", "/nonexistent", "--kind", "table1-check"], capsys)[1]
+
+
+@pytest.mark.parametrize("kind", ["price-path", "liquidity-profile"])
+def test_a_report_of_a_trace_needs_its_path(kind, capsys):
+    assert run_cli(["report", "--kind", kind], capsys) == (
+        2, "", f"error: report --kind {kind} reads a trace: give its path\n")
 
 
 def test_equivalence_command(capsys):
@@ -288,7 +304,30 @@ _FAILURES = {
                    "UnsupportedFamily", 1,
                    "error: event 3 (modify_liquidity): 3-outcome generator on a 2-outcome market"),
     "unknown-op": ({"op": "settle"}, "UnknownKind", 2, "error: event 3 (settle): unknown op 'settle'"),
-    "no-op": ({"lp": 1}, "KeyError", 2, "error: 'op'\n"),
+    # every field is read by one reader: a JSON object holding it, or
+    # exactly one of two alternatives
+    "no-op": ({"lp": 1}, "UnknownKind", 2, "error: event 3 (None): op is missing\n"),
+    "event-list": ([{"op": "register_lp"}], "UnknownKind", 2,
+                   "error: event 3 (None): expected a JSON object with op, got list\n"),
+    "event-str": ("register_lp", "UnknownKind", 2, "error: event 3 (None): expected a JSON object with op, got str\n"),
+    "event-null": (None, "UnknownKind", 2, "error: event 3 (None): expected a JSON object with op, got NoneType\n"),
+    "op-list": ({"op": ["query"], "what": "price"}, "UnknownKind", 2, "error: event 3 (['query']): unknown op ['query']\n"),
+    "generator-missing": ({"op": "modify_liquidity", "lp": 1}, "UnknownKind", 2,
+                          "error: event 3 (modify_liquidity): generator is missing\n"),
+    "lp-missing": ({"op": "modify_liquidity", "generator": _LMSR}, "UnknownKind", 2,
+                   "error: event 3 (modify_liquidity): lp is missing\n"),
+    "what-missing": ({"op": "query"}, "UnknownKind", 2, "error: event 3 (query): what is missing\n"),
+    "what-list": ({"op": "query", "what": ["price"]}, "UnknownKind", 2, "error: event 3 (query): unknown query ['price']\n"),
+    "quote-bundle-missing": ({"op": "quote_completion"}, "UnknownKind", 2,
+                             "error: event 3 (quote_completion): bundle is missing\n"),
+    "price-and-liability": ({"op": "initialize", "generator": _LMSR, "price": [0.5, 0.5], "liability": [0.0, 0.0]},
+                            "UnknownKind", 2, "error: event 3 (initialize): price and liability are both given; give one\n"),
+    "price-or-liability-missing": ({"op": "initialize", "generator": _LMSR}, "UnknownKind", 2,
+                                   "error: event 3 (initialize): price or liability is missing\n"),
+    "target-and-bundle": ({"op": "execute_trade", "target_price": [0.5, 0.5], "bundle": [0.1, -0.1]}, "UnknownKind", 2,
+                          "error: event 3 (execute_trade): target_price and bundle are both given; give one\n"),
+    "target-or-bundle-missing": ({"op": "execute_trade"}, "UnknownKind", 2,
+                                 "error: event 3 (execute_trade): target_price or bundle is missing\n"),
     # malformed event values: a typed error, not a traceback
     "lp-str": ({"op": "modify_liquidity", "lp": "x", "generator": _LMSR}, "UnknownKind", 2,
                "error: event 3 (modify_liquidity): lp must be an integer, got 'x'\n"),
@@ -405,7 +444,65 @@ def test_failed_run_writes_the_events_before_it_and_an_error_record(failure, sin
         code, out, err = run_cli(["run", str(f)], capsys)
     assert code == exit_code and err.startswith(err_start)
     head = _replayed({"n": 2, "events": _OPENING}, tmp_path)
-    assert out == head + _error_line(3, failing.get("op"), error, err)
+    assert out == head + _error_line(3, failing.get("op") if isinstance(failing, dict) else None, error, err)
+
+
+@pytest.mark.parametrize("event, message", [
+    ({"op": "settle"}, "event 0 (settle): unknown op 'settle'"),
+    ({"what": "price"}, "event 0 (None): op is missing"),
+    (["initialize"], "event 0 (None): expected a JSON object with op, got list"),
+], ids=["unknown-op", "no-op", "event-list"])
+def test_the_op_is_read_before_the_market_must_be_initialized(event, message, tmp_path, capsys):
+    # an unknown op used to read as "the market is not initialized yet"
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"n": 2, "events": [event] + _OPENING}))
+    code, out, err = run_cli(["run", str(f)], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+    op = event.get("op") if isinstance(event, dict) else None
+    assert out.splitlines(keepends=True)[1:] == [_error_line(0, op, "UnknownKind", err)]
+
+
+# a valid scenario, whose events the property test below changes one at a time
+_VALID = _OPENING + [
+    {"op": "modify_liquidity", "lp": 1, "generator": {"family": "uniswap_v2", "alpha": 1.0}},
+    {"op": "quote_completion", "bundle": [0.05, 0.0]},
+    {"op": "query", "what": "liabilities"},
+    {"op": "query", "what": "budget_imbalance"},
+    {"op": "initialize", "generator": _LMSR, "liability": [0.0, 0.0]},
+    {"op": "execute_trade", "bundle": [0.0, 0.0]},
+]
+# a field -> its alternative, and a value for it
+_ALTERNATIVES = {"price": ("liability", [0.0, 0.0]), "liability": ("price", [0.5, 0.5]),
+                 "target_price": ("bundle", [0.0, 0.0]), "bundle": ("target_price", [0.5, 0.5])}
+_JUNK = st.one_of(st.none(), st.text(max_size=4),
+                  st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)),
+                           max_size=3))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_changed_event_exits_with_a_code_not_a_traceback(data):
+    # one event of a valid scenario with a field dropped, a list, string or
+    # null in place of a value, or the alternative field added
+    events = [dict(ev) for ev in _VALID]
+    ev = events[data.draw(st.integers(0, len(events) - 1), label="event")]
+    key = data.draw(st.sampled_from(sorted(ev)), label="field")
+    change = data.draw(st.sampled_from(["drop", "junk"] + ["alternative"] * (key in _ALTERNATIVES)), label="change")
+    if change == "drop":
+        del ev[key]
+    elif change == "junk":
+        ev[key] = data.draw(_JUNK, label="value")
+    else:
+        alt, value = _ALTERNATIVES[key]
+        ev[alt] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "s.json"
+        f.write_text(json.dumps({"n": 2, "events": events}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(f), "--out", str(Path(tmp) / "t.jsonl")])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (code != 0)
 
 
 def test_an_unexpected_failure_also_ends_the_trace_with_an_error_record(tmp_path, monkeypatch):
@@ -506,6 +603,38 @@ def test_reports_read_a_trace_that_ends_in_an_error_record(tmp_path, capsys):
     for kind in ("price-path", "liquidity-profile"):
         assert run_cli(["report", str(failed), "--kind", kind], capsys) == (
             2, "", "error: the trace has no market state\n")
+
+
+# a trace edited into a malformed one, and the error a report of it gives
+_MALFORMED_TRACES = {
+    "line-list": (lambda lines: lines[:2] + ["[1, 2]"] + lines[2:],
+                  "expected a JSON object with state or error, got list"),
+    "line-number": (lambda lines: lines + ["7"], "expected a JSON object with state or error, got int"),
+    "state-without-price": (lambda lines: lines[:-1] + [lines[-1].replace('"price":', '"prices":')], "price is missing"),
+    "state-list": (lambda lines: lines[:-1] + [json.dumps({**json.loads(lines[-1]), "state": []})],
+                   "expected a JSON object with price, got list"),
+    "no-meta": (lambda lines: lines[1:], "meta is missing"),
+    "no-state": (lambda lines: lines[:-1] + [lines[-1].replace('"state":', '"states":')], "state or error is missing"),
+}
+
+
+@pytest.mark.parametrize(("name", "kind", "sink"), [
+    (name, kind, sink) for name in sorted(_MALFORMED_TRACES)
+    for kind in ("price-path", "liquidity-profile") for sink in ("in-process", "python-O")])
+def test_a_malformed_trace_exits_2_naming_the_field(name, kind, sink, tmp_path, capsys):
+    # a line that is not an object gave a TypeError traceback, and a state
+    # without a price "error: 'price'"
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", WALK, "--out", str(trace)]) == 0
+    edit, message = _MALFORMED_TRACES[name]
+    trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    argv = ["report", str(trace), "--kind", kind]
+    if sink == "python-O":
+        proc = run_cli_optimized(argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (2, f"error: {message}\n")
 
 
 def test_one_parser_serves_every_command(tmp_path, capsys):

@@ -386,7 +386,7 @@ def test_reposting_the_opening_generator_deposits_nothing():
 
 
 @pytest.mark.xfail(strict=True, raises=InvariantViolated, reason=(
-    "ROADMAP item 7: spread_residual spreads the O(1) residual of a trade ending on a kink "
+    "ROADMAP item 15: spread_residual spreads the O(1) residual of a trade ending on a kink "
     "equally over every LP, so the LPs leave their level sets"))
 def test_a_bundle_trade_ending_on_a_kink_leaves_every_lp_coherent():
     st = MarketState(LmsrCurve(0.01), price=[0.3, 0.7], strict=False)

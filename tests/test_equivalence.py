@@ -1,6 +1,8 @@
 """Four views of a parallel market must agree: aggregate cost function,
 per-LP fills at the shared price, scoring-rule differences, greedy routing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from parmm.equivalence import (
     interp1_validate,
     interp2_greedy,
 )
-from parmm.errors import InvariantViolated
+from parmm.errors import InvariantViolated, OutOfRange, UnknownKind
 
 
 def test_scoring_trade_matches_engine_two_lps():
@@ -105,6 +107,25 @@ def test_greedy_residual_decays_linearly():
     assert all(r > 0 for r in residuals)
     slope = np.polyfit(np.log(steps_grid), np.log(residuals), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.2)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    # steps = 0 divided by zero, 2.5 failed in range(), and -3 routed
+    # nothing and reported a residual of 0.0
+    ({"steps": 0}, UnknownKind, "steps must be a positive integer, got 0"),
+    ({"steps": 2.5}, UnknownKind, "steps must be a positive integer, got 2.5"),
+    ({"steps": -3}, UnknownKind, "steps must be a positive integer, got -3"),
+    ({"steps": True}, UnknownKind, "steps must be a positive integer, got True"),
+    ({"duration": "1"}, UnknownKind, "duration must be a number, got '1'"),
+    ({"duration": -0.5}, OutOfRange, "duration -0.5 is negative or not finite"),
+    ({"duration": float("inf")}, OutOfRange, "duration inf is negative or not finite"),
+], ids=["steps-0", "steps-fraction", "steps-negative", "steps-bool", "duration-str", "duration-negative",
+        "duration-inf"])
+def test_greedy_checks_its_steps_and_duration(kwargs, error, message):
+    gens = [LmsrGenerator(1.0, 2), LmsrGenerator(2.0, 2)]
+    qs = [liability_of(G, np.array([0.4, 0.6])) for G in gens]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        interp2_greedy(gens, qs, np.array([1.0, -0.5]), **kwargs)
 
 
 def test_greedy_cleanup_restores_coherence():
